@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PermitSimError
+from .errors import ConfigError, DomainError, PermitSimError
 from .params import FRICTIONLESS, FirmParams, MarketParams
 from .policies import (
     DEFAULT_MSR_DELTA,
@@ -147,7 +147,26 @@ def _number(block: dict, key: str, path: str) -> float:
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
+    return number
+
+
+def _array(block: dict, key: str, path: str) -> np.ndarray | None:
+    if block.get(key) is None:
+        return None
+    value = block[key]
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}.{key}: expected an array of numbers, got {value!r}") from exc
+    if not np.all(np.isfinite(array)):
+        raise ConfigError(f"{path}.{key}: expected finite numbers, got {value!r}")
+    return array
 
 
 def _integer(block: dict, key: str, path: str, minimum: int) -> int:
@@ -257,17 +276,19 @@ def build_scenario(raw: object) -> ScenarioConfig:
         ) from exc
     delta = policy_block.get("delta")
     if delta is not None:
-        if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-            raise ConfigError(f"config.policy.delta: expected a number, got {delta!r}")
-        delta = float(delta)
-    m0 = policy_block.get("m0")
-    gamma = policy_block.get("gamma")
+        delta = _number(policy_block, "delta", "config.policy")
+    target_compliance = policy_block.get("target_compliance", True)
+    if not isinstance(target_compliance, bool):
+        raise ConfigError(
+            f"config.policy.target_compliance: expected true or false, "
+            f"got {target_compliance!r}"
+        )
     policy = PolicySpec(
         kind=kind,
         delta=delta,
-        m0=None if m0 is None else np.asarray(m0, dtype=float),
-        gamma=None if gamma is None else np.asarray(gamma, dtype=float),
-        target_compliance=bool(policy_block.get("target_compliance", True)),
+        m0=_array(policy_block, "m0", "config.policy"),
+        gamma=_array(policy_block, "gamma", "config.policy"),
+        target_compliance=target_compliance,
     )
 
     sim_block = _require_mapping(merged.get("simulation", {}), "config.simulation")
@@ -306,25 +327,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: One trajectory row: path id, then t and the five columns rendered like
+#: ``_fmt`` (``%.17g`` and ``format(x, ".17g")`` print floats identically).
+_ROW_FORMAT = "%s" + ",%.17g" * (len(_TRAJECTORY_COLUMNS) - 1)
+
+
 def _trajectory_rows(sample, noise, volume_scale: float, n_show: int) -> list[str]:
-    t = noise.grid.knots
+    t = noise.grid.knots.tolist()
+    columns = [
+        sample.price[:n_show].tolist(),
+        (sample.total_bank[:n_show] * volume_scale).tolist(),
+        (sample.total_emissions[:n_show] * volume_scale).tolist(),
+        (sample.avg_abatement[:n_show] * volume_scale).tolist(),
+        (sample.net_allocation_minus_initial[:n_show] * volume_scale).tolist(),
+    ]
     rows = []
-    columns = (
-        sample.price,
-        sample.total_bank * volume_scale,
-        sample.total_emissions * volume_scale,
-        sample.avg_abatement * volume_scale,
-        sample.net_allocation_minus_initial * volume_scale,
-    )
     for p in range(n_show):
         pid = str(noise.path_offset + p)
-        for k in range(t.size):
-            rows.append(
-                ",".join(
-                    (pid, _fmt(t[k]))
-                    + tuple(_fmt(col[p, k]) for col in columns)
-                )
-            )
+        rows.extend(
+            _ROW_FORMAT % (pid, *values)
+            for values in zip(t, *(col[p] for col in columns))
+        )
     return rows
 
 
@@ -415,7 +438,11 @@ def run_simulate(
         "unit_scale": config.unit_scale,
         "policies": summary_policies,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"summary holds a non-finite number: {exc}") from exc
+    (out / "summary.json").write_text(text + "\n")
     return summary
 
 

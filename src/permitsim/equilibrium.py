@@ -6,6 +6,11 @@ average surprise through the single gain f.  Either way the construction
 is verified ex post: the per-knot clearing residual must stay below a hard
 relative tolerance or the run aborts, since downstream costs computed from
 a non-clearing "equilibrium" are silently wrong.
+
+The frictionless price formula (`frictionless_price`) and its clearing
+check (`require_frictionless_clearing`) are shared with the N-axis
+martingale kernel in `policies`, which computes the same equilibrium
+without per-firm best responses; both paths apply one rule.
 """
 
 from __future__ import annotations
@@ -150,20 +155,14 @@ def equilibrium_frictionless(
         raise UnsupportedInputError("finite depth: use equilibrium_frictions")
     _check_views(mkt, views, noise)
     grid = noise.grid
-    t = grid.knots
     n = mkt.n_firms
-    agg = mkt.agg
 
     d_driver = np.zeros((noise.n_paths, grid.n_steps))
     m0_bar = 0.0
     for i, (firm, view) in enumerate(zip(mkt.firms, views)):
         d_driver += (view.increments() - firm.sigma * noise.d_firm[:, i, :]) / n
         m0_bar += view.expected_total[:, 0] / n
-    f_left = f_coeff(mkt, t[:-1])
-    price = np.empty((noise.n_paths, grid.n_steps + 1))
-    price[:, 0] = f_coeff(mkt, 0.0) * (grid.horizon * agg.H_bar - m0_bar)
-    np.cumsum(-f_left * d_driver, axis=-1, out=price[:, 1:])
-    price[:, 1:] += price[:, :1]
+    price = frictionless_price(mkt, grid, m0_bar, d_driver)
 
     controls = [
         best_response_frictionless(
@@ -174,22 +173,55 @@ def equilibrium_frictionless(
     ]
     alpha, beta, bank = _stack(controls)
     total_trade = np.stack([c.total_trade for c in controls], axis=1)
+    alloc_abs_max = np.array([np.abs(v.expected_total).max() for v in views])
+    require_frictionless_clearing(mkt, grid, price, total_trade, alloc_abs_max)
+    return EquilibriumPath(
+        price=price, abatement=alpha, trade_rate=beta, bank=bank, total_trade=total_trade
+    )
 
+
+def frictionless_price(
+    mkt: MarketParams, grid, m0_bar: float | np.ndarray, d_driver: np.ndarray
+) -> np.ndarray:
+    """Frictionless clearing price from the average allocation surprise.
+
+    P_0 = f(0) (T Hbar - Mbar_0) and dP_k = -f(t_k) dZbar_k with left-knot
+    coefficients, where ``d_driver`` holds dZbar = (1/N) sum_i (dM_i -
+    sigma_i dW_i), shape (n_paths, M), and ``m0_bar`` the average initial
+    expected allocation (scalar or per path).  Returns (n_paths, M+1).
+    """
+    price = np.empty((d_driver.shape[0], grid.n_steps + 1))
+    price[:, 0] = f_coeff(mkt, 0.0) * (grid.horizon * mkt.agg.H_bar - m0_bar)
+    np.cumsum(-f_coeff(mkt, grid.knots[:-1]) * d_driver, axis=-1, out=price[:, 1:])
+    price[:, 1:] += price[:, :1]
+    return price
+
+
+def require_frictionless_clearing(
+    mkt: MarketParams,
+    grid,
+    price: np.ndarray,
+    total_trade: np.ndarray,
+    alloc_abs_max: np.ndarray,
+) -> None:
+    """Raise ClearingError unless sum_i B_i vanishes at every knot.
+
+    ``total_trade`` holds the per-firm cumulative trades B_i, shape
+    (n_paths, N, M+1); ``alloc_abs_max[i]`` is the largest |M_i| of firm
+    i's expected total allocation over the block.
+    """
     # The residual is a cancellation of gross terms of size ~ c(0) P + M +
     # eta h T per firm, so "relative" must mean relative to those, not to
     # the (possibly zero) net trades themselves.
     lam = mkt.penalty
-    gross = sum(
-        (1.0 + 2.0 * lam * firm.eta * grid.horizon) / (2.0 * lam) * float(np.abs(price).max())
-        + float(np.abs(views[i].expected_total).max())
-        + firm.eta * firm.h * grid.horizon
-        for i, firm in enumerate(mkt.firms)
+    etas = np.array([fp.eta for fp in mkt.firms])
+    hs = np.array([fp.h for fp in mkt.firms])
+    c0 = (1.0 + 2.0 * lam * etas * grid.horizon) / (2.0 * lam)
+    gross = float(
+        np.sum(c0 * float(np.abs(price).max()) + alloc_abs_max + etas * hs * grid.horizon)
     )
     scale = max(float(np.abs(total_trade).sum(axis=1).max()), gross)
     _require_clearing(total_trade.sum(axis=1), scale, "frictionless")
-    return EquilibriumPath(
-        price=price, abatement=alpha, trade_rate=beta, bank=bank, total_trade=total_trade
-    )
 
 
 def _require_clearing(residual: np.ndarray, scale: float, label: str) -> None:

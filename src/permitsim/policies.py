@@ -12,8 +12,14 @@ are compared, all targeting the same expected total emissions rho*T*N*mu_bar:
 
 Closed forms are evaluated where they exist; `simulate_policy_paths`
 produces pathwise costs and trajectories on a shared noise block so that
-policies can be compared shock-by-shock.  All costs are in euros, volumes
-in tons, rates per year.
+policies can be compared shock-by-shock.  The martingale-type policies
+(optimal, custom, static) share one kernel that keeps the firm index as an
+array axis: the price follows from the firms' average allocation surprise,
+and the costs from the price plus per-firm terminal trades and banks, so
+no per-firm trajectory is built.  `allocation_views` with
+`equilibrium.equilibrium_frictionless` remains the per-firm construction
+of the same equilibrium.  All costs are in euros, volumes in tons, rates
+per year.
 """
 
 from __future__ import annotations
@@ -38,9 +44,21 @@ from .params import (
     msr_F,
     msr_z,
 )
-from .equilibrium import EquilibriumPath, equilibrium_frictionless
+# equilibrium_frictionless is not called here but stays a module attribute:
+# perfbench/tracing.py wraps it under this name.
+from .equilibrium import (  # noqa: F401
+    equilibrium_frictionless,
+    frictionless_price,
+    require_frictionless_clearing,
+)
 from .firm import AllocationView
-from .stochastic import NoisePaths, PathEnsemble, left_integral, realized_qv
+from .stochastic import (
+    NoisePaths,
+    PathEnsemble,
+    integrate_increments,
+    left_integral,
+    realized_qv,
+)
 
 #: Mean-reversion speed (1/year) used for the MSR-like policy when a
 #: scenario does not pin one.
@@ -454,15 +472,14 @@ def allocation_views(policy: Policy, mkt: MarketParams, noise: NoisePaths) -> li
             for i in range(mkt.n_firms)
         ]
     if isinstance(policy, StaticPolicy):
-        views = []
-        ones = np.ones((noise.n_paths, grid.n_steps + 1))
-        for fp in mkt.firms:
-            realized = policy.x_bar0 - fp.mu * grid.knots
-            expected = np.full_like(grid.knots, policy.x_bar0 - fp.mu * grid.horizon)
-            views.append(
-                AllocationView(expected_total=ones * expected, realized=ones * realized)
+        shape = (noise.n_paths, grid.n_steps + 1)
+        return [
+            AllocationView(
+                expected_total=np.broadcast_to(policy.x_bar0 - fp.mu * grid.horizon, shape),
+                realized=np.broadcast_to(policy.x_bar0 - fp.mu * grid.knots, shape),
             )
-        return views
+            for fp in mkt.firms
+        ]
     raise UnsupportedInputError(
         f"{policy.kind.value} policy does not define per-firm allocation views"
     )
@@ -504,23 +521,139 @@ def static_price_paths(
     return price
 
 
-def _firm_cost_parts(
-    mkt: MarketParams, eq: EquilibriumPath, grid
-) -> dict[str, np.ndarray]:
-    dt = grid.dt
-    abatement = np.zeros(eq.price.shape[0])
-    trading = np.zeros_like(abatement)
-    for i, fp in enumerate(mkt.firms):
-        a = eq.abatement[:, i, :]
-        abatement += (fp.h * a + a**2 / (2.0 * fp.eta))[:, :-1].sum(axis=-1) * dt
-        trading += (eq.price * eq.trade_rate[:, i, :])[:, :-1].sum(axis=-1) * dt
-    penalty = mkt.penalty * (eq.bank[:, :, -1] ** 2).sum(axis=1)
-    zeros = np.zeros_like(abatement)
-    return {"abatement": abatement, "trading": trading, "penalty": penalty, "tax": zeros}
+def _sample(
+    kind: PolicyKind,
+    price: np.ndarray,
+    total_bank: np.ndarray,
+    avg_abatement: np.ndarray,
+    emissions: np.ndarray,
+    net_alloc: np.ndarray,
+    parts: dict[str, np.ndarray],
+) -> PolicyPathSample:
+    return PolicyPathSample(
+        kind=kind,
+        price=price,
+        total_bank=total_bank,
+        avg_abatement=avg_abatement,
+        total_emissions=emissions,
+        net_allocation_minus_initial=net_alloc,
+        cost=parts["abatement"] + parts["trading"] + parts["penalty"] + parts["tax"],
+        parts=parts,
+        price_qv=realized_qv(price)[:, -1],
+    )
 
 
-def _sum_mu(mkt: MarketParams) -> float:
-    return float(sum(fp.mu for fp in mkt.firms))
+def _simulate_martingale(
+    kind: PolicyKind,
+    mkt: MarketParams,
+    noise: NoisePaths,
+    m0: np.ndarray,
+    gamma: np.ndarray,
+    alloc_flow: float,
+) -> PolicyPathSample:
+    """Frictionless equilibrium of a martingale allocation, firms as an array axis.
+
+    Firm i expects the total allocation M_i(t) = m0_i + (gamma Wtilde)_i(t)
+    and holds A_i(t), which reaches M_i(T) at the horizon.  Besides the
+    martingale part, allowances arrive at the deterministic total rate
+    ``alloc_flow`` (tons/year): sum_i mu_i for the tracking policies, whose
+    holdings equal their expectation, and 0 for the static lump sum, whose
+    holdings x_bar0 - mu_i t deplete with emissions; hence
+    sum_i A_i(t) = sum_i M_i(t) + (sum_i mu_i - alloc_flow) (T - t).
+
+    Only the average surprise moves the price (`frictionless_price`),
+    abatement is alpha_i = eta_i (P - h_i), and each firm's trade is fixed
+    by its terminal cumulative trade B_i(T).  The costs therefore follow
+    from the price and per-firm terminal numbers alone: abatement
+    sum_i (eta_i/2) sum_k (P_k^2 - h_i^2) dt, trading
+    (sum_k P_k dt) sum_i B_i(T) / T and penalty lam sum_i X_i(T)^2.  The
+    cumulative trades B_i are built at every knot for the clearing check.
+    """
+    if not mkt.is_frictionless:
+        raise UnsupportedInputError("finite depth: use equilibrium_frictions")
+    grid = noise.grid
+    t = grid.knots
+    dt, horizon = grid.dt, grid.horizon
+    lam = mkt.penalty
+    n = mkt.n_firms
+    etas = np.array([fp.eta for fp in mkt.firms])
+    hs = np.array([fp.h for fp in mkt.firms])
+    sigmas = np.array([fp.sigma for fp in mkt.firms])
+    mu_total = float(sum(fp.mu for fp in mkt.firms))
+
+    # expected totals M_i(t) = m0_i + moved_i(t); rounding is monotonic, so
+    # the extremes of M_i are m0_i plus those of moved_i.  The buffer is
+    # reused for the trades B_i.
+    surprise = np.matmul(gamma, noise.d_tilde)
+    buf = integrate_increments(surprise)
+    alloc_abs_max = np.maximum(m0 + buf.max(axis=(0, 2)), -(m0 + buf.min(axis=(0, 2))))
+    alloc_T = m0 + buf[..., -1]
+    expected_sum = float(m0.sum()) + buf.sum(axis=1)
+
+    # allocation surprise dM_i - sigma_i dW_i; the price follows its firm mean
+    surprise -= sigmas[:, None] * noise.d_firm
+    price = frictionless_price(mkt, grid, float(m0.mean()), surprise.mean(axis=1))
+
+    # B_i(0) = eta_i h_i T - c_i(0) P_0 - M_i(0), dB_i = -(c_i(t) dP + surprise_i)
+    # with c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam), from each firm's
+    # terminal condition X_i(T) = -P_T / (2 lam)
+    coef = (1.0 + 2.0 * lam * etas[:, None] * (horizon - t)) / (2.0 * lam)
+    surprise += coef[:, :-1] * np.diff(price, axis=-1)[:, None, :]
+    trade = buf
+    trade0 = etas * hs * horizon - coef[:, 0] * price[:, :1] - m0
+    trade[..., 0] = trade0
+    np.cumsum(surprise, axis=-1, out=trade[..., 1:])
+    np.subtract(trade0[..., None], trade[..., 1:], out=trade[..., 1:])
+    require_frictionless_clearing(mkt, grid, price, trade, alloc_abs_max)
+    trade_T = trade[..., -1]
+    trade_sum = trade_T.sum(axis=1)
+
+    # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
+    # h_eff; sums of the small excess keep the cancellation out of the costs
+    eta_total = float(etas.sum())
+    h_eff = float(etas @ hs) / eta_total
+    excess = price - h_eff
+    excess_left = excess[:, :-1]
+    excess_integral = excess_left.sum(axis=-1) * dt
+    abatement = (
+        0.5 * eta_total * (excess_left * (excess_left + 2.0 * h_eff)).sum(axis=-1) * dt
+        - 0.5 * float(etas @ (hs - h_eff) ** 2) * horizon
+    )
+    trading = price[:, :-1].sum(axis=-1) * dt * trade_sum / horizon
+    # X_i(T) = M_i(T) + sum_k (alpha_i + beta_i) dt - sigma_i W_i(T), beta_i T = B_i(T)
+    bank_T = (
+        alloc_T
+        + etas * (excess_integral[:, None] + (h_eff - hs) * horizon)
+        + trade_T
+        - sigmas * noise.d_firm.sum(axis=-1)
+    )
+    penalty = lam * (bank_T**2).sum(axis=1)
+    parts = {
+        "abatement": abatement,
+        "trading": trading,
+        "penalty": penalty,
+        "tax": np.zeros_like(abatement),
+    }
+
+    abate_total = eta_total * excess
+    abated = left_integral(abate_total, grid)
+    shock_sum = integrate_increments(sigmas @ noise.d_firm)
+    total_bank = (
+        expected_sum
+        + (mu_total - alloc_flow) * (horizon - t)
+        + abated
+        + (trade_sum / horizon)[:, None] * t
+        - shock_sum
+    )
+    return _sample(
+        kind,
+        price,
+        total_bank,
+        abate_total / n,
+        mu_total * t - abated + shock_sum,
+        expected_sum - expected_sum[:, :1] + alloc_flow * t,
+        parts,
+    )
 
 
 def simulate_policy_paths(
@@ -529,68 +662,59 @@ def simulate_policy_paths(
     """Simulate one policy on a noise block and price every path.
 
     Martingale-type policies (optimal, custom, static) run through the
-    frictionless market equilibrium; the tax needs no market; the MSR
-    integrates its coupled (average bank, price) system with Euler steps.
-    All policies draw from the same underlying shocks, so samples produced
+    frictionless market equilibrium, computed by one kernel with the firm
+    index as an array axis; the tax needs no market; the MSR integrates
+    its coupled (average bank, price) system with Euler steps.  All
+    policies draw from the same underlying shocks, so samples produced
     from the same ``noise`` are directly comparable path by path.
     """
-    grid = noise.grid
-    t = grid.knots
     n = mkt.n_firms
-    sigmas = np.array([fp.sigma for fp in mkt.firms])
-    mu_total = _sum_mu(mkt)
-
-    if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy, StaticPolicy)):
-        views = allocation_views(policy, mkt, noise)
-        eq = equilibrium_frictionless(mkt, views, noise)
-        parts = _firm_cost_parts(mkt, eq, grid)
-        total_alpha = eq.abatement.sum(axis=1)
-        shock_sum = np.einsum("i,pik->pk", sigmas, noise.firm_paths())
-        emissions = mu_total * t - left_integral(total_alpha, grid) + shock_sum
-        realized0 = sum(v.realized[:, :1] for v in views)
-        net_alloc = sum(v.realized for v in views) - realized0 + mu_total * t
-        sample_price = eq.price
-        total_bank = eq.total_bank
-        avg_abatement = eq.avg_abatement
-    elif isinstance(policy, TaxPolicy):
-        alpha = float(policy.alpha.sum())
-        shock_sum = np.einsum("i,pik->pk", sigmas, noise.firm_paths())
-        emissions = (mu_total - alpha) * t + shock_sum
-        hs = np.array([fp.h for fp in mkt.firms])
-        etas = np.array([fp.eta for fp in mkt.firms])
-        abate_cost = grid.horizon * float(
-            np.sum(hs * policy.alpha + policy.alpha**2 / (2.0 * etas))
+    mus = np.array([fp.mu for fp in mkt.firms])
+    mu_total = float(mus.sum())
+    if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)):
+        return _simulate_martingale(
+            policy.kind, mkt, noise, policy.m0, policy.gamma, alloc_flow=mu_total
         )
-        tax_paid = policy.tau * emissions[:, -1]
-        zeros_s = np.zeros(noise.n_paths)
-        parts = {
-            "abatement": np.full(noise.n_paths, abate_cost),
-            "trading": zeros_s,
-            "penalty": zeros_s.copy(),
-            "tax": tax_paid,
-        }
-        zeros_t = np.zeros_like(emissions)
-        sample_price = np.full_like(emissions, policy.tau)
-        total_bank = zeros_t
-        avg_abatement = np.full_like(emissions, alpha / n)
-        net_alloc = zeros_t.copy()
-    elif isinstance(policy, MSRPolicy):
-        sample = _simulate_msr(policy, mkt, noise)
-        return sample
-    else:
+    if isinstance(policy, StaticPolicy):
+        return _simulate_martingale(
+            policy.kind,
+            mkt,
+            noise,
+            policy.x_bar0 - mus * noise.grid.horizon,
+            np.zeros((n, n + 1)),
+            alloc_flow=0.0,
+        )
+    if isinstance(policy, MSRPolicy):
+        return _simulate_msr(policy, mkt, noise)
+    if not isinstance(policy, TaxPolicy):
         raise UnsupportedInputError(f"cannot simulate policy of type {type(policy)!r}")
 
-    cost = parts["abatement"] + parts["trading"] + parts["penalty"] + parts["tax"]
-    return PolicyPathSample(
-        kind=policy.kind,
-        price=sample_price,
-        total_bank=total_bank,
-        avg_abatement=avg_abatement,
-        total_emissions=emissions,
-        net_allocation_minus_initial=net_alloc,
-        cost=cost,
-        parts=parts,
-        price_qv=realized_qv(sample_price)[:, -1],
+    grid = noise.grid
+    t = grid.knots
+    sigmas = np.array([fp.sigma for fp in mkt.firms])
+    alpha = float(policy.alpha.sum())
+    emissions = (mu_total - alpha) * t + integrate_increments(sigmas @ noise.d_firm)
+    hs = np.array([fp.h for fp in mkt.firms])
+    etas = np.array([fp.eta for fp in mkt.firms])
+    abate_cost = grid.horizon * float(
+        np.sum(hs * policy.alpha + policy.alpha**2 / (2.0 * etas))
+    )
+    zeros_s = np.zeros(noise.n_paths)
+    parts = {
+        "abatement": np.full(noise.n_paths, abate_cost),
+        "trading": zeros_s,
+        "penalty": zeros_s.copy(),
+        "tax": policy.tau * emissions[:, -1],
+    }
+    zeros_t = np.zeros_like(emissions)
+    return _sample(
+        policy.kind,
+        np.full_like(emissions, policy.tau),
+        zeros_t,
+        np.full_like(emissions, alpha / n),
+        emissions,
+        zeros_t.copy(),
+        parts,
     )
 
 

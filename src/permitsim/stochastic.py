@@ -78,11 +78,11 @@ class NoisePaths:
 
     def tilde_paths(self) -> np.ndarray:
         """Integrated independent drivers, shape (n_paths, N+1, M+1), zero at t=0."""
-        return _integrate_increments(self.d_tilde)
+        return integrate_increments(self.d_tilde)
 
     def firm_paths(self) -> np.ndarray:
         """Integrated correlated firm shocks W_i, shape (n_paths, N, M+1)."""
-        return _integrate_increments(self.d_firm)
+        return integrate_increments(self.d_firm)
 
     def weighted_mean_increments(self, sigmas: Sequence[float]) -> np.ndarray:
         """(1/N) sum_i sigma_i dW_i, shape (n_paths, M)."""
@@ -90,7 +90,8 @@ class NoisePaths:
         return np.einsum("i,pim->pm", w, self.d_firm) / self.n_firms
 
 
-def _integrate_increments(d: np.ndarray) -> np.ndarray:
+def integrate_increments(d: np.ndarray) -> np.ndarray:
+    """Running sums of increments (..., M) as knot values (..., M+1), 0 at t=0."""
     shape = d.shape[:-1] + (d.shape[-1] + 1,)
     out = np.empty(shape)
     out[..., 0] = 0.0

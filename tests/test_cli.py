@@ -1,13 +1,16 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from permitsim import FRICTIONLESS, ClearingError, ConfigError
+from permitsim import FRICTIONLESS, ClearingError, ConfigError, TimeGrid
 from permitsim.cli import (
     PRESETS,
     TRAJECTORY_PATH_CAP,
+    _fmt,
+    _trajectory_rows,
     build_scenario,
     load_config,
     main,
@@ -119,6 +122,46 @@ def test_invalid_firm_and_unit_scale_and_kind():
                         "simulation": small_sim_block(), "policy": {}})
 
 
+def test_target_compliance_is_a_json_boolean():
+    custom = {"kind": "custom_martingale", "m0": [0.0] * 6, "gamma": [[0.0] * 7] * 6}
+    for flag in (True, False):
+        cfg = build_scenario(
+            {"preset": "paper-2020-base", "policy": {**custom, "target_compliance": flag}}
+        )
+        assert cfg.policy.target_compliance is flag
+    for bad in ("no", "false", 0, 1, None):
+        with pytest.raises(ConfigError, match=r"config\.policy\.target_compliance"):
+            build_scenario(
+                {"preset": "paper-2020-base", "policy": {**custom, "target_compliance": bad}}
+            )
+
+
+def test_non_finite_numbers_are_config_errors():
+    for value in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ConfigError, match=r"config\.firms\[0\]\.mu.*finite"):
+            build_scenario(
+                {
+                    "preset": "paper-2020-base",
+                    "firms": [{"mu": value, "sigma": 1e7, "k": 0.5, "h": 20.0, "eta": 1e8}],
+                }
+            )
+        with pytest.raises(ConfigError, match=r"config\.market\.T"):
+            build_scenario({"preset": "paper-2020-base", "market": {"T": value}})
+        with pytest.raises(ConfigError, match=r"config\.policy\.delta"):
+            build_scenario({"preset": "paper-2020-base", "policy": {"kind": "msr", "delta": value}})
+        custom = {"kind": "custom_martingale", "m0": [value] + [0.0] * 5, "gamma": [[0.0] * 7] * 6}
+        with pytest.raises(ConfigError, match=r"config\.policy\.m0"):
+            build_scenario({"preset": "paper-2020-base", "policy": custom})
+    for bad in (["a"] * 6, [[1.0], [1.0, 2.0]], {"x": 1}):
+        with pytest.raises(ConfigError, match=r"config\.policy\.gamma"):
+            build_scenario(
+                {
+                    "preset": "paper-2020-base",
+                    "policy": {"kind": "custom_martingale", "m0": [0.0] * 6, "gamma": bad},
+                }
+            )
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
@@ -227,6 +270,42 @@ def test_gigaton_scale_is_presentation_only(tmp_path):
     s_t = json.loads((out_t / "summary.json").read_text())
     s_g = json.loads((out_g / "summary.json").read_text())
     assert s_t["policies"]["static"]["mc_estimate"] == s_g["policies"]["static"]["mc_estimate"]
+
+
+@pytest.mark.parametrize("policy", ["tax", "msr"])
+def test_nan_mu_exits_2_and_writes_no_summary(tmp_path, capsys, policy):
+    firm = {"mu": math.nan, "sigma": 1e7, "k": 0.5, "h": 20.0, "eta": 1e8}
+    cfg = write_config(tmp_path, firms=[firm] * 2, simulation=small_sim_block())
+    out = tmp_path / "nan"
+    assert main(["simulate", "--config", cfg, "--policy", policy, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_trajectory_rows_render_like_fmt():
+    edge = [-0.0, 5e-324, 1e308, 1.0 / 3.0, -2.5e9, 123456789.123456789]
+    grid = TimeGrid(horizon=10.0, n_steps=len(edge) - 1)
+    noise = SimpleNamespace(grid=grid, path_offset=3)
+    columns = {
+        name: np.array([np.roll(edge, j), np.roll(edge[::-1], j)])
+        for j, name in enumerate(
+            ("price", "total_bank", "total_emissions", "avg_abatement",
+             "net_allocation_minus_initial")
+        )
+    }
+    sample = SimpleNamespace(**columns)
+    for volume_scale in (1.0, 1e-9):  # unit_scale "tons" and "Gt"
+        want = []
+        for p in range(2):
+            for k, t in enumerate(grid.knots):
+                values = [columns["price"][p, k]] + [
+                    columns[name][p, k] * volume_scale
+                    for name in ("total_bank", "total_emissions", "avg_abatement",
+                                 "net_allocation_minus_initial")
+                ]
+                want.append(",".join([str(3 + p), _fmt(t)] + [_fmt(v) for v in values]))
+        assert _trajectory_rows(sample, noise, volume_scale, 2) == want
+        assert _trajectory_rows(sample, noise, volume_scale, 1) == want[: grid.n_steps + 1]
 
 
 def test_simulate_override_flags(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from permitsim import (
+    ClearingError,
     DiagnosticError,
     FirmParams,
     InfeasibleObservationError,
@@ -31,7 +32,9 @@ from permitsim import (
     tax_policy,
     tracking_gamma,
 )
+import permitsim.equilibrium
 from permitsim.policies import StaticPolicy, allocation_views, cost_report_from_samples
+from permitsim.stochastic import left_integral
 
 import oracles
 from conftest import N_FIRMS, make_firms, make_market
@@ -333,6 +336,146 @@ def test_msr_cost_collapses_to_optimal_without_noise():
         np.testing.assert_allclose(sample.cost, opt.cost, rtol=1e-4)
     tax_sample = simulate_policy_paths(tax_policy(mkt), mkt, noise)
     assert tax_sample.cost.mean() > 4.0 * opt.cost
+
+
+# --- the N-axis martingale kernel against the per-firm construction -------------------
+
+_TRAJECTORY_FIELDS = (
+    "price",
+    "total_bank",
+    "avg_abatement",
+    "total_emissions",
+    "net_allocation_minus_initial",
+)
+
+
+def _per_firm_sample(policy, mkt, noise):
+    """Costs and trajectories from per-firm views, best responses and banks."""
+    grid = noise.grid
+    t = grid.knots
+    views = allocation_views(policy, mkt, noise)
+    eq = equilibrium_frictionless(mkt, views, noise)
+    abatement = np.zeros(noise.n_paths)
+    trading = np.zeros(noise.n_paths)
+    for i, fp in enumerate(mkt.firms):
+        a = eq.abatement[:, i, :]
+        abatement += (fp.h * a + a**2 / (2.0 * fp.eta))[:, :-1].sum(axis=-1) * grid.dt
+        trading += (eq.price * eq.trade_rate[:, i, :])[:, :-1].sum(axis=-1) * grid.dt
+    penalty = mkt.penalty * (eq.bank[:, :, -1] ** 2).sum(axis=1)
+    sigmas = np.array([fp.sigma for fp in mkt.firms])
+    mu_total = sum(fp.mu for fp in mkt.firms)
+    shock_sum = np.einsum("i,pik->pk", sigmas, noise.firm_paths())
+    realized = sum(v.realized for v in views)
+    return {
+        "abatement": abatement,
+        "trading": trading,
+        "penalty": penalty,
+        "cost": abatement + trading + penalty,
+        "price": eq.price,
+        "total_bank": eq.total_bank,
+        "avg_abatement": eq.avg_abatement,
+        "total_emissions": mu_total * t
+        - left_integral(eq.abatement.sum(axis=1), noise.grid)
+        + shock_sum,
+        "net_allocation_minus_initial": realized - realized[:, :1] + mu_total * t,
+    }
+
+
+def _kernel_policies(mkt):
+    level = ell(mkt)
+    m0 = np.full(N_FIRMS, level) + np.linspace(-2e8, 2e8, N_FIRMS)
+    # half the tracking loadings leave half of each shock to move the price
+    half = 0.5 * tracking_gamma(list(mkt.firms))
+    policies = {
+        "optimal_dynamic": optimal_dynamic_policy(mkt),
+        "custom_martingale": custom_martingale_policy(mkt, m0, half),
+    }
+    if len({fp.eta for fp in mkt.firms}) == 1:
+        policies["static"] = static_policy(mkt)
+    return policies
+
+
+def _mixed_market(eta_step):
+    """Firms that differ in every parameter but, with eta_step = 0, eta."""
+    return make_market(
+        tuple(
+            FirmParams(
+                mu=2e9 / N_FIRMS * (0.7 + 0.1 * i),
+                sigma=0.2e9 / math.sqrt(N_FIRMS) * (1.3 - 0.1 * i),
+                k=0.5 + 0.08 * i,
+                h=20.0 + 2.0 * i,
+                eta=6e8 * (1.0 + eta_step * i),
+            )
+            for i in range(N_FIRMS)
+        )
+    )
+
+
+_KERNEL_MARKETS = {
+    "base": make_market(),
+    "mixed": _mixed_market(0.0),
+    "mixed_eta": _mixed_market(0.2),
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_noise(base_market):
+    return generate_noise(64, TimeGrid(base_market.horizon, 400), base_market.firms, 64)
+
+
+@pytest.mark.parametrize(
+    "market_name, kind",
+    [
+        (name, kind)
+        for name, mkt in _KERNEL_MARKETS.items()
+        for kind in _kernel_policies(mkt)
+    ],
+)
+def test_martingale_kernel_matches_the_per_firm_construction(market_name, kind):
+    mkt = _KERNEL_MARKETS[market_name]
+    noise = generate_noise(64, TimeGrid(mkt.horizon, 400), mkt.firms, 64)
+    policy = _kernel_policies(mkt)[kind]
+    sample = simulate_policy_paths(policy, mkt, noise)
+    want = _per_firm_sample(policy, mkt, noise)
+    cost_scale = np.abs(want["cost"]).max()
+
+    def assert_close(got, ref, floor=0.0):
+        gap = np.abs(got - ref).max()
+        assert gap <= 1e-12 * max(np.abs(ref).max(), floor)
+
+    assert_close(sample.cost, want["cost"])
+    assert_close(sample.parts["abatement"], want["abatement"])
+    # a heterogeneous firm's terminal bank cancels gross terms ~10^3 times
+    # its size, so there the penalty is compared on the cost's scale
+    assert_close(
+        sample.parts["penalty"], want["penalty"], floor=0.0 if market_name == "base" else cost_scale
+    )
+    # net trades cancel across firms: both sides hold roundoff only
+    assert_close(sample.parts["trading"], want["trading"], floor=cost_scale)
+    np.testing.assert_array_equal(sample.parts["tax"], 0.0)
+    volume_scale = np.abs(want["total_emissions"]).max()
+    for name in _TRAJECTORY_FIELDS:
+        # the static policy's net allocation is zero up to roundoff
+        floor = volume_scale if name == "net_allocation_minus_initial" else 0.0
+        assert_close(getattr(sample, name), want[name], floor)
+    if kind == "custom_martingale":
+        assert np.ptp(sample.price) > 1e-3 * sample.price[0, 0]
+
+
+def test_martingale_kernel_rejects_finite_depth(frictional_market, kernel_noise):
+    for policy in _kernel_policies(frictional_market).values():
+        with pytest.raises(UnsupportedInputError, match="finite depth"):
+            simulate_policy_paths(policy, frictional_market, kernel_noise)
+
+
+def test_martingale_kernel_still_checks_clearing(base_market, kernel_noise, monkeypatch):
+    f_coeff = permitsim.equilibrium.f_coeff
+    monkeypatch.setattr(
+        permitsim.equilibrium, "f_coeff", lambda mkt, t: 1.01 * np.asarray(f_coeff(mkt, t))
+    )
+    for policy in _kernel_policies(base_market).values():
+        with pytest.raises(ClearingError, match="frictionless"):
+            simulate_policy_paths(policy, base_market, kernel_noise)
 
 
 # --- exact-transition price sampling ------------------------------------------------
