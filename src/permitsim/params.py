@@ -70,7 +70,6 @@ class Aggregates:
     eta_bar: float      # mean flexibility, tons^2/(euro*year)
     H_bar: float        # mean of eta_i * h_i, tons/year
     mu_bar: float       # mean emission trend, tons/year
-    rho_ij: np.ndarray  # pairwise correlation matrix k_i k_j (diagonal k_i^2)
     sigma_sq: float     # aggregate variance rate, tons^2/year
 
 
@@ -78,7 +77,6 @@ def compute_aggregates(firms: tuple[FirmParams, ...]) -> Aggregates:
     n = len(firms)
     sig = np.array([f.sigma for f in firms])
     ks = np.array([f.k for f in firms])
-    rho_ij = np.outer(ks, ks)
     # off-diagonal sum via the common/idiosyncratic split:
     # sum_{i != j} k_i k_j s_i s_j = (sum k_i s_i)^2 - sum (k_i s_i)^2
     cross = float(np.dot(sig, ks) ** 2 - np.dot(sig * ks, sig * ks))
@@ -88,7 +86,6 @@ def compute_aggregates(firms: tuple[FirmParams, ...]) -> Aggregates:
         eta_bar=float(np.mean([f.eta for f in firms])),
         H_bar=float(np.mean([f.eta * f.h for f in firms])),
         mu_bar=float(np.mean([f.mu for f in firms])),
-        rho_ij=rho_ij,
         sigma_sq=sigma_sq,
     )
 

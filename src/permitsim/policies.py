@@ -12,7 +12,8 @@ are compared, all targeting the same expected total emissions rho*T*N*mu_bar:
 
 Closed forms are evaluated where they exist; `simulate_policy_paths`
 produces pathwise costs and trajectories on a shared noise block so that
-policies can be compared shock-by-shock.  The martingale-type policies
+policies can be compared shock-by-shock; `run_ensemble` does so chunk by
+chunk over a whole path ensemble.  The martingale-type policies
 (optimal, custom, static) share one kernel that keeps the firm index as an
 array axis: the price follows from the firms' average allocation surprise,
 and the costs from the price plus per-firm terminal trades and banks, so
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,9 +212,7 @@ def check_gamma_optimality(
         raise UnsupportedInputError(
             f"gamma must have shape {(n, n + 1)}, got {gamma.shape}"
         )
-    target = np.empty(n + 1)
-    target[0] = sum(fp.sigma * fp.k for fp in firms)
-    target[1:] = [fp.sigma * math.sqrt(max(0.0, 1.0 - fp.k**2)) for fp in firms]
+    target = tracking_gamma(firms).sum(axis=0)
     residuals = target - gamma.sum(axis=0)
     scale = max(1.0, float(np.max(np.abs(target))))
     ok = bool(np.all(np.abs(residuals) <= _GAMMA_TOL * scale))
@@ -428,7 +428,7 @@ def build_policy(spec: PolicySpec, mkt: MarketParams) -> Policy:
     if spec.kind is PolicyKind.TAX:
         return tax_policy(mkt)
     if spec.kind is PolicyKind.MSR:
-        return msr_policy(mkt, spec.delta if spec.delta is not None else DEFAULT_MSR_DELTA)
+        return msr_policy(mkt, spec.delta)
     if spec.kind is PolicyKind.CUSTOM_MARTINGALE:
         return custom_martingale_policy(
             mkt, spec.m0, spec.gamma, target_compliance=spec.target_compliance
@@ -819,10 +819,6 @@ class CostReport:
         return abs(self.mc_estimate - self.closed_form) / self.mc_stderr
 
 
-def closed_form_cost(policy: Policy) -> float | None:
-    return getattr(policy, "cost", None)
-
-
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     n = values.size
     mean = float(values.mean())
@@ -839,7 +835,7 @@ def cost_report_from_samples(
 ) -> CostReport:
     mc, se = _mean_se(cost)
     em, em_se = _mean_se(emissions_t)
-    cf = closed_form_cost(policy)
+    cf = getattr(policy, "cost", None)
     consistent = True
     if cf is not None and cost.size >= 2:
         # quadrature-roundoff floor keeps deterministic scenarios (se = 0,
@@ -879,6 +875,59 @@ class ComparisonResult:
         raise KeyError(f"no report for policy kind {key.value!r}")
 
 
+def run_ensemble(
+    mkt: MarketParams,
+    policies: list[Policy],
+    ensemble: PathEnsemble,
+    on_sample: Callable[[NoisePaths, PolicyPathSample], None] | None = None,
+) -> ComparisonResult:
+    """Simulate every policy on every chunk of a shared ensemble and report costs.
+
+    Chunk by chunk, each policy runs on the same noise block; ``on_sample``
+    (if given) sees every (noise, sample) pair in chunk-then-policy order,
+    e.g. to write trajectories.  Only the per-path costs, cost parts and
+    terminal emissions are kept, so no trajectory outlives its chunk.  A
+    Monte Carlo estimate that misses its closed form only clears its
+    report's ``consistent`` flag; `compare_policies` raises on it instead.
+    """
+    kinds = [p.kind for p in policies]
+    if len(set(kinds)) != len(kinds):
+        raise UnsupportedInputError("duplicate policy kinds in comparison")
+    costs: dict[PolicyKind, list[np.ndarray]] = {k: [] for k in kinds}
+    parts: dict[PolicyKind, list[dict[str, np.ndarray]]] = {k: [] for k in kinds}
+    emissions: dict[PolicyKind, list[np.ndarray]] = {k: [] for k in kinds}
+    for noise in ensemble.chunks():
+        for policy in policies:
+            sample = simulate_policy_paths(policy, mkt, noise)
+            costs[policy.kind].append(sample.cost)
+            parts[policy.kind].append(sample.parts)
+            # a copy: a view would pin the whole (P, M+1) array until the end
+            emissions[policy.kind].append(sample.total_emissions[:, -1].copy())
+            if on_sample is not None:
+                on_sample(noise, sample)
+            del sample  # free its trajectories before the next one is built
+
+    path_costs = {k: np.concatenate(v) for k, v in costs.items()}
+    reports = [
+        cost_report_from_samples(
+            policy,
+            path_costs[policy.kind],
+            {
+                key: np.concatenate([c[key] for c in parts[policy.kind]])
+                for key in ("abatement", "trading", "penalty", "tax")
+            },
+            np.concatenate(emissions[policy.kind]),
+        )
+        for policy in policies
+    ]
+    deltas = {
+        (ka.value, kb.value): _mean_se(path_costs[ka] - path_costs[kb])
+        for i, ka in enumerate(kinds)
+        for kb in kinds[i + 1 :]
+    }
+    return ComparisonResult(reports=reports, deltas=deltas, n_paths=ensemble.n_paths)
+
+
 def compare_policies(
     mkt: MarketParams,
     policies: list[Policy],
@@ -892,42 +941,7 @@ def compare_policies(
     violation of either aborts with a diagnostic error because it signals
     a broken simulator, not an interesting economic finding.
     """
-    cost_chunks: dict[PolicyKind, list[np.ndarray]] = {p.kind: [] for p in policies}
-    part_chunks: dict[PolicyKind, list[dict[str, np.ndarray]]] = {p.kind: [] for p in policies}
-    em_chunks: dict[PolicyKind, list[np.ndarray]] = {p.kind: [] for p in policies}
-    if len(cost_chunks) != len(policies):
-        raise UnsupportedInputError("duplicate policy kinds in comparison")
-
-    for noise in ensemble.chunks():
-        for policy in policies:
-            sample = simulate_policy_paths(policy, mkt, noise)
-            cost_chunks[policy.kind].append(sample.cost)
-            part_chunks[policy.kind].append(sample.parts)
-            em_chunks[policy.kind].append(sample.total_emissions[:, -1])
-
-    costs = {k: np.concatenate(v) for k, v in cost_chunks.items()}
-    reports = []
-    for policy in policies:
-        parts = {
-            key: np.concatenate([c[key] for c in part_chunks[policy.kind]])
-            for key in ("abatement", "trading", "penalty", "tax")
-        }
-        reports.append(
-            cost_report_from_samples(
-                policy,
-                costs[policy.kind],
-                parts,
-                np.concatenate(em_chunks[policy.kind]),
-            )
-        )
-
-    kinds = [p.kind for p in policies]
-    deltas: dict[tuple[str, str], tuple[float, float]] = {}
-    for i, ka in enumerate(kinds):
-        for kb in kinds[i + 1 :]:
-            diff = costs[ka] - costs[kb]
-            deltas[(ka.value, kb.value)] = _mean_se(diff)
-
+    result = run_ensemble(mkt, policies, ensemble)
     by_kind = {p.kind: p for p in policies}
     opt = by_kind.get(PolicyKind.OPTIMAL_DYNAMIC)
     stat = by_kind.get(PolicyKind.STATIC)
@@ -938,13 +952,11 @@ def compare_policies(
                 f"closed-form identity violated: C_static - C_optimal deviates "
                 f"from delta_stat by {gap:g} euros"
             )
-    for r in reports:
+    for r in result.reports:
         if not r.consistent:
             raise DiagnosticError(
                 f"{r.kind.value} Monte Carlo cost {r.mc_estimate:.6e} is "
                 f"{r.gap_in_se():.1f} standard errors from its closed form "
                 f"{r.closed_form:.6e}"
             )
-    return ComparisonResult(
-        reports=reports, deltas=deltas, n_paths=ensemble.n_paths
-    )
+    return result

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import permitsim.policies
 from permitsim import FRICTIONLESS, ClearingError, ConfigError, TimeGrid
 from permitsim.cli import (
     PRESETS,
@@ -282,6 +283,52 @@ def test_nan_mu_exits_2_and_writes_no_summary(tmp_path, capsys, policy):
     assert not (out / "summary.json").exists()
 
 
+def test_failed_simulate_leaves_no_trajectory_files(tmp_path, capsys, monkeypatch):
+    real = permitsim.policies.simulate_policy_paths
+    calls = []
+
+    def fail_on_second_policy(policy, mkt, noise):
+        calls.append(policy.kind)
+        if len(calls) == 2:
+            raise ClearingError("synthetic clearing violation")
+        return real(policy, mkt, noise)
+
+    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", fail_on_second_policy)
+    cfg = write_config(tmp_path, simulation=small_sim_block())
+    out = tmp_path / "failed"
+    assert main(["simulate", "--config", cfg, "--policy", "all", "--out", str(out)]) == 4
+    assert "clearing" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert list(out.glob("trajectory_*.csv")) == []
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("horizon", [1e308, 1e-300])
+def test_extreme_horizon_is_a_domain_error(tmp_path, capsys, horizon):
+    """1e308 overflows the closed forms; 1e-300 divides by zero in the MSR
+    sizing, where exp(-delta T) rounds to 1."""
+    cfg = write_config(tmp_path, market={"T": horizon}, simulation=small_sim_block())
+    out = tmp_path / "overflow"
+    assert main(["simulate", "--config", cfg, "--policy", "all", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_simulate_records_an_inconsistent_estimate_and_succeeds(tmp_path):
+    """The CLI records a Monte Carlo miss in the summary; only the library's
+    compare_policies raises on it.  At 50 steps the static policy's Euler
+    cost sits several standard errors above its closed form."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "coarse"
+    assert main([
+        "simulate", "--config", cfg, "--policy", "static", "--out", str(out),
+        "--paths", "2000", "--steps", "50", "--seed", "2020",
+    ]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["policies"]["static"]["consistent"] is False
+
+
 def test_trajectory_rows_render_like_fmt():
     edge = [-0.0, 5e-324, 1e308, 1.0 / 3.0, -2.5e9, 123456789.123456789]
     grid = TimeGrid(horizon=10.0, n_steps=len(edge) - 1)
@@ -407,6 +454,14 @@ def test_calibrate_eta_infeasible_is_exit_3(capsys):
     ])
     assert code == 3
     assert "feasible interval" in capsys.readouterr().err
+
+
+def test_calibrate_eta_overflow_is_exit_3(capsys):
+    code = main(["calibrate-eta", "--qv", "1", "--sigma2", "1",
+                 "--lambda", "1e200", "--horizon", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # --- exit-code translation ------------------------------------------------------------

@@ -92,8 +92,6 @@ def test_aggregates_base_values(base_market):
     assert agg.H_bar == pytest.approx(1.5e10, rel=1e-15)
     assert agg.mu_bar == pytest.approx(2e9 / 6, rel=1e-15)
     assert agg.sigma_sq == pytest.approx(oracles.SIGMA_SQ, rel=1e-13)
-    assert agg.rho_ij.shape == (6, 6)
-    assert agg.rho_ij[0, 1] == pytest.approx(0.92**2)
 
 
 @settings(max_examples=50, deadline=None)

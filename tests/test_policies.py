@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +35,13 @@ from permitsim import (
     tracking_gamma,
 )
 import permitsim.equilibrium
-from permitsim.policies import StaticPolicy, allocation_views, cost_report_from_samples
+import permitsim.policies
+from permitsim.policies import (
+    StaticPolicy,
+    allocation_views,
+    cost_report_from_samples,
+    run_ensemble,
+)
 from permitsim.stochastic import left_integral
 
 import oracles
@@ -576,6 +584,106 @@ def test_compare_policies_rejects_duplicates_and_corruption(base_market):
     )
     with pytest.raises(DiagnosticError):
         compare_policies(base_market, [opt, corrupted], ensemble)
+
+
+def _four_policies(mkt):
+    return [
+        optimal_dynamic_policy(mkt),
+        static_policy(mkt),
+        tax_policy(mkt),
+        msr_policy(mkt, 0.1),
+    ]
+
+
+def test_run_ensemble_calls_on_sample_per_chunk_then_policy(base_market):
+    grid = TimeGrid(horizon=10.0, n_steps=20)
+    ensemble = PathEnsemble(
+        seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
+    )
+    policies = _four_policies(base_market)
+    seen = []
+    run_ensemble(
+        base_market, policies, ensemble,
+        on_sample=lambda noise, sample: seen.append(
+            (noise.path_offset, noise.n_paths, sample.kind)
+        ),
+    )
+    assert seen == [
+        (offset, size, p.kind)
+        for offset, size in ((0, 4), (4, 4), (8, 2))
+        for p in policies
+    ]
+
+
+def test_run_ensemble_keeps_no_trajectory(base_market, monkeypatch):
+    """No sample outlives its hook call: when the next simulation starts, every
+    earlier sample's emissions array is gone.  Keeping a view of the terminal
+    emissions, or the last sample itself, would keep the whole array alive."""
+    grid = TimeGrid(horizon=10.0, n_steps=20)
+    ensemble = PathEnsemble(
+        seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
+    )
+    refs = []
+    live_at_call = []
+    real = permitsim.policies.simulate_policy_paths
+
+    def counting(policy, mkt, noise):
+        gc.collect()
+        live_at_call.append(sum(ref() is not None for ref in refs))
+        return real(policy, mkt, noise)
+
+    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", counting)
+    result = run_ensemble(
+        base_market, _four_policies(base_market), ensemble,
+        on_sample=lambda noise, sample: refs.append(weakref.ref(sample.total_emissions)),
+    )
+    gc.collect()
+    assert live_at_call == [0] * (3 * 4)
+    assert len(refs) == 3 * 4
+    assert all(ref() is None for ref in refs)
+    assert all(r.n_paths == 10 for r in result.reports)
+
+
+def test_run_ensemble_does_not_depend_on_chunking(base_market):
+    grid = TimeGrid(horizon=10.0, n_steps=50)
+    policies = _four_policies(base_market)
+    results = [
+        run_ensemble(
+            base_market, policies,
+            PathEnsemble(seed=21, grid=grid, firms=base_market.firms, n_paths=300,
+                         chunk_size=chunk_size),
+        )
+        for chunk_size in (100, 256)
+    ]
+    a, b = results
+    for ra, rb in zip(a.reports, b.reports):
+        assert ra.kind is rb.kind and ra.n_paths == rb.n_paths == 300
+        for x, y in [
+            (ra.mc_estimate, rb.mc_estimate),
+            (ra.mc_stderr, rb.mc_stderr),
+            (ra.expected_total_emissions, rb.expected_total_emissions),
+            (ra.emissions_stderr, rb.emissions_stderr),
+            *((ra.breakdown[k], rb.breakdown[k]) for k in ra.breakdown),
+        ]:
+            assert x == pytest.approx(y, rel=1e-12, abs=1e-12 * abs(ra.mc_estimate))
+    assert a.deltas.keys() == b.deltas.keys()
+    for key in a.deltas:
+        np.testing.assert_allclose(a.deltas[key], b.deltas[key], rtol=1e-12)
+
+
+def test_compare_policies_reports_what_run_ensemble_reports(base_market):
+    grid = TimeGrid(horizon=10.0, n_steps=200)
+    ensemble = PathEnsemble(
+        seed=404, grid=grid, firms=base_market.firms, n_paths=256, chunk_size=100
+    )
+    policies = _four_policies(base_market)
+    checked = compare_policies(base_market, policies, ensemble)
+    plain = run_ensemble(base_market, policies, ensemble)
+    assert checked.n_paths == plain.n_paths
+    assert checked.deltas == plain.deltas
+    for rc, rp in zip(checked.reports, plain.reports):
+        assert rc.consistent
+        assert vars(rc) == vars(rp)
 
 
 def test_custom_martingale_matches_optimal_cost(base_market, medium_noise):
