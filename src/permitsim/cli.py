@@ -35,16 +35,18 @@ from .policies import (
     CostReport,
     PolicyKind,
     PolicySpec,
+    _simulate_runs,
     build_policy,
+    cost_report_from_samples,
     estimate_eta_from_qv,
     optimal_dynamic_policy,
     run_ensemble,
     static_policy,
     tax_policy,
 )
-# not called here but kept as module attributes: perfbench/tracing.py wraps
-# them under these names
-from .policies import cost_report_from_samples, simulate_policy_paths  # noqa: F401
+# not called here but kept as a module attribute: perfbench/tracing.py wraps
+# it under this name
+from .policies import simulate_policy_paths  # noqa: F401
 from .stochastic import PathEnsemble, TimeGrid
 
 TRAJECTORY_SCHEMA = "trajectory.v1"
@@ -447,49 +449,53 @@ def run_compare(
     """Sweep the flexibility eta and tabulate all four policy costs.
 
     Closed forms for optimal/static/tax; Monte Carlo (with stderr) for the
-    MSR, using the same seed at every eta so rows share shocks.  Writes
-    ``sweep.csv``; returns the rows as dicts in eta order.
+    MSR.  The shocks do not depend on eta, so one path ensemble serves the
+    whole sweep: each chunk's noise is drawn once and every eta's MSR runs
+    on it, and the rows share shocks path by path.  Writes ``sweep.csv``;
+    returns the rows as dicts in eta order.  A non-finite row value raises
+    `DomainError` and writes no file.
     """
     if not etas:
         raise ConfigError("compare needs at least one eta value")
     for e in etas:
-        if not e > 0.0:
-            raise ConfigError(f"eta values must be > 0, got {e}")
+        if not (math.isfinite(e) and e > 0.0):
+            raise ConfigError(f"eta values must be finite and > 0, got {e}")
     mkt = config.market
     msr_spec = PolicySpec(kind=PolicyKind.MSR, delta=config.policy.delta)
+    markets = [
+        replace(mkt, firms=tuple(replace(fp, eta=float(eta)) for fp in mkt.firms))
+        for eta in etas
+    ]
     rows = []
-    for eta in etas:
-        firms = tuple(replace(fp, eta=float(eta)) for fp in mkt.firms)
-        mkt_eta = MarketParams(
-            firms=firms,
-            penalty=mkt.penalty,
-            depth=mkt.depth,
-            horizon=mkt.horizon,
-            rho=mkt.rho,
-        )
-        opt = optimal_dynamic_policy(mkt_eta)
+    for eta, mkt_eta in zip(etas, markets):
         stat = static_policy(mkt_eta)
-        tax = tax_policy(mkt_eta)
-        msr = build_policy(msr_spec, mkt_eta)
-        grid = TimeGrid(mkt.horizon, config.n_steps)
-        ensemble = PathEnsemble(config.seed, grid, firms, config.n_paths)
-        msr_report = run_ensemble(mkt_eta, [msr], ensemble).reports[0]
         rows.append(
             {
                 "eta": float(eta),
-                "cost_optimal": opt.cost,
+                "cost_optimal": optimal_dynamic_policy(mkt_eta).cost,
                 "cost_static": stat.cost,
-                "cost_msr": msr_report.mc_estimate,
-                "cost_tax": tax.cost,
+                "cost_tax": tax_policy(mkt_eta).cost,
                 "delta_stat": stat.delta_stat,
-                "mc_stderr_msr": msr_report.mc_stderr,
             }
         )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    msrs = [build_policy(msr_spec, mkt_eta) for mkt_eta in markets]
+    grid = TimeGrid(mkt.horizon, config.n_steps)
+    ensemble = PathEnsemble(config.seed, grid, mkt.firms, config.n_paths)
+    runs = _simulate_runs(list(zip(markets, msrs)), ensemble)
+    for row, msr, sample in zip(rows, msrs, runs):
+        msr_report = cost_report_from_samples(msr, *sample)
+        row["cost_msr"] = msr_report.mc_estimate
+        row["mc_stderr_msr"] = msr_report.mc_stderr
     lines = [f"# {SWEEP_SCHEMA}", ",".join(_SWEEP_COLUMNS)]
     for row in rows:
+        bad = [c for c in _SWEEP_COLUMNS if not math.isfinite(row[c])]
+        if bad:
+            raise DomainError(
+                f"sweep row at eta {row['eta']:g} holds a non-finite {', '.join(bad)}"
+            )
         lines.append(",".join(_fmt(row[c]) for c in _SWEEP_COLUMNS))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     return rows
 

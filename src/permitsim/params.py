@@ -45,6 +45,10 @@ class FirmParams:
     eta: float
 
     def __post_init__(self) -> None:
+        for name in ("mu", "sigma", "k", "h", "eta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"firm {name} must be finite, got {value}")
         # sigma = 0 is accepted: degenerate deterministic scenarios are used
         # throughout the test surface and every formula is well defined there.
         if not self.sigma >= 0.0:
@@ -115,6 +119,11 @@ class MarketParams:
         if len(self.firms) < 1:
             raise ValueError("need at least one firm")
         object.__setattr__(self, "firms", tuple(self.firms))
+        # depth is the one field allowed to be infinite (FRICTIONLESS)
+        for name in ("penalty", "horizon", "rho"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.penalty > 0.0:
             raise ValueError(f"penalty must be > 0, got {self.penalty}")
         if not self.horizon > 0.0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -745,18 +745,40 @@ def _simulate_msr(policy: MSRPolicy, mkt: MarketParams, noise: NoisePaths) -> Po
     sigmas = np.array([fp.sigma for fp in mkt.firms])
     d_wbar = noise.weighted_mean_increments(sigmas)
 
+    # Step time-major so that every row is contiguous, in place, with the
+    # operations of x + (delta (ramp - x) + eta ((c0 + c1 x) - h_bar)) dt - dW
+    # in this order, so each knot rounds as the plain per-step formula does.
     n_paths = noise.n_paths
     m = grid.n_steps
-    xbar = np.empty((n_paths, m + 1))
-    price = np.empty_like(xbar)
-    alloc_rate = np.empty_like(xbar)
-    xbar[:, 0] = policy.x_bar0
-    for k in range(m + 1):
-        price[:, k] = c0[k] + c1[k] * xbar[:, k]
-        alloc_rate[:, k] = delta * (ramp[k] - xbar[:, k])
-        if k < m:
-            drift = alloc_rate[:, k] + eta * (price[:, k] - h_bar)
-            xbar[:, k + 1] = xbar[:, k] + drift * dt - d_wbar[:, k]
+    # x_t and dw_t are time-major views of the storage that price and
+    # alloc_rate take over after the loop, so stepping adds no (P, M+1) buffer
+    price = np.empty((n_paths, m + 1))
+    alloc_rate = np.empty_like(price)
+    x_t = price.reshape(m + 1, n_paths)
+    dw_t = alloc_rate.reshape(-1)[: m * n_paths].reshape(m, n_paths)
+    dw_t[...] = d_wbar.T
+    x_t[0] = policy.x_bar0
+    pull = np.empty(n_paths)
+    drift = np.empty(n_paths)
+    for k in range(m):
+        x = x_t[k]
+        np.multiply(c1[k], x, out=drift)
+        np.add(c0[k], drift, out=drift)
+        np.subtract(drift, h_bar, out=drift)
+        np.multiply(eta, drift, out=drift)
+        np.subtract(ramp[k], x, out=pull)
+        np.multiply(delta, pull, out=pull)
+        np.add(pull, drift, out=drift)
+        np.multiply(drift, dt, out=drift)
+        np.add(x, drift, out=x_t[k + 1])
+        np.subtract(x_t[k + 1], dw_t[k], out=x_t[k + 1])
+    # a copy, because price and alloc_rate now overwrite the step buffers,
+    # and in C order, the (P, M+1) layout of every sample trajectory
+    xbar = np.ascontiguousarray(x_t.T)
+    np.multiply(c1, xbar, out=price)
+    np.add(c0, price, out=price)
+    np.subtract(ramp, xbar, out=alloc_rate)
+    np.multiply(delta, alloc_rate, out=alloc_rate)
 
     avg_alpha = eta * (price - h_bar)
     abate_rate = h_bar * avg_alpha + avg_alpha**2 / (2.0 * eta)
@@ -875,6 +897,44 @@ class ComparisonResult:
         raise KeyError(f"no report for policy kind {key.value!r}")
 
 
+def _simulate_runs(
+    runs: list[tuple[MarketParams, Policy]],
+    ensemble: PathEnsemble,
+    on_sample: Callable[[NoisePaths, PolicyPathSample], None] | None = None,
+) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]]:
+    """Simulate every (market, policy) run on every chunk of one ensemble.
+
+    Each chunk's noise is drawn once and serves every run, so the runs share
+    shocks path by path; no trajectory outlives its chunk.  Yields, per run
+    and in run order, the concatenated per-path cost, cost parts and
+    terminal emissions.  The chunk loop runs at the first item, and each
+    run's concatenation is built when it is requested, so a caller that
+    reports one run at a time holds one run's copies at once.
+    """
+    costs: list[list[np.ndarray]] = [[] for _ in runs]
+    parts: list[list[dict[str, np.ndarray]]] = [[] for _ in runs]
+    emissions: list[list[np.ndarray]] = [[] for _ in runs]
+    for noise in ensemble.chunks():
+        for i, (mkt, policy) in enumerate(runs):
+            sample = simulate_policy_paths(policy, mkt, noise)
+            costs[i].append(sample.cost)
+            parts[i].append(sample.parts)
+            # a copy: a view would pin the whole (P, M+1) array until the end
+            emissions[i].append(sample.total_emissions[:, -1].copy())
+            if on_sample is not None:
+                on_sample(noise, sample)
+            del sample  # free its trajectories before the next one is built
+    for run_costs, run_parts, run_emissions in zip(costs, parts, emissions):
+        yield (
+            np.concatenate(run_costs),
+            {
+                key: np.concatenate([c[key] for c in run_parts])
+                for key in ("abatement", "trading", "penalty", "tax")
+            },
+            np.concatenate(run_emissions),
+        )
+
+
 def run_ensemble(
     mkt: MarketParams,
     policies: list[Policy],
@@ -893,33 +953,12 @@ def run_ensemble(
     kinds = [p.kind for p in policies]
     if len(set(kinds)) != len(kinds):
         raise UnsupportedInputError("duplicate policy kinds in comparison")
-    costs: dict[PolicyKind, list[np.ndarray]] = {k: [] for k in kinds}
-    parts: dict[PolicyKind, list[dict[str, np.ndarray]]] = {k: [] for k in kinds}
-    emissions: dict[PolicyKind, list[np.ndarray]] = {k: [] for k in kinds}
-    for noise in ensemble.chunks():
-        for policy in policies:
-            sample = simulate_policy_paths(policy, mkt, noise)
-            costs[policy.kind].append(sample.cost)
-            parts[policy.kind].append(sample.parts)
-            # a copy: a view would pin the whole (P, M+1) array until the end
-            emissions[policy.kind].append(sample.total_emissions[:, -1].copy())
-            if on_sample is not None:
-                on_sample(noise, sample)
-            del sample  # free its trajectories before the next one is built
-
-    path_costs = {k: np.concatenate(v) for k, v in costs.items()}
-    reports = [
-        cost_report_from_samples(
-            policy,
-            path_costs[policy.kind],
-            {
-                key: np.concatenate([c[key] for c in parts[policy.kind]])
-                for key in ("abatement", "trading", "penalty", "tax")
-            },
-            np.concatenate(emissions[policy.kind]),
-        )
-        for policy in policies
-    ]
+    reports = []
+    path_costs = {}
+    runs = _simulate_runs([(mkt, p) for p in policies], ensemble, on_sample)
+    for policy, (cost, parts, emissions) in zip(policies, runs):
+        reports.append(cost_report_from_samples(policy, cost, parts, emissions))
+        path_costs[policy.kind] = cost
     deltas = {
         (ka.value, kb.value): _mean_se(path_costs[ka] - path_costs[kb])
         for i, ka in enumerate(kinds)

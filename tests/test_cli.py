@@ -1,12 +1,24 @@
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import permitsim.policies
-from permitsim import FRICTIONLESS, ClearingError, ConfigError, TimeGrid
+import permitsim.stochastic
+from permitsim import (
+    FRICTIONLESS,
+    ClearingError,
+    ConfigError,
+    DomainError,
+    PathEnsemble,
+    PolicyKind,
+    PolicySpec,
+    TimeGrid,
+    build_policy,
+)
 from permitsim.cli import (
     PRESETS,
     TRAJECTORY_PATH_CAP,
@@ -18,6 +30,7 @@ from permitsim.cli import (
     run_compare,
     run_simulate,
 )
+from permitsim.policies import run_ensemble
 
 import oracles
 
@@ -426,6 +439,69 @@ def test_compare_rejects_bad_etas(tmp_path, capsys):
     assert main(["compare", "--config", cfg, "--etas=-1e7",
                  "--out", str(tmp_path / "z")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("eta", ["inf", "-inf", "nan"])
+def test_compare_rejects_non_finite_etas(tmp_path, capsys, eta):
+    cfg = write_config(tmp_path, simulation=small_sim_block())
+    out = tmp_path / "sweep"
+    assert main(["compare", "--config", cfg, f"--etas=1e7,{eta}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_compare_draws_each_chunk_once(tmp_path, monkeypatch):
+    """One noise draw per chunk serves every eta: 600 paths are three chunks."""
+    real = permitsim.stochastic.generate_noise
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(permitsim.stochastic, "generate_noise", counting)
+    config = build_scenario({
+        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=600, n_steps=20),
+    })
+    rows = run_compare(config, [1e7, 6e8, 1e9], tmp_path / "sweep")
+    assert len(rows) == 3
+    assert len(calls) == 3
+
+
+def test_compare_rows_match_per_eta_ensembles(tmp_path):
+    """Each row is what a separate ensemble at that eta gives, to the bit."""
+    config = build_scenario({
+        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=300, n_steps=40),
+    })
+    etas = [1e6, 6e8, 1e9]
+    rows = run_compare(config, etas, tmp_path / "sweep")
+    grid = TimeGrid(config.market.horizon, config.n_steps)
+    for eta, row in zip(etas, rows):
+        mkt_eta = replace(
+            config.market,
+            firms=tuple(replace(fp, eta=eta) for fp in config.market.firms),
+        )
+        msr = build_policy(PolicySpec(kind=PolicyKind.MSR), mkt_eta)
+        ensemble = PathEnsemble(config.seed, grid, mkt_eta.firms, config.n_paths)
+        report = run_ensemble(mkt_eta, [msr], ensemble).reports[0]
+        assert row["cost_msr"] == report.mc_estimate
+        assert row["mc_stderr_msr"] == report.mc_stderr
+
+
+def test_compare_never_writes_a_non_finite_row(tmp_path, monkeypatch):
+    real = permitsim.policies.simulate_policy_paths
+
+    def infinite_cost(policy, mkt, noise):
+        sample = real(policy, mkt, noise)
+        return replace(sample, cost=np.full_like(sample.cost, np.inf))
+
+    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", infinite_cost)
+    config = build_scenario({"preset": "paper-2020-base", "simulation": small_sim_block()})
+    out = tmp_path / "sweep"
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="cost_msr"):
+        run_compare(config, [1e7, 6e8], out)
+    assert not (out / "sweep.csv").exists()
 
 
 # --- calibrate-eta ----------------------------------------------------------------------

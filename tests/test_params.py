@@ -68,6 +68,21 @@ def test_market_params_rejects_bad_values(kwargs):
         make_market(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", ["mu", "sigma", "k", "h", "eta", "penalty", "horizon", "rho"]
+)
+def test_params_reject_non_finite_values(field, value):
+    firm = dict(mu=1e8, sigma=1e7, k=0.5, h=20.0, eta=1e8)
+    if field in firm:
+        firm[field] = value
+        with pytest.raises(ValueError, match=f"firm {field} must be finite"):
+            FirmParams(**firm)
+    else:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_market(**{field: value})
+
+
 def test_market_params_rejects_empty_firm_list():
     with pytest.raises(ValueError):
         make_market(firms=())

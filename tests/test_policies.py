@@ -26,7 +26,9 @@ from permitsim import (
     generate_noise,
     large_n_limit_delta,
     martingale_drift_stat,
+    msr_F,
     msr_policy,
+    msr_z,
     optimal_dynamic_policy,
     simulate_policy_paths,
     static_policy,
@@ -317,6 +319,62 @@ def test_msr_policy_simulation(base_market, medium_noise):
         -2.0 * lam * sample.total_bank[:, -1] / N_FIRMS,
         rtol=1e-9,
     )
+
+
+def _msr_per_step_loop(policy, mkt, noise):
+    """The MSR Euler recursion stepped one path column at a time: the
+    reference for the in-place kernel, which must round every knot alike."""
+    grid = noise.grid
+    t = grid.knots
+    n, eta, h_bar, delta = mkt.n_firms, mkt.agg.eta_bar, mkt.agg.h_bar, policy.delta
+    z = msr_z(delta, t, grid.horizon)
+    big_f = msr_F(mkt, delta, t)
+    ramp = (grid.horizon - t) * policy.x_bar0 / grid.horizon
+    c1 = -big_f * (1.0 - delta * z)
+    c0 = big_f * ((1.0 - delta * z) * ramp + z * (eta * h_bar - policy.x_bar0 / grid.horizon))
+    d_wbar = noise.weighted_mean_increments([fp.sigma for fp in mkt.firms])
+    m = grid.n_steps
+    xbar = np.empty((noise.n_paths, m + 1))
+    price = np.empty_like(xbar)
+    alloc_rate = np.empty_like(xbar)
+    xbar[:, 0] = policy.x_bar0
+    for k in range(m + 1):
+        price[:, k] = c0[k] + c1[k] * xbar[:, k]
+        alloc_rate[:, k] = delta * (ramp[k] - xbar[:, k])
+        if k < m:
+            drift = alloc_rate[:, k] + eta * (price[:, k] - h_bar)
+            xbar[:, k + 1] = xbar[:, k] + drift * grid.dt - d_wbar[:, k]
+    avg_alpha = eta * (price - h_bar)
+    abate_rate = h_bar * avg_alpha + avg_alpha**2 / (2.0 * eta)
+    abatement = n * abate_rate[:, :-1].sum(axis=-1) * grid.dt
+    penalty = n * mkt.penalty * xbar[:, -1] ** 2
+    return {
+        "price": price,
+        "total_bank": n * xbar,
+        "cost": abatement + penalty,
+        "abatement": abatement,
+        "penalty": penalty,
+    }
+
+
+@pytest.mark.parametrize("n_steps", [37, 300])
+@pytest.mark.parametrize("delta", [0.1, 1.5])
+@pytest.mark.parametrize("eta", [1e6, 1e9])
+def test_msr_recursion_matches_the_per_step_loop(eta, delta, n_steps):
+    """Exact equality: the kernel performs the loop's operations in the loop's
+    order.  At eta = 1e9 the last Euler step overshoots the terminal bank."""
+    firms = make_firms(eta=eta)
+    mkt = make_market(firms)
+    msr = msr_policy(mkt, delta)
+    noise = generate_noise(17, TimeGrid(horizon=10.0, n_steps=n_steps), firms, n_paths=64)
+    sample = simulate_policy_paths(msr, mkt, noise)
+    want = _msr_per_step_loop(msr, mkt, noise)
+    np.testing.assert_array_equal(sample.price, want["price"])
+    np.testing.assert_array_equal(sample.total_bank, want["total_bank"])
+    np.testing.assert_array_equal(sample.cost, want["cost"])
+    np.testing.assert_array_equal(sample.parts["abatement"], want["abatement"])
+    np.testing.assert_array_equal(sample.parts["penalty"], want["penalty"])
+    assert not sample.parts["trading"].any() and not sample.parts["tax"].any()
 
 
 def test_msr_tracks_the_drawdown_ramp_when_reversion_is_fast():
