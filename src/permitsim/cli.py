@@ -229,13 +229,10 @@ def build_scenario(raw: object) -> ScenarioConfig:
     horizon = _number(market_block, "T", "config.market")
     rho = _number(market_block, "rho", "config.market")
     penalty = _number(market_block, "lambda", "config.market")
+    # the simulations are frictionless only: reject a finite depth up front
     nu_raw = market_block.get("nu", "inf")
-    if nu_raw == "inf":
-        depth = FRICTIONLESS
-    elif isinstance(nu_raw, (int, float)) and not isinstance(nu_raw, bool):
-        depth = float(nu_raw)
-    else:
-        raise ConfigError(f'config.market.nu: expected a number or "inf", got {nu_raw!r}')
+    if nu_raw != "inf":
+        raise ConfigError(f'config.market.nu: only "inf" is supported, got {nu_raw!r}')
 
     firms_block = merged.get("firms")
     if not isinstance(firms_block, list) or not firms_block:
@@ -259,7 +256,7 @@ def build_scenario(raw: object) -> ScenarioConfig:
             raise ConfigError(f"{path_i}: {exc}") from exc
     try:
         market = MarketParams(
-            firms=tuple(firms), penalty=penalty, depth=depth, horizon=horizon, rho=rho
+            firms=tuple(firms), penalty=penalty, depth=FRICTIONLESS, horizon=horizon, rho=rho
         )
     except ValueError as exc:
         raise ConfigError(f"config.market: {exc}") from exc

@@ -464,7 +464,7 @@ def allocation_views(policy: Policy, mkt: MarketParams, noise: NoisePaths) -> li
     """Materialize per-firm allocation views for a martingale-type policy."""
     grid = noise.grid
     if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)):
-        tilde = noise.tilde_paths()
+        tilde = integrate_increments(noise.d_tilde)
         m_paths = np.einsum("ij,pjk->pik", policy.gamma, tilde)
         m_paths += policy.m0[None, :, None]
         return [
@@ -529,6 +529,7 @@ def _sample(
     emissions: np.ndarray,
     net_alloc: np.ndarray,
     parts: dict[str, np.ndarray],
+    price_qv: np.ndarray,
 ) -> PolicyPathSample:
     return PolicyPathSample(
         kind=kind,
@@ -539,7 +540,7 @@ def _sample(
         net_allocation_minus_initial=net_alloc,
         cost=parts["abatement"] + parts["trading"] + parts["penalty"] + parts["tax"],
         parts=parts,
-        price_qv=realized_qv(price)[:, -1],
+        price_qv=price_qv,
     )
 
 
@@ -578,7 +579,7 @@ def _simulate_martingale(
     n = mkt.n_firms
     etas = np.array([fp.eta for fp in mkt.firms])
     hs = np.array([fp.h for fp in mkt.firms])
-    sigmas = np.array([fp.sigma for fp in mkt.firms])
+    shocks = tracking_gamma(mkt.firms)  # sigma_i dW_i = (shocks dWtilde)_i
     mu_total = float(sum(fp.mu for fp in mkt.firms))
 
     # expected totals M_i(t) = m0_i + moved_i(t); rounding is monotonic, so
@@ -590,8 +591,9 @@ def _simulate_martingale(
     alloc_T = m0 + buf[..., -1]
     expected_sum = float(m0.sum()) + buf.sum(axis=1)
 
-    # allocation surprise dM_i - sigma_i dW_i; the price follows its firm mean
-    surprise -= sigmas[:, None] * noise.d_firm
+    # allocation surprise dM_i - sigma_i dW_i = ((gamma - shocks) dWtilde)_i,
+    # zero for the tracking policy; the price follows its firm mean
+    np.matmul(gamma - shocks, noise.d_tilde, out=surprise)
     price = frictionless_price(mkt, grid, float(m0.mean()), surprise.mean(axis=1))
 
     # B_i(0) = eta_i h_i T - c_i(0) P_0 - M_i(0), dB_i = -(c_i(t) dP + surprise_i)
@@ -625,7 +627,7 @@ def _simulate_martingale(
         alloc_T
         + etas * (excess_integral[:, None] + (h_eff - hs) * horizon)
         + trade_T
-        - sigmas * noise.d_firm.sum(axis=-1)
+        - noise.d_tilde.sum(axis=-1) @ shocks.T
     )
     penalty = lam * (bank_T**2).sum(axis=1)
     parts = {
@@ -637,7 +639,7 @@ def _simulate_martingale(
 
     abate_total = eta_total * excess
     abated = left_integral(abate_total, grid)
-    shock_sum = integrate_increments(sigmas @ noise.d_firm)
+    shock_sum = integrate_increments(shocks.sum(axis=0) @ noise.d_tilde)
     total_bank = (
         expected_sum
         + (mu_total - alloc_flow) * (horizon - t)
@@ -653,6 +655,7 @@ def _simulate_martingale(
         mu_total * t - abated + shock_sum,
         expected_sum - expected_sum[:, :1] + alloc_flow * t,
         parts,
+        realized_qv(price)[:, -1],
     )
 
 
@@ -691,9 +694,9 @@ def simulate_policy_paths(
 
     grid = noise.grid
     t = grid.knots
-    sigmas = np.array([fp.sigma for fp in mkt.firms])
     alpha = float(policy.alpha.sum())
-    emissions = (mu_total - alpha) * t + integrate_increments(sigmas @ noise.d_firm)
+    shock_load = tracking_gamma(mkt.firms).sum(axis=0)
+    emissions = (mu_total - alpha) * t + integrate_increments(shock_load @ noise.d_tilde)
     hs = np.array([fp.h for fp in mkt.firms])
     etas = np.array([fp.eta for fp in mkt.firms])
     abate_cost = grid.horizon * float(
@@ -706,15 +709,17 @@ def simulate_policy_paths(
         "penalty": zeros_s.copy(),
         "tax": policy.tau * emissions[:, -1],
     }
-    zeros_t = np.zeros_like(emissions)
+    # price, bank, abatement and net allocation are constant: read-only views
+    zero = np.broadcast_to(0.0, emissions.shape)
     return _sample(
         policy.kind,
-        np.full_like(emissions, policy.tau),
-        zeros_t,
-        np.full_like(emissions, alpha / n),
+        np.broadcast_to(policy.tau, emissions.shape),
+        zero,
+        np.broadcast_to(alpha / n, emissions.shape),
         emissions,
-        zeros_t.copy(),
+        zero,
         parts,
+        zeros_s.copy(),
     )
 
 
@@ -727,6 +732,8 @@ def _simulate_msr(policy: MSRPolicy, mkt: MarketParams, noise: NoisePaths) -> Po
     the coefficients collapse to P_T = -2 lambda Xbar_T, the terminal
     marginal penalty.
     """
+    if not mkt.is_frictionless:
+        raise UnsupportedInputError("finite depth: the MSR recursion is frictionless only")
     grid = noise.grid
     t = grid.knots
     n = mkt.n_firms
@@ -742,8 +749,7 @@ def _simulate_msr(policy: MSRPolicy, mkt: MarketParams, noise: NoisePaths) -> Po
     c1 = -big_f * (1.0 - delta * z)
     c0 = big_f * ((1.0 - delta * z) * ramp + z * (eta * h_bar - policy.x_bar0 / grid.horizon))
 
-    sigmas = np.array([fp.sigma for fp in mkt.firms])
-    d_wbar = noise.weighted_mean_increments(sigmas)
+    d_wbar = noise.weighted_mean_increments([fp.sigma for fp in mkt.firms])
 
     # Step time-major so that every row is contiguous, in place, with the
     # operations of x + (delta (ramp - x) + eta ((c0 + c1 x) - h_bar)) dt - dW
@@ -795,16 +801,15 @@ def _simulate_msr(policy: MSRPolicy, mkt: MarketParams, noise: NoisePaths) -> Po
     emissions = n * (agg.mu_bar * t - left_integral(avg_alpha, grid))
     emissions[:, 1:] += n * wbar
     net_alloc = n * (left_integral(alloc_rate, grid) + agg.mu_bar * t)
-    return PolicyPathSample(
-        kind=policy.kind,
-        price=price,
-        total_bank=n * xbar,
-        avg_abatement=avg_alpha,
-        total_emissions=emissions,
-        net_allocation_minus_initial=net_alloc,
-        cost=abatement + penalty,
-        parts=parts,
-        price_qv=realized_qv(price)[:, -1],
+    return _sample(
+        policy.kind,
+        price,
+        n * xbar,
+        avg_alpha,
+        emissions,
+        net_alloc,
+        parts,
+        realized_qv(price)[:, -1],
     )
 
 

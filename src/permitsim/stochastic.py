@@ -57,8 +57,9 @@ class NoisePaths:
     """Increments of the driving Brownian motions for one or more paths.
 
     ``d_tilde`` holds the independent drivers, shape (n_paths, N+1, M), with
-    the common factor in row 0; ``d_firm`` holds the correlated per-firm
-    increments, shape (n_paths, N, M).  Each increment is Normal(0, dt).
+    the common factor in row 0.  Each increment is Normal(0, dt).  They are
+    the only stored shocks: a firm's shock is a loading row times
+    ``d_tilde``, and ``d_firm`` derives the per-firm increments on demand.
     """
 
     seed: int
@@ -66,7 +67,6 @@ class NoisePaths:
     grid: TimeGrid
     ks: tuple[float, ...]
     d_tilde: np.ndarray
-    d_firm: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -74,11 +74,13 @@ class NoisePaths:
 
     @property
     def n_firms(self) -> int:
-        return self.d_firm.shape[1]
+        return len(self.ks)
 
-    def tilde_paths(self) -> np.ndarray:
-        """Integrated independent drivers, shape (n_paths, N+1, M+1), zero at t=0."""
-        return integrate_increments(self.d_tilde)
+    @cached_property
+    def d_firm(self) -> np.ndarray:
+        """Correlated per-firm increments dW_i, shape (n_paths, N, M)."""
+        ks = np.array(self.ks, dtype=float)[:, None]
+        return np.sqrt(1.0 - ks**2) * self.d_tilde[:, 1:, :] + ks * self.d_tilde[:, :1, :]
 
     def firm_paths(self) -> np.ndarray:
         """Integrated correlated firm shocks W_i, shape (n_paths, N, M+1)."""
@@ -87,7 +89,9 @@ class NoisePaths:
     def weighted_mean_increments(self, sigmas: Sequence[float]) -> np.ndarray:
         """(1/N) sum_i sigma_i dW_i, shape (n_paths, M)."""
         w = np.asarray(sigmas, dtype=float)
-        return np.einsum("i,pim->pm", w, self.d_firm) / self.n_firms
+        ks = np.asarray(self.ks, dtype=float)
+        load = np.concatenate([[w @ ks], w * np.sqrt(1.0 - ks**2)]) / self.n_firms
+        return load @ self.d_tilde
 
 
 def integrate_increments(d: np.ndarray) -> np.ndarray:
@@ -122,16 +126,12 @@ def generate_noise(
         )
         d_tilde[p] = rng.standard_normal((n + 1, m))
     d_tilde *= sqrt_dt
-    ks = np.array([f.k for f in firms])
-    loadings = np.sqrt(1.0 - ks**2)
-    d_firm = loadings[:, None] * d_tilde[:, 1:, :] + ks[:, None] * d_tilde[:, :1, :]
     return NoisePaths(
         seed=seed,
         path_offset=path_offset,
         grid=grid,
-        ks=tuple(float(k) for k in ks),
+        ks=tuple(float(f.k) for f in firms),
         d_tilde=d_tilde,
-        d_firm=d_firm,
     )
 
 
@@ -173,15 +173,12 @@ def coarsen_noise(noise: NoisePaths, factor: int) -> NoisePaths:
     coarse = TimeGrid(noise.grid.horizon, m // factor)
     shape_t = noise.d_tilde.shape
     d_tilde = noise.d_tilde.reshape(shape_t[0], shape_t[1], m // factor, factor).sum(axis=-1)
-    shape_f = noise.d_firm.shape
-    d_firm = noise.d_firm.reshape(shape_f[0], shape_f[1], m // factor, factor).sum(axis=-1)
     return NoisePaths(
         seed=noise.seed,
         path_offset=noise.path_offset,
         grid=coarse,
         ks=noise.ks,
         d_tilde=d_tilde,
-        d_firm=d_firm,
     )
 
 

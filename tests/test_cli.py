@@ -89,11 +89,11 @@ def test_overrides_merge_key_by_key():
     cfg = build_scenario(
         {
             "preset": "paper-2020-base",
-            "market": {"nu": 1e6},
+            "market": {"rho": 0.5},
             "simulation": {"seed": 99},
         }
     )
-    assert cfg.market.depth == 1e6
+    assert cfg.market.rho == 0.5
     assert cfg.market.horizon == 10.0  # untouched preset value survives
     assert cfg.seed == 99
     assert cfg.n_paths == 10000
@@ -114,8 +114,29 @@ def test_market_nu_accepts_inf_string_only():
     assert build_scenario(
         {"preset": "paper-2020-base", "market": {"nu": "inf"}}
     ).market.depth == FRICTIONLESS
-    with pytest.raises(ConfigError, match=r"config\.market\.nu"):
-        build_scenario({"preset": "paper-2020-base", "market": {"nu": "deep"}})
+    for bad in ("deep", 1e6, 0, True, None):
+        with pytest.raises(ConfigError, match=r"config\.market\.nu"):
+            build_scenario({"preset": "paper-2020-base", "market": {"nu": bad}})
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--policy", "msr"],
+        ["simulate", "--policy", "tax"],
+        ["simulate", "--policy", "all"],
+        ["compare", "--etas", "1e7,6e8"],
+    ],
+)
+def test_finite_depth_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    """Every simulation is frictionless only, so a finite market depth is a
+    config error instead of a run with the frictionless formulas."""
+    cfg = write_config(tmp_path, market={"nu": 1e6}, simulation=small_sim_block())
+    out = tmp_path / "deep"
+    assert main([command[0], "--config", cfg, *command[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config.market.nu" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_invalid_firm_and_unit_scale_and_kind():

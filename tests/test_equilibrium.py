@@ -170,7 +170,6 @@ def test_duplicated_firm_reproduces_single_firm_equilibrium():
         grid=grid,
         ks=np.array([1.0, 1.0]),
         d_tilde=np.concatenate([common, extra], axis=1),
-        d_firm=np.concatenate([common, common], axis=1),
     )
     np.testing.assert_array_equal(noise1.d_firm[:, 0], noise2.d_firm[:, 0])
 

@@ -292,6 +292,9 @@ def test_tax_policy_simulation(base_market, medium_noise):
     sample = simulate_policy_paths(tax, base_market, medium_noise)
     assert np.all(sample.price == tax.tau)
     assert np.all(sample.total_bank == 0.0)
+    assert np.all(sample.price_qv == 0.0)
+    # constant trajectories are read-only views, not per-path copies
+    assert not sample.price.flags.writeable and not sample.total_bank.flags.writeable
     np.testing.assert_allclose(
         sample.cost, sample.parts["abatement"] + sample.parts["tax"], rtol=1e-12
     )
@@ -534,6 +537,11 @@ def test_martingale_kernel_rejects_finite_depth(frictional_market, kernel_noise)
             simulate_policy_paths(policy, frictional_market, kernel_noise)
 
 
+def test_msr_rejects_finite_depth(frictional_market, kernel_noise):
+    with pytest.raises(UnsupportedInputError, match="finite depth"):
+        simulate_policy_paths(msr_policy(frictional_market), frictional_market, kernel_noise)
+
+
 def test_martingale_kernel_still_checks_clearing(base_market, kernel_noise, monkeypatch):
     f_coeff = permitsim.equilibrium.f_coeff
     monkeypatch.setattr(
@@ -700,6 +708,24 @@ def test_run_ensemble_keeps_no_trajectory(base_market, monkeypatch):
     assert len(refs) == 3 * 4
     assert all(ref() is None for ref in refs)
     assert all(r.n_paths == 10 for r in result.reports)
+
+
+def test_run_ensemble_never_derives_the_firm_shocks(base_market):
+    """Every policy reads only the independent drivers d_tilde, so no chunk
+    ever builds its (n_paths, N, M) per-firm increments d_firm."""
+    grid = TimeGrid(horizon=10.0, n_steps=20)
+    ensemble = PathEnsemble(
+        seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
+    )
+    noises = []
+    run_ensemble(
+        base_market, _four_policies(base_market), ensemble,
+        on_sample=lambda noise, sample: noises.append(noise),
+    )
+    assert len(noises) == 3 * 4
+    assert all("d_firm" not in noise.__dict__ for noise in noises)
+    noises[0].d_firm  # the check above would see a derived array
+    assert "d_firm" in noises[0].__dict__
 
 
 def test_run_ensemble_does_not_depend_on_chunking(base_market):
