@@ -570,6 +570,24 @@ def _parse_etas(text: str) -> list[float]:
     return values
 
 
+def _calibrate_eta(args: argparse.Namespace) -> float:
+    """`estimate_eta_from_qv` on the calibrate-eta flags, checked first.
+
+    ``--qv`` must be finite (a finite value outside the feasible interval
+    is a domain error, exit 3); ``--sigma2``, ``--lambda`` and ``--horizon``
+    must be finite and > 0.  A non-finite result is a domain error.
+    """
+    if not math.isfinite(args.qv):
+        raise ConfigError(f"--qv must be finite, got {args.qv}")
+    for flag, value in (("--sigma2", args.sigma2), ("--lambda", args.lam), ("--horizon", args.horizon)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
+    eta = estimate_eta_from_qv(args.qv, args.sigma2, args.lam, args.horizon)
+    if not math.isfinite(eta):
+        raise DomainError(f"calibrated eta is not finite: {eta}")
+    return eta
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -596,11 +614,14 @@ def main(argv: list[str] | None = None) -> int:
                 config = _apply_overrides(load_config(args.config), args)
                 run_compare(config, _parse_etas(args.etas), args.out)
             elif args.command == "calibrate-eta":
-                print(_fmt(estimate_eta_from_qv(args.qv, args.sigma2, args.lam, args.horizon)))
+                print(_fmt(_calibrate_eta(args)))
             else:  # pragma: no cover - argparse enforces the choices
                 raise ConfigError(f"unknown command {args.command!r}")
     except ArithmeticError as exc:
         print(f"error: numerical domain error: {exc}", file=sys.stderr)
+        return DomainError.exit_code
+    except MemoryError as exc:  # numpy refuses an array too large for the machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return DomainError.exit_code
     except PermitSimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -584,12 +584,22 @@ def _simulate_martingale(
 
     # expected totals M_i(t) = m0_i + moved_i(t); rounding is monotonic, so
     # the extremes of M_i are m0_i plus those of moved_i.  The buffer is
-    # reused for the trades B_i.
-    surprise = np.matmul(gamma, noise.d_tilde)
-    buf = integrate_increments(surprise)
-    alloc_abs_max = np.maximum(m0 + buf.max(axis=(0, 2)), -(m0 + buf.min(axis=(0, 2))))
-    alloc_T = m0 + buf[..., -1]
-    expected_sum = float(m0.sum()) + buf.sum(axis=1)
+    # reused for the trades B_i.  A zero loading (the static lump sum) moves
+    # nothing: M_i stays m0_i, and the trades get a buffer of their own.
+    if gamma.any():
+        surprise = np.matmul(gamma, noise.d_tilde)
+        trade = integrate_increments(surprise)
+        alloc_abs_max = np.maximum(
+            m0 + trade.max(axis=(0, 2)), -(m0 + trade.min(axis=(0, 2)))
+        )
+        alloc_T = m0 + trade[..., -1]
+        expected_sum = float(m0.sum()) + trade.sum(axis=1)
+    else:
+        surprise = np.empty((noise.n_paths, n, grid.n_steps))
+        trade = np.empty((noise.n_paths, n, grid.n_steps + 1))
+        alloc_abs_max = np.abs(m0)
+        alloc_T = m0
+        expected_sum = np.full((noise.n_paths, 1), float(m0.sum()))
 
     # allocation surprise dM_i - sigma_i dW_i = ((gamma - shocks) dWtilde)_i,
     # zero for the tracking policy; the price follows its firm mean
@@ -601,7 +611,6 @@ def _simulate_martingale(
     # terminal condition X_i(T) = -P_T / (2 lam)
     coef = (1.0 + 2.0 * lam * etas[:, None] * (horizon - t)) / (2.0 * lam)
     surprise += coef[:, :-1] * np.diff(price, axis=-1)[:, None, :]
-    trade = buf
     trade0 = etas * hs * horizon - coef[:, 0] * price[:, :1] - m0
     trade[..., 0] = trade0
     np.cumsum(surprise, axis=-1, out=trade[..., 1:])

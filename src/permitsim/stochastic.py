@@ -8,9 +8,15 @@ combination
 
 so that corr(dW_i, dW_j) = k_i * k_j.
 
-Path streams are derived per path index from the root seed via
-``SeedSequence(seed, spawn_key=(path_index,))``, which makes every ensemble
-bit-reproducible and independent of chunking or evaluation order.  All
+Path i's increments are
+
+    sqrt(dt) * default_rng(SeedSequence(seed, spawn_key=(i,))).standard_normal((N+1, M)),
+
+common factor in row 0, which makes every ensemble bit-reproducible and
+independent of chunking or evaluation order.  ``generate_noise`` does not
+build a SeedSequence per path: it computes the PCG64 seeding words of a
+whole block of paths at once with NumPy's published SeedSequence hash
+(NEP 19) on uint32 arrays, then seeds one PCG64 per path from them.  All
 quadrature is left-point (Ito); the default grid is 2000 uniform steps for
 a 10-year horizon.
 """
@@ -18,8 +24,9 @@ a 10-year horizon.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -103,6 +110,110 @@ def integrate_increments(d: np.ndarray) -> np.ndarray:
     return out
 
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, NEP 19)
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, least significant first."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+    """init * mult**j mod 2**32 for j < n, the constants the hash steps through."""
+    consts = [init]
+    for _ in range(n - 1):
+        consts.append(consts[-1] * mult & _M32)
+    return consts
+
+
+def _hashmix(value, const: int, next_const: int):
+    """SeedSequence's hashmix of 32-bit words, one call's constants given."""
+    value = (value ^ const) * next_const & _M32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return result ^ result >> _XSHIFT
+
+
+def _pcg64_seed_words(seed: int, first: int, n_paths: int) -> np.ndarray:
+    """PCG64 seeding words of paths first .. first + n_paths - 1, shape (n_paths, 4).
+
+    Row p equals ``SeedSequence(seed, spawn_key=(first + p,)).generate_state(4,
+    np.uint64)``.  The entropy is the seed's words, zero-padded to the pool
+    size, then the path index's words.  The pool part is common to every
+    path and is mixed once with Python integers; the path words are mixed in
+    as uint32 arrays, and a path whose index has fewer words skips the
+    higher ones.  Works for any seed and path index >= 0.
+    """
+    if first < 0:
+        raise ValueError(f"path indices must be >= 0, got {first}")
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    n_spawn = len(_uint32_words(first + max(n_paths, 1) - 1))
+    n_pool_calls = len(run) * _POOL_SIZE  # hashmix calls before the path words
+    consts = _hash_constants(_INIT_A, _MULT_A, n_pool_calls + n_spawn * _POOL_SIZE + 1)
+    steps = zip(consts, consts[1:])  # the (xor, multiply) constants of each call
+
+    mixer = [_hashmix(w, *next(steps)) for w in run[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], *next(steps)))
+    for w in run[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            mixer[dst] = _mix(mixer[dst], _hashmix(w, *next(steps)))
+
+    pool = np.broadcast_to(np.array(mixer, dtype=np.uint32), (n_paths, _POOL_SIZE))
+    const = np.array(consts[n_pool_calls:], dtype=np.uint32)
+    index = np.arange(
+        first, first + n_paths, dtype=np.uint64 if first + n_paths <= 2**64 else object
+    )
+    for k in range(n_spawn):
+        word = ((index >> 32 * k) & _M32).astype(np.uint32)[:, None]
+        c = const[k * _POOL_SIZE : (k + 1) * _POOL_SIZE + 1]
+        mixed = _mix(pool, _hashmix(word, c[:-1], c[1:]))
+        pool = mixed if k == 0 else np.where((index >= 1 << 32 * k)[:, None], mixed, pool)
+
+    c = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), dtype=np.uint32)
+    state = _hashmix(np.tile(pool, 2), c[:-1], c[1:])
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@cache
+def _seed_words_type() -> type:
+    """An ISeedSequence that hands PCG64 seeding words computed ahead.
+
+    Built on first use because numpy loads ``numpy.random`` lazily:
+    importing it with this module would add its import time to every
+    start-up, including runs that draw no noise.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
 def generate_noise(
     seed: int,
     grid: TimeGrid,
@@ -112,19 +223,20 @@ def generate_noise(
 ) -> NoisePaths:
     """Draw Brownian increments for paths [path_offset, path_offset + n_paths).
 
-    Each path has its own generator spawned from the root seed, so the same
-    (seed, path index) always yields the same increments no matter how the
-    ensemble is chunked.
+    Path i's increments are sqrt(dt) times the first (N+1) * M standard
+    normals of ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, so the
+    same (seed, path index) always yields the same increments no matter how
+    the ensemble is chunked.  The seeding words of the whole block come from
+    one vectorised pass; each path then gets its own PCG64.
     """
     n = len(firms)
     m = grid.n_steps
     sqrt_dt = math.sqrt(grid.dt)
     d_tilde = np.empty((n_paths, n + 1, m))
-    for p in range(n_paths):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(path_offset + p,))
-        )
-        d_tilde[p] = rng.standard_normal((n + 1, m))
+    seed_words = _seed_words_type()
+    for p, words in enumerate(_pcg64_seed_words(seed, path_offset, n_paths)):
+        rng = np.random.Generator(np.random.PCG64(seed_words(words)))
+        rng.standard_normal(out=d_tilde[p])
     d_tilde *= sqrt_dt
     return NoisePaths(
         seed=seed,

@@ -349,6 +349,22 @@ def test_extreme_horizon_is_a_domain_error(tmp_path, capsys, horizon):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--policy", "tax"], ["simulate", "--policy", "all"], ["compare", "--etas", "1e7"]],
+)
+def test_refused_allocation_is_exit_3(tmp_path, capsys, command):
+    """10^12 steps ask numpy for terabytes, which it refuses before allocating."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "huge"
+    argv = [command[0], "--config", cfg, *command[1:], "--out", str(out),
+            "--paths", "4", "--steps", str(10**12)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_simulate_records_an_inconsistent_estimate_and_succeeds(tmp_path):
     """The CLI records a Monte Carlo miss in the summary; only the library's
     compare_policies raises on it.  At 50 steps the static policy's Euler
@@ -559,6 +575,44 @@ def test_calibrate_eta_overflow_is_exit_3(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--lambda", "inf"),
+        ("--lambda", "-1"),
+        ("--lambda", "0"),
+        ("--sigma2", "inf"),
+        ("--sigma2", "-1"),
+        ("--horizon", "nan"),
+        ("--horizon", "0"),
+        ("--qv", "inf"),
+        ("--qv", "nan"),
+    ],
+)
+def test_calibrate_eta_rejects_bad_flags_with_exit_2(capsys, flag, value):
+    args = {"--qv": "1", "--sigma2": "1", "--lambda": "1", "--horizon": "1", flag: value}
+    code = main(["calibrate-eta", *(x for kv in args.items() for x in kv)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} must be finite")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("qv", ["-1", "0", "1e300"])
+def test_calibrate_eta_finite_qv_outside_the_interval_is_exit_3(capsys, qv):
+    code = main(["calibrate-eta", "--qv", qv, "--sigma2", "1", "--lambda", "1", "--horizon", "1"])
+    assert code == 3
+    assert "feasible interval" in capsys.readouterr().err
+
+
+def test_calibrate_eta_non_finite_result_is_exit_3(capsys):
+    """A subnormal QV divides a finite interval by almost nothing."""
+    code = main(["calibrate-eta", "--qv", "1e-320", "--sigma2", "1", "--lambda", "1", "--horizon", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err and captured.out == ""
 
 
 # --- exit-code translation ------------------------------------------------------------

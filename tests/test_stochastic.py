@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,31 @@ def test_seed_determinism_and_chunk_independence():
     np.testing.assert_array_equal(np.concatenate([front.d_tilde, back.d_tilde]), a.d_tilde)
     c = generate_noise(43, grid, firms, n_paths=6)
     assert not np.array_equal(a.d_tilde, c.d_tilde)
+
+
+@pytest.mark.parametrize("seed", [0, 2020, 2**32 + 5, 2**64 + 3, 2**128 + 9])
+@pytest.mark.parametrize("path_offset", [0, 2**32 - 1, 2**64 - 1])
+def test_noise_stream_is_numpys_seed_sequence_per_path(seed, path_offset):
+    """Path i's increments are sqrt(dt) * default_rng(SeedSequence(seed,
+    spawn_key=(i,))).standard_normal((N+1, M)), bit for bit.  The blocks at
+    2**32 - 1 and 2**64 - 1 straddle spawn keys of one and two words and of
+    two and three words; the seeds span one to five words."""
+    firms = make_firms(3)
+    grid = TimeGrid(horizon=10.0, n_steps=7)
+    noise = generate_noise(seed, grid, firms, n_paths=3, path_offset=path_offset)
+    for p in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_offset + p,)))
+        expected = math.sqrt(grid.dt) * rng.standard_normal((4, 7))
+        assert noise.d_tilde[p].tobytes() == expected.tobytes()
+
+
+def test_negative_seed_or_path_index_is_rejected():
+    firms = make_firms(2)
+    grid = TimeGrid(horizon=1.0, n_steps=3)
+    with pytest.raises(ValueError):
+        generate_noise(-1, grid, firms, n_paths=2)
+    with pytest.raises(ValueError):
+        generate_noise(1, grid, firms, n_paths=2, path_offset=-1)
 
 
 def test_path_ensemble_chunks_and_single_path():
