@@ -328,27 +328,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-#: One trajectory row: path id, then t and the five columns rendered like
-#: ``_fmt`` (``%.17g`` and ``format(x, ".17g")`` print floats identically).
-_ROW_FORMAT = "%s" + ",%.17g" * (len(_TRAJECTORY_COLUMNS) - 1)
+#: The values of one trajectory row after its path id: t and the five
+#: columns rendered like ``_fmt`` (``%.17g`` and ``format(x, ".17g")`` print
+#: floats identically).
+_ROW_VALUES_FORMAT = ",%.17g" * (len(_TRAJECTORY_COLUMNS) - 1)
 
 
 def _trajectory_rows(sample, noise, volume_scale: float, n_show: int) -> list[str]:
-    t = noise.grid.knots.tolist()
-    columns = [
-        sample.price[:n_show].tolist(),
-        (sample.total_bank[:n_show] * volume_scale).tolist(),
-        (sample.total_emissions[:n_show] * volume_scale).tolist(),
-        (sample.avg_abatement[:n_show] * volume_scale).tolist(),
-        (sample.net_allocation_minus_initial[:n_show] * volume_scale).tolist(),
-    ]
+    t = noise.grid.knots
+    # one (M+1, 6) block per path, row-major, so each path renders with one
+    # % operation on a template repeated once per knot
+    block = np.empty((n_show, t.size, len(_TRAJECTORY_COLUMNS) - 1))
+    block[..., 0] = t
+    block[..., 1] = sample.price[:n_show]
+    for j, name in enumerate(_TRAJECTORY_COLUMNS[3:], start=2):
+        np.multiply(getattr(sample, name)[:n_show], volume_scale, out=block[..., j])
     rows = []
     for p in range(n_show):
-        pid = str(noise.path_offset + p)
-        rows.extend(
-            _ROW_FORMAT % (pid, *values)
-            for values in zip(t, *(col[p] for col in columns))
-        )
+        row = f"{noise.path_offset + p}{_ROW_VALUES_FORMAT}"
+        text = "\n".join([row] * t.size) % tuple(block[p].ravel().tolist())
+        rows.extend(text.split("\n"))
     return rows
 
 

@@ -7,8 +7,10 @@ is verified ex post: the per-knot clearing residual must stay below a hard
 relative tolerance or the run aborts, since downstream costs computed from
 a non-clearing "equilibrium" are silently wrong.
 
-The frictionless price formula (`frictionless_price`) and its clearing
-check (`require_frictionless_clearing`) are shared with the N-axis
+The frictionless price formula (`frictionless_price`, whose start
+`frictionless_initial_price` is also the whole price when no allocation
+surprises the market) and its clearing check
+(`require_frictionless_clearing`) are shared with the N-axis
 martingale kernel in `policies`, which computes the same equilibrium
 without per-firm best responses; both paths apply one rule.
 """
@@ -191,10 +193,18 @@ def frictionless_price(
     expected allocation (scalar or per path).  Returns (n_paths, M+1).
     """
     price = np.empty((d_driver.shape[0], grid.n_steps + 1))
-    price[:, 0] = f_coeff(mkt, 0.0) * (grid.horizon * mkt.agg.H_bar - m0_bar)
+    price[:, 0] = frictionless_initial_price(mkt, grid, m0_bar)
     np.cumsum(-f_coeff(mkt, grid.knots[:-1]) * d_driver, axis=-1, out=price[:, 1:])
     price[:, 1:] += price[:, :1]
     return price
+
+
+def frictionless_initial_price(
+    mkt: MarketParams, grid, m0_bar: float | np.ndarray
+) -> float | np.ndarray:
+    """P_0 = f(0) (T Hbar - Mbar_0): the frictionless price when nothing has
+    surprised the market yet, and at every knot when nothing ever does."""
+    return f_coeff(mkt, 0.0) * (grid.horizon * mkt.agg.H_bar - m0_bar)
 
 
 def require_frictionless_clearing(

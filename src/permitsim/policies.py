@@ -28,7 +28,8 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .params import (
 # perfbench/tracing.py wraps it under this name.
 from .equilibrium import (  # noqa: F401
     equilibrium_frictionless,
+    frictionless_initial_price,
     frictionless_price,
     require_frictionless_clearing,
 )
@@ -399,6 +401,7 @@ def custom_martingale_policy(
     With ``target_compliance`` the initial levels must sum to N ell(rho) --
     the feasibility constraint under which expected emissions hit the
     target; violations are configuration errors, not simulation choices.
+    Non-finite ``m0`` or ``gamma`` entries are rejected.
     """
     m0 = np.asarray(m0, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -409,10 +412,13 @@ def custom_martingale_policy(
         raise UnsupportedInputError(
             f"gamma must have shape {(n, n + 1)}, got {gamma.shape}"
         )
+    if not (np.all(np.isfinite(m0)) and np.all(np.isfinite(gamma))):
+        raise UnsupportedInputError("m0 and gamma must be finite")
     if target_compliance:
         want = n * ell(mkt)
         got = float(m0.sum())
-        if abs(got - want) > _FEASIBILITY_RTOL * max(1.0, abs(want)):
+        # written so that a NaN sum fails it
+        if not abs(got - want) <= _FEASIBILITY_RTOL * max(1.0, abs(want)):
             raise UnsupportedConfigurationError(
                 f"sum of m0 is {got:g} but the emissions target requires {want:g}"
             )
@@ -446,18 +452,48 @@ class PolicyPathSample:
 
     Trajectory arrays are (n_paths, M+1); all per-path scalars are
     (n_paths,).  ``parts`` holds the additive cost decomposition
-    {abatement, trading, penalty, tax} whose values sum to ``cost``.
+    {abatement, trading, penalty, tax} whose values sum to ``cost``, and
+    ``terminal_emissions`` the total emissions at T, equal to
+    ``total_emissions[:, -1]`` bit for bit but a separate array, so keeping
+    it pins no trajectory.  The price and these are computed with the
+    sample.  The other trajectories (``total_bank``, ``avg_abatement``,
+    ``total_emissions``, ``net_allocation_minus_initial``) and the per-path
+    ``price_qv`` are built from ``build`` on first access and then cached,
+    so a caller that reads only costs pays for none of them.  Under the
+    optimal policy the price is a read-only view of the constant P0.
     """
 
     kind: PolicyKind
     price: np.ndarray
-    total_bank: np.ndarray
-    avg_abatement: np.ndarray
-    total_emissions: np.ndarray
-    net_allocation_minus_initial: np.ndarray
     cost: np.ndarray
     parts: dict[str, np.ndarray]
-    price_qv: np.ndarray
+    terminal_emissions: np.ndarray
+    build: dict[str, Callable[[], np.ndarray]] = field(repr=False)
+
+    @cached_property
+    def total_bank(self) -> np.ndarray:
+        """Sum of the firms' banks, tons."""
+        return self.build["total_bank"]()
+
+    @cached_property
+    def avg_abatement(self) -> np.ndarray:
+        """Average abatement rate per firm, tons/year."""
+        return self.build["avg_abatement"]()
+
+    @cached_property
+    def total_emissions(self) -> np.ndarray:
+        """Cumulative emissions of all firms, tons."""
+        return self.build["total_emissions"]()
+
+    @cached_property
+    def net_allocation_minus_initial(self) -> np.ndarray:
+        """Allowances received after t = 0, tons."""
+        return self.build["net_allocation_minus_initial"]()
+
+    @cached_property
+    def price_qv(self) -> np.ndarray:
+        """Realized quadratic variation of the price at T, per path."""
+        return self.build["price_qv"]()
 
 
 def allocation_views(policy: Policy, mkt: MarketParams, noise: NoisePaths) -> list[AllocationView]:
@@ -524,23 +560,17 @@ def static_price_paths(
 def _sample(
     kind: PolicyKind,
     price: np.ndarray,
-    total_bank: np.ndarray,
-    avg_abatement: np.ndarray,
-    emissions: np.ndarray,
-    net_alloc: np.ndarray,
     parts: dict[str, np.ndarray],
-    price_qv: np.ndarray,
+    terminal_emissions: np.ndarray,
+    **build: Callable[[], np.ndarray],
 ) -> PolicyPathSample:
     return PolicyPathSample(
         kind=kind,
         price=price,
-        total_bank=total_bank,
-        avg_abatement=avg_abatement,
-        total_emissions=emissions,
-        net_allocation_minus_initial=net_alloc,
         cost=parts["abatement"] + parts["trading"] + parts["penalty"] + parts["tax"],
         parts=parts,
-        price_qv=price_qv,
+        terminal_emissions=terminal_emissions,
+        build=build,
     )
 
 
@@ -569,6 +599,10 @@ def _simulate_martingale(
     sum_i (eta_i/2) sum_k (P_k^2 - h_i^2) dt, trading
     (sum_k P_k dt) sum_i B_i(T) / T and penalty lam sum_i X_i(T)^2.  The
     cumulative trades B_i are built at every knot for the clearing check.
+    When the loadings track every firm's shock (the optimal policy) no
+    allocation surprises the market: the price is a read-only view of the
+    constant P0 and every B_i stays B_i(0), which the clearing check then
+    sees once per path.
     """
     if not mkt.is_frictionless:
         raise UnsupportedInputError("finite depth: use equilibrium_frictions")
@@ -583,38 +617,44 @@ def _simulate_martingale(
     mu_total = float(sum(fp.mu for fp in mkt.firms))
 
     # expected totals M_i(t) = m0_i + moved_i(t); rounding is monotonic, so
-    # the extremes of M_i are m0_i plus those of moved_i.  The buffer is
-    # reused for the trades B_i.  A zero loading (the static lump sum) moves
-    # nothing: M_i stays m0_i, and the trades get a buffer of their own.
+    # the extremes of M_i are m0_i plus those of moved_i.  A zero loading
+    # (the static lump sum) moves nothing: M_i stays m0_i.
     if gamma.any():
-        surprise = np.matmul(gamma, noise.d_tilde)
-        trade = integrate_increments(surprise)
+        moved = integrate_increments(np.matmul(gamma, noise.d_tilde))
         alloc_abs_max = np.maximum(
-            m0 + trade.max(axis=(0, 2)), -(m0 + trade.min(axis=(0, 2)))
+            m0 + moved.max(axis=(0, 2)), -(m0 + moved.min(axis=(0, 2)))
         )
-        alloc_T = m0 + trade[..., -1]
-        expected_sum = float(m0.sum()) + trade.sum(axis=1)
+        alloc_T = m0 + moved[..., -1]
+        expected_sum = float(m0.sum()) + moved.sum(axis=1)
     else:
-        surprise = np.empty((noise.n_paths, n, grid.n_steps))
-        trade = np.empty((noise.n_paths, n, grid.n_steps + 1))
+        moved = None
         alloc_abs_max = np.abs(m0)
         alloc_T = m0
         expected_sum = np.full((noise.n_paths, 1), float(m0.sum()))
-
-    # allocation surprise dM_i - sigma_i dW_i = ((gamma - shocks) dWtilde)_i,
-    # zero for the tracking policy; the price follows its firm mean
-    np.matmul(gamma - shocks, noise.d_tilde, out=surprise)
-    price = frictionless_price(mkt, grid, float(m0.mean()), surprise.mean(axis=1))
 
     # B_i(0) = eta_i h_i T - c_i(0) P_0 - M_i(0), dB_i = -(c_i(t) dP + surprise_i)
     # with c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam), from each firm's
     # terminal condition X_i(T) = -P_T / (2 lam)
     coef = (1.0 + 2.0 * lam * etas[:, None] * (horizon - t)) / (2.0 * lam)
-    surprise += coef[:, :-1] * np.diff(price, axis=-1)[:, None, :]
-    trade0 = etas * hs * horizon - coef[:, 0] * price[:, :1] - m0
-    trade[..., 0] = trade0
-    np.cumsum(surprise, axis=-1, out=trade[..., 1:])
-    np.subtract(trade0[..., None], trade[..., 1:], out=trade[..., 1:])
+    m0_bar = float(m0.mean())
+    p0 = frictionless_initial_price(mkt, grid, m0_bar)
+    trade0 = etas * hs * horizon - coef[:, 0] * p0 - m0
+    # allocation surprise dM_i - sigma_i dW_i = ((gamma - shocks) dWtilde)_i;
+    # the price follows its firm mean
+    loading = gamma - shocks
+    if loading.any():
+        surprise = np.matmul(loading, noise.d_tilde)
+        price = frictionless_price(mkt, grid, m0_bar, surprise.mean(axis=1))
+        surprise += coef[:, :-1] * np.diff(price, axis=-1)[:, None, :]
+        # the trades reuse the expected totals' buffer when there is one
+        trade = np.empty((noise.n_paths, n, grid.n_steps + 1)) if moved is None else moved
+        trade[..., 0] = trade0
+        np.cumsum(surprise, axis=-1, out=trade[..., 1:])
+        np.subtract(trade0[:, None], trade[..., 1:], out=trade[..., 1:])
+    else:
+        # the tracking policy: no surprise, dP = 0 and dB_i = 0 at every knot
+        price = np.broadcast_to(p0, (noise.n_paths, grid.n_steps + 1))
+        trade = trade0[None, :, None]
     require_frictionless_clearing(mkt, grid, price, trade, alloc_abs_max)
     trade_T = trade[..., -1]
     trade_sum = trade_T.sum(axis=1)
@@ -649,22 +689,22 @@ def _simulate_martingale(
     abate_total = eta_total * excess
     abated = left_integral(abate_total, grid)
     shock_sum = integrate_increments(shocks.sum(axis=0) @ noise.d_tilde)
-    total_bank = (
-        expected_sum
-        + (mu_total - alloc_flow) * (horizon - t)
-        + abated
-        + (trade_sum / horizon)[:, None] * t
-        - shock_sum
-    )
     return _sample(
         kind,
         price,
-        total_bank,
-        abate_total / n,
-        mu_total * t - abated + shock_sum,
-        expected_sum - expected_sum[:, :1] + alloc_flow * t,
         parts,
-        realized_qv(price)[:, -1],
+        mu_total * t[-1] - abated[:, -1] + shock_sum[:, -1],
+        total_bank=lambda: (
+            expected_sum
+            + (mu_total - alloc_flow) * (horizon - t)
+            + abated
+            + (trade_sum / horizon)[:, None] * t
+            - shock_sum
+        ),
+        avg_abatement=lambda: abate_total / n,
+        total_emissions=lambda: mu_total * t - abated + shock_sum,
+        net_allocation_minus_initial=lambda: expected_sum - expected_sum[:, :1] + alloc_flow * t,
+        price_qv=lambda: realized_qv(price)[:, -1],
     )
 
 
@@ -703,9 +743,11 @@ def simulate_policy_paths(
 
     grid = noise.grid
     t = grid.knots
+    shape = (noise.n_paths, grid.n_steps + 1)
     alpha = float(policy.alpha.sum())
     shock_load = tracking_gamma(mkt.firms).sum(axis=0)
-    emissions = (mu_total - alpha) * t + integrate_increments(shock_load @ noise.d_tilde)
+    shock_sum = integrate_increments(shock_load @ noise.d_tilde)
+    terminal_emissions = (mu_total - alpha) * t[-1] + shock_sum[:, -1]
     hs = np.array([fp.h for fp in mkt.firms])
     etas = np.array([fp.eta for fp in mkt.firms])
     abate_cost = grid.horizon * float(
@@ -716,19 +758,20 @@ def simulate_policy_paths(
         "abatement": np.full(noise.n_paths, abate_cost),
         "trading": zeros_s,
         "penalty": zeros_s.copy(),
-        "tax": policy.tau * emissions[:, -1],
+        "tax": policy.tau * terminal_emissions,
     }
     # price, bank, abatement and net allocation are constant: read-only views
-    zero = np.broadcast_to(0.0, emissions.shape)
+    zero = np.broadcast_to(0.0, shape)
     return _sample(
         policy.kind,
-        np.broadcast_to(policy.tau, emissions.shape),
-        zero,
-        np.broadcast_to(alpha / n, emissions.shape),
-        emissions,
-        zero,
+        np.broadcast_to(policy.tau, shape),
         parts,
-        zeros_s.copy(),
+        terminal_emissions,
+        total_bank=lambda: zero,
+        avg_abatement=lambda: np.broadcast_to(alpha / n, shape),
+        total_emissions=lambda: (mu_total - alpha) * t + shock_sum,
+        net_allocation_minus_initial=lambda: zero,
+        price_qv=lambda: np.zeros(noise.n_paths),
     )
 
 
@@ -792,8 +835,6 @@ def _simulate_msr(policy: MSRPolicy, mkt: MarketParams, noise: NoisePaths) -> Po
     xbar = np.ascontiguousarray(x_t.T)
     np.multiply(c1, xbar, out=price)
     np.add(c0, price, out=price)
-    np.subtract(ramp, xbar, out=alloc_rate)
-    np.multiply(delta, alloc_rate, out=alloc_rate)
 
     avg_alpha = eta * (price - h_bar)
     abate_rate = h_bar * avg_alpha + avg_alpha**2 / (2.0 * eta)
@@ -806,19 +847,31 @@ def _simulate_msr(policy: MSRPolicy, mkt: MarketParams, noise: NoisePaths) -> Po
         "penalty": penalty,
         "tax": zeros_s.copy(),
     }
+    abated = left_integral(avg_alpha, grid)
     wbar = np.cumsum(d_wbar, axis=-1)
-    emissions = n * (agg.mu_bar * t - left_integral(avg_alpha, grid))
-    emissions[:, 1:] += n * wbar
-    net_alloc = n * (left_integral(alloc_rate, grid) + agg.mu_bar * t)
+    terminal_emissions = n * (agg.mu_bar * t[-1] - abated[:, -1])
+    terminal_emissions += n * wbar[:, -1]
+
+    def total_emissions() -> np.ndarray:
+        emissions = n * (agg.mu_bar * t - abated)
+        emissions[:, 1:] += n * wbar
+        return emissions
+
+    def net_allocation() -> np.ndarray:
+        np.subtract(ramp, xbar, out=alloc_rate)
+        np.multiply(delta, alloc_rate, out=alloc_rate)
+        return n * (left_integral(alloc_rate, grid) + agg.mu_bar * t)
+
     return _sample(
         policy.kind,
         price,
-        n * xbar,
-        avg_alpha,
-        emissions,
-        net_alloc,
         parts,
-        realized_qv(price)[:, -1],
+        terminal_emissions,
+        total_bank=lambda: n * xbar,
+        avg_abatement=lambda: avg_alpha,
+        total_emissions=total_emissions,
+        net_allocation_minus_initial=net_allocation,
+        price_qv=lambda: realized_qv(price)[:, -1],
     )
 
 
@@ -933,8 +986,7 @@ def _simulate_runs(
             sample = simulate_policy_paths(policy, mkt, noise)
             costs[i].append(sample.cost)
             parts[i].append(sample.parts)
-            # a copy: a view would pin the whole (P, M+1) array until the end
-            emissions[i].append(sample.total_emissions[:, -1].copy())
+            emissions[i].append(sample.terminal_emissions)
             if on_sample is not None:
                 on_sample(noise, sample)
             del sample  # free its trajectories before the next one is built

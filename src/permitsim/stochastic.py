@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterator, Sequence
 
@@ -74,6 +74,10 @@ class NoisePaths:
     grid: TimeGrid
     ks: tuple[float, ...]
     d_tilde: np.ndarray
+    # weighted_mean_increments results by sigmas, for runs that share a block
+    _weighted_means: dict[tuple[float, ...], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def n_paths(self) -> int:
@@ -94,11 +98,21 @@ class NoisePaths:
         return integrate_increments(self.d_firm)
 
     def weighted_mean_increments(self, sigmas: Sequence[float]) -> np.ndarray:
-        """(1/N) sum_i sigma_i dW_i, shape (n_paths, M)."""
-        w = np.asarray(sigmas, dtype=float)
-        ks = np.asarray(self.ks, dtype=float)
-        load = np.concatenate([[w @ ks], w * np.sqrt(1.0 - ks**2)]) / self.n_firms
-        return load @ self.d_tilde
+        """(1/N) sum_i sigma_i dW_i, shape (n_paths, M), read-only.
+
+        Computed once per block and sigmas: every run on the block that
+        asks with the same sigmas (e.g. each eta of a sweep) shares it.
+        """
+        key = tuple(float(s) for s in sigmas)
+        d_wbar = self._weighted_means.get(key)
+        if d_wbar is None:
+            w = np.array(key)
+            ks = np.asarray(self.ks, dtype=float)
+            load = np.concatenate([[w @ ks], w * np.sqrt(1.0 - ks**2)]) / self.n_firms
+            d_wbar = load @ self.d_tilde
+            d_wbar.setflags(write=False)
+            self._weighted_means[key] = d_wbar
+        return d_wbar
 
 
 def integrate_increments(d: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ from permitsim import (
 )
 import permitsim.equilibrium
 import permitsim.policies
+from permitsim.equilibrium import frictionless_initial_price
 from permitsim.policies import (
     StaticPolicy,
     allocation_views,
@@ -157,6 +158,37 @@ def test_custom_policy_feasibility(base_market):
         custom_martingale_policy(base_market, np.full(N_FIRMS - 1, level), gamma)
     with pytest.raises(UnsupportedInputError):
         custom_martingale_policy(base_market, np.full(N_FIRMS, level), gamma[:, :-1])
+
+
+@pytest.mark.parametrize("target_compliance", [True, False])
+@pytest.mark.parametrize(
+    "where", ["m0 all", "m0 one", "gamma one"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_custom_policy_rejects_non_finite_inputs(base_market, where, value, target_compliance):
+    m0 = np.full(N_FIRMS, ell(base_market))
+    gamma = tracking_gamma(list(base_market.firms))
+    if where == "m0 all":
+        m0[:] = value
+    elif where == "m0 one":
+        m0[2] = value
+    else:
+        gamma[1, 0] = value
+    with pytest.raises(UnsupportedInputError, match="finite"):
+        custom_martingale_policy(
+            base_market, m0, gamma, target_compliance=target_compliance
+        )
+
+
+def test_custom_policy_feasibility_fails_on_a_nan_sum():
+    """Finite initial levels whose sum is NaN (numpy sums eight or more in
+    pairs: (inf + 0) + (-inf + 0)) are infeasible, not target-compliant."""
+    mkt = make_market(make_firms(8))
+    m0 = np.array([1e308, 1e308, 0.0, 0.0, -1e308, -1e308, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(m0.sum())
+        with pytest.raises(UnsupportedConfigurationError, match="nan"):
+            custom_martingale_policy(mkt, m0, tracking_gamma(list(mkt.firms)))
 
 
 # --- gamma optimality --------------------------------------------------------------
@@ -552,6 +584,52 @@ def test_martingale_kernel_still_checks_clearing(base_market, kernel_noise, monk
             simulate_policy_paths(policy, base_market, kernel_noise)
 
 
+def _all_simulated_policies(mkt):
+    """Every policy the market admits: the kernel's plus tax and MSR."""
+    policies = dict(_kernel_policies(mkt))
+    homogeneous = {
+        name: len({getattr(fp, name) for fp in mkt.firms}) == 1
+        for name in ("sigma", "eta", "h")
+    }
+    if homogeneous["eta"]:
+        policies["tax"] = tax_policy(mkt)
+    if all(homogeneous.values()):
+        policies["msr"] = msr_policy(mkt, 0.1)
+    return policies
+
+
+@pytest.mark.parametrize(
+    "market_name, kind",
+    [
+        (name, kind)
+        for name, mkt in _KERNEL_MARKETS.items()
+        for kind in _all_simulated_policies(mkt)
+    ],
+)
+def test_terminal_emissions_are_the_last_knot(market_name, kind):
+    mkt = _KERNEL_MARKETS[market_name]
+    noise = generate_noise(65, TimeGrid(mkt.horizon, 300), mkt.firms, 40)
+    sample = simulate_policy_paths(_all_simulated_policies(mkt)[kind], mkt, noise)
+    np.testing.assert_array_equal(sample.terminal_emissions, sample.total_emissions[:, -1])
+    # an array of its own, which pins no trajectory
+    assert not np.shares_memory(sample.terminal_emissions, sample.total_emissions)
+
+
+@pytest.mark.parametrize("market_name", ["base", "mixed", "mixed_eta"])
+def test_optimal_price_is_a_read_only_constant(market_name):
+    mkt = _KERNEL_MARKETS[market_name]
+    grid = TimeGrid(mkt.horizon, 300)
+    noise = generate_noise(66, grid, mkt.firms, 40)
+    opt = optimal_dynamic_policy(mkt)
+    sample = simulate_policy_paths(opt, mkt, noise)
+    p0 = frictionless_initial_price(mkt, grid, float(opt.m0.mean()))
+    assert sample.price.shape == (40, 301)
+    assert not sample.price.flags.writeable
+    assert np.all(sample.price == p0)
+    assert p0 == pytest.approx(opt.p0, rel=1e-12)
+    assert np.all(sample.price_qv == 0.0)
+
+
 # --- exact-transition price sampling ------------------------------------------------
 
 def test_static_price_paths_methods(base_market):
@@ -708,6 +786,26 @@ def test_run_ensemble_keeps_no_trajectory(base_market, monkeypatch):
     assert len(refs) == 3 * 4
     assert all(ref() is None for ref in refs)
     assert all(r.n_paths == 10 for r in result.reports)
+
+
+def test_run_ensemble_builds_no_trajectory_its_hook_does_not_read(base_market):
+    grid = TimeGrid(horizon=10.0, n_steps=20)
+    ensemble = PathEnsemble(
+        seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
+    )
+    samples = []
+    run_ensemble(
+        base_market, _four_policies(base_market), ensemble,
+        on_sample=lambda noise, sample: samples.append(sample),
+    )
+    built_on_access = (
+        "total_bank", "avg_abatement", "total_emissions",
+        "net_allocation_minus_initial", "price_qv",
+    )
+    assert len(samples) == 3 * 4
+    assert not any(name in s.__dict__ for s in samples for name in built_on_access)
+    samples[0].total_bank  # the check above would see a built trajectory
+    assert "total_bank" in samples[0].__dict__
 
 
 def test_run_ensemble_never_derives_the_firm_shocks(base_market):

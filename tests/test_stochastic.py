@@ -75,6 +75,21 @@ def test_weighted_mean_increment_variance():
     assert var_emp == pytest.approx(var_expected, rel=0.05)
 
 
+def test_weighted_mean_increments_are_computed_once_per_sigmas():
+    firms = make_firms(3)
+    noise = generate_noise(8, TimeGrid(horizon=5.0, n_steps=10), firms, n_paths=4)
+    sigmas = [f.sigma for f in firms]
+    first = noise.weighted_mean_increments(sigmas)
+    assert noise.weighted_mean_increments(np.array(sigmas)) is first
+    assert not first.flags.writeable
+    w = np.array(sigmas)
+    want = np.einsum("i,pik->pk", w, noise.d_firm) / len(firms)
+    np.testing.assert_allclose(first, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    doubled = noise.weighted_mean_increments(2.0 * w)
+    assert doubled is not first and noise.weighted_mean_increments(2.0 * w) is doubled
+    np.testing.assert_array_equal(doubled, 2.0 * first)
+
+
 def test_seed_determinism_and_chunk_independence():
     firms = make_firms(2)
     grid = TimeGrid(horizon=10.0, n_steps=8)
