@@ -100,7 +100,7 @@ def _base_preset(h: float) -> dict:
         ],
         "policy": {"kind": "optimal_dynamic", "delta": DEFAULT_MSR_DELTA},
         "simulation": {"n_paths": 10000, "n_steps": 2000, "seed": 2020},
-        "output": {"directory": "out", "unit_scale": "tons"},
+        "output": {"unit_scale": "tons"},
     }
 
 
@@ -122,7 +122,6 @@ class ScenarioConfig:
     n_paths: int
     n_steps: int
     seed: int
-    out_dir: str
     unit_scale: str
 
 
@@ -299,10 +298,7 @@ def build_scenario(raw: object) -> ScenarioConfig:
     seed = _integer(sim_block, "seed", "config.simulation", minimum=0)
 
     out_block = _require_mapping(merged.get("output", {}), "config.output")
-    _reject_unknown(out_block, {"directory", "unit_scale"}, "config.output")
-    out_dir = out_block.get("directory", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"config.output.directory: expected a string, got {out_dir!r}")
+    _reject_unknown(out_block, {"unit_scale"}, "config.output")
     unit_scale = out_block.get("unit_scale", "tons")
     if unit_scale not in ("tons", "Gt"):
         raise ConfigError(
@@ -315,7 +311,6 @@ def build_scenario(raw: object) -> ScenarioConfig:
         n_paths=n_paths,
         n_steps=n_steps,
         seed=seed,
-        out_dir=out_dir,
         unit_scale=unit_scale,
     )
 
@@ -374,9 +369,7 @@ def _spec_for_kind(config: ScenarioConfig, kind: PolicyKind) -> PolicySpec:
     return PolicySpec(kind=kind, delta=config.policy.delta)
 
 
-def run_simulate(
-    config: ScenarioConfig, out_dir: str | Path, kinds: list[PolicyKind] | None = None
-) -> dict:
+def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[PolicyKind]) -> dict:
     """Simulate the requested policies on shared shocks and write tables.
 
     Writes ``trajectory_<kind>.csv`` per policy (first TRAJECTORY_PATH_CAP
@@ -390,8 +383,6 @@ def run_simulate(
     and the summary is where that shows.  `compare_policies` raises a
     `DiagnosticError` on the same miss.
     """
-    if kinds is None:
-        kinds = [config.policy.kind]
     mkt = config.market
     policies = [build_policy(_spec_for_kind(config, k), mkt) for k in kinds]
     grid = TimeGrid(mkt.horizon, config.n_steps)

@@ -29,7 +29,7 @@ from .firm import (
     best_response_frictionless,
 )
 from .params import MarketParams, f_coeff, pi_coeff
-from .stochastic import NoisePaths
+from .stochastic import NoisePaths, integrate_increments
 
 #: Hard ceiling on the relative market-clearing residual.
 CLEARING_TOL = 1e-9
@@ -77,6 +77,7 @@ def _stack(controls: list[FirmControls]) -> tuple[np.ndarray, ...]:
 
 
 def _check_views(mkt: MarketParams, views: list[AllocationView], noise: NoisePaths) -> None:
+    noise.require_firms(mkt.firms)
     if len(views) != mkt.n_firms:
         raise UnsupportedInputError(
             f"got {len(views)} allocation views for {mkt.n_firms} firms"
@@ -116,13 +117,11 @@ def equilibrium_frictions(
         d_price -= pi_left * (view.increments() - firm.sigma * noise.d_firm[:, i, :]) / n
         p0 += (
             pi_coeff(mkt, i, 0.0)
-            * (firm.eta * firm.h * grid.horizon - view.expected_total[:, 0])
+            * (firm.eta * firm.h * grid.horizon - view.expected_total[:, :1])
             / n
         )
-    price = np.empty((noise.n_paths, grid.n_steps + 1))
-    price[:, 0] = p0
-    np.cumsum(d_price, axis=-1, out=price[:, 1:])
-    price[:, 1:] += price[:, :1]
+    price = integrate_increments(d_price)
+    price += p0
 
     controls = [
         best_response_frictions(
@@ -143,8 +142,6 @@ def equilibrium_frictionless(
     mkt: MarketParams,
     views: list[AllocationView],
     noise: NoisePaths,
-    *,
-    adapted_trade: bool = False,
 ) -> EquilibriumPath:
     """Clearing equilibrium in the deep-market limit.
 
@@ -163,13 +160,12 @@ def equilibrium_frictionless(
     m0_bar = 0.0
     for i, (firm, view) in enumerate(zip(mkt.firms, views)):
         d_driver += (view.increments() - firm.sigma * noise.d_firm[:, i, :]) / n
-        m0_bar += view.expected_total[:, 0] / n
+        m0_bar += view.expected_total[:, :1] / n
     price = frictionless_price(mkt, grid, m0_bar, d_driver)
 
     controls = [
         best_response_frictionless(
-            firm, mkt, price, view, noise,
-            firm_index=i, price_is_martingale=True, adapted_trade=adapted_trade,
+            firm, mkt, price, view, noise, firm_index=i, price_is_martingale=True
         )
         for i, (firm, view) in enumerate(zip(mkt.firms, views))
     ]
@@ -190,12 +186,11 @@ def frictionless_price(
     P_0 = f(0) (T Hbar - Mbar_0) and dP_k = -f(t_k) dZbar_k with left-knot
     coefficients, where ``d_driver`` holds dZbar = (1/N) sum_i (dM_i -
     sigma_i dW_i), shape (n_paths, M), and ``m0_bar`` the average initial
-    expected allocation (scalar or per path).  Returns (n_paths, M+1).
+    expected allocation (scalar or per path, (n_paths, 1)).  Returns
+    (n_paths, M+1).
     """
-    price = np.empty((d_driver.shape[0], grid.n_steps + 1))
-    price[:, 0] = frictionless_initial_price(mkt, grid, m0_bar)
-    np.cumsum(-f_coeff(mkt, grid.knots[:-1]) * d_driver, axis=-1, out=price[:, 1:])
-    price[:, 1:] += price[:, :1]
+    price = integrate_increments(-f_coeff(mkt, grid.knots[:-1]) * d_driver)
+    price += frictionless_initial_price(mkt, grid, m0_bar)
     return price
 
 

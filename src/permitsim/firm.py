@@ -27,6 +27,7 @@ from .params import FirmParams, MarketParams, g_coeff
 from .stochastic import (
     NoisePaths,
     closing_martingale,
+    integrate_increments,
     left_integral,
     martingale_drift_stat,
 )
@@ -92,11 +93,8 @@ def _martingale_price_integral(price: np.ndarray, grid) -> np.ndarray:
     weight matches the left-knot coefficient evaluation of the equilibrium
     price SDE; with the matching convention the market-clearing identity
     cancels exactly instead of leaving an O(dt) residual."""
-    t = grid.knots
-    q = np.empty_like(price)
-    q[:, 0] = grid.horizon * price[:, 0]
-    np.cumsum((grid.horizon - t[:-1]) * np.diff(price, axis=-1), axis=-1, out=q[:, 1:])
-    q[:, 1:] += q[:, :1]
+    q = integrate_increments((grid.horizon - grid.knots[:-1]) * np.diff(price, axis=-1))
+    q += grid.horizon * price[:, :1]
     return q
 
 
@@ -158,20 +156,21 @@ def best_response_frictions(
     h, eta, sigma = firm.h, firm.eta, firm.sigma
     t = grid.knots
     dw = noise.d_firm[:, firm_index, :]
-    w = np.cumsum(dw, axis=-1)
 
     if method == "sde":
         g_left = g_coeff(firm, mkt, t[:-1])
         d_alpha = -g_left * (allocation.increments() - sigma * dw - nu * np.diff(q, axis=-1))
         alpha0 = -g_coeff(firm, mkt, 0.0) * (
-            h / (2.0 * lam) + allocation.expected_total[:, 0] + nu * (h * grid.horizon - q[:, 0])
+            h / (2.0 * lam) + allocation.expected_total[:, :1] + nu * (h * grid.horizon - q[:, :1])
         )
-        alpha = np.empty_like(price)
-        alpha[:, 0] = alpha0
-        np.cumsum(d_alpha, axis=-1, out=alpha[:, 1:])
-        alpha[:, 1:] += alpha0[:, None]
+        alpha = integrate_increments(d_alpha)
+        alpha += alpha0
         beta = nu * (h + alpha / eta - price)
-        bank = _integrate_bank(alpha + beta, allocation.realized, sigma, w, grid)
+        bank = (
+            allocation.realized
+            + left_integral(alpha + beta, grid)
+            - sigma * integrate_increments(dw)
+        )
         return FirmControls(abatement=alpha, trade_rate=beta, bank=bank)
 
     if method == "feedback":
@@ -235,7 +234,6 @@ def best_response_frictionless(
     t = grid.knots
     horizon = grid.horizon
     dw = noise.d_firm[:, firm_index, :]
-    w = np.cumsum(dw, axis=-1)
 
     alpha = eta * (price - h)
     # Cumulative-trade martingale.  The initial value is pinned by the
@@ -246,20 +244,22 @@ def best_response_frictionless(
         coef_left * np.diff(price, axis=-1) + allocation.increments() - sigma * dw
     )
     total0 = -(
-        (1.0 + 2.0 * lam * eta * horizon) / (2.0 * lam) * price[:, 0]
-        + allocation.expected_total[:, 0]
+        (1.0 + 2.0 * lam * eta * horizon) / (2.0 * lam) * price[:, :1]
+        + allocation.expected_total[:, :1]
         - eta * h * horizon
     )
-    total = np.empty_like(price)
-    total[:, 0] = total0
-    np.cumsum(d_total, axis=-1, out=total[:, 1:])
-    total[:, 1:] += total0[:, None]
+    total = integrate_increments(d_total)
+    total += total0
 
     if adapted_trade:
         beta = _spread_trade_rate(total, grid)
     else:
         beta = np.broadcast_to((total[:, -1] / horizon)[:, None], price.shape).copy()
-    bank = _integrate_bank(alpha + beta, allocation.realized, sigma, w, grid)
+    bank = (
+        allocation.realized
+        + left_integral(alpha + beta, grid)
+        - sigma * integrate_increments(dw)
+    )
     return FirmControls(abatement=alpha, trade_rate=beta, bank=bank, total_trade=total)
 
 
@@ -279,12 +279,6 @@ def _spread_trade_rate(total: np.ndarray, grid) -> np.ndarray:
     beta[:, m - 1] += d_total[:, -1] / grid.dt
     beta[:, m] = beta[:, m - 1]
     return beta
-
-
-def _integrate_bank(rate, realized, sigma, w, grid) -> np.ndarray:
-    bank = realized + left_integral(rate, grid)
-    bank[:, 1:] -= sigma * w
-    return bank
 
 
 def cost_functional(
@@ -328,7 +322,7 @@ def expected_terminal_bank(
     """
     grid = noise.grid
     sigma = firm.sigma
-    w = noise.firm_paths()[:, firm_index, :]
+    w = integrate_increments(noise.d_firm[:, firm_index, :])
     alpha_closed = closing_martingale(controls.abatement, grid)
     base = allocation.expected_total - sigma * w
     if mkt.is_frictionless:

@@ -204,10 +204,11 @@ def _pi_denominator(mkt: MarketParams, tt: np.ndarray) -> np.ndarray:
     return 1.0 - mkt.depth * (mkt.horizon - tt) / mkt.n_firms * s
 
 
-def _check_pi_denominator(mkt: MarketParams, n_points: int = 1000) -> None:
+def _check_pi_denominator(mkt: MarketParams) -> None:
     # Construction-time guard: the weight denominator must keep strict
-    # positivity on the whole horizon, otherwise the scenario is rejected.
-    grid = np.linspace(0.0, mkt.horizon, n_points)
+    # positivity on the whole horizon (1000 uniform knots), otherwise the
+    # scenario is rejected.
+    grid = np.linspace(0.0, mkt.horizon, 1000)
     denom = _pi_denominator(mkt, grid)
     if np.any(denom <= 0.0):
         t_bad = float(grid[int(np.argmin(denom))])
@@ -269,8 +270,3 @@ def msr_F(mkt: MarketParams, delta: float, t) -> float | np.ndarray:
             f"reserve-rule denominator non-positive at t={bad!r} (delta={delta})"
         )
     return _scalar_like(f / denom, t)
-
-
-def check_msr_denominator(mkt: MarketParams, delta: float, n_points: int = 1000) -> None:
-    """Reject up front any scenario where F would lose positivity on [0, T]."""
-    msr_F(mkt, delta, np.linspace(0.0, mkt.horizon, n_points))

@@ -331,9 +331,9 @@ def estimate_eta_from_qv(
 def tax_policy(mkt: MarketParams) -> TaxPolicy:
     """Constant emission tax hitting the same expected-emissions target.
 
-    tau = h_bar + (1-rho) mu_bar / eta equals the optimal policy's constant
-    price, but firms bear tax on *all* residual emissions rather than
-    trading against allocations, which is what makes the design costly.
+    tau is the optimal policy's constant price p0, but firms bear tax on
+    *all* residual emissions rather than trading against allocations,
+    which is what makes the design costly.
     ``break_even_lambda`` is the penalty level below which the tax would
     beat the optimal allowance design.
     """
@@ -341,7 +341,7 @@ def tax_policy(mkt: MarketParams) -> TaxPolicy:
     agg = mkt.agg
     horizon = mkt.horizon
     n = mkt.n_firms
-    tau = agg.h_bar + (1.0 - mkt.rho) * agg.mu_bar / eta
+    tau = optimal_dynamic_policy(mkt).p0
     hs = np.array([fp.h for fp in mkt.firms])
     alpha = eta * (tau - hs)
     cost = n * horizon * (
@@ -375,7 +375,7 @@ def msr_policy(mkt: MarketParams, delta: float = DEFAULT_MSR_DELTA) -> MSRPolicy
     agg = mkt.agg
     horizon = mkt.horizon
     eta = agg.eta_bar
-    opt_p0 = (agg.H_bar + (1.0 - mkt.rho) * agg.mu_bar) / eta
+    opt_p0 = optimal_dynamic_policy(mkt).p0
     decay = math.exp(-delta * horizon)
     x_bar0 = (
         delta * horizon / (1.0 - decay)
@@ -498,6 +498,7 @@ class PolicyPathSample:
 
 def allocation_views(policy: Policy, mkt: MarketParams, noise: NoisePaths) -> list[AllocationView]:
     """Materialize per-firm allocation views for a martingale-type policy."""
+    noise.require_firms(mkt.firms)
     grid = noise.grid
     if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)):
         tilde = integrate_increments(noise.d_tilde)
@@ -533,6 +534,7 @@ def static_price_paths(
     on any grid.  (The variance profile steepens sharply near T -- a grid
     fine elsewhere can still understate the Euler QV there.)
     """
+    noise.require_firms(mkt.firms)
     pol = static_policy(mkt)
     grid = noise.grid
     eta = mkt.agg.eta_bar
@@ -550,10 +552,8 @@ def static_price_paths(
         d_price = np.sqrt(step_var) * std_normals
     else:
         raise ValueError(f"unknown method {method!r}")
-    price = np.empty((noise.n_paths, grid.n_steps + 1))
-    price[:, 0] = pol.p0
-    np.cumsum(d_price, axis=-1, out=price[:, 1:])
-    price[:, 1:] += pol.p0
+    price = integrate_increments(d_price)
+    price += pol.p0
     return price
 
 
@@ -718,8 +718,10 @@ def simulate_policy_paths(
     index as an array axis; the tax needs no market; the MSR integrates
     its coupled (average bank, price) system with Euler steps.  All
     policies draw from the same underlying shocks, so samples produced
-    from the same ``noise`` are directly comparable path by path.
+    from the same ``noise`` are directly comparable path by path.  The
+    block must have been drawn for the market's firms.
     """
+    noise.require_firms(mkt.firms)
     n = mkt.n_firms
     mus = np.array([fp.mu for fp in mkt.firms])
     mu_total = float(mus.sum())
@@ -848,14 +850,9 @@ def _simulate_msr(policy: MSRPolicy, mkt: MarketParams, noise: NoisePaths) -> Po
         "tax": zeros_s.copy(),
     }
     abated = left_integral(avg_alpha, grid)
-    wbar = np.cumsum(d_wbar, axis=-1)
+    wbar = integrate_increments(d_wbar)
     terminal_emissions = n * (agg.mu_bar * t[-1] - abated[:, -1])
     terminal_emissions += n * wbar[:, -1]
-
-    def total_emissions() -> np.ndarray:
-        emissions = n * (agg.mu_bar * t - abated)
-        emissions[:, 1:] += n * wbar
-        return emissions
 
     def net_allocation() -> np.ndarray:
         np.subtract(ramp, xbar, out=alloc_rate)
@@ -869,7 +866,7 @@ def _simulate_msr(policy: MSRPolicy, mkt: MarketParams, noise: NoisePaths) -> Po
         terminal_emissions,
         total_bank=lambda: n * xbar,
         avg_abatement=lambda: avg_alpha,
-        total_emissions=total_emissions,
+        total_emissions=lambda: n * (agg.mu_bar * t - abated) + n * wbar,
         net_allocation_minus_initial=net_allocation,
         price_qv=lambda: realized_qv(price)[:, -1],
     )

@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import UnsupportedInputError
 from .params import FirmParams
 
 
@@ -93,6 +94,20 @@ class NoisePaths:
         ks = np.array(self.ks, dtype=float)[:, None]
         return np.sqrt(1.0 - ks**2) * self.d_tilde[:, 1:, :] + ks * self.d_tilde[:, :1, :]
 
+    def require_firms(self, firms: Sequence[FirmParams]) -> None:
+        """Raise UnsupportedInputError unless the block was drawn for ``firms``.
+
+        The firm shocks are read from ``d_tilde`` with the firms' loadings
+        ``k``, so a block drawn for other loadings or another firm count
+        would give the market shocks it does not have.
+        """
+        ks = tuple(float(f.k) for f in firms)
+        if not np.array_equal(self.ks, ks):
+            raise UnsupportedInputError(
+                f"noise block was drawn for firm loadings k = {tuple(map(float, self.ks))}, "
+                f"not for the market's k = {ks}"
+            )
+
     def firm_paths(self) -> np.ndarray:
         """Integrated correlated firm shocks W_i, shape (n_paths, N, M+1)."""
         return integrate_increments(self.d_firm)
@@ -116,7 +131,13 @@ class NoisePaths:
 
 
 def integrate_increments(d: np.ndarray) -> np.ndarray:
-    """Running sums of increments (..., M) as knot values (..., M+1), 0 at t=0."""
+    """Running sums of increments (..., M) as knot values (..., M+1), 0 at t=0.
+
+    Every path on the time grid is built here, as its value at t=0 (added
+    in place by the caller) plus the running sum of its left-point
+    increments; identities such as exact market clearing rely on all paths
+    sharing this one convention.
+    """
     shape = d.shape[:-1] + (d.shape[-1] + 1,)
     out = np.empty(shape)
     out[..., 0] = 0.0
@@ -318,10 +339,7 @@ def left_integral(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     Input (..., M+1) knot values; output (..., M+1) with 0 at t=0 and
     sum_{j < k} values_j * dt at knot k.
     """
-    out = np.empty_like(np.asarray(values, dtype=float))
-    out[..., 0] = 0.0
-    np.cumsum(values[..., :-1] * grid.dt, axis=-1, out=out[..., 1:])
-    return out
+    return integrate_increments(values[..., :-1] * grid.dt)
 
 
 def closing_martingale(alpha_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -381,8 +399,4 @@ def realized_qv(path: np.ndarray) -> np.ndarray:
 
     Input (..., M+1) knot values; output matches, starting at 0.
     """
-    x = np.asarray(path, dtype=float)
-    out = np.empty_like(x)
-    out[..., 0] = 0.0
-    np.cumsum(np.diff(x, axis=-1) ** 2, axis=-1, out=out[..., 1:])
-    return out
+    return integrate_increments(np.diff(np.asarray(path, dtype=float), axis=-1) ** 2)

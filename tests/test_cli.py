@@ -139,6 +139,16 @@ def test_finite_depth_exits_2_and_writes_nothing(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_output_directory_key_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """--out is the only output directory; a config naming another is refused."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, output={"directory": "elsewhere"}, simulation=small_sim_block())
+    assert main(["simulate", "--config", cfg, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert "config.output" in err and "'directory'" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_invalid_firm_and_unit_scale_and_kind():
     with pytest.raises(ConfigError, match=r"config\.firms\[0\]"):
         build_scenario(

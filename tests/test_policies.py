@@ -22,6 +22,7 @@ from permitsim import (
     custom_martingale_policy,
     ell,
     equilibrium_frictionless,
+    equilibrium_frictions,
     estimate_eta_from_qv,
     generate_noise,
     large_n_limit_delta,
@@ -887,3 +888,56 @@ def test_allocation_views_not_defined_for_tax_or_msr(base_market, medium_noise):
         allocation_views(tax_policy(base_market), base_market, medium_noise)
     with pytest.raises(UnsupportedInputError):
         allocation_views(msr_policy(base_market, 0.1), base_market, medium_noise)
+
+
+@pytest.mark.parametrize("eta", [1e6, 1.778279410038923e6, 1e8, 3.1622776601683795e8])
+def test_tax_rate_is_the_optimal_price_for_every_eta(eta):
+    """The tax is the optimal policy's constant price, bit for bit, at any
+    flexibility, not only where two formulas happen to round alike."""
+    mkt = make_market(make_firms(eta=eta))
+    assert tax_policy(mkt).tau == optimal_dynamic_policy(mkt).p0
+
+
+# --- noise drawn for other firms ---------------------------------------------
+
+_FOREIGN_FIRMS = {"other_k": make_firms(k=0.2), "other_count": make_firms(2)}
+
+
+@pytest.fixture(scope="module", params=sorted(_FOREIGN_FIRMS))
+def foreign_noise(request):
+    """A noise block drawn for other firms than the default market's."""
+    return generate_noise(3, TimeGrid(10.0, 20), _FOREIGN_FIRMS[request.param], 4)
+
+
+@pytest.mark.parametrize("kind", ["optimal_dynamic", "static", "msr", "tax"])
+def test_simulate_rejects_noise_drawn_for_other_firms(base_market, foreign_noise, kind):
+    policy = build_policy(PolicySpec(kind=kind), base_market)
+    with pytest.raises(UnsupportedInputError, match="noise block"):
+        simulate_policy_paths(policy, base_market, foreign_noise)
+
+
+def test_static_price_paths_rejects_noise_drawn_for_other_firms(base_market, foreign_noise):
+    with pytest.raises(UnsupportedInputError, match="noise block"):
+        static_price_paths(base_market, foreign_noise)
+
+
+def test_allocation_views_reject_noise_drawn_for_other_firms(base_market, foreign_noise):
+    with pytest.raises(UnsupportedInputError, match="noise block"):
+        allocation_views(optimal_dynamic_policy(base_market), base_market, foreign_noise)
+
+
+@pytest.mark.parametrize("depth", ["inf", 1e6])
+def test_equilibria_reject_noise_drawn_for_other_firms(foreign_noise, depth):
+    mkt = make_market(depth=float(depth))
+    solve = equilibrium_frictionless if mkt.is_frictionless else equilibrium_frictions
+    own_noise = generate_noise(3, foreign_noise.grid, mkt.firms, foreign_noise.n_paths)
+    views = allocation_views(static_policy(mkt), mkt, own_noise)
+    with pytest.raises(UnsupportedInputError, match="noise block"):
+        solve(mkt, views, foreign_noise)
+
+
+@pytest.mark.parametrize("name", sorted(_FOREIGN_FIRMS))
+def test_compare_rejects_an_ensemble_drawn_for_other_firms(base_market, name):
+    ensemble = PathEnsemble(3, TimeGrid(10.0, 20), _FOREIGN_FIRMS[name], 4)
+    with pytest.raises(UnsupportedInputError, match="noise block"):
+        compare_policies(base_market, _four_policies(base_market), ensemble)
