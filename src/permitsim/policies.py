@@ -17,7 +17,9 @@ chunk over a whole path ensemble.  The martingale-type policies
 (optimal, custom, static) share one kernel that keeps the firm index as an
 array axis: the price follows from the firms' average allocation surprise,
 and the costs from the price plus per-firm terminal trades and banks, so
-no per-firm trajectory is built.  `allocation_views` with
+no per-firm trajectory is built.  The MSR runs that share a noise block
+(the etas of a sweep) step their Euler recursion together, with the run
+index as an array axis.  `allocation_views` with
 `equilibrium.equilibrium_frictionless` remains the per-firm construction
 of the same equilibrium.  All costs are in euros, volumes in tons, rates
 per year.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,6 +61,7 @@ from .firm import AllocationView
 from .stochastic import (
     NoisePaths,
     PathEnsemble,
+    TimeGrid,
     integrate_increments,
     left_integral,
     realized_qv,
@@ -739,7 +742,8 @@ def simulate_policy_paths(
             alloc_flow=0.0,
         )
     if isinstance(policy, MSRPolicy):
-        return _simulate_msr(policy, mkt, noise)
+        [sample] = _simulate_msr([(mkt, policy)], noise)  # exhausts the generator
+        return sample
     if not isinstance(policy, TaxPolicy):
         raise UnsupportedInputError(f"cannot simulate policy of type {type(policy)!r}")
 
@@ -777,72 +781,133 @@ def simulate_policy_paths(
     )
 
 
-def _simulate_msr(policy: MSRPolicy, mkt: MarketParams, noise: NoisePaths) -> PolicyPathSample:
-    """Euler integration of the coupled (average bank, price) system.
-
-    The price is in deterministic-coefficient feedback form
-    P_t = c0(t) + c1(t) Xbar_t with c1 = -F (1 - delta z), and the average
-    bank follows dXbar = (a_t + eta (P_t - h_bar)) dt - dWbar_t.  At t = T
-    the coefficients collapse to P_T = -2 lambda Xbar_T, the terminal
-    marginal penalty.
-    """
-    if not mkt.is_frictionless:
-        raise UnsupportedInputError("finite depth: the MSR recursion is frictionless only")
-    grid = noise.grid
+def _msr_coefficients(
+    mkt: MarketParams, policy: MSRPolicy, grid: TimeGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The feedback coefficients c0, c1 and the drawdown ramp of one MSR run."""
     t = grid.knots
-    n = mkt.n_firms
-    agg = mkt.agg
     delta = policy.delta
-    eta = agg.eta_bar
-    h_bar = agg.h_bar
-    dt = grid.dt
-
+    agg = mkt.agg
     z = msr_z(delta, t, grid.horizon)
     big_f = msr_F(mkt, delta, t)
     ramp = (grid.horizon - t) * policy.x_bar0 / grid.horizon
     c1 = -big_f * (1.0 - delta * z)
-    c0 = big_f * ((1.0 - delta * z) * ramp + z * (eta * h_bar - policy.x_bar0 / grid.horizon))
+    c0 = big_f * (
+        (1.0 - delta * z) * ramp + z * (agg.eta_bar * agg.h_bar - policy.x_bar0 / grid.horizon)
+    )
+    return c0, c1, ramp
 
-    d_wbar = noise.weighted_mean_increments([fp.sigma for fp in mkt.firms])
 
-    # Step time-major so that every row is contiguous, in place, with the
-    # operations of x + (delta (ramp - x) + eta ((c0 + c1 x) - h_bar)) dt - dW
-    # in this order, so each knot rounds as the plain per-step formula does.
-    n_paths = noise.n_paths
-    m = grid.n_steps
-    # x_t and dw_t are time-major views of the storage that price and
-    # alloc_rate take over after the loop, so stepping adds no (P, M+1) buffer
-    price = np.empty((n_paths, m + 1))
-    alloc_rate = np.empty_like(price)
-    x_t = price.reshape(m + 1, n_paths)
-    dw_t = alloc_rate.reshape(-1)[: m * n_paths].reshape(m, n_paths)
-    dw_t[...] = d_wbar.T
-    x_t[0] = policy.x_bar0
-    pull = np.empty(n_paths)
-    drift = np.empty(n_paths)
-    for k in range(m):
-        x = x_t[k]
-        np.multiply(c1[k], x, out=drift)
-        np.add(c0[k], drift, out=drift)
-        np.subtract(drift, h_bar, out=drift)
-        np.multiply(eta, drift, out=drift)
-        np.subtract(ramp[k], x, out=pull)
-        np.multiply(delta, pull, out=pull)
-        np.add(pull, drift, out=drift)
-        np.multiply(drift, dt, out=drift)
-        np.add(x, drift, out=x_t[k + 1])
-        np.subtract(x_t[k + 1], dw_t[k], out=x_t[k + 1])
-    # a copy, because price and alloc_rate now overwrite the step buffers,
-    # and in C order, the (P, M+1) layout of every sample trajectory
-    xbar = np.ascontiguousarray(x_t.T)
+def _simulate_msr(
+    runs: Sequence[tuple[MarketParams, MSRPolicy]], noise: NoisePaths
+) -> Iterator[PolicyPathSample]:
+    """Euler integration of the coupled (average bank, price) system, for a
+    stack of MSR runs on one noise block.
+
+    Run r's price is in deterministic-coefficient feedback form
+    P_t = c0(t) + c1(t) Xbar_t with c1 = -F (1 - delta z), and its average
+    bank follows dXbar = (a_t + eta (P_t - h_bar)) dt - dWbar_t.  At t = T
+    the coefficients collapse to P_T = -2 lambda Xbar_T, the terminal
+    marginal penalty.  The runs may differ in every parameter but the
+    firms' volatilities, which fix the average shock dWbar; they step
+    together with the run index as an array axis (`_msr_steps`), so a stack
+    costs the Python calls of one run.  Yields one sample per run, in run
+    order, each built when it is requested; the step buffer is released
+    when the generator is exhausted.
+    """
+    grid = noise.grid
+    sigmas = tuple(fp.sigma for fp in runs[0][0].firms)
+    for mkt, _ in runs:
+        noise.require_firms(mkt.firms)
+        if not mkt.is_frictionless:
+            raise UnsupportedInputError("finite depth: the MSR recursion is frictionless only")
+        if tuple(fp.sigma for fp in mkt.firms) != sigmas:
+            raise UnsupportedInputError("stacked MSR runs must share the firms' volatilities")
+    coefs = [_msr_coefficients(mkt, policy, grid) for mkt, policy in runs]
+    d_wbar = noise.weighted_mean_increments(sigmas)
+    x_t = _msr_steps(runs, coefs, d_wbar, grid.dt)
+    wbar = integrate_increments(d_wbar)
+    for r, (mkt, policy) in enumerate(runs):
+        # xbar stays a (P, M+1) view of the step buffer: every use is elementwise
+        yield _msr_sample(mkt, policy, grid, *coefs[r], x_t[:, r].T, wbar)
+
+
+def _msr_steps(
+    runs: Sequence[tuple[MarketParams, MSRPolicy]],
+    coefs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    d_wbar: np.ndarray,
+    dt: float,
+) -> np.ndarray:
+    """Average banks Xbar of a stack of R runs, time-major (M+1, R, P).
+
+    Steps in place, every row contiguous, with the operations of
+    x + (delta (ramp - x) + eta ((c0 + c1 x) - h_bar)) dt - dW in this
+    order, so each knot rounds as the plain per-run, per-step formula does.
+    The time-dependent c0, c1 and ramp are (R, 1) columns, read from
+    precomputed row views; the constants eta, h_bar and delta are full
+    (R, P) rows, which numpy combines faster than columns.  A lone run steps
+    on (P,) rows with scalar c0, c1 and ramp instead, which numpy dispatches
+    faster than (1, P) rows against (1, 1) columns.
+    """
+    n_paths, m = d_wbar.shape
+    r = len(runs)
+    col = (r, 1) if r > 1 else ()
+    row = (*col[:1], n_paths)
+
+    def per_run(values: list[float]) -> np.ndarray:
+        return np.broadcast_to(np.reshape(values, col), row).copy()
+
+    c0, c1, ramp = (np.stack(rows, axis=-1).reshape((m + 1, *col)) for rows in zip(*coefs))
+    eta = per_run([mkt.agg.eta_bar for mkt, _ in runs])
+    h_bar = per_run([mkt.agg.h_bar for mkt, _ in runs])
+    delta = per_run([policy.delta for _, policy in runs])
+    x_t = np.empty((m + 1, *row))
+    x_t[0] = per_run([policy.x_bar0 for _, policy in runs])
+    dw_t = np.ascontiguousarray(d_wbar.T)
+    pull = np.empty(row)
+    drift = np.empty(row)
+    for c0_k, c1_k, ramp_k, dw, x, x_next in zip(c0, c1, ramp, dw_t, x_t, x_t[1:]):
+        np.multiply(c1_k, x, drift)
+        np.add(c0_k, drift, drift)
+        np.subtract(drift, h_bar, drift)
+        np.multiply(eta, drift, drift)
+        np.subtract(ramp_k, x, pull)
+        np.multiply(delta, pull, pull)
+        np.add(pull, drift, drift)
+        np.multiply(drift, dt, drift)
+        np.add(x, drift, x_next)
+        np.subtract(x_next, dw, x_next)
+    return x_t.reshape(m + 1, r, n_paths)
+
+
+def _msr_sample(
+    mkt: MarketParams,
+    policy: MSRPolicy,
+    grid: TimeGrid,
+    c0: np.ndarray,
+    c1: np.ndarray,
+    ramp: np.ndarray,
+    xbar: np.ndarray,
+    wbar: np.ndarray,
+) -> PolicyPathSample:
+    """One MSR run's sample from its average banks ``xbar``, (P, M+1)."""
+    t = grid.knots
+    n = mkt.n_firms
+    agg = mkt.agg
+    eta = agg.eta_bar
+    h_bar = agg.h_bar
+    dt = grid.dt
+    # C order, so that the abatement row sums keep numpy's pairwise order
+    price = np.empty(xbar.shape)
     np.multiply(c1, xbar, out=price)
     np.add(c0, price, out=price)
 
     avg_alpha = eta * (price - h_bar)
     abate_rate = h_bar * avg_alpha + avg_alpha**2 / (2.0 * eta)
     abatement = n * abate_rate[:, :-1].sum(axis=-1) * dt
+    del abate_rate
     penalty = n * mkt.penalty * xbar[:, -1] ** 2
-    zeros_s = np.zeros(n_paths)
+    zeros_s = np.zeros(xbar.shape[0])
     parts = {
         "abatement": abatement,
         "trading": zeros_s,
@@ -850,13 +915,12 @@ def _simulate_msr(policy: MSRPolicy, mkt: MarketParams, noise: NoisePaths) -> Po
         "tax": zeros_s.copy(),
     }
     abated = left_integral(avg_alpha, grid)
-    wbar = integrate_increments(d_wbar)
     terminal_emissions = n * (agg.mu_bar * t[-1] - abated[:, -1])
     terminal_emissions += n * wbar[:, -1]
 
     def net_allocation() -> np.ndarray:
-        np.subtract(ramp, xbar, out=alloc_rate)
-        np.multiply(delta, alloc_rate, out=alloc_rate)
+        alloc_rate = np.subtract(ramp, xbar, out=np.empty_like(price))
+        np.multiply(policy.delta, alloc_rate, out=alloc_rate)
         return n * (left_integral(alloc_rate, grid) + agg.mu_bar * t)
 
     return _sample(
@@ -961,6 +1025,29 @@ class ComparisonResult:
         raise KeyError(f"no report for policy kind {key.value!r}")
 
 
+def _stack_bounds(
+    runs: list[tuple[MarketParams, Policy]], cap: int
+) -> list[tuple[int, int]]:
+    """Split the run indices into ranges [start, stop) that simulate together.
+
+    Consecutive MSR runs whose firms share their volatilities form stacks of
+    at most ``cap`` runs; every other run is a range of its own.
+    """
+    bounds: list[tuple[int, int]] = []
+    key = None
+    for i, (mkt, policy) in enumerate(runs):
+        run_key = (
+            tuple(fp.sigma for fp in mkt.firms) if isinstance(policy, MSRPolicy) else None
+        )
+        start, stop = bounds[-1] if bounds else (0, 0)
+        if run_key is not None and run_key == key and stop - start < cap:
+            bounds[-1] = (start, i + 1)
+        else:
+            bounds.append((i, i + 1))
+        key = run_key
+    return bounds
+
+
 def _simulate_runs(
     runs: list[tuple[MarketParams, Policy]],
     ensemble: PathEnsemble,
@@ -969,24 +1056,42 @@ def _simulate_runs(
     """Simulate every (market, policy) run on every chunk of one ensemble.
 
     Each chunk's noise is drawn once and serves every run, so the runs share
-    shocks path by path; no trajectory outlives its chunk.  Yields, per run
-    and in run order, the concatenated per-path cost, cost parts and
-    terminal emissions.  The chunk loop runs at the first item, and each
-    run's concatenation is built when it is requested, so a caller that
-    reports one run at a time holds one run's copies at once.
+    shocks path by path; no trajectory outlives its chunk.  Consecutive MSR
+    runs on the same firm volatilities (the etas of a sweep) step as stacks
+    in one `_simulate_msr` recursion; a stack holds at most
+    (N+1) M // (M+1) runs, so its (M+1, R, P) step buffer is never larger
+    than the chunk's (P, N+1, M) noise block.  Every other run, and an MSR
+    run without a neighbour to stack with, goes through
+    `simulate_policy_paths`.  ``on_sample`` sees every sample in chunk-then-
+    run order; each sample is released before the next one is built, and
+    every stack's generator is run to its end before the next noise draw.
+    Yields, per run and in run order, the concatenated per-path cost, cost
+    parts and terminal emissions.  The chunk loop runs at the first item,
+    and each run's concatenation is built when it is requested, so a caller
+    that reports one run at a time holds one run's copies at once.
     """
+    m = ensemble.grid.n_steps
+    bounds = _stack_bounds(runs, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
     costs: list[list[np.ndarray]] = [[] for _ in runs]
     parts: list[list[dict[str, np.ndarray]]] = [[] for _ in runs]
     emissions: list[list[np.ndarray]] = [[] for _ in runs]
     for noise in ensemble.chunks():
-        for i, (mkt, policy) in enumerate(runs):
-            sample = simulate_policy_paths(policy, mkt, noise)
-            costs[i].append(sample.cost)
-            parts[i].append(sample.parts)
-            emissions[i].append(sample.terminal_emissions)
-            if on_sample is not None:
-                on_sample(noise, sample)
-            del sample  # free its trajectories before the next one is built
+        for start, stop in bounds:
+            if stop - start > 1:
+                samples = _simulate_msr(runs[start:stop], noise)
+            else:
+                samples = (simulate_policy_paths(p, mkt, noise) for mkt, p in runs[start:stop])
+            # neither enumerate nor zip: each caches its last item, which
+            # would keep one sample alive while the next is built
+            i = start
+            for sample in samples:
+                costs[i].append(sample.cost)
+                parts[i].append(sample.parts)
+                emissions[i].append(sample.terminal_emissions)
+                if on_sample is not None:
+                    on_sample(noise, sample)
+                i += 1
+                del sample  # free its trajectories before the next one is built
     for run_costs, run_parts, run_emissions in zip(costs, parts, emissions):
         yield (
             np.concatenate(run_costs),

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -516,14 +518,9 @@ def test_compare_draws_each_chunk_once(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
-def test_compare_rows_match_per_eta_ensembles(tmp_path):
-    """Each row is what a separate ensemble at that eta gives, to the bit."""
-    config = build_scenario({
-        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=300, n_steps=40),
-    })
-    etas = [1e6, 6e8, 1e9]
-    rows = run_compare(config, etas, tmp_path / "sweep")
+def _assert_rows_match_per_eta_ensembles(config, etas, rows):
     grid = TimeGrid(config.market.horizon, config.n_steps)
+    assert [row["eta"] for row in rows] == etas
     for eta, row in zip(etas, rows):
         mkt_eta = replace(
             config.market,
@@ -536,14 +533,94 @@ def test_compare_rows_match_per_eta_ensembles(tmp_path):
         assert row["mc_stderr_msr"] == report.mc_stderr
 
 
+def test_compare_rows_match_per_eta_ensembles(tmp_path):
+    """Each row is what a separate ensemble at that eta gives, to the bit."""
+    config = build_scenario({
+        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=300, n_steps=40),
+    })
+    etas = [1e6, 6e8, 1e9]
+    rows = run_compare(config, etas, tmp_path / "sweep")
+    _assert_rows_match_per_eta_ensembles(config, etas, rows)
+
+
+@pytest.mark.parametrize(
+    "n_etas, n_steps, stacks",
+    [(9, 20, [6, 3]), (13, 4, [5, 5, 3])],
+    ids=["9-etas-20-steps", "13-etas-4-steps"],
+)
+def test_compare_rows_from_several_stacks_match_per_eta_ensembles(
+    tmp_path, monkeypatch, n_etas, n_steps, stacks
+):
+    """More etas than one stack holds, on chunks of 256 and 44 paths: each
+    row is still what a separate ensemble at that eta gives, to the bit."""
+    real = permitsim.policies._simulate_msr
+    sizes = []
+
+    def spy(runs, noise):
+        sizes.append(len(runs))
+        yield from real(runs, noise)
+
+    monkeypatch.setattr(permitsim.policies, "_simulate_msr", spy)
+    config = build_scenario({
+        "preset": "paper-2020-base",
+        "simulation": small_sim_block(n_paths=300, n_steps=n_steps),
+    })
+    etas = [float(e) for e in np.geomspace(1e6, 1e9, n_etas)]
+    rows = run_compare(config, etas, tmp_path / "sweep")
+    assert sizes == stacks * 2
+    _assert_rows_match_per_eta_ensembles(config, etas, rows)
+
+
+def test_compare_frees_every_sample_and_stack_before_the_next_chunk(
+    tmp_path, monkeypatch
+):
+    """No sweep sample or stack step buffer outlives its chunk: each is gone
+    when the next chunk's noise is drawn, and each sample is gone before
+    the next one is built.  enumerate or zip over the samples would keep
+    the last one in their cached result tuple, and a stack left suspended
+    after its last yield would keep its step buffer."""
+    real_draw = permitsim.stochastic.generate_noise
+    real_sample = permitsim.policies._msr_sample
+    prices, buffers, stack_sizes = [], [], []
+    live_at_draw, live_at_sample = [], []
+
+    def live(refs):
+        return sum(ref() is not None for ref in refs)
+
+    def drawing(*args, **kwargs):
+        gc.collect()
+        live_at_draw.append(live(prices) + live(buffers))
+        return real_draw(*args, **kwargs)
+
+    def sampling(mkt, policy, grid, c0, c1, ramp, xbar, wbar):
+        gc.collect()
+        live_at_sample.append(live(prices))
+        sample = real_sample(mkt, policy, grid, c0, c1, ramp, xbar, wbar)
+        prices.append(weakref.ref(sample.price))
+        buffers.append(weakref.ref(xbar.base))
+        stack_sizes.append(xbar.base.shape[1])
+        return sample
+
+    monkeypatch.setattr(permitsim.stochastic, "generate_noise", drawing)
+    monkeypatch.setattr(permitsim.policies, "_msr_sample", sampling)
+    config = build_scenario({
+        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=600, n_steps=20),
+    })
+    run_compare(config, [float(e) for e in np.geomspace(1e6, 1e9, 9)], tmp_path / "sweep")
+    assert live_at_draw == [0, 0, 0]
+    assert live_at_sample == [0] * (3 * 9)
+    # xbar views the (M+1, R, P) step buffer of its stack of 6 or 3 runs
+    assert stack_sizes == ([6] * 6 + [3] * 3) * 3
+
+
 def test_compare_never_writes_a_non_finite_row(tmp_path, monkeypatch):
-    real = permitsim.policies.simulate_policy_paths
+    real = permitsim.policies._simulate_msr
 
-    def infinite_cost(policy, mkt, noise):
-        sample = real(policy, mkt, noise)
-        return replace(sample, cost=np.full_like(sample.cost, np.inf))
+    def infinite_cost(runs, noise):
+        for sample in real(runs, noise):
+            yield replace(sample, cost=np.full_like(sample.cost, np.inf))
 
-    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", infinite_cost)
+    monkeypatch.setattr(permitsim.policies, "_simulate_msr", infinite_cost)
     config = build_scenario({"preset": "paper-2020-base", "simulation": small_sim_block()})
     out = tmp_path / "sweep"
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="cost_msr"):

@@ -941,3 +941,105 @@ def test_compare_rejects_an_ensemble_drawn_for_other_firms(base_market, name):
     ensemble = PathEnsemble(3, TimeGrid(10.0, 20), _FOREIGN_FIRMS[name], 4)
     with pytest.raises(UnsupportedInputError, match="noise block"):
         compare_policies(base_market, _four_policies(base_market), ensemble)
+
+
+# --- MSR runs stacked on one noise block --------------------------------------
+
+_SAMPLE_FIELDS = (
+    "price",
+    "total_bank",
+    "avg_abatement",
+    "total_emissions",
+    "net_allocation_minus_initial",
+    "price_qv",
+    "cost",
+    "terminal_emissions",
+)
+
+
+def _msr_runs(etas):
+    """One MSR run per eta, on firms that differ from run to run in h and the
+    run's delta too, but share the volatilities that fix the average shock."""
+    runs = []
+    for i, eta in enumerate(etas):
+        mkt = make_market(make_firms(eta=float(eta), h=(25.0, 30.0, 20.0)[i % 3]))
+        runs.append((mkt, msr_policy(mkt, (0.1, 0.25)[i % 2])))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "n_etas, n_steps, stacks",
+    [(9, 20, [6, 3]), (13, 4, [5, 5, 3])],
+    ids=["9-etas-20-steps", "13-etas-4-steps"],
+)
+def test_stacked_msr_samples_equal_single_runs_to_the_bit(
+    monkeypatch, n_etas, n_steps, stacks
+):
+    """A stack holds at most (N+1) M // (M+1) runs; every field of each
+    stacked run's sample is what simulate_policy_paths gives for that run
+    alone, on both chunks of 300 paths."""
+    runs = _msr_runs(np.geomspace(1e6, 1e9, n_etas))
+    real = permitsim.policies._simulate_msr
+    sizes = []
+
+    def spy(stack, noise):
+        sizes.append(len(stack))
+        yield from real(stack, noise)
+
+    monkeypatch.setattr(permitsim.policies, "_simulate_msr", spy)
+    offsets = []
+
+    def same_as_alone(noise, sample):
+        mkt, policy = runs[len(offsets) % len(runs)]
+        alone = simulate_policy_paths(policy, mkt, noise)
+        for name in _SAMPLE_FIELDS:
+            assert np.array_equal(getattr(sample, name), getattr(alone, name)), name
+        assert sample.parts.keys() == alone.parts.keys()
+        for key in alone.parts:
+            assert np.array_equal(sample.parts[key], alone.parts[key]), key
+        offsets.append(noise.path_offset)
+
+    ensemble = PathEnsemble(
+        seed=13, grid=TimeGrid(10.0, n_steps), firms=runs[0][0].firms, n_paths=300
+    )
+    list(permitsim.policies._simulate_runs(runs, ensemble, on_sample=same_as_alone))
+    assert offsets == [0] * n_etas + [256] * n_etas
+    # the reference runs above are stacks of one
+    assert [s for s in sizes if s > 1] == stacks * 2
+
+
+def test_only_neighbouring_msr_runs_on_the_same_volatilities_stack():
+    a, b = _msr_runs([1e7, 6e8])
+    loud = make_market(make_firms(sigma=0.3e9 / math.sqrt(6)))
+    tax = (a[0], tax_policy(a[0]))
+    runs = [a, b, tax, a, b, a, (loud, msr_policy(loud, 0.1)), b]
+    assert permitsim.policies._stack_bounds(runs, cap=2) == [
+        (0, 2), (2, 3), (3, 5), (5, 6), (6, 7), (7, 8),
+    ]
+    assert permitsim.policies._stack_bounds(runs, cap=1) == [(i, i + 1) for i in range(8)]
+
+
+def test_mixed_runs_report_in_run_order_with_their_own_costs():
+    runs = _msr_runs([1e7, 6e8, 1e9])
+    runs.insert(2, (runs[0][0], tax_policy(runs[0][0])))
+    ensemble = PathEnsemble(
+        seed=4, grid=TimeGrid(10.0, 20), firms=runs[0][0].firms, n_paths=10, chunk_size=4
+    )
+    kinds = []
+    results = list(permitsim.policies._simulate_runs(
+        runs, ensemble, on_sample=lambda noise, sample: kinds.append(sample.kind.value)
+    ))
+    assert kinds == ["msr", "msr", "tax", "msr"] * 3
+    for (mkt, policy), (cost, parts, emissions) in zip(runs, results):
+        [alone] = permitsim.policies._simulate_runs([(mkt, policy)], ensemble)
+        assert np.array_equal(cost, alone[0])
+        assert np.array_equal(emissions, alone[2])
+        assert all(np.array_equal(parts[k], alone[1][k]) for k in parts)
+
+
+def test_a_stack_of_msr_runs_must_share_the_volatilities():
+    [(mkt, msr)] = _msr_runs([6e8])
+    loud = make_market(make_firms(sigma=0.3e9 / math.sqrt(6)))
+    noise = generate_noise(3, TimeGrid(10.0, 20), mkt.firms, 4)
+    with pytest.raises(UnsupportedInputError, match="volatilities"):
+        list(permitsim.policies._simulate_msr([(mkt, msr), (loud, msr_policy(loud, 0.1))], noise))
