@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -323,26 +324,41 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-#: The values of one trajectory row after its path id: t and the five
-#: columns rendered like ``_fmt`` (``%.17g`` and ``format(x, ".17g")`` print
-#: floats identically).
-_ROW_VALUES_FORMAT = ",%.17g" * (len(_TRAJECTORY_COLUMNS) - 1)
+@lru_cache(maxsize=1)
+def _knots_text(grid: TimeGrid) -> tuple[str, ...]:
+    """The t column as text, formatted once per run (per grid)."""
+    return tuple(_fmt(t) for t in grid.knots)
 
 
 def _trajectory_rows(sample, noise, volume_scale: float, n_show: int) -> list[str]:
-    t = noise.grid.knots
-    # one (M+1, 6) block per path, row-major, so each path renders with one
-    # % operation on a template repeated once per knot
-    block = np.empty((n_show, t.size, len(_TRAJECTORY_COLUMNS) - 1))
-    block[..., 0] = t
-    block[..., 1] = sample.price[:n_show]
-    for j, name in enumerate(_TRAJECTORY_COLUMNS[3:], start=2):
-        np.multiply(getattr(sample, name)[:n_show], volume_scale, out=block[..., j])
+    """The first ``n_show`` paths of a sample as trajectory.v1 rows.
+
+    Each path renders with one ``%`` operation on a template of all its
+    rows: the path id, t and every column that is constant along the path
+    are text in the template, and only the varying columns are formatted
+    (``%.17g`` and ``format(x, ".17g")`` print floats identically).  A
+    column is constant when all its values have the same bits, so that
+    0.0 and -0.0 stay apart.
+    """
+    columns = [sample.price[:n_show]] + [
+        getattr(sample, name)[:n_show] * volume_scale for name in _TRAJECTORY_COLUMNS[3:]
+    ]
     rows = []
     for p in range(n_show):
-        row = f"{noise.path_offset + p}{_ROW_VALUES_FORMAT}"
-        text = "\n".join([row] * t.size) % tuple(block[p].ravel().tolist())
-        rows.extend(text.split("\n"))
+        cells = []
+        varying = []
+        for column in columns:
+            bits = column[p].view(np.int64)
+            if (bits == bits[0]).all():
+                cells.append(_fmt(column[p, 0]))
+            else:
+                cells.append("%.17g")
+                varying.append(column[p])
+        head = f"{noise.path_offset + p},"
+        tail = "," + ",".join(cells)
+        template = head + (tail + "\n" + head).join(_knots_text(noise.grid)) + tail
+        values = tuple(np.stack(varying, axis=-1).ravel().tolist()) if varying else ()
+        rows.extend((template % values).split("\n"))
     return rows
 
 

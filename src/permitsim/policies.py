@@ -31,7 +31,7 @@ import enum
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from .stochastic import (
     TimeGrid,
     integrate_increments,
     left_integral,
+    map_path_slices,
     realized_qv,
 )
 
@@ -186,6 +187,9 @@ Policy = (
     | TaxPolicy
     | MSRPolicy
 )
+
+#: The policies `_simulate_martingale` simulates, the firm index an array axis.
+_MARTINGALE_POLICIES = (OptimalDynamicPolicy, CustomMartingalePolicy, StaticPolicy)
 
 
 def tracking_gamma(firms: list[FirmParams]) -> np.ndarray:
@@ -653,6 +657,9 @@ def _simulate_martingale(
         trade = np.empty((noise.n_paths, n, grid.n_steps + 1)) if moved is None else moved
         trade[..., 0] = trade0
         np.cumsum(surprise, axis=-1, out=trade[..., 1:])
+        # freed before the clearing check allocates its (P, N, M+1)
+        # temporary, the static policy's memory peak
+        del surprise
         np.subtract(trade0[:, None], trade[..., 1:], out=trade[..., 1:])
     else:
         # the tracking policy: no surprise, dP = 0 and dB_i = 0 at every knot
@@ -1048,6 +1055,14 @@ def _stack_bounds(
     return bounds
 
 
+def _simulate_slice(
+    policy: Policy, mkt: MarketParams, noise: NoisePaths, start: int, stop: int
+) -> tuple[NoisePaths, PolicyPathSample]:
+    """Paths [start, stop) of ``noise`` and the policy's sample on them."""
+    view = noise.path_slice(start, stop)
+    return view, simulate_policy_paths(policy, mkt, view)
+
+
 def _simulate_runs(
     runs: list[tuple[MarketParams, Policy]],
     ensemble: PathEnsemble,
@@ -1056,14 +1071,20 @@ def _simulate_runs(
     """Simulate every (market, policy) run on every chunk of one ensemble.
 
     Each chunk's noise is drawn once and serves every run, so the runs share
-    shocks path by path; no trajectory outlives its chunk.  Consecutive MSR
-    runs on the same firm volatilities (the etas of a sweep) step as stacks
-    in one `_simulate_msr` recursion; a stack holds at most
-    (N+1) M // (M+1) runs, so its (M+1, R, P) step buffer is never larger
-    than the chunk's (P, N+1, M) noise block.  Every other run, and an MSR
-    run without a neighbour to stack with, goes through
-    `simulate_policy_paths`.  ``on_sample`` sees every sample in chunk-then-
-    run order; each sample is released before the next one is built, and
+    shocks path by path; no trajectory outlives its chunk.  A martingale-
+    kernel run (optimal, custom, static) simulates a large chunk as path
+    slices on the process's CPUs (`map_path_slices`), each slice a
+    `NoisePaths` view of its own paths; the kernel is row-wise, so the
+    per-path numbers do not depend on the split, but its clearing check
+    runs per slice, as it runs per chunk.  Consecutive MSR runs on the same
+    firm volatilities (the etas of a sweep) step as stacks in one
+    `_simulate_msr` recursion; a stack holds at most (N+1) M // (M+1) runs,
+    so its (M+1, R, P) step buffer is never larger than the chunk's
+    (P, N+1, M) noise block.  Every other run, and an MSR run without a
+    neighbour to stack with, goes through `simulate_policy_paths` on the
+    whole chunk.  On the calling thread, ``on_sample`` sees every (noise,
+    sample) pair in chunk, then run, then slice order, the noise being the
+    slice's view; each sample is released once its hook call returns, and
     every stack's generator is run to its end before the next noise draw.
     Yields, per run and in run order, the concatenated per-path cost, cost
     parts and terminal emissions.  The chunk loop runs at the first item,
@@ -1075,23 +1096,36 @@ def _simulate_runs(
     costs: list[list[np.ndarray]] = [[] for _ in runs]
     parts: list[list[dict[str, np.ndarray]]] = [[] for _ in runs]
     emissions: list[list[np.ndarray]] = [[] for _ in runs]
+
+    def record(i: int, noise: NoisePaths, sample: PolicyPathSample) -> None:
+        costs[i].append(sample.cost)
+        parts[i].append(sample.parts)
+        emissions[i].append(sample.terminal_emissions)
+        if on_sample is not None:
+            on_sample(noise, sample)
+
     for noise in ensemble.chunks():
         for start, stop in bounds:
+            mkt, policy = runs[start]
             if stop - start > 1:
-                samples = _simulate_msr(runs[start:stop], noise)
+                # neither enumerate nor zip: each caches its last item, which
+                # would keep one sample alive while the next is built
+                i = start
+                for sample in _simulate_msr(runs[start:stop], noise):
+                    record(i, noise, sample)
+                    i += 1
+                    del sample  # free its trajectories before the next one is built
+            elif isinstance(policy, _MARTINGALE_POLICIES):
+                pieces = map_path_slices(
+                    partial(_simulate_slice, policy, mkt, noise),
+                    noise.n_paths,
+                    noise.d_tilde[0].size,
+                )
+                pieces.reverse()
+                while pieces:  # popped, so each slice is freed after its hook call
+                    record(start, *pieces.pop())
             else:
-                samples = (simulate_policy_paths(p, mkt, noise) for mkt, p in runs[start:stop])
-            # neither enumerate nor zip: each caches its last item, which
-            # would keep one sample alive while the next is built
-            i = start
-            for sample in samples:
-                costs[i].append(sample.cost)
-                parts[i].append(sample.parts)
-                emissions[i].append(sample.terminal_emissions)
-                if on_sample is not None:
-                    on_sample(noise, sample)
-                i += 1
-                del sample  # free its trajectories before the next one is built
+                record(start, noise, simulate_policy_paths(policy, mkt, noise))
     for run_costs, run_parts, run_emissions in zip(costs, parts, emissions):
         yield (
             np.concatenate(run_costs),
@@ -1112,11 +1146,12 @@ def run_ensemble(
     """Simulate every policy on every chunk of a shared ensemble and report costs.
 
     Chunk by chunk, each policy runs on the same noise block; ``on_sample``
-    (if given) sees every (noise, sample) pair in chunk-then-policy order,
-    e.g. to write trajectories.  Only the per-path costs, cost parts and
-    terminal emissions are kept, so no trajectory outlives its chunk.  A
-    Monte Carlo estimate that misses its closed form only clears its
-    report's ``consistent`` flag; `compare_policies` raises on it instead.
+    (if given) sees every (noise, sample) pair in chunk, then policy, then
+    path-slice order (`_simulate_runs`), e.g. to write trajectories.  Only
+    the per-path costs, cost parts and terminal emissions are kept, so no
+    trajectory outlives its chunk.  A Monte Carlo estimate that misses its
+    closed form only clears its report's ``consistent`` flag;
+    `compare_policies` raises on it instead.
     """
     kinds = [p.kind for p in policies]
     if len(set(kinds)) != len(kinds):

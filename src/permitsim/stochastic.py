@@ -19,15 +19,23 @@ whole block of paths at once with NumPy's published SeedSequence hash
 (NEP 19) on uint32 arrays, then seeds one PCG64 per path from them.  All
 quadrature is left-point (Ito); the default grid is 2000 uniform steps for
 a 10-year horizon.
+
+`map_path_slices` runs row-wise work on a large block of paths as
+contiguous path slices, one per CPU the process may run on; the shocks are
+per-path streams and every kernel it serves is row-wise, so the numbers do
+not depend on the split.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -94,6 +102,22 @@ class NoisePaths:
         ks = np.array(self.ks, dtype=float)[:, None]
         return np.sqrt(1.0 - ks**2) * self.d_tilde[:, 1:, :] + ks * self.d_tilde[:, :1, :]
 
+    def path_slice(self, start: int, stop: int) -> NoisePaths:
+        """Paths [start, stop) of the block as a block of their own.
+
+        Its increments are a view of this block's; the whole range is the
+        block itself.
+        """
+        if (start, stop) == (0, self.n_paths):
+            return self
+        return NoisePaths(
+            seed=self.seed,
+            path_offset=self.path_offset + start,
+            grid=self.grid,
+            ks=self.ks,
+            d_tilde=self.d_tilde[start:stop],
+        )
+
     def require_firms(self, firms: Sequence[FirmParams]) -> None:
         """Raise UnsupportedInputError unless the block was drawn for ``firms``.
 
@@ -143,6 +167,74 @@ def integrate_increments(d: np.ndarray) -> np.ndarray:
     out[..., 0] = 0.0
     np.cumsum(d, axis=-1, out=out[..., 1:])
     return out
+
+
+#: A block splits across threads only when every path slice keeps at least
+#: this many doubles: on smaller slices handing the GIL between threads
+#: costs more than the second CPU wins.
+MIN_SLICE_DOUBLES = 1 << 20
+
+_T = TypeVar("_T")
+_slice_pool = None
+_slice_pool_lock = threading.Lock()
+
+
+def _forget_slice_pool() -> None:
+    global _slice_pool, _slice_pool_lock
+    _slice_pool = None
+    _slice_pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool, not its threads
+    os.register_at_fork(after_in_child=_forget_slice_pool)
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def map_path_slices(fn: Callable[[int, int], _T], n_paths: int, path_doubles: int) -> list[_T]:
+    """``fn(start, stop)`` on contiguous path slices covering [0, n_paths), in path order.
+
+    A block of ``n_paths`` paths of ``path_doubles`` doubles each splits into
+    one slice per CPU of the process, but only so far as every slice keeps
+    at least MIN_SLICE_DOUBLES doubles; a block that does not split is one
+    slice, and ``fn(0, n_paths)`` runs directly.  The calling thread runs
+    slice 0 and a module thread pool, created on first use with one worker
+    fewer than the CPUs, runs the others, each in a copy of the caller's
+    context so that its ``np.errstate`` holds there too.  ``fn`` gains only
+    where its array work releases the GIL; it must touch only its own paths
+    and must not split again.  When a slice raises, the exception (the first
+    in path order) propagates once every other slice has finished.
+    """
+    global _slice_pool
+    cpus = _cpu_count()
+    min_paths = -(-MIN_SLICE_DOUBLES // max(1, path_doubles))
+    n_slices = min(cpus, n_paths // min_paths)
+    if n_slices <= 1:
+        return [fn(0, n_paths)]
+    with _slice_pool_lock:
+        if _slice_pool is None:
+            # imported on first use: the import would add to every start-up
+            from concurrent.futures import ThreadPoolExecutor
+
+            _slice_pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="permitsim")
+        pool = _slice_pool
+    bounds = [n_paths * k // n_slices for k in range(n_slices + 1)]
+    futures = [
+        pool.submit(contextvars.copy_context().run, fn, start, stop)
+        for start, stop in zip(bounds[1:-1], bounds[2:])
+    ]
+    try:
+        first = fn(0, bounds[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the slice without raising
+    return [first, *(future.result() for future in futures)]
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, NEP 19)
@@ -262,17 +354,25 @@ def generate_noise(
     normals of ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, so the
     same (seed, path index) always yields the same increments no matter how
     the ensemble is chunked.  The seeding words of the whole block come from
-    one vectorised pass; each path then gets its own PCG64.
+    one vectorised pass; each path then gets its own PCG64.  A large block
+    is filled and scaled as path slices on the process's CPUs
+    (`map_path_slices`), each slice its own rows, which draws the same
+    numbers as one pass.
     """
     n = len(firms)
     m = grid.n_steps
     sqrt_dt = math.sqrt(grid.dt)
     d_tilde = np.empty((n_paths, n + 1, m))
     seed_words = _seed_words_type()
-    for p, words in enumerate(_pcg64_seed_words(seed, path_offset, n_paths)):
-        rng = np.random.Generator(np.random.PCG64(seed_words(words)))
-        rng.standard_normal(out=d_tilde[p])
-    d_tilde *= sqrt_dt
+    all_words = _pcg64_seed_words(seed, path_offset, n_paths)
+
+    def fill(start: int, stop: int) -> None:
+        for p in range(start, stop):
+            rng = np.random.Generator(np.random.PCG64(seed_words(all_words[p])))
+            rng.standard_normal(out=d_tilde[p])
+        d_tilde[start:stop] *= sqrt_dt
+
+    map_path_slices(fill, n_paths, (n + 1) * m)
     return NoisePaths(
         seed=seed,
         path_offset=path_offset,
@@ -296,6 +396,11 @@ class PathEnsemble:
     firms: tuple[FirmParams, ...]
     n_paths: int
     chunk_size: int = 256
+
+    def __post_init__(self) -> None:
+        for name in ("n_paths", "chunk_size"):
+            if getattr(self, name) < 1:
+                raise UnsupportedInputError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def chunks(self) -> Iterator[NoisePaths]:
         for start in range(0, self.n_paths, self.chunk_size):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import permitsim.stochastic
 from permitsim import FRICTIONLESS, FirmParams, MarketParams, TimeGrid, generate_noise
 
 N_FIRMS = 6
@@ -19,6 +20,17 @@ def make_market(firms=None, *, depth=FRICTIONLESS, penalty=7.5e-7, horizon=10.0,
         horizon=horizon,
         rho=rho,
     )
+
+
+def force_split(monkeypatch, min_slice_doubles=1, cpus=3):
+    """Make `map_path_slices` split small blocks, as on a machine of ``cpus`` CPUs.
+
+    Every slice keeps at least ``min_slice_doubles`` doubles; with the
+    default, every block of at least ``cpus`` paths splits into ``cpus``
+    slices.
+    """
+    monkeypatch.setattr(permitsim.stochastic, "MIN_SLICE_DOUBLES", min_slice_doubles)
+    monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: cpus)
 
 
 @pytest.fixture(scope="session")

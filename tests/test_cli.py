@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import threading
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -35,6 +36,7 @@ from permitsim.cli import (
 from permitsim.policies import run_ensemble
 
 import oracles
+from conftest import force_split
 
 
 def write_config(tmp_path, name="cfg.json", **blocks):
@@ -415,6 +417,69 @@ def test_trajectory_rows_render_like_fmt():
                 want.append(",".join([str(3 + p), _fmt(t)] + [_fmt(v) for v in values]))
         assert _trajectory_rows(sample, noise, volume_scale, 2) == want
         assert _trajectory_rows(sample, noise, volume_scale, 1) == want[: grid.n_steps + 1]
+
+
+def test_trajectory_rows_write_constant_columns_as_text():
+    """A column constant along a path goes into the row template as text;
+    the rows read as if every value were formatted, and a column that only
+    switches between 0.0 and -0.0 is not constant."""
+    grid = TimeGrid(horizon=3.0, n_steps=3)
+    noise = SimpleNamespace(grid=grid, path_offset=0)
+    const = np.broadcast_to(1.0 / 3.0, (2, 4))
+    signed_zero = np.array([[0.0, -0.0, 0.0, 0.0], [-0.0, -0.0, -0.0, -0.0]])
+    ramp = np.array([[1.0, 2.0, 3.0, 4.0], [5e-324, 0.1, 0.2, 0.3]])
+    sample = SimpleNamespace(
+        price=const,
+        total_bank=signed_zero,
+        total_emissions=ramp,
+        avg_abatement=np.zeros((2, 4)),
+        net_allocation_minus_initial=np.full((2, 4), 2.5e9),
+    )
+    columns = (const, signed_zero, ramp, np.zeros((2, 4)), np.full((2, 4), 2.5e9))
+    want = [
+        ",".join([str(p), _fmt(t)] + [_fmt(c[p, k]) for c in columns])
+        for p in range(2)
+        for k, t in enumerate(grid.knots)
+    ]
+    assert _trajectory_rows(sample, noise, 1.0, 2) == want
+    assert want[1] == "0,1,0.33333333333333331,-0,2,0,2500000000"
+
+
+def test_simulate_writes_the_same_bytes_when_blocks_split(tmp_path, monkeypatch):
+    """Every output file is the same when each chunk's noise and martingale
+    runs split into three path slices; the trajectory rows of paths 6 and 7
+    then come from the second slice."""
+    cfg = write_config(tmp_path)
+    args = ["simulate", "--config", cfg, "--policy", "all",
+            "--paths", "20", "--steps", "20", "--seed", "7", "--out"]
+    assert main(args + [str(tmp_path / "whole")]) == 0
+    force_split(monkeypatch)
+    assert main(args + [str(tmp_path / "split")]) == 0
+    names = sorted(p.name for p in (tmp_path / "whole").iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_an_overflow_on_a_pool_thread_exits_3(tmp_path, monkeypatch):
+    """A slice that overflows on a pool thread raises there as it would on
+    the calling thread, and the run fails as a domain error."""
+    force_split(monkeypatch)
+    caller = threading.get_ident()
+    real = permitsim.policies.simulate_policy_paths
+
+    def overflowing(policy, mkt, noise):
+        if threading.get_ident() != caller:
+            np.float64(1e300) * np.float64(1e300)
+        return real(policy, mkt, noise)
+
+    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", overflowing)
+    out = tmp_path / "out"
+    assert main([
+        "simulate", "--config", write_config(tmp_path), "--policy", "optimal_dynamic",
+        "--paths", "6", "--steps", "20", "--out", str(out),
+    ]) == 3
+    assert not (out / "summary.json").exists()
 
 
 def test_simulate_override_flags(tmp_path):

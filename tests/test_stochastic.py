@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permitsim import TimeGrid, generate_noise
+import permitsim.stochastic
+from permitsim.errors import UnsupportedInputError
 from permitsim.stochastic import (
     PathEnsemble,
     closing_martingale,
     coarsen_noise,
     left_integral,
+    map_path_slices,
     martingale_drift_stat,
     realized_qv,
 )
 
-from conftest import make_firms
+from conftest import force_split, make_firms
 
 
 # --- grid --------------------------------------------------------------------
@@ -145,6 +152,157 @@ def test_path_ensemble_chunks_and_single_path():
     np.testing.assert_array_equal(one.d_tilde[0], whole.d_tilde[7])
     with pytest.raises(IndexError):
         ens.path(10)
+
+
+def test_path_ensemble_rejects_no_paths():
+    grid = TimeGrid(horizon=1.0, n_steps=3)
+    for n_paths in (0, -2):
+        with pytest.raises(UnsupportedInputError, match="n_paths must be >= 1"):
+            PathEnsemble(seed=1, grid=grid, firms=make_firms(2), n_paths=n_paths)
+
+
+def test_path_ensemble_rejects_empty_chunks():
+    grid = TimeGrid(horizon=1.0, n_steps=3)
+    for chunk_size in (0, -1):
+        with pytest.raises(UnsupportedInputError, match="chunk_size must be >= 1"):
+            PathEnsemble(seed=1, grid=grid, firms=make_firms(2), n_paths=4, chunk_size=chunk_size)
+
+
+# --- path slices -------------------------------------------------------------
+
+def _slice_log(calls):
+    def fn(start, stop):
+        calls.append((start, stop, threading.get_ident()))
+        return list(range(start, stop))
+
+    return fn
+
+
+def test_path_slices_cover_the_block_in_path_order(monkeypatch):
+    force_split(monkeypatch, min_slice_doubles=30, cpus=3)
+    calls = []
+    # 10 doubles per path: slices of at least 3 paths
+    for n_paths, bounds in [(10, [0, 3, 6, 10]), (7, [0, 3, 7]), (5, [0, 5]), (1, [0, 1])]:
+        calls.clear()
+        results = map_path_slices(_slice_log(calls), n_paths, 10)
+        assert results == [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        assert sorted(c[:2] for c in calls) == list(zip(bounds, bounds[1:]))
+        # the calling thread runs slice 0
+        assert [c[2] for c in calls if c[0] == 0] == [threading.get_ident()]
+
+
+def test_a_block_that_does_not_split_runs_on_the_calling_thread(monkeypatch):
+    """At the real slice size a small block is one slice, and on one CPU
+    even a large one is: ``fn`` runs directly and no thread pool is made."""
+    monkeypatch.setattr(permitsim.stochastic, "_slice_pool", None)
+    calls = []
+    assert map_path_slices(_slice_log(calls), 256, 7 * 50) == [list(range(256))]
+    monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: 1)
+    assert map_path_slices(_slice_log(calls), 256, 7 * 2000) == [list(range(256))]
+    assert calls == [(0, 256, threading.get_ident())] * 2
+    assert permitsim.stochastic._slice_pool is None
+
+
+def test_noise_is_the_same_when_its_block_splits(monkeypatch):
+    firms = make_firms(3)
+    grid = TimeGrid(horizon=10.0, n_steps=20)
+    whole = generate_noise(31, grid, firms, n_paths=11, path_offset=5)
+    force_split(monkeypatch)
+    split = generate_noise(31, grid, firms, n_paths=11, path_offset=5)
+    assert split.d_tilde.tobytes() == whole.d_tilde.tobytes()
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_failing_slice_raises_after_every_slice_finished(monkeypatch, failing):
+    force_split(monkeypatch)
+    finished = []
+
+    def fn(start, stop):
+        if start == failing:
+            raise ValueError(f"slice at {start}")
+        time.sleep(0.05)
+        finished.append(start)
+
+    with pytest.raises(ValueError, match=f"slice at {failing}"):
+        map_path_slices(fn, 3, 1)
+    assert sorted(finished) == sorted({0, 1, 2} - {failing})
+
+
+def test_a_slice_on_a_pool_thread_keeps_the_callers_errstate(monkeypatch):
+    force_split(monkeypatch)
+    caller = threading.get_ident()
+
+    def fn(start, stop):
+        if threading.get_ident() != caller:
+            np.float64(1e300) * np.float64(1e300)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            map_path_slices(fn, 3, 1)
+
+
+def _split_in_child(queue):
+    queue.put(map_path_slices(lambda start, stop: stop - start, 2, 1))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+def test_a_forked_child_splits_with_a_pool_of_its_own(monkeypatch):
+    """A child forked once the pool's one worker exists and idles must not
+    hand its slices to that worker, which the child does not have."""
+    force_split(monkeypatch, cpus=2)
+    monkeypatch.setattr(permitsim.stochastic, "_slice_pool", None)
+    map_path_slices(lambda start, stop: None, 2, 1)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_split_in_child, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=30) == [1, 1]
+    finally:
+        child.join(timeout=5)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+def test_many_slices_on_few_cpus_each_fill_their_own_paths(monkeypatch):
+    """More slices than this machine has CPUs, from several calling threads
+    at once, with the interpreter switching threads as often as it can:
+    every path is filled once, by the slice that owns it."""
+    force_split(monkeypatch, cpus=8)
+    monkeypatch.setattr(permitsim.stochastic, "_slice_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    failures = []
+
+    def caller(n_paths):
+        for _ in range(20):
+            filled = np.zeros(n_paths, dtype=int)
+
+            def fn(start, stop):
+                for p in range(start, stop):
+                    filled[p] += p + 1
+                return start, stop
+
+            slices = map_path_slices(fn, n_paths, 1)
+            edges = [n_paths * k // 8 for k in range(9)]
+            if filled.tolist() != list(range(1, n_paths + 1)) or slices != list(zip(edges, edges[1:])):
+                failures.append((n_paths, slices))
+
+    try:
+        threads = [threading.Thread(target=caller, args=(n,)) for n in (8, 13, 40, 97)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        if permitsim.stochastic._slice_pool is not None:
+            permitsim.stochastic._slice_pool.shutdown()
+    assert failures == []
 
 
 def test_coarsen_noise_aggregates_increments():
