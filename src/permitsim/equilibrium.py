@@ -10,9 +10,11 @@ a non-clearing "equilibrium" are silently wrong.
 The frictionless price formula (`frictionless_price`, whose start
 `frictionless_initial_price` is also the whole price when no allocation
 surprises the market) and its clearing check
-(`require_frictionless_clearing`) are shared with the N-axis
-martingale kernel in `policies`, which computes the same equilibrium
-without per-firm best responses; both paths apply one rule.
+(`require_frictionless_clearing`) are shared with the martingale kernel in
+`policies`, which computes the same equilibrium from firm sums alone,
+without per-firm best responses or paths; both apply one rule.  The check
+reads only what clearing constrains, the firms' summed cumulative trades,
+and measures their residual against the gross market terms.
 """
 
 from __future__ import annotations
@@ -171,8 +173,10 @@ def equilibrium_frictionless(
     ]
     alpha, beta, bank = _stack(controls)
     total_trade = np.stack([c.total_trade for c in controls], axis=1)
-    alloc_abs_max = np.array([np.abs(v.expected_total).max() for v in views])
-    require_frictionless_clearing(mkt, grid, price, total_trade, alloc_abs_max)
+    alloc_sum = sum(v.expected_total for v in views)
+    require_frictionless_clearing(
+        mkt, grid, price, total_trade.sum(axis=1), float(np.abs(alloc_sum).max())
+    )
     return EquilibriumPath(
         price=price, abatement=alpha, trade_rate=beta, bank=bank, total_trade=total_trade
     )
@@ -206,27 +210,29 @@ def require_frictionless_clearing(
     mkt: MarketParams,
     grid,
     price: np.ndarray,
-    total_trade: np.ndarray,
-    alloc_abs_max: np.ndarray,
+    trade_sum: np.ndarray,
+    alloc_sum_abs_max: float,
 ) -> None:
     """Raise ClearingError unless sum_i B_i vanishes at every knot.
 
-    ``total_trade`` holds the per-firm cumulative trades B_i, shape
-    (n_paths, N, M+1); ``alloc_abs_max[i]`` is the largest |M_i| of firm
-    i's expected total allocation over the block.
+    ``trade_sum`` holds the firms' summed cumulative trades sum_i B_i,
+    shape (n_paths, M+1) or broadcastable to it; ``alloc_sum_abs_max`` is
+    the largest |sum_i M_i| of the firms' summed expected total allocation
+    over the block.
     """
     # The residual is a cancellation of gross terms of size ~ c(0) P + M +
-    # eta h T per firm, so "relative" must mean relative to those, not to
-    # the (possibly zero) net trades themselves.
+    # eta h T summed over the firms, so "relative" must mean relative to
+    # those, not to the (possibly zero) net trades themselves.
     lam = mkt.penalty
     etas = np.array([fp.eta for fp in mkt.firms])
     hs = np.array([fp.h for fp in mkt.firms])
-    c0 = (1.0 + 2.0 * lam * etas * grid.horizon) / (2.0 * lam)
-    gross = float(
-        np.sum(c0 * float(np.abs(price).max()) + alloc_abs_max + etas * hs * grid.horizon)
+    c0_sum = float(np.sum(1.0 + 2.0 * lam * etas * grid.horizon)) / (2.0 * lam)
+    gross = (
+        c0_sum * float(np.abs(price).max())
+        + alloc_sum_abs_max
+        + float(np.sum(etas * hs)) * grid.horizon
     )
-    scale = max(float(np.abs(total_trade).sum(axis=1).max()), gross)
-    _require_clearing(total_trade.sum(axis=1), scale, "frictionless")
+    _require_clearing(trade_sum, gross, "frictionless")
 
 
 def _require_clearing(residual: np.ndarray, scale: float, label: str) -> None:

@@ -14,10 +14,12 @@ Closed forms are evaluated where they exist; `simulate_policy_paths`
 produces pathwise costs and trajectories on a shared noise block so that
 policies can be compared shock-by-shock; `run_ensemble` does so chunk by
 chunk over a whole path ensemble.  The martingale-type policies
-(optimal, custom, static) share one kernel that keeps the firm index as an
-array axis: the price follows from the firms' average allocation surprise,
-and the costs from the price plus per-firm terminal trades and banks, so
-no per-firm trajectory is built.  The MSR runs that share a noise block
+(optimal, custom, static) share one kernel that sums over the firms before
+it integrates anything: the price follows from the firms' average
+allocation surprise, clearing is checked on the summed trades, and each
+firm's terminal bank is pinned by the price through the grid identity
+X_i(T) = -P_T/(2 lam) - eta_i dt (P_T - P_0), so no per-firm path is
+built.  The MSR runs that share a noise block
 (the etas of a sweep) step their Euler recursion together, with the run
 index as an array axis.  `allocation_views` with
 `equilibrium.equilibrium_frictionless` remains the per-firm construction
@@ -31,7 +33,7 @@ import enum
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +66,6 @@ from .stochastic import (
     TimeGrid,
     integrate_increments,
     left_integral,
-    map_path_slices,
     realized_qv,
 )
 
@@ -187,10 +188,6 @@ Policy = (
     | TaxPolicy
     | MSRPolicy
 )
-
-#: The policies `_simulate_martingale` simulates, the firm index an array axis.
-_MARTINGALE_POLICIES = (OptimalDynamicPolicy, CustomMartingalePolicy, StaticPolicy)
-
 
 def tracking_gamma(firms: list[FirmParams]) -> np.ndarray:
     """Firm-by-firm tracking loadings: firm i's allocation replicates its
@@ -589,7 +586,7 @@ def _simulate_martingale(
     gamma: np.ndarray,
     alloc_flow: float,
 ) -> PolicyPathSample:
-    """Frictionless equilibrium of a martingale allocation, firms as an array axis.
+    """Frictionless equilibrium of a martingale allocation, every firm sum taken first.
 
     Firm i expects the total allocation M_i(t) = m0_i + (gamma Wtilde)_i(t)
     and holds A_i(t), which reaches M_i(T) at the horizon.  Besides the
@@ -599,17 +596,37 @@ def _simulate_martingale(
     holdings x_bar0 - mu_i t deplete with emissions; hence
     sum_i A_i(t) = sum_i M_i(t) + (sum_i mu_i - alloc_flow) (T - t).
 
-    Only the average surprise moves the price (`frictionless_price`),
-    abatement is alpha_i = eta_i (P - h_i), and each firm's trade is fixed
-    by its terminal cumulative trade B_i(T).  The costs therefore follow
-    from the price and per-firm terminal numbers alone: abatement
+    Only the average allocation surprise dZbar moves the price
+    (`frictionless_price`).  Its driver is the firm-mean loading row
+    mean_i (gamma - shocks)_i times ``d_tilde``; for the static lump sum
+    that is minus the mean shock dWbar, the block's cached
+    `NoisePaths.weighted_mean_increments`, which also gives the emissions'
+    shock sum_i sigma_i W_i = N Wbar.
+    Abatement is alpha_i = eta_i (P - h_i).  Firm i's cumulative trade
+    starts at B_i(0) = eta_i h_i T - c_i(0) P_0 - M_i(0) and moves by
+    dB_i = -(c_i(t) dP + dM_i - sigma_i dW_i), with
+    c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam) from the terminal condition
+    X_i(T) = -P_T / (2 lam).  The clearing check runs on the firm sum
+    sum_i B_i, built from sum_i c_i(t) = (N + 2 lam sum_i eta_i (T - t)) / (2 lam)
+    and N dZbar, a (P, M+1) path.
+
+    The terminal banks need no per-firm path either.  In
+    X_i(T) = M_i(T) + sum_k alpha_i(t_k) dt + B_i(T) - sigma_i W_i(T) the
+    allocation and shock terms cancel against those of B_i(T), leaving
+    -c_i(0) P_0 + eta_i dt sum_{k<M} P_k - sum_{k<M} c_i(t_k) dP_k.  Summed
+    by parts with c_i(t_k) - c_i(t_{k-1}) = -eta_i dt, that is the grid
+    identity
+
+        X_i(T) = -P_T / (2 lam) - eta_i dt (P_T - P_0),
+
+    the terminal condition up to one grid term.  The costs are abatement
     sum_i (eta_i/2) sum_k (P_k^2 - h_i^2) dt, trading
-    (sum_k P_k dt) sum_i B_i(T) / T and penalty lam sum_i X_i(T)^2.  The
-    cumulative trades B_i are built at every knot for the clearing check.
-    When the loadings track every firm's shock (the optimal policy) no
-    allocation surprises the market: the price is a read-only view of the
-    constant P0 and every B_i stays B_i(0), which the clearing check then
-    sees once per path.
+    (sum_k P_k dt) sum_i B_i(T) / T and penalty lam sum_i X_i(T)^2, and no
+    array with a firm axis is larger than (P, N).  When the loadings track
+    every firm's shock (the optimal policy) nothing surprises the market:
+    the price is a read-only view of the constant P0, sum_i B_i stays
+    sum_i B_i(0), which the clearing check then sees once, and every
+    path's cost is the same number.
     """
     if not mkt.is_frictionless:
         raise UnsupportedInputError("finite depth: use equilibrium_frictions")
@@ -621,73 +638,57 @@ def _simulate_martingale(
     etas = np.array([fp.eta for fp in mkt.firms])
     hs = np.array([fp.h for fp in mkt.firms])
     shocks = tracking_gamma(mkt.firms)  # sigma_i dW_i = (shocks dWtilde)_i
+    # sum_i sigma_i dW_i = N dWbar, the mean shock the block caches for every run on it
+    d_wbar = noise.weighted_mean_increments([fp.sigma for fp in mkt.firms])
     mu_total = float(sum(fp.mu for fp in mkt.firms))
 
-    # expected totals M_i(t) = m0_i + moved_i(t); rounding is monotonic, so
-    # the extremes of M_i are m0_i plus those of moved_i.  A zero loading
-    # (the static lump sum) moves nothing: M_i stays m0_i.
+    # sum_i M_i(t) = sum_i m0_i + (sum_i gamma_i) Wtilde(t); a zero loading
+    # (the static lump sum) moves nothing
+    m0_sum = float(m0.sum())
     if gamma.any():
-        moved = integrate_increments(np.matmul(gamma, noise.d_tilde))
-        alloc_abs_max = np.maximum(
-            m0 + moved.max(axis=(0, 2)), -(m0 + moved.min(axis=(0, 2)))
-        )
-        alloc_T = m0 + moved[..., -1]
-        expected_sum = float(m0.sum()) + moved.sum(axis=1)
+        expected_sum = integrate_increments(gamma.sum(axis=0) @ noise.d_tilde)
+        expected_sum += m0_sum
     else:
-        moved = None
-        alloc_abs_max = np.abs(m0)
-        alloc_T = m0
-        expected_sum = np.full((noise.n_paths, 1), float(m0.sum()))
+        expected_sum = np.full((noise.n_paths, 1), m0_sum)
 
-    # B_i(0) = eta_i h_i T - c_i(0) P_0 - M_i(0), dB_i = -(c_i(t) dP + surprise_i)
-    # with c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam), from each firm's
-    # terminal condition X_i(T) = -P_T / (2 lam)
-    coef = (1.0 + 2.0 * lam * etas[:, None] * (horizon - t)) / (2.0 * lam)
+    eta_total = float(etas.sum())
     m0_bar = float(m0.mean())
     p0 = frictionless_initial_price(mkt, grid, m0_bar)
-    trade0 = etas * hs * horizon - coef[:, 0] * p0 - m0
-    # allocation surprise dM_i - sigma_i dW_i = ((gamma - shocks) dWtilde)_i;
-    # the price follows its firm mean
-    loading = gamma - shocks
+    coef_sum = (n + 2.0 * lam * eta_total * (horizon - t)) / (2.0 * lam)
+    trade0 = float(etas @ hs) * horizon - coef_sum[0] * p0 - m0_sum
+    # the firm-mean allocation surprise dZbar = mean_i (dM_i - sigma_i dW_i)
+    loading = (gamma - shocks).mean(axis=0)
     if loading.any():
-        surprise = np.matmul(loading, noise.d_tilde)
-        price = frictionless_price(mkt, grid, m0_bar, surprise.mean(axis=1))
-        surprise += coef[:, :-1] * np.diff(price, axis=-1)[:, None, :]
-        # the trades reuse the expected totals' buffer when there is one
-        trade = np.empty((noise.n_paths, n, grid.n_steps + 1)) if moved is None else moved
-        trade[..., 0] = trade0
-        np.cumsum(surprise, axis=-1, out=trade[..., 1:])
-        # freed before the clearing check allocates its (P, N, M+1)
-        # temporary, the static policy's memory peak
-        del surprise
-        np.subtract(trade0[:, None], trade[..., 1:], out=trade[..., 1:])
+        if gamma.any():
+            driver = loading @ noise.d_tilde
+        else:  # the static lump sum: dM_i = 0
+            driver = -d_wbar
+        price = frictionless_price(mkt, grid, m0_bar, driver)
+        # sum_i dB_i = -(sum_i c_i(t) dP + N dZbar)
+        d_trade = np.diff(price, axis=-1)
+        d_trade *= coef_sum[:-1]
+        d_trade += n * driver
+        trade = integrate_increments(d_trade)
+        np.subtract(trade0, trade, out=trade)
     else:
-        # the tracking policy: no surprise, dP = 0 and dB_i = 0 at every knot
+        # no surprise: dP = 0 and the summed trade stays at its start
         price = np.broadcast_to(p0, (noise.n_paths, grid.n_steps + 1))
-        trade = trade0[None, :, None]
-    require_frictionless_clearing(mkt, grid, price, trade, alloc_abs_max)
-    trade_T = trade[..., -1]
-    trade_sum = trade_T.sum(axis=1)
+        trade = np.full((1, 1), trade0)
+    require_frictionless_clearing(mkt, grid, price, trade, float(np.abs(expected_sum).max()))
+    trade_T = trade[:, -1]
 
     # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
     # h_eff; sums of the small excess keep the cancellation out of the costs
-    eta_total = float(etas.sum())
     h_eff = float(etas @ hs) / eta_total
     excess = price - h_eff
     excess_left = excess[:, :-1]
-    excess_integral = excess_left.sum(axis=-1) * dt
     abatement = (
         0.5 * eta_total * (excess_left * (excess_left + 2.0 * h_eff)).sum(axis=-1) * dt
         - 0.5 * float(etas @ (hs - h_eff) ** 2) * horizon
     )
-    trading = price[:, :-1].sum(axis=-1) * dt * trade_sum / horizon
-    # X_i(T) = M_i(T) + sum_k (alpha_i + beta_i) dt - sigma_i W_i(T), beta_i T = B_i(T)
-    bank_T = (
-        alloc_T
-        + etas * (excess_integral[:, None] + (h_eff - hs) * horizon)
-        + trade_T
-        - noise.d_tilde.sum(axis=-1) @ shocks.T
-    )
+    trading = price[:, :-1].sum(axis=-1) * dt * trade_T / horizon
+    p_T = price[:, -1:]
+    bank_T = -p_T / (2.0 * lam) - etas * dt * (p_T - p0)
     penalty = lam * (bank_T**2).sum(axis=1)
     parts = {
         "abatement": abatement,
@@ -698,7 +699,8 @@ def _simulate_martingale(
 
     abate_total = eta_total * excess
     abated = left_integral(abate_total, grid)
-    shock_sum = integrate_increments(shocks.sum(axis=0) @ noise.d_tilde)
+    shock_sum = integrate_increments(d_wbar)
+    shock_sum *= n
     return _sample(
         kind,
         price,
@@ -708,7 +710,7 @@ def _simulate_martingale(
             expected_sum
             + (mu_total - alloc_flow) * (horizon - t)
             + abated
-            + (trade_sum / horizon)[:, None] * t
+            + (trade_T / horizon)[:, None] * t
             - shock_sum
         ),
         avg_abatement=lambda: abate_total / n,
@@ -724,8 +726,8 @@ def simulate_policy_paths(
     """Simulate one policy on a noise block and price every path.
 
     Martingale-type policies (optimal, custom, static) run through the
-    frictionless market equilibrium, computed by one kernel with the firm
-    index as an array axis; the tax needs no market; the MSR integrates
+    frictionless market equilibrium, computed by one kernel on firm sums
+    (`_simulate_martingale`); the tax needs no market; the MSR integrates
     its coupled (average bank, price) system with Euler steps.  All
     policies draw from the same underlying shocks, so samples produced
     from the same ``noise`` are directly comparable path by path.  The
@@ -1055,14 +1057,6 @@ def _stack_bounds(
     return bounds
 
 
-def _simulate_slice(
-    policy: Policy, mkt: MarketParams, noise: NoisePaths, start: int, stop: int
-) -> tuple[NoisePaths, PolicyPathSample]:
-    """Paths [start, stop) of ``noise`` and the policy's sample on them."""
-    view = noise.path_slice(start, stop)
-    return view, simulate_policy_paths(policy, mkt, view)
-
-
 def _simulate_runs(
     runs: list[tuple[MarketParams, Policy]],
     ensemble: PathEnsemble,
@@ -1071,25 +1065,20 @@ def _simulate_runs(
     """Simulate every (market, policy) run on every chunk of one ensemble.
 
     Each chunk's noise is drawn once and serves every run, so the runs share
-    shocks path by path; no trajectory outlives its chunk.  A martingale-
-    kernel run (optimal, custom, static) simulates a large chunk as path
-    slices on the process's CPUs (`map_path_slices`), each slice a
-    `NoisePaths` view of its own paths; the kernel is row-wise, so the
-    per-path numbers do not depend on the split, but its clearing check
-    runs per slice, as it runs per chunk.  Consecutive MSR runs on the same
-    firm volatilities (the etas of a sweep) step as stacks in one
-    `_simulate_msr` recursion; a stack holds at most (N+1) M // (M+1) runs,
-    so its (M+1, R, P) step buffer is never larger than the chunk's
-    (P, N+1, M) noise block.  Every other run, and an MSR run without a
-    neighbour to stack with, goes through `simulate_policy_paths` on the
-    whole chunk.  On the calling thread, ``on_sample`` sees every (noise,
-    sample) pair in chunk, then run, then slice order, the noise being the
-    slice's view; each sample is released once its hook call returns, and
-    every stack's generator is run to its end before the next noise draw.
-    Yields, per run and in run order, the concatenated per-path cost, cost
-    parts and terminal emissions.  The chunk loop runs at the first item,
-    and each run's concatenation is built when it is requested, so a caller
-    that reports one run at a time holds one run's copies at once.
+    shocks path by path; no trajectory outlives its chunk.  Consecutive MSR
+    runs on the same firm volatilities (the etas of a sweep) step as stacks
+    in one `_simulate_msr` recursion; a stack holds at most
+    (N+1) M // (M+1) runs, so its (M+1, R, P) step buffer is never larger
+    than the chunk's (P, N+1, M) noise block.  Every other run, and an MSR
+    run without a neighbour to stack with, goes through
+    `simulate_policy_paths` on the whole chunk.  On the calling thread,
+    ``on_sample`` sees every (noise, sample) pair in chunk, then run order;
+    each sample is released once its hook call returns, and every stack's
+    generator is run to its end before the next noise draw.  Yields, per
+    run and in run order, the concatenated per-path cost, cost parts and
+    terminal emissions.  The chunk loop runs at the first item, and each
+    run's concatenation is built when it is requested, so a caller that
+    reports one run at a time holds one run's copies at once.
     """
     m = ensemble.grid.n_steps
     bounds = _stack_bounds(runs, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
@@ -1115,15 +1104,6 @@ def _simulate_runs(
                     record(i, noise, sample)
                     i += 1
                     del sample  # free its trajectories before the next one is built
-            elif isinstance(policy, _MARTINGALE_POLICIES):
-                pieces = map_path_slices(
-                    partial(_simulate_slice, policy, mkt, noise),
-                    noise.n_paths,
-                    noise.d_tilde[0].size,
-                )
-                pieces.reverse()
-                while pieces:  # popped, so each slice is freed after its hook call
-                    record(start, *pieces.pop())
             else:
                 record(start, noise, simulate_policy_paths(policy, mkt, noise))
     for run_costs, run_parts, run_emissions in zip(costs, parts, emissions):
@@ -1146,8 +1126,8 @@ def run_ensemble(
     """Simulate every policy on every chunk of a shared ensemble and report costs.
 
     Chunk by chunk, each policy runs on the same noise block; ``on_sample``
-    (if given) sees every (noise, sample) pair in chunk, then policy, then
-    path-slice order (`_simulate_runs`), e.g. to write trajectories.  Only
+    (if given) sees every (noise, sample) pair in chunk, then policy order
+    (`_simulate_runs`), e.g. to write trajectories.  Only
     the per-path costs, cost parts and terminal emissions are kept, so no
     trajectory outlives its chunk.  A Monte Carlo estimate that misses its
     closed form only clears its report's ``consistent`` flag;

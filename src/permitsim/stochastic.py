@@ -20,10 +20,9 @@ whole block of paths at once with NumPy's published SeedSequence hash
 quadrature is left-point (Ito); the default grid is 2000 uniform steps for
 a 10-year horizon.
 
-`map_path_slices` runs row-wise work on a large block of paths as
-contiguous path slices, one per CPU the process may run on; the shocks are
-per-path streams and every kernel it serves is row-wise, so the numbers do
-not depend on the split.
+`map_path_slices` draws a large block of paths as contiguous path
+slices, one per CPU the process may run on; the shocks are per-path
+streams, so the numbers do not depend on the split.
 """
 
 from __future__ import annotations
@@ -101,22 +100,6 @@ class NoisePaths:
         """Correlated per-firm increments dW_i, shape (n_paths, N, M)."""
         ks = np.array(self.ks, dtype=float)[:, None]
         return np.sqrt(1.0 - ks**2) * self.d_tilde[:, 1:, :] + ks * self.d_tilde[:, :1, :]
-
-    def path_slice(self, start: int, stop: int) -> NoisePaths:
-        """Paths [start, stop) of the block as a block of their own.
-
-        Its increments are a view of this block's; the whole range is the
-        block itself.
-        """
-        if (start, stop) == (0, self.n_paths):
-            return self
-        return NoisePaths(
-            seed=self.seed,
-            path_offset=self.path_offset + start,
-            grid=self.grid,
-            ks=self.ks,
-            d_tilde=self.d_tilde[start:stop],
-        )
 
     def require_firms(self, firms: Sequence[FirmParams]) -> None:
         """Raise UnsupportedInputError unless the block was drawn for ``firms``.
@@ -206,7 +189,8 @@ def map_path_slices(fn: Callable[[int, int], _T], n_paths: int, path_doubles: in
     slice, and ``fn(0, n_paths)`` runs directly.  The calling thread runs
     slice 0 and a module thread pool, created on first use with one worker
     fewer than the CPUs, runs the others, each in a copy of the caller's
-    context so that its ``np.errstate`` holds there too.  ``fn`` gains only
+    context so that its ``np.errstate`` holds there too (errstate is a
+    context variable from numpy 2 on, the package's floor).  ``fn`` gains only
     where its array work releases the GIL; it must touch only its own paths
     and must not split again.  When a slice raises, the exception (the first
     in path order) propagates once every other slice has finished.

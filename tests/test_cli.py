@@ -446,9 +446,9 @@ def test_trajectory_rows_write_constant_columns_as_text():
 
 
 def test_simulate_writes_the_same_bytes_when_blocks_split(tmp_path, monkeypatch):
-    """Every output file is the same when each chunk's noise and martingale
-    runs split into three path slices; the trajectory rows of paths 6 and 7
-    then come from the second slice."""
+    """Every output file is the same when each chunk's noise draw splits
+    into three path slices; the trajectory rows of paths 6 and 7 then come
+    from the second slice's draw."""
     cfg = write_config(tmp_path)
     args = ["simulate", "--config", cfg, "--policy", "all",
             "--paths", "20", "--steps", "20", "--seed", "7", "--out"]
@@ -462,18 +462,21 @@ def test_simulate_writes_the_same_bytes_when_blocks_split(tmp_path, monkeypatch)
 
 
 def test_an_overflow_on_a_pool_thread_exits_3(tmp_path, monkeypatch):
-    """A slice that overflows on a pool thread raises there as it would on
-    the calling thread, and the run fails as a domain error."""
+    """A noise-draw slice that overflows on a pool thread raises there as it
+    would on the calling thread, and the run fails as a domain error."""
     force_split(monkeypatch)
     caller = threading.get_ident()
-    real = permitsim.policies.simulate_policy_paths
+    real = permitsim.stochastic.map_path_slices
 
-    def overflowing(policy, mkt, noise):
-        if threading.get_ident() != caller:
-            np.float64(1e300) * np.float64(1e300)
-        return real(policy, mkt, noise)
+    def overflowing_slices(fn, n_paths, path_doubles):
+        def slice_fn(start, stop):
+            if threading.get_ident() != caller:
+                np.float64(1e300) * np.float64(1e300)
+            return fn(start, stop)
 
-    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", overflowing)
+        return real(slice_fn, n_paths, path_doubles)
+
+    monkeypatch.setattr(permitsim.stochastic, "map_path_slices", overflowing_slices)
     out = tmp_path / "out"
     assert main([
         "simulate", "--config", write_config(tmp_path), "--policy", "optimal_dynamic",

@@ -13,7 +13,7 @@ from permitsim import (
     generate_noise,
     martingale_drift_stat,
 )
-from permitsim.equilibrium import _require_clearing
+from permitsim.equilibrium import CLEARING_TOL, _require_clearing, require_frictionless_clearing
 from permitsim.params import f_coeff, pi_coeff
 from permitsim.stochastic import NoisePaths
 
@@ -82,6 +82,58 @@ def test_require_clearing_raises():
         _require_clearing(np.array([1.0]), 1.0, "unit-test")
     # below tolerance passes silently
     _require_clearing(np.array([1e-10]), 1.0, "unit-test")
+
+
+def _gross_clearing_scale(mkt, grid, price, alloc_sum_abs_max):
+    """sum_i (c_i(0) max|P| + eta_i h_i T) + max|sum_i M_i|, written out per firm."""
+    lam = mkt.penalty
+    return alloc_sum_abs_max + sum(
+        (1.0 + 2.0 * lam * fp.eta * grid.horizon) / (2.0 * lam) * np.abs(price).max()
+        + fp.eta * fp.h * grid.horizon
+        for fp in mkt.firms
+    )
+
+
+@pytest.fixture(scope="module")
+def clearing_case():
+    mkt = make_market()
+    grid = TimeGrid(horizon=10.0, n_steps=4)
+    price = np.linspace(20.0, 30.0, 10).reshape(2, 5)
+    alloc_sum_abs_max = 1.2e10
+    return mkt, grid, price, alloc_sum_abs_max, _gross_clearing_scale(
+        mkt, grid, price, alloc_sum_abs_max
+    )
+
+
+def test_summed_trades_that_clear_to_roundoff_pass(clearing_case):
+    mkt, grid, price, alloc_max, gross = clearing_case
+    signs = np.where(np.arange(10).reshape(2, 5) % 3, 1.0, -1.0)
+    require_frictionless_clearing(mkt, grid, price, 1e-15 * gross * signs, alloc_max)
+
+
+def test_summed_trades_off_by_twice_the_tolerance_raise(clearing_case):
+    mkt, grid, price, alloc_max, gross = clearing_case
+    trade_sum = np.zeros((2, 5))
+    trade_sum[1, 3] = -2.0 * CLEARING_TOL * gross
+    with pytest.raises(ClearingError, match="frictionless"):
+        require_frictionless_clearing(mkt, grid, price, trade_sum, alloc_max)
+
+
+def test_large_per_firm_trades_do_not_excuse_a_residual(clearing_case):
+    """The residual is measured against the gross market terms alone, so
+    per-firm trades far larger than those do not hide a residual of 100
+    times the tolerance, although a scale of max(sum_i |B_i|, gross) would."""
+    mkt, grid, price, alloc_max, gross = clearing_case
+    n = mkt.n_firms
+    per_firm = np.zeros((2, n, 5))
+    per_firm[:, : n // 2] = 1e3 * gross
+    per_firm[:, n // 2 :] = -1e3 * gross
+    per_firm[:, 0, 2:] += 100.0 * CLEARING_TOL * gross
+    trade_sum = per_firm.sum(axis=1)
+    absorbing_scale = max(np.abs(per_firm).sum(axis=1).max(), gross)
+    assert np.abs(trade_sum).max() / absorbing_scale <= CLEARING_TOL
+    with pytest.raises(ClearingError, match="frictionless"):
+        require_frictionless_clearing(mkt, grid, price, trade_sum, alloc_max)
 
 
 # --- degenerate scenarios ----------------------------------------------------------

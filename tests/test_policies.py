@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -49,7 +50,7 @@ from permitsim.policies import (
 from permitsim.stochastic import left_integral
 
 import oracles
-from conftest import N_FIRMS, force_split, make_firms, make_market
+from conftest import N_FIRMS, make_firms, make_market
 
 
 def heterogeneous_eta_market():
@@ -631,6 +632,42 @@ def test_optimal_price_is_a_read_only_constant(market_name):
     assert np.all(sample.price_qv == 0.0)
 
 
+@pytest.mark.parametrize("market_name", ["base", "mixed", "mixed_eta"])
+def test_optimal_cost_is_one_number_on_every_path(market_name):
+    """Nothing surprises the market, so no path's cost differs from another's,
+    and each firm's terminal bank is -P0 / (2 lam): the penalty is N P0^2 / (4 lam)."""
+    mkt = _KERNEL_MARKETS[market_name]
+    noise = generate_noise(67, TimeGrid(mkt.horizon, 300), mkt.firms, 40)
+    sample = simulate_policy_paths(optimal_dynamic_policy(mkt), mkt, noise)
+    assert np.ptp(sample.cost) == 0.0
+    p0 = sample.price[0, 0]
+    want = mkt.n_firms * p0**2 / (4.0 * mkt.penalty)
+    assert np.abs(sample.parts["penalty"] - want).max() <= 1e-14 * want
+
+
+def test_static_kernel_price_is_the_euler_price(base_market, kernel_noise):
+    sample = simulate_policy_paths(static_policy(base_market), base_market, kernel_noise)
+    want = static_price_paths(base_market, kernel_noise, method="euler")
+    assert np.abs(sample.price - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_static_kernel_memory_is_flat_in_the_firm_count():
+    """The kernel sums over the firms before it integrates: its traced
+    allocation peak with 24 firms is within 1.5 times the peak with 3."""
+    peaks = {}
+    for n in (3, 24):
+        mkt = make_market(make_firms(n, sigma=0.2e9 / math.sqrt(n), mu=2e9 / n))
+        noise = generate_noise(68, TimeGrid(mkt.horizon, 500), mkt.firms, 64)
+        policy = static_policy(mkt)
+        tracemalloc.start()
+        try:
+            simulate_policy_paths(policy, mkt, noise)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[24] <= 1.5 * peaks[3], peaks
+
+
 # --- exact-transition price sampling ------------------------------------------------
 
 def test_static_price_paths_methods(base_market):
@@ -1043,106 +1080,3 @@ def test_a_stack_of_msr_runs_must_share_the_volatilities():
     noise = generate_noise(3, TimeGrid(10.0, 20), mkt.firms, 4)
     with pytest.raises(UnsupportedInputError, match="volatilities"):
         list(permitsim.policies._simulate_msr([(mkt, msr), (loud, msr_policy(loud, 0.1))], noise))
-
-
-# --- martingale runs split into path slices ------------------------------------
-
-
-def _five_policies(mkt):
-    """The four standard policies and a custom martingale that half-tracks the shocks."""
-    level = np.full(mkt.n_firms, ell(mkt))
-    custom = custom_martingale_policy(mkt, level, 0.5 * tracking_gamma(list(mkt.firms)))
-    return [*_four_policies(mkt), custom]
-
-
-def test_a_forced_split_changes_no_number(base_market, monkeypatch):
-    """Split into path slices, the martingale runs give every sample field,
-    cost part and report of the unsplit run bit for bit, and the hook sees
-    the samples in chunk, then run, then slice order."""
-    grid = TimeGrid(horizon=10.0, n_steps=20)
-    ensemble = PathEnsemble(
-        seed=8, grid=grid, firms=base_market.firms, n_paths=17, chunk_size=7
-    )
-    policies = _five_policies(base_market)
-
-    def run():
-        seen = []
-        result = run_ensemble(
-            base_market, policies, ensemble,
-            on_sample=lambda noise, sample: seen.append((
-                noise.path_offset,
-                noise.n_paths,
-                sample.kind,
-                {name: np.array(getattr(sample, name)) for name in _SAMPLE_FIELDS},
-                dict(sample.parts),
-            )),
-        )
-        return result, seen
-
-    whole, whole_seen = run()
-    force_split(monkeypatch, min_slice_doubles=2 * (N_FIRMS + 1) * 20)  # >= 2 paths a slice
-    split, split_seen = run()
-
-    martingale = {PolicyKind.OPTIMAL_DYNAMIC, PolicyKind.STATIC, PolicyKind.CUSTOM_MARTINGALE}
-    expected = [
-        (offset + start, stop - start, p.kind)
-        for offset, size in ((0, 7), (7, 7), (14, 3))
-        for p in policies
-        for start, stop in (
-            ((0, 2), (2, 4), (4, 7)) if size == 7 and p.kind in martingale else ((0, size),)
-        )
-    ]
-    assert [entry[:3] for entry in split_seen] == expected
-    by_chunk = {(offset, kind): entry for offset, _, kind, *entry in whole_seen}
-    for offset, size, kind, fields, parts in split_seen:
-        chunk = offset - offset % 7
-        rows = slice(offset - chunk, offset - chunk + size)
-        whole_fields, whole_parts = by_chunk[chunk, kind]
-        for name in _SAMPLE_FIELDS:
-            assert np.array_equal(fields[name], whole_fields[name][rows]), (kind, name)
-        assert parts.keys() == whole_parts.keys()
-        for key in parts:
-            assert np.array_equal(parts[key], whole_parts[key][rows]), (kind, key)
-    for rw, rs in zip(whole.reports, split.reports):
-        assert vars(rw) == vars(rs)
-    assert whole.deltas == split.deltas
-
-
-def test_split_samples_live_no_longer_than_whole_ones(base_market, monkeypatch):
-    """The lifetime tests above, with the martingale runs of each 4-path
-    chunk split into two slices: a hook call per slice, no sample alive
-    when the next simulation starts, no trajectory built and no firm shock
-    derived unless the hook reads it."""
-    grid = TimeGrid(horizon=10.0, n_steps=20)
-    ensemble = PathEnsemble(
-        seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
-    )
-    force_split(monkeypatch, min_slice_doubles=2 * (N_FIRMS + 1) * 20)
-    refs = []
-    live_at_call = []
-    real = permitsim.policies.simulate_policy_paths
-
-    def counting(policy, mkt, noise):
-        gc.collect()
-        live_at_call.append(sum(ref() is not None for ref in refs))
-        return real(policy, mkt, noise)
-
-    built_on_access = (
-        "total_bank", "avg_abatement", "total_emissions",
-        "net_allocation_minus_initial", "price_qv",
-    )
-
-    def hook(noise, sample):
-        assert not any(name in sample.__dict__ for name in built_on_access)
-        assert "d_firm" not in noise.__dict__
-        refs.append(weakref.ref(sample.total_emissions))
-
-    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", counting)
-    result = run_ensemble(base_market, _four_policies(base_market), ensemble, on_sample=hook)
-    gc.collect()
-    # per 4-path chunk: optimal and static in two slices, tax and msr whole
-    calls = 2 * (2 + 2 + 1 + 1) + 4
-    assert live_at_call == [0] * calls
-    assert len(refs) == calls
-    assert all(ref() is None for ref in refs)
-    assert all(r.n_paths == 10 for r in result.reports)
