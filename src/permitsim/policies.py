@@ -67,6 +67,7 @@ from .stochastic import (
     integrate_increments,
     left_integral,
     realized_qv,
+    weighted_mean_load,
 )
 
 #: Mean-reversion speed (1/year) used for the MSR-like policy when a
@@ -463,8 +464,9 @@ class PolicyPathSample:
     sample.  The other trajectories (``total_bank``, ``avg_abatement``,
     ``total_emissions``, ``net_allocation_minus_initial``) and the per-path
     ``price_qv`` are built from ``build`` on first access and then cached,
-    so a caller that reads only costs pays for none of them.  Under the
-    optimal policy the price is a read-only view of the constant P0.
+    so a caller that reads only costs pays for none of them.  Arrays may
+    be read-only views: under the optimal policy the price, the average
+    abatement and the cost parts repeat one row on every path.
     """
 
     kind: PolicyKind
@@ -624,15 +626,16 @@ def _simulate_martingale(
     (sum_k P_k dt) sum_i B_i(T) / T and penalty lam sum_i X_i(T)^2, and no
     array with a firm axis is larger than (P, N).  When the loadings track
     every firm's shock (the optimal policy) nothing surprises the market:
-    the price is a read-only view of the constant P0, sum_i B_i stays
-    sum_i B_i(0), which the clearing check then sees once, and every
-    path's cost is the same number.
+    the price is the constant P0 and sum_i B_i stays sum_i B_i(0), so the
+    price, the abatement and every cost part are computed once, as one row
+    that the sample's read-only views repeat on every path.
     """
     if not mkt.is_frictionless:
         raise UnsupportedInputError("finite depth: use equilibrium_frictions")
     grid = noise.grid
     t = grid.knots
     dt, horizon = grid.dt, grid.horizon
+    shape = (noise.n_paths, grid.n_steps + 1)
     lam = mkt.penalty
     n = mkt.n_firms
     etas = np.array([fp.eta for fp in mkt.firms])
@@ -646,7 +649,7 @@ def _simulate_martingale(
     # (the static lump sum) moves nothing
     m0_sum = float(m0.sum())
     if gamma.any():
-        expected_sum = integrate_increments(gamma.sum(axis=0) @ noise.d_tilde)
+        expected_sum = integrate_increments(noise.row(gamma.sum(axis=0)))
         expected_sum += m0_sum
     else:
         expected_sum = np.full((noise.n_paths, 1), m0_sum)
@@ -660,7 +663,7 @@ def _simulate_martingale(
     loading = (gamma - shocks).mean(axis=0)
     if loading.any():
         if gamma.any():
-            driver = loading @ noise.d_tilde
+            driver = noise.row(loading)
         else:  # the static lump sum: dM_i = 0
             driver = -d_wbar
         price = frictionless_price(mkt, grid, m0_bar, driver)
@@ -671,8 +674,9 @@ def _simulate_martingale(
         trade = integrate_increments(d_trade)
         np.subtract(trade0, trade, out=trade)
     else:
-        # no surprise: dP = 0 and the summed trade stays at its start
-        price = np.broadcast_to(p0, (noise.n_paths, grid.n_steps + 1))
+        # no surprise: dP = 0 and the summed trade stays at its start, on
+        # every path alike
+        price = np.full((1, shape[1]), p0)
         trade = np.full((1, 1), trade0)
     require_frictionless_clearing(mkt, grid, price, trade, float(np.abs(expected_sum).max()))
     trade_T = trade[:, -1]
@@ -691,16 +695,17 @@ def _simulate_martingale(
     bank_T = -p_T / (2.0 * lam) - etas * dt * (p_T - p0)
     penalty = lam * (bank_T**2).sum(axis=1)
     parts = {
-        "abatement": abatement,
-        "trading": trading,
-        "penalty": penalty,
-        "tax": np.zeros_like(abatement),
+        "abatement": np.broadcast_to(abatement, shape[:1]),
+        "trading": np.broadcast_to(trading, shape[:1]),
+        "penalty": np.broadcast_to(penalty, shape[:1]),
+        "tax": np.zeros(shape[0]),
     }
 
     abate_total = eta_total * excess
     abated = left_integral(abate_total, grid)
     shock_sum = integrate_increments(d_wbar)
     shock_sum *= n
+    price = np.broadcast_to(price, shape)
     return _sample(
         kind,
         price,
@@ -713,7 +718,7 @@ def _simulate_martingale(
             + (trade_T / horizon)[:, None] * t
             - shock_sum
         ),
-        avg_abatement=lambda: abate_total / n,
+        avg_abatement=lambda: np.broadcast_to(abate_total / n, shape),
         total_emissions=lambda: mu_total * t - abated + shock_sum,
         net_allocation_minus_initial=lambda: expected_sum - expected_sum[:, :1] + alloc_flow * t,
         price_qv=lambda: realized_qv(price)[:, -1],
@@ -760,8 +765,7 @@ def simulate_policy_paths(
     t = grid.knots
     shape = (noise.n_paths, grid.n_steps + 1)
     alpha = float(policy.alpha.sum())
-    shock_load = tracking_gamma(mkt.firms).sum(axis=0)
-    shock_sum = integrate_increments(shock_load @ noise.d_tilde)
+    shock_sum = integrate_increments(noise.row(tracking_gamma(mkt.firms).sum(axis=0)))
     terminal_emissions = (mu_total - alpha) * t[-1] + shock_sum[:, -1]
     hs = np.array([fp.h for fp in mkt.firms])
     etas = np.array([fp.eta for fp in mkt.firms])
@@ -1034,6 +1038,27 @@ class ComparisonResult:
         raise KeyError(f"no report for policy kind {key.value!r}")
 
 
+def _noise_rows(mkt: MarketParams, policy: Policy) -> list[np.ndarray]:
+    """The loading rows (`NoisePaths.row`) a run of ``policy`` reads from a noise block.
+
+    The firms' weighted mean shock (the MSR's and static policy's price
+    driver, and every martingale kernel's emissions); for the optimal and
+    custom policies also the sum of their loadings and, when the allocation
+    surprises the market, its firm-mean loading; for the tax the firms'
+    shock sum, the optimal policy's loading sum.
+    """
+    shocks = tracking_gamma(mkt.firms)
+    if isinstance(policy, TaxPolicy):
+        return [shocks.sum(axis=0)]
+    loads = [weighted_mean_load([fp.k for fp in mkt.firms], [fp.sigma for fp in mkt.firms])]
+    if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)) and policy.gamma.any():
+        loads.append(policy.gamma.sum(axis=0))
+        surprise = (policy.gamma - shocks).mean(axis=0)
+        if surprise.any():
+            loads.append(surprise)
+    return loads
+
+
 def _stack_bounds(
     runs: list[tuple[MarketParams, Policy]], cap: int
 ) -> list[tuple[int, int]]:
@@ -1065,11 +1090,14 @@ def _simulate_runs(
     """Simulate every (market, policy) run on every chunk of one ensemble.
 
     Each chunk's noise is drawn once and serves every run, so the runs share
-    shocks path by path; no trajectory outlives its chunk.  Consecutive MSR
-    runs on the same firm volatilities (the etas of a sweep) step as stacks
-    in one `_simulate_msr` recursion; a stack holds at most
-    (N+1) M // (M+1) runs, so its (M+1, R, P) step buffer is never larger
-    than the chunk's (P, N+1, M) noise block.  Every other run, and an MSR
+    shocks path by path; no trajectory outlives its chunk.  The chunk keeps
+    only the loading rows the runs read (`_noise_rows`), and every run is
+    checked against the ensemble's firms before the first draw.
+    Consecutive MSR runs on the same firm volatilities (the etas of a
+    sweep) step as stacks in one `_simulate_msr` recursion; a stack holds
+    at most (N+1) M // (M+1) runs, so its (M+1, R, P) step buffer holds no
+    more doubles than the P (N+1) M standard normals the chunk draws.
+    Every other run, and an MSR
     run without a neighbour to stack with, goes through
     `simulate_policy_paths` on the whole chunk.  On the calling thread,
     ``on_sample`` sees every (noise, sample) pair in chunk, then run order;
@@ -1080,6 +1108,9 @@ def _simulate_runs(
     run's concatenation is built when it is requested, so a caller that
     reports one run at a time holds one run's copies at once.
     """
+    for mkt, _ in runs:
+        ensemble.require_firms(mkt.firms)
+    loads = [load for mkt, policy in runs for load in _noise_rows(mkt, policy)]
     m = ensemble.grid.n_steps
     bounds = _stack_bounds(runs, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
     costs: list[list[np.ndarray]] = [[] for _ in runs]
@@ -1093,7 +1124,7 @@ def _simulate_runs(
         if on_sample is not None:
             on_sample(noise, sample)
 
-    for noise in ensemble.chunks():
+    for noise in ensemble.chunks(loads):
         for start, stop in bounds:
             mkt, policy = runs[start]
             if stop - start > 1:

@@ -20,7 +20,13 @@ whole block of paths at once with NumPy's published SeedSequence hash
 quadrature is left-point (Ito); the default grid is 2000 uniform steps for
 a 10-year horizon.
 
-`map_path_slices` draws a large block of paths as contiguous path
+The simulations read the shocks only through a few loading rows, fixed
+combinations ``load @ d_tilde`` of the drivers (the firms' weighted mean
+shock, the sum of a policy's allocation loadings).  Given those loads,
+`generate_noise` draws a few paths of normals at a time into a small
+scratch and keeps only the rows; the block's drivers,
+``NoisePaths.d_tilde``, are then drawn from the same streams on first
+access.  `map_path_slices` draws a large block of paths as contiguous path
 slices, one per CPU the process may run on; the shocks are per-path
 streams, so the numbers do not depend on the split.
 """
@@ -32,8 +38,8 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property, partial
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -67,13 +73,46 @@ class TimeGrid:
         return t
 
 
-@dataclass(frozen=True, eq=False)
-class NoisePaths:
-    """Increments of the driving Brownian motions for one or more paths.
+def weighted_mean_load(ks: Sequence[float], sigmas: Sequence[float]) -> np.ndarray:
+    """The loading row of (1/N) sum_i sigma_i dW_i on the N+1 drivers."""
+    w = np.array([float(s) for s in sigmas])
+    ks = np.asarray(ks, dtype=float)
+    return np.concatenate([[w @ ks], w * np.sqrt(1.0 - ks**2)]) / len(ks)
 
-    ``d_tilde`` holds the independent drivers, shape (n_paths, N+1, M), with
-    the common factor in row 0.  Each increment is Normal(0, dt).  They are
-    the only stored shocks: a firm's shock is a loading row times
+
+def _load_vector(load: Sequence[float], n_drivers: int) -> np.ndarray:
+    load = np.ascontiguousarray(load, dtype=float)
+    if load.shape != (n_drivers,):
+        raise UnsupportedInputError(
+            f"a loading row on {n_drivers} drivers needs shape ({n_drivers},), got {load.shape}"
+        )
+    return load
+
+
+def _require_loadings(ks: Sequence[float], firms: Sequence[FirmParams]) -> None:
+    want = tuple(float(f.k) for f in firms)
+    if not np.array_equal(ks, want):
+        raise UnsupportedInputError(
+            f"noise block was drawn for firm loadings k = {tuple(map(float, ks))}, "
+            f"not for the market's k = {want}"
+        )
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class NoisePaths:
+    """Increments of the driving Brownian motions for paths
+    [path_offset, path_offset + n_paths).
+
+    ``row(load)`` is ``load @ d_tilde``, one (n_paths, M) combination of the
+    drivers; the block keeps the rows it was drawn with (`generate_noise`)
+    and caches any other on first use, read-only, keyed by the load's bits.
+    ``d_tilde`` holds the independent drivers themselves, shape
+    (n_paths, N+1, M), with the common factor in row 0; each increment is
+    Normal(0, dt).  A block drawn with loads (``n_paths=`` and ``rows=``)
+    draws them on first access from its own per-path streams, with the
+    bits its rows were computed from; a block built from its increments
+    (``d_tilde=``: `generate_noise` without loads, `coarsen_noise`) holds
+    them from the start.  A firm's shock is a loading row times
     ``d_tilde``, and ``d_firm`` derives the per-firm increments on demand.
     """
 
@@ -81,19 +120,42 @@ class NoisePaths:
     path_offset: int
     grid: TimeGrid
     ks: tuple[float, ...]
-    d_tilde: np.ndarray
-    # weighted_mean_increments results by sigmas, for runs that share a block
-    _weighted_means: dict[tuple[float, ...], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    n_paths: int
 
-    @property
-    def n_paths(self) -> int:
-        return self.d_tilde.shape[0]
+    def __init__(
+        self,
+        seed: int,
+        path_offset: int,
+        grid: TimeGrid,
+        ks: Sequence[float],
+        d_tilde: np.ndarray | None = None,
+        *,
+        n_paths: int | None = None,
+        rows: Sequence[tuple[np.ndarray, np.ndarray]] = (),
+    ) -> None:
+        if (d_tilde is None) == (n_paths is None):
+            raise TypeError("NoisePaths takes either d_tilde or n_paths")
+        init = partial(object.__setattr__, self)
+        init("seed", seed)
+        init("path_offset", path_offset)
+        init("grid", grid)
+        init("ks", ks)
+        init("n_paths", n_paths if d_tilde is None else d_tilde.shape[0])
+        init("_rows", {})
+        if d_tilde is not None:
+            self.__dict__["d_tilde"] = d_tilde  # the cached_property's value
+        for load, row in rows:
+            row.setflags(write=False)
+            self._rows[load.tobytes()] = row
 
     @property
     def n_firms(self) -> int:
         return len(self.ks)
+
+    @cached_property
+    def d_tilde(self) -> np.ndarray:
+        """The N+1 independent drivers, shape (n_paths, N+1, M), drawn on first access."""
+        return _draw_drivers(self.seed, self.grid, self.n_firms + 1, self.n_paths, self.path_offset)
 
     @cached_property
     def d_firm(self) -> np.ndarray:
@@ -108,33 +170,34 @@ class NoisePaths:
         ``k``, so a block drawn for other loadings or another firm count
         would give the market shocks it does not have.
         """
-        ks = tuple(float(f.k) for f in firms)
-        if not np.array_equal(self.ks, ks):
-            raise UnsupportedInputError(
-                f"noise block was drawn for firm loadings k = {tuple(map(float, self.ks))}, "
-                f"not for the market's k = {ks}"
-            )
+        _require_loadings(self.ks, firms)
 
     def firm_paths(self) -> np.ndarray:
         """Integrated correlated firm shocks W_i, shape (n_paths, N, M+1)."""
         return integrate_increments(self.d_firm)
 
+    def row(self, load: Sequence[float]) -> np.ndarray:
+        """``load @ d_tilde`` for a loading row on the N+1 drivers, (n_paths, M), read-only.
+
+        A row drawn with the block is served as drawn; any other is
+        computed from ``d_tilde`` once and shared by every later caller.
+        """
+        load = _load_vector(load, self.n_firms + 1)
+        key = load.tobytes()
+        row = self._rows.get(key)
+        if row is None:
+            row = load @ self.d_tilde
+            row.setflags(write=False)
+            self._rows[key] = row
+        return row
+
     def weighted_mean_increments(self, sigmas: Sequence[float]) -> np.ndarray:
         """(1/N) sum_i sigma_i dW_i, shape (n_paths, M), read-only.
 
-        Computed once per block and sigmas: every run on the block that
-        asks with the same sigmas (e.g. each eta of a sweep) shares it.
+        The row of `weighted_mean_load`: every run on the block that asks
+        with the same sigmas (e.g. each eta of a sweep) shares it.
         """
-        key = tuple(float(s) for s in sigmas)
-        d_wbar = self._weighted_means.get(key)
-        if d_wbar is None:
-            w = np.array(key)
-            ks = np.asarray(self.ks, dtype=float)
-            load = np.concatenate([[w @ ks], w * np.sqrt(1.0 - ks**2)]) / self.n_firms
-            d_wbar = load @ self.d_tilde
-            d_wbar.setflags(write=False)
-            self._weighted_means[key] = d_wbar
-        return d_wbar
+        return self.row(weighted_mean_load(self.ks, sigmas))
 
 
 def integrate_increments(d: np.ndarray) -> np.ndarray:
@@ -325,45 +388,116 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
+#: Doubles of standard normals a row draw holds at a time per path slice:
+#: a few paths, and never fewer than one.
+ROW_SCRATCH_DOUBLES = 1 << 17
+
+
+def _path_filler(
+    seed: int, grid: TimeGrid, n_paths: int, path_offset: int
+) -> Callable[[np.ndarray, int], None]:
+    """``fill(block, first)`` writes into ``block``, (n, N+1, M), the
+    increments of the paths path_offset + first, ..., path_offset + first +
+    n - 1: sqrt(dt) times each path's standard normals.  Raises ValueError
+    for a negative seed or path index."""
+    seed_words = _seed_words_type()
+    all_words = _pcg64_seed_words(seed, path_offset, n_paths)
+    sqrt_dt = math.sqrt(grid.dt)
+
+    def fill(block: np.ndarray, first: int) -> None:
+        for p, out in enumerate(block, first):
+            rng = np.random.Generator(np.random.PCG64(seed_words(all_words[p])))
+            rng.standard_normal(out=out)
+        block *= sqrt_dt
+
+    return fill
+
+
+def _draw_drivers(
+    seed: int, grid: TimeGrid, n_drivers: int, n_paths: int, path_offset: int
+) -> np.ndarray:
+    """The whole (n_paths, n_drivers, M) block of drivers, filled as path slices."""
+    fill = _path_filler(seed, grid, n_paths, path_offset)
+    d_tilde = np.empty((n_paths, n_drivers, grid.n_steps))
+    map_path_slices(
+        lambda start, stop: fill(d_tilde[start:stop], start), n_paths, n_drivers * grid.n_steps
+    )
+    return d_tilde
+
+
+def _draw_rows(
+    seed: int,
+    grid: TimeGrid,
+    n_drivers: int,
+    n_paths: int,
+    path_offset: int,
+    loads: list[np.ndarray],
+) -> list[np.ndarray]:
+    """``load @ d_tilde``, (n_paths, M), for each load, without the whole block.
+
+    Each path slice fills a scratch of ROW_SCRATCH_DOUBLES doubles (at least
+    one path) a few paths at a time and writes each load's rows from it.  A
+    load times a stack of (N+1, M) blocks is the product ``row`` computes on
+    the whole block, path by path, so the bits are the same; a (K, N+1)
+    matrix of loads would be a matrix product, which may round differently.
+    """
+    fill = _path_filler(seed, grid, n_paths, path_offset)
+    m = grid.n_steps
+    # one allocation for every row: with a separate (P, M) array per row,
+    # glibc returned the kernels' freed temporaries to the system after each
+    # chunk and faulted them back in (10^4 x 2000: 580k against 430k minor
+    # faults, 6.6 s against 5.5 s)
+    rows = list(np.empty((len(loads), n_paths, m)))
+    per_pass = max(1, ROW_SCRATCH_DOUBLES // (n_drivers * m))
+
+    def draw(start: int, stop: int) -> None:
+        scratch = np.empty((min(per_pass, stop - start), n_drivers, m))
+        for first in range(start, stop, per_pass):
+            block = scratch[: min(per_pass, stop - first)]
+            fill(block, first)
+            for load, row in zip(loads, rows):
+                np.matmul(load, block, out=row[first : first + len(block)])
+
+    if loads:
+        map_path_slices(draw, n_paths, n_drivers * m)
+    return rows
+
+
 def generate_noise(
     seed: int,
     grid: TimeGrid,
     firms: Sequence[FirmParams],
     n_paths: int = 1,
     path_offset: int = 0,
+    loads: Sequence[Sequence[float]] | None = None,
 ) -> NoisePaths:
-    """Draw Brownian increments for paths [path_offset, path_offset + n_paths).
+    """Brownian increments of paths [path_offset, path_offset + n_paths).
 
     Path i's increments are sqrt(dt) times the first (N+1) * M standard
     normals of ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, so the
     same (seed, path index) always yields the same increments no matter how
     the ensemble is chunked.  The seeding words of the whole block come from
-    one vectorised pass; each path then gets its own PCG64.  A large block
-    is filled and scaled as path slices on the process's CPUs
-    (`map_path_slices`), each slice its own rows, which draws the same
-    numbers as one pass.
+    one vectorised pass; each path then gets its own PCG64.  Without
+    ``loads`` the block holds all its drivers, ``d_tilde``.  With ``loads``
+    (loading rows on the N+1 drivers) it keeps only ``load @ d_tilde`` for
+    each, drawn without ever holding more than a few paths of normals
+    (`_draw_rows`), and draws ``d_tilde`` on first access.  A large block is
+    drawn as path slices on the process's CPUs (`map_path_slices`), which
+    gives the same numbers as one pass.
     """
-    n = len(firms)
-    m = grid.n_steps
-    sqrt_dt = math.sqrt(grid.dt)
-    d_tilde = np.empty((n_paths, n + 1, m))
-    seed_words = _seed_words_type()
-    all_words = _pcg64_seed_words(seed, path_offset, n_paths)
-
-    def fill(start: int, stop: int) -> None:
-        for p in range(start, stop):
-            rng = np.random.Generator(np.random.PCG64(seed_words(all_words[p])))
-            rng.standard_normal(out=d_tilde[p])
-        d_tilde[start:stop] *= sqrt_dt
-
-    map_path_slices(fill, n_paths, (n + 1) * m)
-    return NoisePaths(
-        seed=seed,
-        path_offset=path_offset,
-        grid=grid,
-        ks=tuple(float(f.k) for f in firms),
-        d_tilde=d_tilde,
-    )
+    n_drivers = len(firms) + 1
+    ks = tuple(float(f.k) for f in firms)
+    if loads is None:
+        return NoisePaths(
+            seed, path_offset, grid, ks, _draw_drivers(seed, grid, n_drivers, n_paths, path_offset)
+        )
+    by_bits = {}
+    for load in loads:
+        load = _load_vector(load, n_drivers)
+        by_bits.setdefault(load.tobytes(), load)
+    kept = list(by_bits.values())
+    rows = _draw_rows(seed, grid, n_drivers, n_paths, path_offset, kept)
+    return NoisePaths(seed, path_offset, grid, ks, n_paths=n_paths, rows=list(zip(kept, rows)))
 
 
 @dataclass(frozen=True)
@@ -386,10 +520,16 @@ class PathEnsemble:
             if getattr(self, name) < 1:
                 raise UnsupportedInputError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    def chunks(self) -> Iterator[NoisePaths]:
+    def require_firms(self, firms: Sequence[FirmParams]) -> None:
+        """`NoisePaths.require_firms` for every block, checked before any draw."""
+        _require_loadings([f.k for f in self.firms], firms)
+
+    def chunks(self, loads: Sequence[Sequence[float]] | None = None) -> Iterator[NoisePaths]:
+        """The ensemble's blocks in path order, drawn by `generate_noise`:
+        each keeps only the rows of ``loads`` when they are given."""
         for start in range(0, self.n_paths, self.chunk_size):
             size = min(self.chunk_size, self.n_paths - start)
-            yield generate_noise(self.seed, self.grid, self.firms, size, start)
+            yield generate_noise(self.seed, self.grid, self.firms, size, start, loads)
 
     def path(self, index: int) -> NoisePaths:
         if not 0 <= index < self.n_paths:

@@ -864,6 +864,29 @@ def test_run_ensemble_never_derives_the_firm_shocks(base_market):
     assert "d_firm" in noises[0].__dict__
 
 
+def test_standard_runs_draw_only_loading_rows(base_market):
+    """Each chunk keeps only the loading rows its runs read: no standard
+    policy, nor a custom one with non-tracking loadings, makes a chunk draw
+    its (n_paths, N+1, M) drivers d_tilde."""
+    custom = custom_martingale_policy(
+        base_market,
+        np.zeros(N_FIRMS),
+        0.5 * tracking_gamma(base_market.firms),
+        target_compliance=False,
+    )
+    grid = TimeGrid(horizon=10.0, n_steps=20)
+    ensemble = PathEnsemble(
+        seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
+    )
+    drawn = []
+    run_ensemble(
+        base_market, [*_four_policies(base_market), custom], ensemble,
+        on_sample=lambda noise, sample: drawn.append((sample.kind, "d_tilde" in noise.__dict__)),
+    )
+    kinds = [PolicyKind(k) for k in ("optimal_dynamic", "static", "tax", "msr", "custom_martingale")]
+    assert drawn == [(kind, False) for kind in kinds] * 3
+
+
 def test_run_ensemble_does_not_depend_on_chunking(base_market):
     grid = TimeGrid(horizon=10.0, n_steps=50)
     policies = _four_policies(base_market)

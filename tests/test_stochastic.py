@@ -3,6 +3,7 @@ import multiprocessing
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from permitsim.stochastic import (
     map_path_slices,
     martingale_drift_stat,
     realized_qv,
+    weighted_mean_load,
 )
 
 from conftest import force_split, make_firms
@@ -95,6 +97,73 @@ def test_weighted_mean_increments_are_computed_once_per_sigmas():
     doubled = noise.weighted_mean_increments(2.0 * w)
     assert doubled is not first and noise.weighted_mean_increments(2.0 * w) is doubled
     np.testing.assert_array_equal(doubled, 2.0 * first)
+
+
+def _loads(firms):
+    """The firms' weighted mean load and a load with no structure."""
+    return [
+        weighted_mean_load([f.k for f in firms], [f.sigma for f in firms]),
+        np.linspace(-1.0, 2.0, len(firms) + 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_steps, scratch_paths, split",
+    [(50, None, False), (300, None, False), (2000, None, False), (20, 3, False), (20, 3, True)],
+    ids=["50-steps", "300-steps", "2000-steps", "partial-scratch", "split"],
+)
+def test_drawn_rows_are_the_loads_times_the_drivers(monkeypatch, n_steps, scratch_paths, split):
+    """A block drawn with loads keeps load @ d_tilde of the whole block, bit
+    for bit, whether the scratch divides a slice or not and whether the block
+    splits, and draws no d_tilde.  At 2000 steps the scratch holds 9 of the
+    block's 40 paths; with 3, the 11-path block, and its 4-path slices when
+    it splits in three, end on a partial pass."""
+    firms = make_firms()
+    grid = TimeGrid(horizon=10.0, n_steps=n_steps)
+    loads = _loads(firms)
+    n_paths = 40 if scratch_paths is None else 11
+    whole = generate_noise(17, grid, firms, n_paths=n_paths, path_offset=3)
+    if scratch_paths is not None:
+        doubles = scratch_paths * (len(firms) + 1) * n_steps
+        monkeypatch.setattr(permitsim.stochastic, "ROW_SCRATCH_DOUBLES", doubles)
+    if split:
+        force_split(monkeypatch)
+    noise = generate_noise(17, grid, firms, n_paths=n_paths, path_offset=3, loads=loads)
+    for load in loads:
+        assert noise.row(load).tobytes() == (load @ whole.d_tilde).tobytes()
+    assert "d_tilde" not in noise.__dict__
+
+
+def test_a_row_that_was_not_drawn_is_served_with_the_same_bits():
+    firms = make_firms()
+    grid = TimeGrid(horizon=10.0, n_steps=30)
+    drawn, other = _loads(firms)
+    noise = generate_noise(8, grid, firms, n_paths=5, loads=[drawn])
+    whole = generate_noise(8, grid, firms, n_paths=5)
+    row = noise.row(other)
+    assert row.tobytes() == (other @ whole.d_tilde).tobytes()
+    assert noise.row(other) is row and not row.flags.writeable
+    assert noise.d_tilde.tobytes() == whole.d_tilde.tobytes()
+    for bad in (np.ones(3), np.ones((2, 7))):
+        with pytest.raises(UnsupportedInputError, match="loading row"):
+            noise.row(bad)
+        with pytest.raises(UnsupportedInputError, match="loading row"):
+            generate_noise(8, grid, firms, n_paths=5, loads=[bad])
+
+
+def test_a_rows_only_draw_never_holds_the_drivers():
+    """64 paths x 2000 steps of 7 drivers are 7.2 MB; a draw that keeps one
+    row holds that row and its scratch, at most 0.4 of it."""
+    firms = make_firms()
+    grid = TimeGrid(horizon=10.0, n_steps=2000)
+    load = _loads(firms)[0]
+    tracemalloc.start()
+    try:
+        generate_noise(3, grid, firms, n_paths=64, loads=[load])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.4 * 64 * (len(firms) + 1) * grid.n_steps * 8
 
 
 def test_seed_determinism_and_chunk_independence():
