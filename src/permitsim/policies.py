@@ -19,9 +19,11 @@ it integrates anything: the price follows from the firms' average
 allocation surprise, clearing is checked on the summed trades, and each
 firm's terminal bank is pinned by the price through the grid identity
 X_i(T) = -P_T/(2 lam) - eta_i dt (P_T - P_0), so no per-firm path is
-built.  The MSR runs that share a noise block
-(the etas of a sweep) step their Euler recursion together, with the run
-index as an array axis.  `allocation_views` with
+built.  The MSR's Euler step is affine in the average bank,
+X_{k+1} = a_k X_k + b_k - dWbar_k with deterministic a_k and b_k; the runs
+that share a noise block (the etas of a sweep) take it together on
+time-major rows, with the run index as an array axis, and sum their costs
+along time.  `allocation_views` with
 `equilibrium.equilibrium_frictionless` remains the per-firm construction
 of the same equilibrium.  All costs are in euros, volumes in tons, rates
 per year.
@@ -39,6 +41,7 @@ import numpy as np
 
 from .errors import (
     DiagnosticError,
+    DomainError,
     InfeasibleObservationError,
     UnsupportedConfigurationError,
     UnsupportedInputError,
@@ -465,8 +468,9 @@ class PolicyPathSample:
     ``total_emissions``, ``net_allocation_minus_initial``) and the per-path
     ``price_qv`` are built from ``build`` on first access and then cached,
     so a caller that reads only costs pays for none of them.  Arrays may
-    be read-only views: under the optimal policy the price, the average
-    abatement and the cost parts repeat one row on every path.
+    be views: under the optimal policy the price, the average abatement and
+    the cost parts are read-only and repeat one row on every path, and the
+    MSR's trajectories are transposed views of time-major (M+1, P) arrays.
     """
 
     kind: PolicyKind
@@ -819,14 +823,16 @@ def _simulate_msr(
 
     Run r's price is in deterministic-coefficient feedback form
     P_t = c0(t) + c1(t) Xbar_t with c1 = -F (1 - delta z), and its average
-    bank follows dXbar = (a_t + eta (P_t - h_bar)) dt - dWbar_t.  At t = T
-    the coefficients collapse to P_T = -2 lambda Xbar_T, the terminal
-    marginal penalty.  The runs may differ in every parameter but the
-    firms' volatilities, which fix the average shock dWbar; they step
-    together with the run index as an array axis (`_msr_steps`), so a stack
-    costs the Python calls of one run.  Yields one sample per run, in run
-    order, each built when it is requested; the step buffer is released
-    when the generator is exhausted.
+    bank follows dXbar = (delta (ramp_t - Xbar_t) + eta (P_t - h_bar)) dt - dWbar_t.
+    At t = T the coefficients collapse to P_T = -2 lambda Xbar_T, the
+    terminal marginal penalty.  So the Euler step is the affine recurrence
+    X_{k+1} = a_k X_k + b_k - dWbar_k with deterministic a_k and b_k.  The
+    runs may differ in every parameter but the firms' volatilities, which
+    fix the average shock dWbar; they step together with the run index as
+    an array axis (`_msr_steps`), so a stack costs the Python calls of one
+    run.  Yields one sample per run, in run order, each built when it is
+    requested from the run's time-major slice of the step buffer; the
+    buffer is released when the generator is exhausted.
     """
     grid = noise.grid
     sigmas = tuple(fp.sigma for fp in runs[0][0].firms)
@@ -837,60 +843,54 @@ def _simulate_msr(
         if tuple(fp.sigma for fp in mkt.firms) != sigmas:
             raise UnsupportedInputError("stacked MSR runs must share the firms' volatilities")
     coefs = [_msr_coefficients(mkt, policy, grid) for mkt, policy in runs]
-    d_wbar = noise.weighted_mean_increments(sigmas)
-    x_t = _msr_steps(runs, coefs, d_wbar, grid.dt)
-    wbar = integrate_increments(d_wbar)
+    dw_t = np.ascontiguousarray(noise.weighted_mean_increments(sigmas).T)
+    x_t = _msr_steps(runs, coefs, dw_t, grid.dt)
     for r, (mkt, policy) in enumerate(runs):
-        # xbar stays a (P, M+1) view of the step buffer: every use is elementwise
-        yield _msr_sample(mkt, policy, grid, *coefs[r], x_t[:, r].T, wbar)
+        yield _msr_sample(mkt, policy, grid, *coefs[r], x_t[:, r], dw_t)
 
 
 def _msr_steps(
     runs: Sequence[tuple[MarketParams, MSRPolicy]],
     coefs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    d_wbar: np.ndarray,
+    dw_t: np.ndarray,
     dt: float,
 ) -> np.ndarray:
     """Average banks Xbar of a stack of R runs, time-major (M+1, R, P).
 
-    Steps in place, every row contiguous, with the operations of
-    x + (delta (ramp - x) + eta ((c0 + c1 x) - h_bar)) dt - dW in this
-    order, so each knot rounds as the plain per-run, per-step formula does.
-    The time-dependent c0, c1 and ramp are (R, 1) columns, read from
-    precomputed row views; the constants eta, h_bar and delta are full
-    (R, P) rows, which numpy combines faster than columns.  A lone run steps
-    on (P,) rows with scalar c0, c1 and ramp instead, which numpy dispatches
-    faster than (1, P) rows against (1, 1) columns.
+    The Euler step x + (delta (ramp - x) + eta (c0 + c1 x - h_bar)) dt - dW
+    is x_{k+1} = a_k x_k + u_k, with a_k = 1 + (eta c1_k - delta) dt and
+    u_k = (delta ramp_k + eta (c0_k - h_bar)) dt - dW_k.  One bulk pass
+    writes every u_k into the buffer, then each knot takes two in-place
+    calls on (R, P) rows.  Every operation is elementwise, so a run's banks
+    have the same bits in a stack as alone.
     """
-    n_paths, m = d_wbar.shape
-    r = len(runs)
-    col = (r, 1) if r > 1 else ()
-    row = (*col[:1], n_paths)
+    m, n_paths = dw_t.shape
+    c0, c1, ramp = (np.stack(rows) for rows in zip(*coefs))
+    eta, h_bar, delta, x_bar0 = np.array(
+        [(mkt.agg.eta_bar, mkt.agg.h_bar, policy.delta, policy.x_bar0) for mkt, policy in runs]
+    ).T[..., None]
+    a_t = (1.0 + (eta * c1 - delta) * dt).T[..., None]
+    b_t = ((delta * ramp + eta * (c0 - h_bar)) * dt).T[:-1, :, None]
+    x_t = np.empty((m + 1, len(runs), n_paths))
+    x_t[0] = x_bar0
+    np.subtract(b_t, dw_t[:, None], out=x_t[1:])
+    ax = np.empty(x_t.shape[1:])
+    for a_k, x, x_next in zip(a_t, x_t, x_t[1:]):
+        np.multiply(a_k, x, out=ax)
+        x_next += ax
+    return x_t
 
-    def per_run(values: list[float]) -> np.ndarray:
-        return np.broadcast_to(np.reshape(values, col), row).copy()
 
-    c0, c1, ramp = (np.stack(rows, axis=-1).reshape((m + 1, *col)) for rows in zip(*coefs))
-    eta = per_run([mkt.agg.eta_bar for mkt, _ in runs])
-    h_bar = per_run([mkt.agg.h_bar for mkt, _ in runs])
-    delta = per_run([policy.delta for _, policy in runs])
-    x_t = np.empty((m + 1, *row))
-    x_t[0] = per_run([policy.x_bar0 for _, policy in runs])
-    dw_t = np.ascontiguousarray(d_wbar.T)
-    pull = np.empty(row)
-    drift = np.empty(row)
-    for c0_k, c1_k, ramp_k, dw, x, x_next in zip(c0, c1, ramp, dw_t, x_t, x_t[1:]):
-        np.multiply(c1_k, x, drift)
-        np.add(c0_k, drift, drift)
-        np.subtract(drift, h_bar, drift)
-        np.multiply(eta, drift, drift)
-        np.subtract(ramp_k, x, pull)
-        np.multiply(delta, pull, pull)
-        np.add(pull, drift, drift)
-        np.multiply(drift, dt, drift)
-        np.add(x, drift, x_next)
-        np.subtract(x_next, dw, x_next)
-    return x_t.reshape(m + 1, r, n_paths)
+def _time_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum time-major (M, P) rows over time, knot by knot.
+
+    numpy sums an outer axis one row at a time, in the running order of
+    `integrate_increments`, but a lone path's column pairwise; cumsum keeps
+    the running order there, so a path's sums do not depend on its chunk.
+    """
+    if rows.shape[1] == 1:
+        return np.cumsum(rows, axis=0)[-1]
+    return rows.sum(axis=0)
 
 
 def _msr_sample(
@@ -901,51 +901,57 @@ def _msr_sample(
     c1: np.ndarray,
     ramp: np.ndarray,
     xbar: np.ndarray,
-    wbar: np.ndarray,
+    dw_t: np.ndarray,
 ) -> PolicyPathSample:
-    """One MSR run's sample from its average banks ``xbar``, (P, M+1)."""
+    """One MSR run's sample from its time-major average banks ``xbar``, (M+1, P),
+    and average shocks ``dw_t``, (M, P).
+
+    Costs and terminal emissions are sums over time (`_time_sum`), and the
+    trajectories transposed views.  A cost part or terminal emission that
+    is not finite, from an overflowing recursion or penalty, raises `DomainError`.
+    """
     t = grid.knots
     n = mkt.n_firms
     agg = mkt.agg
-    eta = agg.eta_bar
-    h_bar = agg.h_bar
-    dt = grid.dt
-    # C order, so that the abatement row sums keep numpy's pairwise order
-    price = np.empty(xbar.shape)
-    np.multiply(c1, xbar, out=price)
-    np.add(c0, price, out=price)
-
-    avg_alpha = eta * (price - h_bar)
-    abate_rate = h_bar * avg_alpha + avg_alpha**2 / (2.0 * eta)
-    abatement = n * abate_rate[:, :-1].sum(axis=-1) * dt
-    del abate_rate
-    penalty = n * mkt.penalty * xbar[:, -1] ** 2
-    zeros_s = np.zeros(xbar.shape[0])
-    parts = {
-        "abatement": abatement,
-        "trading": zeros_s,
-        "penalty": penalty,
-        "tax": zeros_s.copy(),
-    }
-    abated = left_integral(avg_alpha, grid)
-    terminal_emissions = n * (agg.mu_bar * t[-1] - abated[:, -1])
-    terminal_emissions += n * wbar[:, -1]
+    eta, h_bar, dt = agg.eta_bar, agg.h_bar, grid.dt
+    price = c1[:, None] * xbar
+    price += c0[:, None]
+    # the products alpha_k dt that left_integral sums in total_emissions
+    alpha_dt = np.subtract(price[:-1], h_bar)
+    alpha_dt *= eta
+    alpha_dt *= dt
+    abated = _time_sum(alpha_dt)
+    terminal_emissions = n * (agg.mu_bar * t[-1] - abated)
+    terminal_emissions += n * _time_sum(dw_t)
+    alpha_dt *= alpha_dt  # sum_k (h_bar alpha_k + alpha_k^2 / (2 eta)) dt, from (alpha_k dt)^2
+    abatement = n * (h_bar * abated + _time_sum(alpha_dt) / (2.0 * eta * dt))
+    penalty = n * mkt.penalty * xbar[-1] ** 2
+    if not all(np.isfinite(v).all() for v in (abatement, penalty, terminal_emissions)):
+        raise DomainError(
+            f"MSR run (eta_bar {eta:g}, delta {policy.delta:g}, {grid.n_steps} steps) "
+            "overflows: a cost or the terminal emissions are not finite"
+        )
+    zeros_s = np.zeros(xbar.shape[1])
+    parts = {"abatement": abatement, "trading": zeros_s, "penalty": penalty, "tax": zeros_s.copy()}
 
     def net_allocation() -> np.ndarray:
-        alloc_rate = np.subtract(ramp, xbar, out=np.empty_like(price))
-        np.multiply(policy.delta, alloc_rate, out=alloc_rate)
+        alloc_rate = np.subtract(ramp[:, None], xbar).T
+        alloc_rate *= policy.delta
         return n * (left_integral(alloc_rate, grid) + agg.mu_bar * t)
 
     return _sample(
         policy.kind,
-        price,
+        price.T,
         parts,
         terminal_emissions,
-        total_bank=lambda: n * xbar,
-        avg_abatement=lambda: avg_alpha,
-        total_emissions=lambda: n * (agg.mu_bar * t - abated) + n * wbar,
+        total_bank=lambda: (n * xbar).T,
+        avg_abatement=lambda: eta * (price.T - h_bar),
+        total_emissions=lambda: (
+            n * (agg.mu_bar * t - left_integral(eta * (price.T - h_bar), grid))
+            + n * integrate_increments(dw_t.T)
+        ),
         net_allocation_minus_initial=net_allocation,
-        price_qv=lambda: realized_qv(price)[:, -1],
+        price_qv=lambda: realized_qv(price.T)[:, -1],
     )
 
 

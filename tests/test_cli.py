@@ -363,6 +363,20 @@ def test_extreme_horizon_is_a_domain_error(tmp_path, capsys, horizon):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["simulate", "--policy", "msr"], ["compare", "--etas", "6e8"]])
+@pytest.mark.parametrize("delta", [1e6, 1e3], ids=["recursion", "penalty-square"])
+def test_an_overflowing_msr_exits_3(tmp_path, capsys, command, delta):
+    """At 100 steps delta = 1e6 overflows the MSR recursion and 1e3 its penalty's square."""
+    cfg = write_config(
+        tmp_path, policy={"kind": "msr", "delta": delta}, simulation=small_sim_block(8, 100)
+    )
+    out = tmp_path / "overflow"
+    assert main([command[0], "--config", cfg, *command[1:], "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command",
     [["simulate", "--policy", "tax"], ["simulate", "--policy", "all"], ["compare", "--etas", "1e7"]],

@@ -9,6 +9,7 @@ import pytest
 from permitsim import (
     ClearingError,
     DiagnosticError,
+    DomainError,
     FirmParams,
     InfeasibleObservationError,
     PathEnsemble,
@@ -394,24 +395,62 @@ def _msr_per_step_loop(policy, mkt, noise):
     }
 
 
-@pytest.mark.parametrize("n_steps", [37, 300])
+@pytest.mark.parametrize("n_steps", [1, 5, 37, 300, 2000])
 @pytest.mark.parametrize("delta", [0.1, 1.5])
 @pytest.mark.parametrize("eta", [1e6, 1e9])
 def test_msr_recursion_matches_the_per_step_loop(eta, delta, n_steps):
-    """Exact equality: the kernel performs the loop's operations in the loop's
-    order.  At eta = 1e9 the last Euler step overshoots the terminal bank."""
+    """The kernel steps the Euler recursion in its affine form
+    x_{k+1} = a_k x_k + u_k and sums the costs over time, so it rounds
+    differently from the loop, by at most 1e-12 of each output's largest
+    magnitude.  On 1 and 5 steps |a_k| is far from 1, and at eta = 1e9 the
+    last Euler step overshoots the terminal bank."""
     firms = make_firms(eta=eta)
     mkt = make_market(firms)
     msr = msr_policy(mkt, delta)
     noise = generate_noise(17, TimeGrid(horizon=10.0, n_steps=n_steps), firms, n_paths=64)
     sample = simulate_policy_paths(msr, mkt, noise)
     want = _msr_per_step_loop(msr, mkt, noise)
-    np.testing.assert_array_equal(sample.price, want["price"])
-    np.testing.assert_array_equal(sample.total_bank, want["total_bank"])
-    np.testing.assert_array_equal(sample.cost, want["cost"])
-    np.testing.assert_array_equal(sample.parts["abatement"], want["abatement"])
-    np.testing.assert_array_equal(sample.parts["penalty"], want["penalty"])
+    got = {
+        "price": sample.price,
+        "total_bank": sample.total_bank,
+        "cost": sample.cost,
+        "abatement": sample.parts["abatement"],
+        "penalty": sample.parts["penalty"],
+    }
+    for name, value in got.items():
+        np.testing.assert_allclose(
+            value, want[name], rtol=0, atol=1e-12 * np.abs(want[name]).max(), err_msg=name
+        )
     assert not sample.parts["trading"].any() and not sample.parts["tax"].any()
+
+
+@pytest.mark.parametrize("delta", [1e6, 1e3], ids=["recursion", "penalty-square"])
+def test_msr_overflow_is_a_domain_error(delta):
+    """At 100 steps, delta = 1e6 makes |a_k| so large that the recursion
+    overflows, and delta = 1e3 keeps it finite but overflows the penalty's
+    square: a library caller gets DomainError, not a non-finite cost."""
+    mkt = make_market()
+    noise = generate_noise(3, TimeGrid(mkt.horizon, 100), mkt.firms, n_paths=8)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="finite"):
+        simulate_policy_paths(msr_policy(mkt, delta), mkt, noise)
+
+
+def test_msr_path_costs_do_not_depend_on_the_chunk_size():
+    """The costs and terminal emissions are sums over time, knot by knot, for
+    any chunk size: one path alone gives the bits it gives among others."""
+    mkt = make_market()
+    msr = msr_policy(mkt, 0.1)
+    grid = TimeGrid(mkt.horizon, 300)
+    per_size = []
+    for chunk_size in (5, 2, 1):
+        ensemble = PathEnsemble(seed=21, grid=grid, firms=mkt.firms, n_paths=5, chunk_size=chunk_size)
+        [(cost, parts, emissions)] = permitsim.policies._simulate_runs([(mkt, msr)], ensemble)
+        per_size.append((cost, parts["abatement"], parts["penalty"], emissions))
+    for got in per_size[1:]:
+        for a, b in zip(got, per_size[0]):
+            np.testing.assert_array_equal(a, b)
+    sample = simulate_policy_paths(msr, mkt, generate_noise(21, grid, mkt.firms, n_paths=1))
+    np.testing.assert_array_equal(sample.terminal_emissions, sample.total_emissions[:, -1])
 
 
 def test_msr_tracks_the_drawdown_ramp_when_reversion_is_fast():
