@@ -390,8 +390,12 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
 
     Writes ``trajectory_<kind>.csv`` per policy (first TRAJECTORY_PATH_CAP
     paths) and ``summary.json`` with closed-form and Monte Carlo costs over
-    all ``n_paths`` paths.  Returns the summary dict.  A failed run removes
-    the trajectory files it opened and writes no summary.
+    all ``n_paths`` paths.  The written paths are drawn as the ensemble's
+    first block, of their own, so the trajectories are built for them
+    alone; every later block yields only costs.  A path's costs do not
+    depend on the block it is drawn in, so the summary equals that of the
+    default chunking.  Returns the summary dict.  A failed run removes the
+    trajectory files it opened and writes no summary.
 
     A Monte Carlo estimate more than four standard errors from its closed
     form is recorded as ``"consistent": false`` and the run still succeeds:
@@ -421,7 +425,7 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
             f = (out / f"trajectory_{kind.value}.csv").open("w", newline="")
             f.write(header)
             files[kind] = f
-        result = run_ensemble(mkt, policies, ensemble, on_sample=write_rows)
+        result = run_ensemble(mkt, policies, ensemble, write_rows, head=TRAJECTORY_PATH_CAP)
         summary = {
             "schema": SUMMARY_SCHEMA,
             "seed": config.seed,

@@ -136,7 +136,7 @@ def equilibrium_frictions(
     marginal = np.zeros_like(price)
     for i, firm in enumerate(mkt.firms):
         marginal += firm.h + alpha[:, i, :] / firm.eta
-    _require_clearing(marginal - n * price, n * np.abs(price).max(), "finite-depth")
+    _require_clearing(marginal - n * price, n * abs_max(price), "finite-depth")
     return EquilibriumPath(price=price, abatement=alpha, trade_rate=beta, bank=bank)
 
 
@@ -175,7 +175,7 @@ def equilibrium_frictionless(
     total_trade = np.stack([c.total_trade for c in controls], axis=1)
     alloc_sum = sum(v.expected_total for v in views)
     require_frictionless_clearing(
-        mkt, grid, price, total_trade.sum(axis=1), float(np.abs(alloc_sum).max())
+        mkt, grid, price, total_trade.sum(axis=1), abs_max(alloc_sum)
     )
     return EquilibriumPath(
         price=price, abatement=alpha, trade_rate=beta, bank=bank, total_trade=total_trade
@@ -183,17 +183,26 @@ def equilibrium_frictionless(
 
 
 def frictionless_price(
-    mkt: MarketParams, grid, m0_bar: float | np.ndarray, d_driver: np.ndarray
+    mkt: MarketParams,
+    grid,
+    m0_bar: float | np.ndarray,
+    d_driver: np.ndarray,
+    sign: float = 1.0,
 ) -> np.ndarray:
     """Frictionless clearing price from the average allocation surprise.
 
     P_0 = f(0) (T Hbar - Mbar_0) and dP_k = -f(t_k) dZbar_k with left-knot
-    coefficients, where ``d_driver`` holds dZbar = (1/N) sum_i (dM_i -
-    sigma_i dW_i), shape (n_paths, M), and ``m0_bar`` the average initial
-    expected allocation (scalar or per path, (n_paths, 1)).  Returns
-    (n_paths, M+1).
+    coefficients, where dZbar = (1/N) sum_i (dM_i - sigma_i dW_i) is
+    ``sign`` times ``d_driver``, shape (n_paths, M), and ``m0_bar`` the
+    average initial expected allocation (scalar or per path, (n_paths, 1)).
+    ``sign`` = -1 takes -dZbar as it is, e.g. the static lump sum's mean
+    shock dWbar, with the bits of its negation: -f (-dW) = f dW exactly.
+    The increments are written into the returned (n_paths, M+1) price and
+    summed there in place.
     """
-    price = integrate_increments(-f_coeff(mkt, grid.knots[:-1]) * d_driver)
+    price = np.empty(d_driver.shape[:-1] + (d_driver.shape[-1] + 1,))
+    np.multiply(-sign * f_coeff(mkt, grid.knots[:-1]), d_driver, out=price[..., 1:])
+    integrate_increments(price[..., 1:], out=price)
     price += frictionless_initial_price(mkt, grid, m0_bar)
     return price
 
@@ -218,7 +227,8 @@ def require_frictionless_clearing(
     ``trade_sum`` holds the firms' summed cumulative trades sum_i B_i,
     shape (n_paths, M+1) or broadcastable to it; ``alloc_sum_abs_max`` is
     the largest |sum_i M_i| of the firms' summed expected total allocation
-    over the block.
+    over the block.  Every max|x| here comes from a min and a max reduction
+    (`abs_max`), so the check allocates no array; a NaN anywhere fails it.
     """
     # The residual is a cancellation of gross terms of size ~ c(0) P + M +
     # eta h T summed over the firms, so "relative" must mean relative to
@@ -228,15 +238,21 @@ def require_frictionless_clearing(
     hs = np.array([fp.h for fp in mkt.firms])
     c0_sum = float(np.sum(1.0 + 2.0 * lam * etas * grid.horizon)) / (2.0 * lam)
     gross = (
-        c0_sum * float(np.abs(price).max())
+        c0_sum * abs_max(price)
         + alloc_sum_abs_max
         + float(np.sum(etas * hs)) * grid.horizon
     )
     _require_clearing(trade_sum, gross, "frictionless")
 
 
+def abs_max(x: np.ndarray) -> float:
+    """max|x| from a min and a max reduction, without an |x| array; NaN if
+    ``x`` holds a NaN (np.maximum propagates it, Python's max may not)."""
+    return float(np.maximum(-x.min(), x.max()))
+
+
 def _require_clearing(residual: np.ndarray, scale: float, label: str) -> None:
-    rel = float(np.abs(residual).max()) / max(scale, 1.0)
+    rel = abs_max(residual) / max(scale, 1.0)
     if not rel <= CLEARING_TOL:
         raise ClearingError(
             f"{label} equilibrium failed to clear: relative residual {rel:.3e} "

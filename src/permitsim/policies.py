@@ -57,6 +57,7 @@ from .params import (
 # equilibrium_frictionless is not called here but stays a module attribute:
 # perfbench/tracing.py wraps it under this name.
 from .equilibrium import (  # noqa: F401
+    abs_max,
     equilibrium_frictionless,
     frictionless_initial_price,
     frictionless_price,
@@ -569,15 +570,25 @@ def static_price_paths(
 
 def _sample(
     kind: PolicyKind,
+    run: str,
     price: np.ndarray,
     parts: dict[str, np.ndarray],
     terminal_emissions: np.ndarray,
     **build: Callable[[], np.ndarray],
 ) -> PolicyPathSample:
+    """The sample of one run, described by ``run`` in errors.
+
+    A cost or terminal emission that is not finite, from an overflowing
+    kernel, cost part or sum of the parts, raises `DomainError` (an O(P)
+    check: a non-finite part makes the cost non-finite).
+    """
+    cost = parts["abatement"] + parts["trading"] + parts["penalty"] + parts["tax"]
+    if not (np.isfinite(cost).all() and np.isfinite(terminal_emissions).all()):
+        raise DomainError(f"{run} overflows: a cost or the terminal emissions are not finite")
     return PolicyPathSample(
         kind=kind,
         price=price,
-        cost=parts["abatement"] + parts["trading"] + parts["penalty"] + parts["tax"],
+        cost=cost,
         parts=parts,
         terminal_emissions=terminal_emissions,
         build=build,
@@ -614,7 +625,11 @@ def _simulate_martingale(
     c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam) from the terminal condition
     X_i(T) = -P_T / (2 lam).  The clearing check runs on the firm sum
     sum_i B_i, built from sum_i c_i(t) = (N + 2 lam sum_i eta_i (T - t)) / (2 lam)
-    and N dZbar, a (P, M+1) path.
+    and N dZbar, a (P, M+1) path.  The price and this path are each one
+    (P, M+1) array, whose increments are written into it and summed in
+    place (`integrate_increments` with ``out``).  For the static lump sum
+    dZbar = -dWbar is never built: the price takes dWbar with sign -1, and
+    (-N) dWbar = N (-dWbar) holds to the bit.
 
     The terminal banks need no per-firm path either.  In
     X_i(T) = M_i(T) + sum_k alpha_i(t_k) dt + B_i(T) - sigma_i W_i(T) the
@@ -632,7 +647,8 @@ def _simulate_martingale(
     every firm's shock (the optimal policy) nothing surprises the market:
     the price is the constant P0 and sum_i B_i stays sum_i B_i(0), so the
     price, the abatement and every cost part are computed once, as one row
-    that the sample's read-only views repeat on every path.
+    that the sample's read-only views repeat on every path.  A cost or
+    terminal emission that is not finite raises `DomainError` (`_sample`).
     """
     if not mkt.is_frictionless:
         raise UnsupportedInputError("finite depth: use equilibrium_frictions")
@@ -666,23 +682,24 @@ def _simulate_martingale(
     # the firm-mean allocation surprise dZbar = mean_i (dM_i - sigma_i dW_i)
     loading = (gamma - shocks).mean(axis=0)
     if loading.any():
-        if gamma.any():
-            driver = noise.row(loading)
-        else:  # the static lump sum: dM_i = 0
-            driver = -d_wbar
-        price = frictionless_price(mkt, grid, m0_bar, driver)
-        # sum_i dB_i = -(sum_i c_i(t) dP + N dZbar)
-        d_trade = np.diff(price, axis=-1)
+        # dZbar = sign * row; the static lump sum's is -dWbar (dM_i = 0)
+        sign, row = (1.0, noise.row(loading)) if gamma.any() else (-1.0, d_wbar)
+        price = frictionless_price(mkt, grid, m0_bar, row, sign)
+        # sum_i dB_i = -(sum_i c_i(t) dP + N dZbar), written into the
+        # summed trade and integrated in place
+        trade = np.empty(shape)
+        d_trade = trade[:, 1:]
+        np.subtract(price[:, 1:], price[:, :-1], out=d_trade)
         d_trade *= coef_sum[:-1]
-        d_trade += n * driver
-        trade = integrate_increments(d_trade)
+        d_trade += (sign * n) * row
+        integrate_increments(d_trade, out=trade)
         np.subtract(trade0, trade, out=trade)
     else:
         # no surprise: dP = 0 and the summed trade stays at its start, on
         # every path alike
         price = np.full((1, shape[1]), p0)
         trade = np.full((1, 1), trade0)
-    require_frictionless_clearing(mkt, grid, price, trade, float(np.abs(expected_sum).max()))
+    require_frictionless_clearing(mkt, grid, price, trade, abs_max(expected_sum))
     trade_T = trade[:, -1]
 
     # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
@@ -712,6 +729,7 @@ def _simulate_martingale(
     price = np.broadcast_to(price, shape)
     return _sample(
         kind,
+        f"{kind.value} run ({grid.n_steps} steps)",
         price,
         parts,
         mu_total * t[-1] - abated[:, -1] + shock_sum[:, -1],
@@ -740,7 +758,8 @@ def simulate_policy_paths(
     its coupled (average bank, price) system with Euler steps.  All
     policies draw from the same underlying shocks, so samples produced
     from the same ``noise`` are directly comparable path by path.  The
-    block must have been drawn for the market's firms.
+    block must have been drawn for the market's firms.  A path whose cost
+    or terminal emissions overflow raises `DomainError`.
     """
     noise.require_firms(mkt.firms)
     n = mkt.n_firms
@@ -787,6 +806,7 @@ def simulate_policy_paths(
     zero = np.broadcast_to(0.0, shape)
     return _sample(
         policy.kind,
+        f"tax run ({grid.n_steps} steps)",
         np.broadcast_to(policy.tau, shape),
         parts,
         terminal_emissions,
@@ -908,7 +928,8 @@ def _msr_sample(
 
     Costs and terminal emissions are sums over time (`_time_sum`), and the
     trajectories transposed views.  A cost part or terminal emission that
-    is not finite, from an overflowing recursion or penalty, raises `DomainError`.
+    is not finite, from an overflowing recursion or penalty, raises
+    `DomainError` (`_sample`).
     """
     t = grid.knots
     n = mkt.n_firms
@@ -926,11 +947,6 @@ def _msr_sample(
     alpha_dt *= alpha_dt  # sum_k (h_bar alpha_k + alpha_k^2 / (2 eta)) dt, from (alpha_k dt)^2
     abatement = n * (h_bar * abated + _time_sum(alpha_dt) / (2.0 * eta * dt))
     penalty = n * mkt.penalty * xbar[-1] ** 2
-    if not all(np.isfinite(v).all() for v in (abatement, penalty, terminal_emissions)):
-        raise DomainError(
-            f"MSR run (eta_bar {eta:g}, delta {policy.delta:g}, {grid.n_steps} steps) "
-            "overflows: a cost or the terminal emissions are not finite"
-        )
     zeros_s = np.zeros(xbar.shape[1])
     parts = {"abatement": abatement, "trading": zeros_s, "penalty": penalty, "tax": zeros_s.copy()}
 
@@ -941,6 +957,7 @@ def _msr_sample(
 
     return _sample(
         policy.kind,
+        f"MSR run (eta_bar {eta:g}, delta {policy.delta:g}, {grid.n_steps} steps)",
         price.T,
         parts,
         terminal_emissions,
@@ -1092,6 +1109,7 @@ def _simulate_runs(
     runs: list[tuple[MarketParams, Policy]],
     ensemble: PathEnsemble,
     on_sample: Callable[[NoisePaths, PolicyPathSample], None] | None = None,
+    head: int = 0,
 ) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]]:
     """Simulate every (market, policy) run on every chunk of one ensemble.
 
@@ -1112,7 +1130,9 @@ def _simulate_runs(
     run and in run order, the concatenated per-path cost, cost parts and
     terminal emissions.  The chunk loop runs at the first item, and each
     run's concatenation is built when it is requested, so a caller that
-    reports one run at a time holds one run's copies at once.
+    reports one run at a time holds one run's copies at once.  ``head``
+    sets the chunk layout (`PathEnsemble.chunks`); a path's costs do not
+    depend on it.
     """
     for mkt, _ in runs:
         ensemble.require_firms(mkt.firms)
@@ -1130,7 +1150,7 @@ def _simulate_runs(
         if on_sample is not None:
             on_sample(noise, sample)
 
-    for noise in ensemble.chunks(loads):
+    for noise in ensemble.chunks(loads, head):
         for start, stop in bounds:
             mkt, policy = runs[start]
             if stop - start > 1:
@@ -1159,12 +1179,14 @@ def run_ensemble(
     policies: list[Policy],
     ensemble: PathEnsemble,
     on_sample: Callable[[NoisePaths, PolicyPathSample], None] | None = None,
+    head: int = 0,
 ) -> ComparisonResult:
     """Simulate every policy on every chunk of a shared ensemble and report costs.
 
     Chunk by chunk, each policy runs on the same noise block; ``on_sample``
     (if given) sees every (noise, sample) pair in chunk, then policy order
-    (`_simulate_runs`), e.g. to write trajectories.  Only
+    (`_simulate_runs`), e.g. to write trajectories; ``head`` > 0 draws
+    paths [0, head) as a block of their own first.  Only
     the per-path costs, cost parts and terminal emissions are kept, so no
     trajectory outlives its chunk.  A Monte Carlo estimate that misses its
     closed form only clears its report's ``consistent`` flag;
@@ -1175,7 +1197,7 @@ def run_ensemble(
         raise UnsupportedInputError("duplicate policy kinds in comparison")
     reports = []
     path_costs = {}
-    runs = _simulate_runs([(mkt, p) for p in policies], ensemble, on_sample)
+    runs = _simulate_runs([(mkt, p) for p in policies], ensemble, on_sample, head)
     for policy, (cost, parts, emissions) in zip(policies, runs):
         reports.append(cost_report_from_samples(policy, cost, parts, emissions))
         path_costs[policy.kind] = cost

@@ -200,16 +200,18 @@ class NoisePaths:
         return self.row(weighted_mean_load(self.ks, sigmas))
 
 
-def integrate_increments(d: np.ndarray) -> np.ndarray:
+def integrate_increments(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Running sums of increments (..., M) as knot values (..., M+1), 0 at t=0.
 
     Every path on the time grid is built here, as its value at t=0 (added
     in place by the caller) plus the running sum of its left-point
     increments; identities such as exact market clearing rely on all paths
-    sharing this one convention.
+    sharing this one convention.  The sums go into ``out`` when it is
+    given; ``d`` may be ``out[..., 1:]`` itself, so that increments written
+    into a path are summed in place, with no second array.
     """
-    shape = d.shape[:-1] + (d.shape[-1] + 1,)
-    out = np.empty(shape)
+    if out is None:
+        out = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
     out[..., 0] = 0.0
     np.cumsum(d, axis=-1, out=out[..., 1:])
     return out
@@ -524,12 +526,17 @@ class PathEnsemble:
         """`NoisePaths.require_firms` for every block, checked before any draw."""
         _require_loadings([f.k for f in self.firms], firms)
 
-    def chunks(self, loads: Sequence[Sequence[float]] | None = None) -> Iterator[NoisePaths]:
+    def chunks(
+        self, loads: Sequence[Sequence[float]] | None = None, head: int = 0
+    ) -> Iterator[NoisePaths]:
         """The ensemble's blocks in path order, drawn by `generate_noise`:
-        each keeps only the rows of ``loads`` when they are given."""
-        for start in range(0, self.n_paths, self.chunk_size):
-            size = min(self.chunk_size, self.n_paths - start)
-            yield generate_noise(self.seed, self.grid, self.firms, size, start, loads)
+        each keeps only the rows of ``loads`` when they are given.  With
+        ``head`` > 0, paths [0, min(head, n_paths)) come first as a block of
+        their own and the rest follow in ``chunk_size`` blocks."""
+        first = min(head or self.chunk_size, self.n_paths)
+        bounds = [0, *range(first, self.n_paths, self.chunk_size), self.n_paths]
+        for start, stop in zip(bounds, bounds[1:]):
+            yield generate_noise(self.seed, self.grid, self.firms, stop - start, start, loads)
 
     def path(self, index: int) -> NoisePaths:
         if not 0 <= index < self.n_paths:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import permitsim.cli
 import permitsim.policies
 import permitsim.stochastic
 from permitsim import (
@@ -26,6 +27,7 @@ from permitsim.cli import (
     PRESETS,
     TRAJECTORY_PATH_CAP,
     _fmt,
+    _report_to_json,
     _trajectory_rows,
     build_scenario,
     load_config,
@@ -457,6 +459,58 @@ def test_trajectory_rows_write_constant_columns_as_text():
     ]
     assert _trajectory_rows(sample, noise, 1.0, 2) == want
     assert want[1] == "0,1,0.33333333333333331,-0,2,0,2500000000"
+
+
+_LAZY_COLUMNS = (
+    "total_bank", "avg_abatement", "total_emissions", "net_allocation_minus_initial", "price_qv",
+)
+
+
+@pytest.mark.parametrize("n_paths", [5, 8, 9, 300])
+def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, monkeypatch, n_paths):
+    """The first block holds the min(TRAJECTORY_PATH_CAP, n) written paths,
+    the rest follow in chunk-size blocks, no sample of a later block builds
+    a trajectory, and the summary's costs are those of the default layout."""
+    real = permitsim.cli.run_ensemble
+    blocks = []
+
+    def spying(mkt, policies, ensemble, on_sample, **kwargs):
+        def hook(noise, sample):
+            on_sample(noise, sample)
+            built = [name for name in _LAZY_COLUMNS if name in sample.__dict__]
+            blocks.append((noise.path_offset, noise.n_paths, sample.kind, built))
+
+        return real(mkt, policies, ensemble, hook, **kwargs)
+
+    monkeypatch.setattr(permitsim.cli, "run_ensemble", spying)
+    config = build_scenario({
+        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=n_paths, n_steps=10),
+    })
+    kinds = [PolicyKind.OPTIMAL_DYNAMIC, PolicyKind.STATIC, PolicyKind.MSR, PolicyKind.TAX]
+    run_simulate(config, tmp_path / "out", kinds)
+
+    head = min(TRAJECTORY_PATH_CAP, n_paths)
+    bounds = sorted({(offset, size) for offset, size, _, _ in blocks})
+    assert bounds[0] == (0, head)
+    assert [offset for offset, _ in bounds] == [0, *range(head, n_paths, 256)]
+    assert sum(size for _, size in bounds) == n_paths
+    assert len(blocks) == len(bounds) * len(kinds)
+    for offset, _, kind, built in blocks:
+        # the written block builds the four columns it writes, never price_qv
+        assert built == ([] if offset else list(_LAZY_COLUMNS[:4])), (offset, kind)
+    for kind in kinds:
+        rows = (tmp_path / "out" / f"trajectory_{kind.value}.csv").read_text().splitlines()
+        assert len(rows) == 2 + head * 11
+
+    mkt = config.market
+    default = run_ensemble(
+        mkt,
+        [build_policy(PolicySpec(kind=k, delta=config.policy.delta), mkt) for k in kinds],
+        PathEnsemble(config.seed, TimeGrid(mkt.horizon, 10), mkt.firms, n_paths),
+    )
+    want = {r.kind.value: _report_to_json(r) for r in default.reports}
+    written = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert json.dumps(written["policies"], sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_simulate_writes_the_same_bytes_when_blocks_split(tmp_path, monkeypatch):

@@ -136,6 +136,19 @@ def test_large_per_firm_trades_do_not_excuse_a_residual(clearing_case):
         require_frictionless_clearing(mkt, grid, price, trade_sum, alloc_max)
 
 
+@pytest.mark.parametrize("where", ["trade_sum", "price"])
+def test_a_nan_fails_the_clearing_check(clearing_case, where):
+    """max|x| is taken from a min and a max reduction; a NaN in either the
+    summed trades or the price must still fail the check, although
+    Python's max(a, nan) would drop it."""
+    mkt, grid, price, alloc_max, _ = clearing_case
+    trade_sum = np.zeros((2, 5))
+    price = price.copy()
+    {"trade_sum": trade_sum, "price": price}[where][1, 3] = np.nan
+    with pytest.raises(ClearingError, match="frictionless"):
+        require_frictionless_clearing(mkt, grid, price, trade_sum, alloc_max)
+
+
 # --- degenerate scenarios ----------------------------------------------------------
 
 def test_zero_volatility_gives_constant_price_and_abatement():

@@ -361,7 +361,7 @@ def test_msr_policy_simulation(base_market, medium_noise):
 
 def _msr_per_step_loop(policy, mkt, noise):
     """The MSR Euler recursion stepped one path column at a time: the
-    reference for the in-place kernel, which must round every knot alike."""
+    reference for the affine kernel, which agrees with it to roundoff."""
     grid = noise.grid
     t = grid.knots
     n, eta, h_bar, delta = mkt.n_firms, mkt.agg.eta_bar, mkt.agg.h_bar, policy.delta
@@ -433,6 +433,25 @@ def test_msr_overflow_is_a_domain_error(delta):
     noise = generate_noise(3, TimeGrid(mkt.horizon, 100), mkt.firms, n_paths=8)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="finite"):
         simulate_policy_paths(msr_policy(mkt, delta), mkt, noise)
+
+
+@pytest.mark.parametrize(
+    "build, firm",
+    [
+        (optimal_dynamic_policy, {"h": 1e150}),
+        (static_policy, {"h": 1e150}),
+        (tax_policy, {"eta": 1e290}),
+    ],
+    ids=["optimal", "static", "tax"],
+)
+def test_martingale_and_tax_overflow_is_a_domain_error(build, firm):
+    """h = 1e150 clears the market but overflows the penalty's square of
+    the optimal and static kernels; eta = 1e290 overflows the tax's
+    abatement: a library caller gets DomainError, not a non-finite cost."""
+    mkt = make_market(make_firms(**firm))
+    noise = generate_noise(3, TimeGrid(mkt.horizon, 100), mkt.firms, n_paths=8)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="finite"):
+        simulate_policy_paths(build(mkt), mkt, noise)
 
 
 def test_msr_path_costs_do_not_depend_on_the_chunk_size():

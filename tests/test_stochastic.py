@@ -223,6 +223,22 @@ def test_path_ensemble_chunks_and_single_path():
         ens.path(10)
 
 
+@pytest.mark.parametrize(
+    "head, sizes", [(0, [4, 4, 2]), (1, [1, 4, 4, 1]), (3, [3, 4, 3]), (10, [10]), (12, [10])]
+)
+def test_path_ensemble_head_block_comes_first(head, sizes):
+    """``head`` paths come first as a block of their own; the same paths
+    follow in chunk-size blocks, with the same increments."""
+    firms = make_firms(2)
+    grid = TimeGrid(horizon=10.0, n_steps=8)
+    ens = PathEnsemble(seed=5, grid=grid, firms=firms, n_paths=10, chunk_size=4)
+    chunks = list(ens.chunks(head=head))
+    assert [c.n_paths for c in chunks] == sizes
+    assert [c.path_offset for c in chunks] == np.cumsum([0, *sizes[:-1]]).tolist()
+    whole = generate_noise(5, grid, firms, n_paths=10)
+    np.testing.assert_array_equal(np.concatenate([c.d_tilde for c in chunks]), whole.d_tilde)
+
+
 def test_path_ensemble_rejects_no_paths():
     grid = TimeGrid(horizon=1.0, n_steps=3)
     for n_paths in (0, -2):
