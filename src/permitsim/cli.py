@@ -406,7 +406,7 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     mkt = config.market
     policies = [build_policy(_spec_for_kind(config, k), mkt) for k in kinds]
     grid = TimeGrid(mkt.horizon, config.n_steps)
-    ensemble = PathEnsemble(config.seed, grid, mkt.firms, config.n_paths)
+    ensemble = PathEnsemble(config.seed, grid, mkt.firms, config.n_paths, head=TRAJECTORY_PATH_CAP)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     volume_scale = 1e-9 if config.unit_scale == "Gt" else 1.0
@@ -425,7 +425,7 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
             f = (out / f"trajectory_{kind.value}.csv").open("w", newline="")
             f.write(header)
             files[kind] = f
-        result = run_ensemble(mkt, policies, ensemble, write_rows, head=TRAJECTORY_PATH_CAP)
+        result = run_ensemble(mkt, policies, ensemble, on_sample=write_rows)
         summary = {
             "schema": SUMMARY_SCHEMA,
             "seed": config.seed,

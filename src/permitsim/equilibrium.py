@@ -31,7 +31,7 @@ from .firm import (
     best_response_frictionless,
 )
 from .params import MarketParams, f_coeff, pi_coeff
-from .stochastic import NoisePaths, integrate_increments
+from .stochastic import NoisePaths, integrate_increments, pooled_empty
 
 #: Hard ceiling on the relative market-clearing residual.
 CLEARING_TOL = 1e-9
@@ -200,7 +200,7 @@ def frictionless_price(
     The increments are written into the returned (n_paths, M+1) price and
     summed there in place.
     """
-    price = np.empty(d_driver.shape[:-1] + (d_driver.shape[-1] + 1,))
+    price = pooled_empty(d_driver.shape[:-1] + (d_driver.shape[-1] + 1,))
     np.multiply(-sign * f_coeff(mkt, grid.knots[:-1]), d_driver, out=price[..., 1:])
     integrate_increments(price[..., 1:], out=price)
     price += frictionless_initial_price(mkt, grid, m0_bar)

@@ -68,8 +68,10 @@ from .stochastic import (
     NoisePaths,
     PathEnsemble,
     TimeGrid,
+    array_pool,
     integrate_increments,
     left_integral,
+    pooled_empty,
     realized_qv,
     weighted_mean_load,
 )
@@ -570,13 +572,13 @@ def static_price_paths(
 
 def _sample(
     kind: PolicyKind,
-    run: str,
+    run: Callable[[], str],
     price: np.ndarray,
     parts: dict[str, np.ndarray],
     terminal_emissions: np.ndarray,
     **build: Callable[[], np.ndarray],
 ) -> PolicyPathSample:
-    """The sample of one run, described by ``run`` in errors.
+    """The sample of one run, described by ``run()`` in errors.
 
     A cost or terminal emission that is not finite, from an overflowing
     kernel, cost part or sum of the parts, raises `DomainError` (an O(P)
@@ -584,7 +586,7 @@ def _sample(
     """
     cost = parts["abatement"] + parts["trading"] + parts["penalty"] + parts["tax"]
     if not (np.isfinite(cost).all() and np.isfinite(terminal_emissions).all()):
-        raise DomainError(f"{run} overflows: a cost or the terminal emissions are not finite")
+        raise DomainError(f"{run()} overflows: a cost or the terminal emissions are not finite")
     return PolicyPathSample(
         kind=kind,
         price=price,
@@ -687,7 +689,7 @@ def _simulate_martingale(
         price = frictionless_price(mkt, grid, m0_bar, row, sign)
         # sum_i dB_i = -(sum_i c_i(t) dP + N dZbar), written into the
         # summed trade and integrated in place
-        trade = np.empty(shape)
+        trade = pooled_empty(shape)
         d_trade = trade[:, 1:]
         np.subtract(price[:, 1:], price[:, :-1], out=d_trade)
         d_trade *= coef_sum[:-1]
@@ -705,10 +707,13 @@ def _simulate_martingale(
     # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
     # h_eff; sums of the small excess keep the cancellation out of the costs
     h_eff = float(etas @ hs) / eta_total
-    excess = price - h_eff
+    excess = np.subtract(price, h_eff, out=pooled_empty(price.shape))
     excess_left = excess[:, :-1]
+    # (excess + 2 h_eff) excess on the left knots, in one array
+    gap_sq = np.add(excess_left, 2.0 * h_eff, out=pooled_empty(excess_left.shape))
+    gap_sq *= excess_left
     abatement = (
-        0.5 * eta_total * (excess_left * (excess_left + 2.0 * h_eff)).sum(axis=-1) * dt
+        0.5 * eta_total * gap_sq.sum(axis=-1) * dt
         - 0.5 * float(etas @ (hs - h_eff) ** 2) * horizon
     )
     trading = price[:, :-1].sum(axis=-1) * dt * trade_T / horizon
@@ -722,14 +727,15 @@ def _simulate_martingale(
         "tax": np.zeros(shape[0]),
     }
 
-    abate_total = eta_total * excess
+    abate_total = excess  # eta_total (P - h_eff), in the excess's array
+    abate_total *= eta_total
     abated = left_integral(abate_total, grid)
     shock_sum = integrate_increments(d_wbar)
     shock_sum *= n
     price = np.broadcast_to(price, shape)
     return _sample(
         kind,
-        f"{kind.value} run ({grid.n_steps} steps)",
+        lambda: f"{kind.value} run ({grid.n_steps} steps)",
         price,
         parts,
         mu_total * t[-1] - abated[:, -1] + shock_sum[:, -1],
@@ -806,7 +812,7 @@ def simulate_policy_paths(
     zero = np.broadcast_to(0.0, shape)
     return _sample(
         policy.kind,
-        f"tax run ({grid.n_steps} steps)",
+        lambda: f"tax run ({grid.n_steps} steps)",
         np.broadcast_to(policy.tau, shape),
         parts,
         terminal_emissions,
@@ -863,7 +869,9 @@ def _simulate_msr(
         if tuple(fp.sigma for fp in mkt.firms) != sigmas:
             raise UnsupportedInputError("stacked MSR runs must share the firms' volatilities")
     coefs = [_msr_coefficients(mkt, policy, grid) for mkt, policy in runs]
-    dw_t = np.ascontiguousarray(noise.weighted_mean_increments(sigmas).T)
+    d_wbar = noise.weighted_mean_increments(sigmas)
+    dw_t = pooled_empty(d_wbar.shape[::-1])
+    np.copyto(dw_t, d_wbar.T)
     x_t = _msr_steps(runs, coefs, dw_t, grid.dt)
     for r, (mkt, policy) in enumerate(runs):
         yield _msr_sample(mkt, policy, grid, *coefs[r], x_t[:, r], dw_t)
@@ -935,10 +943,10 @@ def _msr_sample(
     n = mkt.n_firms
     agg = mkt.agg
     eta, h_bar, dt = agg.eta_bar, agg.h_bar, grid.dt
-    price = c1[:, None] * xbar
+    price = np.multiply(c1[:, None], xbar, out=pooled_empty(xbar.shape))
     price += c0[:, None]
     # the products alpha_k dt that left_integral sums in total_emissions
-    alpha_dt = np.subtract(price[:-1], h_bar)
+    alpha_dt = np.subtract(price[:-1], h_bar, out=pooled_empty(price[:-1].shape))
     alpha_dt *= eta
     alpha_dt *= dt
     abated = _time_sum(alpha_dt)
@@ -957,7 +965,7 @@ def _msr_sample(
 
     return _sample(
         policy.kind,
-        f"MSR run (eta_bar {eta:g}, delta {policy.delta:g}, {grid.n_steps} steps)",
+        lambda: f"MSR run (eta_bar {eta:g}, delta {policy.delta:g}, {grid.n_steps} steps)",
         price.T,
         parts,
         terminal_emissions,
@@ -1109,7 +1117,6 @@ def _simulate_runs(
     runs: list[tuple[MarketParams, Policy]],
     ensemble: PathEnsemble,
     on_sample: Callable[[NoisePaths, PolicyPathSample], None] | None = None,
-    head: int = 0,
 ) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]]:
     """Simulate every (market, policy) run on every chunk of one ensemble.
 
@@ -1130,9 +1137,7 @@ def _simulate_runs(
     run and in run order, the concatenated per-path cost, cost parts and
     terminal emissions.  The chunk loop runs at the first item, and each
     run's concatenation is built when it is requested, so a caller that
-    reports one run at a time holds one run's copies at once.  ``head``
-    sets the chunk layout (`PathEnsemble.chunks`); a path's costs do not
-    depend on it.
+    reports one run at a time holds one run's copies at once.
     """
     for mkt, _ in runs:
         ensemble.require_firms(mkt.firms)
@@ -1150,19 +1155,21 @@ def _simulate_runs(
         if on_sample is not None:
             on_sample(noise, sample)
 
-    for noise in ensemble.chunks(loads, head):
-        for start, stop in bounds:
-            mkt, policy = runs[start]
-            if stop - start > 1:
-                # neither enumerate nor zip: each caches its last item, which
-                # would keep one sample alive while the next is built
-                i = start
-                for sample in _simulate_msr(runs[start:stop], noise):
-                    record(i, noise, sample)
-                    i += 1
-                    del sample  # free its trajectories before the next one is built
-            else:
-                record(start, noise, simulate_policy_paths(policy, mkt, noise))
+    with array_pool():
+        for noise in ensemble.chunks(loads):
+            for start, stop in bounds:
+                mkt, policy = runs[start]
+                if stop - start > 1:
+                    # neither enumerate nor zip: each caches its last item, which
+                    # would keep one sample alive while the next is built
+                    i = start
+                    for sample in _simulate_msr(runs[start:stop], noise):
+                        record(i, noise, sample)
+                        i += 1
+                        del sample  # free its trajectories before the next one is built
+                else:
+                    record(start, noise, simulate_policy_paths(policy, mkt, noise))
+            del noise  # free its rows for the next draw
     for run_costs, run_parts, run_emissions in zip(costs, parts, emissions):
         yield (
             np.concatenate(run_costs),
@@ -1179,14 +1186,12 @@ def run_ensemble(
     policies: list[Policy],
     ensemble: PathEnsemble,
     on_sample: Callable[[NoisePaths, PolicyPathSample], None] | None = None,
-    head: int = 0,
 ) -> ComparisonResult:
     """Simulate every policy on every chunk of a shared ensemble and report costs.
 
     Chunk by chunk, each policy runs on the same noise block; ``on_sample``
     (if given) sees every (noise, sample) pair in chunk, then policy order
-    (`_simulate_runs`), e.g. to write trajectories; ``head`` > 0 draws
-    paths [0, head) as a block of their own first.  Only
+    (`_simulate_runs`), e.g. to write trajectories.  Only
     the per-path costs, cost parts and terminal emissions are kept, so no
     trajectory outlives its chunk.  A Monte Carlo estimate that misses its
     closed form only clears its report's ``consistent`` flag;
@@ -1197,7 +1202,7 @@ def run_ensemble(
         raise UnsupportedInputError("duplicate policy kinds in comparison")
     reports = []
     path_costs = {}
-    runs = _simulate_runs([(mkt, p) for p in policies], ensemble, on_sample, head)
+    runs = _simulate_runs([(mkt, p) for p in policies], ensemble, on_sample)
     for policy, (cost, parts, emissions) in zip(policies, runs):
         reports.append(cost_report_from_samples(policy, cost, parts, emissions))
         path_costs[policy.kind] = cost

@@ -33,10 +33,12 @@ streams, so the numbers do not depend on the split.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 import operator
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -200,6 +202,67 @@ class NoisePaths:
         return self.row(weighted_mean_load(self.ks, sigmas))
 
 
+class _ArrayPool:
+    """Float arrays handed out again once nothing refers to them.
+
+    Every array `pooled_empty` hands out is a view of one of the pool's
+    flat bases, and so is every array derived from it by slicing,
+    reshaping, transposing or broadcasting: each such view holds a
+    reference to the base.  A base is handed out again only when the pool
+    holds the last reference to it, so an array that is still read, e.g.
+    by a sample kept past its chunk, is never written over.  A request
+    takes the smallest free base that holds it, so a chunk smaller than
+    the one before reuses its arrays.
+    """
+
+    def __init__(self) -> None:
+        self._bases: list[np.ndarray] = []
+        self._free_refs = 0
+
+    def empty(self, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        best = None
+        for base in self._bases:
+            if size <= base.size and sys.getrefcount(base) == self._free_refs:
+                if best is None or base.size < best.size:
+                    best = base
+        if best is None:
+            best = np.empty(size)
+            self._bases.append(best)
+            # the list's, this name's and the call's own references: the
+            # count the loop above sees for a base no view refers to
+            self._free_refs = sys.getrefcount(best)
+        return best[:size].reshape(shape)
+
+
+_array_pool: contextvars.ContextVar[_ArrayPool | None] = contextvars.ContextVar(
+    "permitsim_array_pool", default=None
+)
+
+
+@contextlib.contextmanager
+def array_pool() -> Iterator[None]:
+    """Let `pooled_empty` reuse arrays until the block exits.
+
+    A simulation frees and reallocates the same multi-MB path arrays on
+    every chunk, and glibc returned the freed heap to the system and
+    faulted it back in on the next chunk; a pool keeps them.  Only the
+    thread that entered the block may take arrays from it.
+    """
+    token = _array_pool.set(_ArrayPool())
+    try:
+        yield
+    finally:
+        _array_pool.reset(token)
+
+
+def pooled_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """``np.empty(shape)`` of float64, C-ordered, from the active
+    `array_pool` if there is one."""
+    pool = _array_pool.get()
+    return np.empty(shape) if pool is None else pool.empty(shape)
+
+
 def integrate_increments(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Running sums of increments (..., M) as knot values (..., M+1), 0 at t=0.
 
@@ -208,10 +271,11 @@ def integrate_increments(d: np.ndarray, out: np.ndarray | None = None) -> np.nda
     increments; identities such as exact market clearing rely on all paths
     sharing this one convention.  The sums go into ``out`` when it is
     given; ``d`` may be ``out[..., 1:]`` itself, so that increments written
-    into a path are summed in place, with no second array.
+    into a path are summed in place, with no second array.  Otherwise they
+    go into a new array (`pooled_empty`).
     """
     if out is None:
-        out = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
+        out = pooled_empty(d.shape[:-1] + (d.shape[-1] + 1,))
     out[..., 0] = 0.0
     np.cumsum(d, axis=-1, out=out[..., 1:])
     return out
@@ -448,8 +512,8 @@ def _draw_rows(
     # one allocation for every row: with a separate (P, M) array per row,
     # glibc returned the kernels' freed temporaries to the system after each
     # chunk and faulted them back in (10^4 x 2000: 580k against 430k minor
-    # faults, 6.6 s against 5.5 s)
-    rows = list(np.empty((len(loads), n_paths, m)))
+    # faults, 6.6 s against 5.5 s); in an `array_pool` it is reused
+    rows = list(pooled_empty((len(loads), n_paths, m)))
     per_pass = max(1, ROW_SCRATCH_DOUBLES // (n_drivers * m))
 
     def draw(start: int, stop: int) -> None:
@@ -508,7 +572,9 @@ class PathEnsemble:
 
     Iterating ``chunks()`` yields NoisePaths blocks whose union is exactly the
     ensemble; ``path(i)`` materializes a single path.  Chunking never changes
-    the numbers, only the memory profile.
+    the numbers, only the memory profile.  With ``head`` > 0, paths
+    [0, min(head, n_paths)) come first as a block of their own and the rest
+    follow in ``chunk_size`` blocks.
     """
 
     seed: int
@@ -516,24 +582,23 @@ class PathEnsemble:
     firms: tuple[FirmParams, ...]
     n_paths: int
     chunk_size: int = 256
+    head: int = 0
 
     def __post_init__(self) -> None:
         for name in ("n_paths", "chunk_size"):
             if getattr(self, name) < 1:
                 raise UnsupportedInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.head < 0:
+            raise UnsupportedInputError(f"head must be >= 0, got {self.head}")
 
     def require_firms(self, firms: Sequence[FirmParams]) -> None:
         """`NoisePaths.require_firms` for every block, checked before any draw."""
         _require_loadings([f.k for f in self.firms], firms)
 
-    def chunks(
-        self, loads: Sequence[Sequence[float]] | None = None, head: int = 0
-    ) -> Iterator[NoisePaths]:
+    def chunks(self, loads: Sequence[Sequence[float]] | None = None) -> Iterator[NoisePaths]:
         """The ensemble's blocks in path order, drawn by `generate_noise`:
-        each keeps only the rows of ``loads`` when they are given.  With
-        ``head`` > 0, paths [0, min(head, n_paths)) come first as a block of
-        their own and the rest follow in ``chunk_size`` blocks."""
-        first = min(head or self.chunk_size, self.n_paths)
+        each keeps only the rows of ``loads`` when they are given."""
+        first = min(self.head or self.chunk_size, self.n_paths)
         bounds = [0, *range(first, self.n_paths, self.chunk_size), self.n_paths]
         for start, stop in zip(bounds, bounds[1:]):
             yield generate_noise(self.seed, self.grid, self.firms, stop - start, start, loads)
@@ -575,7 +640,9 @@ def left_integral(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     Input (..., M+1) knot values; output (..., M+1) with 0 at t=0 and
     sum_{j < k} values_j * dt at knot k.
     """
-    return integrate_increments(values[..., :-1] * grid.dt)
+    out = pooled_empty(values.shape)
+    np.multiply(values[..., :-1], grid.dt, out=out[..., 1:])
+    return integrate_increments(out[..., 1:], out=out)
 
 
 def closing_martingale(alpha_path: np.ndarray, grid: TimeGrid) -> np.ndarray:

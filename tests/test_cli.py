@@ -474,13 +474,14 @@ def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, mon
     real = permitsim.cli.run_ensemble
     blocks = []
 
-    def spying(mkt, policies, ensemble, on_sample, **kwargs):
+    def spying(mkt, policies, ensemble, on_sample):
         def hook(noise, sample):
             on_sample(noise, sample)
             built = [name for name in _LAZY_COLUMNS if name in sample.__dict__]
             blocks.append((noise.path_offset, noise.n_paths, sample.kind, built))
 
-        return real(mkt, policies, ensemble, hook, **kwargs)
+        assert ensemble.head == TRAJECTORY_PATH_CAP
+        return real(mkt, policies, ensemble, hook)
 
     monkeypatch.setattr(permitsim.cli, "run_ensemble", spying)
     config = build_scenario({

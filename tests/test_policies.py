@@ -41,6 +41,7 @@ from permitsim import (
 )
 import permitsim.equilibrium
 import permitsim.policies
+import permitsim.stochastic
 from permitsim.equilibrium import frictionless_initial_price
 from permitsim.policies import (
     StaticPolicy,
@@ -902,6 +903,48 @@ def test_run_ensemble_builds_no_trajectory_its_hook_does_not_read(base_market):
     assert not any(name in s.__dict__ for s in samples for name in built_on_access)
     samples[0].total_bank  # the check above would see a built trajectory
     assert "total_bank" in samples[0].__dict__
+
+
+def test_samples_kept_past_their_chunk_are_not_written_over(base_market):
+    """The chunk loop reuses its path arrays (`array_pool`) only once
+    nothing refers to them: a sample the hook keeps past its chunk keeps
+    its numbers, equal to those of the policy simulated alone."""
+    grid = TimeGrid(horizon=10.0, n_steps=20)
+    ensemble = PathEnsemble(
+        seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
+    )
+    policies = {p.kind: p for p in _four_policies(base_market)}
+    kept = []
+    run_ensemble(
+        base_market, list(policies.values()), ensemble,
+        on_sample=lambda noise, sample: kept.append((noise, sample)),
+    )
+    assert len(kept) == 3 * 4
+    for noise, sample in kept:
+        alone = simulate_policy_paths(policies[sample.kind], base_market, noise)
+        for name in ("price", "total_bank", "total_emissions", "avg_abatement"):
+            np.testing.assert_array_equal(getattr(sample, name), getattr(alone, name))
+
+
+def test_the_chunk_loop_takes_its_arrays_from_one_pool(base_market, monkeypatch):
+    """Every chunk after the first reuses the arrays of the one before: the
+    pool holds no more arrays after six chunks than after two."""
+    pools = []
+    real_pool = permitsim.stochastic._ArrayPool
+
+    def recording():
+        pools.append(real_pool())
+        return pools[-1]
+
+    monkeypatch.setattr(permitsim.stochastic, "_ArrayPool", recording)
+    grid = TimeGrid(horizon=10.0, n_steps=20)
+    for n_paths in (8, 24):
+        ensemble = PathEnsemble(
+            seed=5, grid=grid, firms=base_market.firms, n_paths=n_paths, chunk_size=4
+        )
+        run_ensemble(base_market, _four_policies(base_market), ensemble)
+    two, six = (len(pool._bases) for pool in pools)
+    assert 0 < two == six
 
 
 def test_run_ensemble_never_derives_the_firm_shocks(base_market):

@@ -15,11 +15,13 @@ import permitsim.stochastic
 from permitsim.errors import UnsupportedInputError
 from permitsim.stochastic import (
     PathEnsemble,
+    array_pool,
     closing_martingale,
     coarsen_noise,
     left_integral,
     map_path_slices,
     martingale_drift_stat,
+    pooled_empty,
     realized_qv,
     weighted_mean_load,
 )
@@ -231,12 +233,49 @@ def test_path_ensemble_head_block_comes_first(head, sizes):
     follow in chunk-size blocks, with the same increments."""
     firms = make_firms(2)
     grid = TimeGrid(horizon=10.0, n_steps=8)
-    ens = PathEnsemble(seed=5, grid=grid, firms=firms, n_paths=10, chunk_size=4)
-    chunks = list(ens.chunks(head=head))
+    ens = PathEnsemble(seed=5, grid=grid, firms=firms, n_paths=10, chunk_size=4, head=head)
+    chunks = list(ens.chunks())
     assert [c.n_paths for c in chunks] == sizes
     assert [c.path_offset for c in chunks] == np.cumsum([0, *sizes[:-1]]).tolist()
     whole = generate_noise(5, grid, firms, n_paths=10)
     np.testing.assert_array_equal(np.concatenate([c.d_tilde for c in chunks]), whole.d_tilde)
+
+
+def test_array_pool_hands_an_array_out_again_only_once_nothing_refers_to_it():
+    """Outside a pool every array is new.  Inside one, an array's memory is
+    handed out again only once no view of it is alive, and to a request no
+    larger than it."""
+    assert pooled_empty((4, 5)).flags.owndata
+    with array_pool():
+        a = pooled_empty((4, 5))
+        assert a.shape == (4, 5) and a.flags.c_contiguous and not a.flags.owndata
+        where_a = a.ctypes.data
+        kept = np.broadcast_to(a[:, 1:].T, (2, 4, 4))
+        del a
+        b = pooled_empty((4, 5))
+        where_b = b.ctypes.data
+        assert where_b != where_a  # a's memory is still read through ``kept``
+        del b
+        assert pooled_empty((4, 5)).ctypes.data == where_b
+        assert pooled_empty((5, 5)).ctypes.data not in (where_a, where_b)
+        del kept
+        c = pooled_empty((3, 5))
+        assert c.shape == (3, 5) and c.ctypes.data == where_a
+
+
+def test_left_integral_in_a_pool_matches_outside():
+    grid = TimeGrid(horizon=2.0, n_steps=6)
+    values = np.random.default_rng(3).standard_normal((3, 7))
+    want = left_integral(values, grid)
+    with array_pool():
+        np.testing.assert_array_equal(left_integral(values, grid), want)
+        np.testing.assert_array_equal(left_integral(values.T.copy().T, grid), want)
+
+
+def test_path_ensemble_rejects_a_negative_head():
+    grid = TimeGrid(horizon=1.0, n_steps=3)
+    with pytest.raises(UnsupportedInputError, match="head must be >= 0"):
+        PathEnsemble(seed=1, grid=grid, firms=make_firms(2), n_paths=3, head=-1)
 
 
 def test_path_ensemble_rejects_no_paths():
