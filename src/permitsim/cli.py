@@ -392,10 +392,11 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     paths) and ``summary.json`` with closed-form and Monte Carlo costs over
     all ``n_paths`` paths.  The written paths are drawn as the ensemble's
     first block, of their own, so the trajectories are built for them
-    alone; every later block yields only costs.  A path's costs do not
-    depend on the block it is drawn in, so the summary equals that of the
-    default chunking.  Returns the summary dict.  A failed run removes the
-    trajectory files it opened and writes no summary.
+    alone; every later block, of `PathEnsemble`'s default size (about 2^16
+    knots per path array, at least 256 paths), yields only costs.  A path's
+    costs do not depend on the block it is drawn in, so the summary equals
+    that of any other chunking.  Returns the summary dict.  A failed run
+    removes the trajectory files it opened and writes no summary.
 
     A Monte Carlo estimate more than four standard errors from its closed
     form is recorded as ``"consistent": false`` and the run still succeeds:

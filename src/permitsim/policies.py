@@ -34,8 +34,8 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -232,6 +232,43 @@ def check_gamma_optimality(
     return ok, residuals
 
 
+def _closed_form(build: Callable[..., Policy]) -> Callable[..., Policy]:
+    """Make a closed-form policy constructor raise `DomainError` when its
+    numbers leave the float range: Python float arithmetic raises
+    OverflowError there (``p0**2``), and numpy gives inf or nan."""
+
+    @wraps(build)
+    def checked(*args, **kwargs) -> Policy:
+        try:
+            policy = build(*args, **kwargs)
+        except OverflowError as exc:
+            raise DomainError(f"{build.__name__} overflows: {exc}") from exc
+        bad = [f.name for f in fields(policy) if not np.all(np.isfinite(getattr(policy, f.name)))]
+        if bad:
+            raise DomainError(f"{build.__name__} overflows: {', '.join(bad)} not finite")
+        return policy
+
+    return checked
+
+
+def _optimal_p0(mkt: MarketParams) -> float:
+    """The optimal policy's constant price p0 = (Hbar + (1-rho) mu_bar) / eta_bar."""
+    agg = mkt.agg
+    return (agg.H_bar + (1.0 - mkt.rho) * agg.mu_bar) / agg.eta_bar
+
+
+def _optimal_cost(mkt: MarketParams, p0: float) -> float:
+    """The optimal policy's expected social cost at its price ``p0``."""
+    lam = mkt.penalty
+    horizon = mkt.horizon
+    etas = np.array([fp.eta for fp in mkt.firms])
+    hs = np.array([fp.h for fp in mkt.firms])
+    return (mkt.n_firms / (4.0 * lam)) * (
+        1.0 + 2.0 * lam * mkt.agg.eta_bar * horizon
+    ) * p0**2 - (horizon / 2.0) * float(np.sum(etas * hs**2))
+
+
+@_closed_form
 def optimal_dynamic_policy(mkt: MarketParams) -> OptimalDynamicPolicy:
     """Closed-form optimal dynamic allocation.
 
@@ -239,12 +276,12 @@ def optimal_dynamic_policy(mkt: MarketParams) -> OptimalDynamicPolicy:
     receives exactly its own shock, so nothing surprises the market and
     the price sits at p0 = (Hbar + (1-rho) mu_bar) / eta_bar.  Constant
     abatement alpha_i = eta_i (p0 - h_i); the constant trade rate clears
-    each firm's bank to the terminal optimum -p0/(2 lambda).
+    each firm's bank to the terminal optimum -p0/(2 lambda).  A number
+    beyond the float range raises `DomainError`.
     """
-    agg = mkt.agg
     lam = mkt.penalty
     horizon = mkt.horizon
-    p0 = (agg.H_bar + (1.0 - mkt.rho) * agg.mu_bar) / agg.eta_bar
+    p0 = _optimal_p0(mkt)
     level = ell(mkt)
     etas = np.array([fp.eta for fp in mkt.firms])
     hs = np.array([fp.h for fp in mkt.firms])
@@ -254,9 +291,6 @@ def optimal_dynamic_policy(mkt: MarketParams) -> OptimalDynamicPolicy:
         + level
         - etas * hs * horizon
     ) / horizon
-    cost = (mkt.n_firms / (4.0 * lam)) * (
-        1.0 + 2.0 * lam * agg.eta_bar * horizon
-    ) * p0**2 - (horizon / 2.0) * float(np.sum(etas * hs**2))
     return OptimalDynamicPolicy(
         p0=p0,
         ell=level,
@@ -264,7 +298,7 @@ def optimal_dynamic_policy(mkt: MarketParams) -> OptimalDynamicPolicy:
         gamma=tracking_gamma(mkt.firms),
         alpha=alpha,
         beta=beta,
-        cost=cost,
+        cost=_optimal_cost(mkt, p0),
     )
 
 
@@ -277,6 +311,7 @@ def _require_homogeneous(values: np.ndarray, what: str) -> float:
     return float(np.mean(values))
 
 
+@_closed_form
 def static_policy(mkt: MarketParams) -> StaticPolicy:
     """Lump-sum allocation policy (requires homogeneous flexibility eta).
 
@@ -293,8 +328,8 @@ def static_policy(mkt: MarketParams) -> StaticPolicy:
     lam = mkt.penalty
     horizon = mkt.horizon
     n = mkt.n_firms
-    opt = optimal_dynamic_policy(mkt)
-    x_bar0 = horizon * mkt.rho * agg.mu_bar - opt.p0 / (2.0 * lam)
+    opt_p0 = _optimal_p0(mkt)
+    x_bar0 = horizon * mkt.rho * agg.mu_bar - opt_p0 / (2.0 * lam)
     p0 = f_coeff(mkt, 0.0) * (horizon * agg.H_bar - x_bar0 + horizon * agg.mu_bar)
     sigma_sq = agg.sigma_sq
     log_term = math.log1p(2.0 * lam * eta * horizon)
@@ -303,7 +338,7 @@ def static_policy(mkt: MarketParams) -> StaticPolicy:
     return StaticPolicy(
         x_bar0=x_bar0,
         p0=p0,
-        cost=opt.cost + delta_stat,
+        cost=_optimal_cost(mkt, opt_p0) + delta_stat,
         delta_stat=delta_stat,
         qv_T=qv_t,
     )
@@ -339,6 +374,7 @@ def estimate_eta_from_qv(
     return (upper - qv_t) / (2.0 * lam * horizon * qv_t)
 
 
+@_closed_form
 def tax_policy(mkt: MarketParams) -> TaxPolicy:
     """Constant emission tax hitting the same expected-emissions target.
 
@@ -352,7 +388,7 @@ def tax_policy(mkt: MarketParams) -> TaxPolicy:
     agg = mkt.agg
     horizon = mkt.horizon
     n = mkt.n_firms
-    tau = optimal_dynamic_policy(mkt).p0
+    tau = _optimal_p0(mkt)
     hs = np.array([fp.h for fp in mkt.firms])
     alpha = eta * (tau - hs)
     cost = n * horizon * (
@@ -368,6 +404,7 @@ def tax_policy(mkt: MarketParams) -> TaxPolicy:
     return TaxPolicy(tau=tau, alpha=alpha, cost=cost, break_even_lambda=break_even)
 
 
+@_closed_form
 def msr_policy(mkt: MarketParams, delta: float = DEFAULT_MSR_DELTA) -> MSRPolicy:
     """Mean-reverting allocation policy (requires fully homogeneous firms).
 
@@ -386,7 +423,7 @@ def msr_policy(mkt: MarketParams, delta: float = DEFAULT_MSR_DELTA) -> MSRPolicy
     agg = mkt.agg
     horizon = mkt.horizon
     eta = agg.eta_bar
-    opt_p0 = optimal_dynamic_policy(mkt).p0
+    opt_p0 = _optimal_p0(mkt)
     decay = math.exp(-delta * horizon)
     x_bar0 = (
         delta * horizon / (1.0 - decay)
@@ -1121,7 +1158,9 @@ def _simulate_runs(
     """Simulate every (market, policy) run on every chunk of one ensemble.
 
     Each chunk's noise is drawn once and serves every run, so the runs share
-    shocks path by path; no trajectory outlives its chunk.  The chunk keeps
+    shocks path by path; no trajectory outlives its chunk.  The ensemble
+    sets the chunks (`PathEnsemble.chunk_size`, by default sized by the
+    grid), and no run's numbers depend on them.  The chunk keeps
     only the loading rows the runs read (`_noise_rows`), and every run is
     checked against the ensemble's firms before the first draw.
     Consecutive MSR runs on the same firm volatilities (the etas of a

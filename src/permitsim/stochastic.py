@@ -566,25 +566,40 @@ def generate_noise(
     return NoisePaths(seed, path_offset, grid, ks, n_paths=n_paths, rows=list(zip(kept, rows)))
 
 
+#: A default chunk holds enough paths that each of its (P, M+1) path arrays
+#: reaches this many knots, so a chunk's fixed Python cost (seeding, ~40
+#: numpy calls per run and kernel) is spread over the same work on any grid.
+CHUNK_KNOTS = 1 << 16
+
+#: The fewest paths a default chunk holds: every chunk from 255 steps up.
+MIN_CHUNK_PATHS = 256
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """A lazily generated ensemble of independent noise paths.
 
     Iterating ``chunks()`` yields NoisePaths blocks whose union is exactly the
     ensemble; ``path(i)`` materializes a single path.  Chunking never changes
-    the numbers, only the memory profile.  With ``head`` > 0, paths
-    [0, min(head, n_paths)) come first as a block of their own and the rest
-    follow in ``chunk_size`` blocks.
+    the numbers, only the memory profile.  Without ``chunk_size`` a block
+    holds CHUNK_KNOTS // (M+1) paths and never fewer than MIN_CHUNK_PATHS:
+    1285 paths at 50 steps, 256 from 255 steps up; ``chunk_size``
+    then reads that number.  With ``head`` > 0, paths [0, min(head,
+    n_paths)) come first as a block of their own and the rest follow in
+    ``chunk_size`` blocks.
     """
 
     seed: int
     grid: TimeGrid
     firms: tuple[FirmParams, ...]
     n_paths: int
-    chunk_size: int = 256
+    chunk_size: int | None = None
     head: int = 0
 
     def __post_init__(self) -> None:
+        if self.chunk_size is None:
+            paths = max(MIN_CHUNK_PATHS, CHUNK_KNOTS // (self.grid.n_steps + 1))
+            object.__setattr__(self, "chunk_size", paths)
         for name in ("n_paths", "chunk_size"):
             if getattr(self, name) < 1:
                 raise UnsupportedInputError(f"{name} must be >= 1, got {getattr(self, name)}")

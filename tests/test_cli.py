@@ -4,6 +4,7 @@ import math
 import threading
 import weakref
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -470,9 +471,12 @@ _LAZY_COLUMNS = (
 def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, monkeypatch, n_paths):
     """The first block holds the min(TRAJECTORY_PATH_CAP, n) written paths,
     the rest follow in chunk-size blocks, no sample of a later block builds
-    a trajectory, and the summary's costs are those of the default layout."""
+    a trajectory, and the summary's costs are those of the default layout.
+    At 300 steps a chunk holds 256 paths, so 300 paths are the written
+    block and two chunks."""
     real = permitsim.cli.run_ensemble
     blocks = []
+    chunk_sizes = []
 
     def spying(mkt, policies, ensemble, on_sample):
         def hook(noise, sample):
@@ -481,37 +485,80 @@ def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, mon
             blocks.append((noise.path_offset, noise.n_paths, sample.kind, built))
 
         assert ensemble.head == TRAJECTORY_PATH_CAP
+        chunk_sizes.append(ensemble.chunk_size)
         return real(mkt, policies, ensemble, hook)
 
     monkeypatch.setattr(permitsim.cli, "run_ensemble", spying)
+    n_steps = 300
     config = build_scenario({
-        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=n_paths, n_steps=10),
+        "preset": "paper-2020-base",
+        "simulation": small_sim_block(n_paths=n_paths, n_steps=n_steps),
     })
     kinds = [PolicyKind.OPTIMAL_DYNAMIC, PolicyKind.STATIC, PolicyKind.MSR, PolicyKind.TAX]
     run_simulate(config, tmp_path / "out", kinds)
 
     head = min(TRAJECTORY_PATH_CAP, n_paths)
+    [chunk_size] = chunk_sizes
     bounds = sorted({(offset, size) for offset, size, _, _ in blocks})
     assert bounds[0] == (0, head)
-    assert [offset for offset, _ in bounds] == [0, *range(head, n_paths, 256)]
+    assert [offset for offset, _ in bounds] == [0, *range(head, n_paths, chunk_size)]
     assert sum(size for _, size in bounds) == n_paths
+    if n_paths == 300:
+        assert len(bounds) == 3
     assert len(blocks) == len(bounds) * len(kinds)
     for offset, _, kind, built in blocks:
         # the written block builds the four columns it writes, never price_qv
         assert built == ([] if offset else list(_LAZY_COLUMNS[:4])), (offset, kind)
     for kind in kinds:
         rows = (tmp_path / "out" / f"trajectory_{kind.value}.csv").read_text().splitlines()
-        assert len(rows) == 2 + head * 11
+        assert len(rows) == 2 + head * (n_steps + 1)
 
     mkt = config.market
     default = run_ensemble(
         mkt,
         [build_policy(PolicySpec(kind=k, delta=config.policy.delta), mkt) for k in kinds],
-        PathEnsemble(config.seed, TimeGrid(mkt.horizon, 10), mkt.firms, n_paths),
+        PathEnsemble(config.seed, TimeGrid(mkt.horizon, n_steps), mkt.firms, n_paths),
     )
     want = {r.kind.value: _report_to_json(r) for r in default.reports}
     written = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert json.dumps(written["policies"], sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", [7, 2020])
+def test_chunks_sized_by_knots_write_the_bytes_of_256_path_chunks(tmp_path, monkeypatch, seed):
+    """On short grids a default chunk holds more than 256 paths; `simulate`
+    and `compare` still write the same bytes as on 256-path chunks."""
+    kinds = [PolicyKind.OPTIMAL_DYNAMIC, PolicyKind.STATIC, PolicyKind.MSR, PolicyKind.TAX]
+
+    def run_both(out):
+        sim = build_scenario({
+            "preset": "paper-2020-base",
+            "simulation": small_sim_block(n_paths=3000, n_steps=50, seed=seed),
+        })
+        run_simulate(sim, out / "simulate", kinds)
+        sweep = build_scenario({
+            "preset": "paper-2020-base",
+            "simulation": small_sim_block(n_paths=3500, n_steps=20, seed=seed),
+        })
+        run_compare(sweep, [1e6, 1e7, 6e8, 1e9], out / "compare")
+
+    real = permitsim.cli.PathEnsemble
+    sizes = []
+
+    def recording(*args, **kwargs):
+        ensemble = real(*args, **kwargs)
+        sizes.append(ensemble.chunk_size)
+        return ensemble
+
+    monkeypatch.setattr(permitsim.cli, "PathEnsemble", recording)
+    run_both(tmp_path / "default")
+    assert sizes == [1285, 3120]
+    monkeypatch.setattr(permitsim.cli, "PathEnsemble", partial(real, chunk_size=256))
+    run_both(tmp_path / "256")
+    files = sorted(p.relative_to(tmp_path / "256") for p in (tmp_path / "256").rglob("*.*"))
+    assert len(files) == 6
+    for name in files:
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "256" / name).read_bytes()
 
 
 def test_simulate_writes_the_same_bytes_when_blocks_split(tmp_path, monkeypatch):
@@ -637,8 +684,14 @@ def test_compare_rejects_non_finite_etas(tmp_path, capsys, eta):
     assert not (out / "sweep.csv").exists()
 
 
+def _default_chunk_size(n_steps):
+    mkt = build_scenario({"preset": "paper-2020-base"}).market
+    return PathEnsemble(0, TimeGrid(mkt.horizon, n_steps), mkt.firms, 1).chunk_size
+
+
 def test_compare_draws_each_chunk_once(tmp_path, monkeypatch):
-    """One noise draw per chunk serves every eta: 600 paths are three chunks."""
+    """One noise draw per chunk serves every eta: two chunks and 88 paths
+    are three chunks."""
     real = permitsim.stochastic.generate_noise
     calls = []
 
@@ -647,8 +700,9 @@ def test_compare_draws_each_chunk_once(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(permitsim.stochastic, "generate_noise", counting)
+    n_paths = 2 * _default_chunk_size(20) + 88
     config = build_scenario({
-        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=600, n_steps=20),
+        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=n_paths, n_steps=20),
     })
     rows = run_compare(config, [1e7, 6e8, 1e9], tmp_path / "sweep")
     assert len(rows) == 3
@@ -688,8 +742,9 @@ def test_compare_rows_match_per_eta_ensembles(tmp_path):
 def test_compare_rows_from_several_stacks_match_per_eta_ensembles(
     tmp_path, monkeypatch, n_etas, n_steps, stacks
 ):
-    """More etas than one stack holds, on chunks of 256 and 44 paths: each
-    row is still what a separate ensemble at that eta gives, to the bit."""
+    """More etas than one stack holds, on a whole chunk and one of 44 paths:
+    each row is still what a separate ensemble at that eta gives, to the
+    bit."""
     real = permitsim.policies._simulate_msr
     sizes = []
 
@@ -700,7 +755,7 @@ def test_compare_rows_from_several_stacks_match_per_eta_ensembles(
     monkeypatch.setattr(permitsim.policies, "_simulate_msr", spy)
     config = build_scenario({
         "preset": "paper-2020-base",
-        "simulation": small_sim_block(n_paths=300, n_steps=n_steps),
+        "simulation": small_sim_block(n_paths=_default_chunk_size(n_steps) + 44, n_steps=n_steps),
     })
     etas = [float(e) for e in np.geomspace(1e6, 1e9, n_etas)]
     rows = run_compare(config, etas, tmp_path / "sweep")
@@ -740,8 +795,9 @@ def test_compare_frees_every_sample_and_stack_before_the_next_chunk(
 
     monkeypatch.setattr(permitsim.stochastic, "generate_noise", drawing)
     monkeypatch.setattr(permitsim.policies, "_msr_sample", sampling)
+    n_paths = 2 * _default_chunk_size(20) + 88
     config = build_scenario({
-        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=600, n_steps=20),
+        "preset": "paper-2020-base", "simulation": small_sim_block(n_paths=n_paths, n_steps=20),
     })
     run_compare(config, [float(e) for e in np.geomspace(1e6, 1e9, 9)], tmp_path / "sweep")
     assert live_at_draw == [0, 0, 0]
@@ -791,6 +847,17 @@ def test_calibrate_eta_infeasible_is_exit_3(capsys):
     ])
     assert code == 3
     assert "feasible interval" in capsys.readouterr().err
+
+
+def test_closed_form_overflow_is_exit_3(tmp_path, capsys):
+    firms = [{"mu": 1e200, "sigma": 8.2e7, "k": 0.92, "h": 25.0, "eta": 6.0e8}] * 6
+    out = tmp_path / "out"
+    for command in (["simulate", "--policy", "all"], ["compare", "--etas", "1e7,6e8"]):
+        cfg = write_config(tmp_path, firms=firms, simulation=small_sim_block())
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_calibrate_eta_overflow_is_exit_3(capsys):

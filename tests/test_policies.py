@@ -439,20 +439,38 @@ def test_msr_overflow_is_a_domain_error(delta):
 @pytest.mark.parametrize(
     "build, firm",
     [
-        (optimal_dynamic_policy, {"h": 1e150}),
-        (static_policy, {"h": 1e150}),
+        (optimal_dynamic_policy, {"h": 1e148}),
+        (static_policy, {"h": 1e148}),
         (tax_policy, {"eta": 1e290}),
     ],
     ids=["optimal", "static", "tax"],
 )
 def test_martingale_and_tax_overflow_is_a_domain_error(build, firm):
-    """h = 1e150 clears the market but overflows the penalty's square of
-    the optimal and static kernels; eta = 1e290 overflows the tax's
-    abatement: a library caller gets DomainError, not a non-finite cost."""
+    """h = 1e148 keeps the closed forms finite and clears the market but
+    overflows the penalty's square of the optimal and static kernels; eta =
+    1e290 overflows the tax's abatement: a library caller gets DomainError,
+    not a non-finite cost."""
     mkt = make_market(make_firms(**firm))
     noise = generate_noise(3, TimeGrid(mkt.horizon, 100), mkt.firms, n_paths=8)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="finite"):
-        simulate_policy_paths(build(mkt), mkt, noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        policy = build(mkt)
+        with pytest.raises(DomainError, match="run .* overflows: a cost"):
+            simulate_policy_paths(policy, mkt, noise)
+
+
+@pytest.mark.parametrize(
+    "firm", [{"mu": 1e200}, {"mu": 1e308}, {"h": 1e150}], ids=["mu-1e200", "mu-1e308", "h-1e150"]
+)
+def test_closed_form_overflow_is_a_domain_error(firm):
+    """Six firms at mu = 1e200 overflow ``p0**2`` in Python floats, mu =
+    1e308 overflows the aggregates in numpy and h = 1e150 the optimal
+    cost: every closed-form constructor raises DomainError, not
+    OverflowError, and returns no policy holding inf or nan."""
+    mkt = make_market(make_firms(**firm))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for build in (optimal_dynamic_policy, static_policy, tax_policy):
+            with pytest.raises(DomainError, match=f"{build.__name__} overflows"):
+                build(mkt)
 
 
 def test_msr_path_costs_do_not_depend_on_the_chunk_size():
@@ -1138,7 +1156,7 @@ def test_stacked_msr_samples_equal_single_runs_to_the_bit(
 ):
     """A stack holds at most (N+1) M // (M+1) runs; every field of each
     stacked run's sample is what simulate_policy_paths gives for that run
-    alone, on both chunks of 300 paths."""
+    alone, on a whole chunk and one of 44 paths."""
     runs = _msr_runs(np.geomspace(1e6, 1e9, n_etas))
     real = permitsim.policies._simulate_msr
     sizes = []
@@ -1160,11 +1178,13 @@ def test_stacked_msr_samples_equal_single_runs_to_the_bit(
             assert np.array_equal(sample.parts[key], alone.parts[key]), key
         offsets.append(noise.path_offset)
 
+    grid = TimeGrid(10.0, n_steps)
+    chunk_size = PathEnsemble(seed=13, grid=grid, firms=runs[0][0].firms, n_paths=1).chunk_size
     ensemble = PathEnsemble(
-        seed=13, grid=TimeGrid(10.0, n_steps), firms=runs[0][0].firms, n_paths=300
+        seed=13, grid=grid, firms=runs[0][0].firms, n_paths=chunk_size + 44
     )
     list(permitsim.policies._simulate_runs(runs, ensemble, on_sample=same_as_alone))
-    assert offsets == [0] * n_etas + [256] * n_etas
+    assert offsets == [0] * n_etas + [chunk_size] * n_etas
     # the reference runs above are stacks of one
     assert [s for s in sizes if s > 1] == stacks * 2
 

@@ -241,6 +241,21 @@ def test_path_ensemble_head_block_comes_first(head, sizes):
     np.testing.assert_array_equal(np.concatenate([c.d_tilde for c in chunks]), whole.d_tilde)
 
 
+@pytest.mark.parametrize("n_steps, chunk_size", [(1, 32768), (50, 1285), (300, 256), (2000, 256)])
+def test_path_ensemble_sizes_its_chunks_by_knots(n_steps, chunk_size):
+    """A default chunk holds CHUNK_KNOTS // (M+1) paths and at least
+    MIN_CHUNK_PATHS; an explicit chunk_size is kept; the head comes first."""
+    firms = make_firms(2)
+    grid = TimeGrid(horizon=10.0, n_steps=n_steps)
+    ens = PathEnsemble(seed=5, grid=grid, firms=firms, n_paths=3 * chunk_size, head=8)
+    assert ens.chunk_size == chunk_size
+    sizes = [c.n_paths for c in ens.chunks(loads=[])]
+    assert sizes == [8, chunk_size, chunk_size, chunk_size - 8]
+    explicit = PathEnsemble(seed=5, grid=grid, firms=firms, n_paths=600, chunk_size=256, head=8)
+    assert explicit.chunk_size == 256
+    assert [c.n_paths for c in explicit.chunks(loads=[])] == [8, 256, 256, 80]
+
+
 def test_array_pool_hands_an_array_out_again_only_once_nothing_refers_to_it():
     """Outside a pool every array is new.  Inside one, an array's memory is
     handed out again only once no view of it is alive, and to a request no
