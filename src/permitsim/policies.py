@@ -507,10 +507,12 @@ class PolicyPathSample:
     sample.  The other trajectories (``total_bank``, ``avg_abatement``,
     ``total_emissions``, ``net_allocation_minus_initial``) and the per-path
     ``price_qv`` are built from ``build`` on first access and then cached,
-    so a caller that reads only costs pays for none of them.  Arrays may
-    be views: under the optimal policy the price, the average abatement and
-    the cost parts are read-only and repeat one row on every path, and the
-    MSR's trajectories are transposed views of time-major (M+1, P) arrays.
+    so a caller that reads only costs pays for none of them: the kernels
+    sum the terminal emissions without the paths the builders rebuild.
+    Arrays may be views: under the optimal policy the price, the average
+    abatement and the cost parts are read-only and repeat one row on every
+    path, and the MSR's trajectories are transposed views of time-major
+    (M+1, P) arrays.
     """
 
     kind: PolicyKind
@@ -688,6 +690,10 @@ def _simulate_martingale(
     price, the abatement and every cost part are computed once, as one row
     that the sample's read-only views repeat on every path.  A cost or
     terminal emission that is not finite raises `DomainError` (`_sample`).
+
+    The terminal emissions take the last knots of the abated total and the
+    shock path sum_i sigma_i W_i as running sums (`_last_knot`); only the
+    trajectory builders, on first access, build those paths.
     """
     if not mkt.is_frictionless:
         raise UnsupportedInputError("finite depth: use equilibrium_frictions")
@@ -733,13 +739,15 @@ def _simulate_martingale(
         d_trade += (sign * n) * row
         integrate_increments(d_trade, out=trade)
         np.subtract(trade0, trade, out=trade)
+        del d_trade
     else:
         # no surprise: dP = 0 and the summed trade stays at its start, on
         # every path alike
         price = np.full((1, shape[1]), p0)
         trade = np.full((1, 1), trade0)
     require_frictionless_clearing(mkt, grid, price, trade, abs_max(expected_sum))
-    trade_T = trade[:, -1]
+    trade_T = trade[:, -1].copy()
+    del trade  # its array serves the excess
 
     # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
     # h_eff; sums of the small excess keep the cancellation out of the costs
@@ -766,25 +774,29 @@ def _simulate_martingale(
 
     abate_total = excess  # eta_total (P - h_eff), in the excess's array
     abate_total *= eta_total
-    abated = left_integral(abate_total, grid)
-    shock_sum = integrate_increments(d_wbar)
-    shock_sum *= n
+    # the terminal emissions read only the last knots of the abated total and
+    # of the shock path N Wbar, summed in the running order of their builders
+    np.multiply(abate_total[:, :-1], dt, out=gap_sq)
+    abated_T = _last_knot(gap_sq, out=gap_sq)
+    del gap_sq
     price = np.broadcast_to(price, shape)
     return _sample(
         kind,
         lambda: f"{kind.value} run ({grid.n_steps} steps)",
         price,
         parts,
-        mu_total * t[-1] - abated[:, -1] + shock_sum[:, -1],
+        mu_total * t[-1] - abated_T + n * _last_knot(d_wbar),
         total_bank=lambda: (
             expected_sum
             + (mu_total - alloc_flow) * (horizon - t)
-            + abated
+            + left_integral(abate_total, grid)
             + (trade_T / horizon)[:, None] * t
-            - shock_sum
+            - n * integrate_increments(d_wbar)
         ),
         avg_abatement=lambda: np.broadcast_to(abate_total / n, shape),
-        total_emissions=lambda: mu_total * t - abated + shock_sum,
+        total_emissions=lambda: (
+            mu_total * t - left_integral(abate_total, grid) + n * integrate_increments(d_wbar)
+        ),
         net_allocation_minus_initial=lambda: expected_sum - expected_sum[:, :1] + alloc_flow * t,
         price_qv=lambda: realized_qv(price)[:, -1],
     )
@@ -831,8 +843,8 @@ def simulate_policy_paths(
     t = grid.knots
     shape = (noise.n_paths, grid.n_steps + 1)
     alpha = float(policy.alpha.sum())
-    shock_sum = integrate_increments(noise.row(tracking_gamma(mkt.firms).sum(axis=0)))
-    terminal_emissions = (mu_total - alpha) * t[-1] + shock_sum[:, -1]
+    d_shocks = noise.row(tracking_gamma(mkt.firms).sum(axis=0))  # sum_i sigma_i dW_i
+    terminal_emissions = (mu_total - alpha) * t[-1] + _last_knot(d_shocks)
     hs = np.array([fp.h for fp in mkt.firms])
     etas = np.array([fp.eta for fp in mkt.firms])
     abate_cost = grid.horizon * float(
@@ -855,7 +867,7 @@ def simulate_policy_paths(
         terminal_emissions,
         total_bank=lambda: zero,
         avg_abatement=lambda: np.broadcast_to(alpha / n, shape),
-        total_emissions=lambda: (mu_total - alpha) * t + shock_sum,
+        total_emissions=lambda: (mu_total - alpha) * t + integrate_increments(d_shocks),
         net_allocation_minus_initial=lambda: zero,
         price_qv=lambda: np.zeros(noise.n_paths),
     )
@@ -893,9 +905,10 @@ def _simulate_msr(
     runs may differ in every parameter but the firms' volatilities, which
     fix the average shock dWbar; they step together with the run index as
     an array axis (`_msr_steps`), so a stack costs the Python calls of one
-    run.  Yields one sample per run, in run order, each built when it is
-    requested from the run's time-major slice of the step buffer; the
-    buffer is released when the generator is exhausted.
+    run, and sums the shocks over time once.  Yields one sample per run, in
+    run order, each built when it is requested from the run's time-major
+    slice of the step buffer; the buffer is released when the generator is
+    exhausted.
     """
     grid = noise.grid
     sigmas = tuple(fp.sigma for fp in runs[0][0].firms)
@@ -910,8 +923,10 @@ def _simulate_msr(
     dw_t = pooled_empty(d_wbar.shape[::-1])
     np.copyto(dw_t, d_wbar.T)
     x_t = _msr_steps(runs, coefs, dw_t, grid.dt)
+    wbar_T = _time_sum(dw_t)
+    del dw_t  # the samples' scratch arrays may take its storage
     for r, (mkt, policy) in enumerate(runs):
-        yield _msr_sample(mkt, policy, grid, *coefs[r], x_t[:, r], dw_t)
+        yield _msr_sample(mkt, policy, grid, *coefs[r], x_t[:, r], d_wbar, wbar_T)
 
 
 def _msr_steps(
@@ -958,6 +973,12 @@ def _time_sum(rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=0)
 
 
+def _last_knot(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``integrate_increments(d)[:, -1]`` bit for bit (a pairwise ``sum`` is not),
+    with the running sums in ``out`` shaped like ``d`` (it may be ``d``) or pooled."""
+    return np.cumsum(d, axis=-1, out=pooled_empty(d.shape) if out is None else out)[:, -1].copy()
+
+
 def _msr_sample(
     mkt: MarketParams,
     policy: MSRPolicy,
@@ -966,15 +987,15 @@ def _msr_sample(
     c1: np.ndarray,
     ramp: np.ndarray,
     xbar: np.ndarray,
-    dw_t: np.ndarray,
+    d_wbar: np.ndarray,
+    wbar_T: np.ndarray,
 ) -> PolicyPathSample:
     """One MSR run's sample from its time-major average banks ``xbar``, (M+1, P),
-    and average shocks ``dw_t``, (M, P).
+    the average shocks ``d_wbar``, (P, M), and their sums over time ``wbar_T``.
 
-    Costs and terminal emissions are sums over time (`_time_sum`), and the
-    trajectories transposed views.  A cost part or terminal emission that
-    is not finite, from an overflowing recursion or penalty, raises
-    `DomainError` (`_sample`).
+    Costs are sums over time (`_time_sum`), and the trajectories transposed
+    views.  A cost part or terminal emission that is not finite, from an
+    overflowing recursion or penalty, raises `DomainError` (`_sample`).
     """
     t = grid.knots
     n = mkt.n_firms
@@ -988,7 +1009,7 @@ def _msr_sample(
     alpha_dt *= dt
     abated = _time_sum(alpha_dt)
     terminal_emissions = n * (agg.mu_bar * t[-1] - abated)
-    terminal_emissions += n * _time_sum(dw_t)
+    terminal_emissions += n * wbar_T
     alpha_dt *= alpha_dt  # sum_k (h_bar alpha_k + alpha_k^2 / (2 eta)) dt, from (alpha_k dt)^2
     abatement = n * (h_bar * abated + _time_sum(alpha_dt) / (2.0 * eta * dt))
     penalty = n * mkt.penalty * xbar[-1] ** 2
@@ -1010,7 +1031,7 @@ def _msr_sample(
         avg_abatement=lambda: eta * (price.T - h_bar),
         total_emissions=lambda: (
             n * (agg.mu_bar * t - left_integral(eta * (price.T - h_bar), grid))
-            + n * integrate_increments(dw_t.T)
+            + n * integrate_increments(d_wbar)
         ),
         net_allocation_minus_initial=net_allocation,
         price_qv=lambda: realized_qv(price.T)[:, -1],

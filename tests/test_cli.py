@@ -784,10 +784,10 @@ def test_compare_frees_every_sample_and_stack_before_the_next_chunk(
         live_at_draw.append(live(prices) + live(buffers))
         return real_draw(*args, **kwargs)
 
-    def sampling(mkt, policy, grid, c0, c1, ramp, xbar, wbar):
+    def sampling(mkt, policy, grid, c0, c1, ramp, xbar, d_wbar, wbar_T):
         gc.collect()
         live_at_sample.append(live(prices))
-        sample = real_sample(mkt, policy, grid, c0, c1, ramp, xbar, wbar)
+        sample = real_sample(mkt, policy, grid, c0, c1, ramp, xbar, d_wbar, wbar_T)
         prices.append(weakref.ref(sample.price))
         buffers.append(weakref.ref(xbar.base))
         stack_sizes.append(xbar.base.shape[1])

@@ -49,7 +49,7 @@ from permitsim.policies import (
     cost_report_from_samples,
     run_ensemble,
 )
-from permitsim.stochastic import left_integral
+from permitsim.stochastic import array_pool, left_integral
 
 import oracles
 from conftest import N_FIRMS, make_firms, make_market
@@ -686,12 +686,32 @@ def _all_simulated_policies(mkt):
     ],
 )
 def test_terminal_emissions_are_the_last_knot(market_name, kind):
+    """On blocks of 40 paths, 1 path, 1 step and the default chunk size, in an
+    array pool as in the chunk loop: the terminal emissions are the last knot
+    of the trajectory built on first access, and the cost, its parts and the
+    terminal emissions have the same bits whether the trajectories were
+    read first or never."""
     mkt = _KERNEL_MARKETS[market_name]
-    noise = generate_noise(65, TimeGrid(mkt.horizon, 300), mkt.firms, 40)
-    sample = simulate_policy_paths(_all_simulated_policies(mkt)[kind], mkt, noise)
-    np.testing.assert_array_equal(sample.terminal_emissions, sample.total_emissions[:, -1])
-    # an array of its own, which pins no trajectory
-    assert not np.shares_memory(sample.terminal_emissions, sample.total_emissions)
+    policy = _all_simulated_policies(mkt)[kind]
+    for n_steps, n_paths in ((300, 40), (300, 1), (1, 40), (1, 1), (300, None)):
+        grid = TimeGrid(mkt.horizon, n_steps)
+        if n_paths is None:
+            n_paths = PathEnsemble(65, grid, mkt.firms, 1).chunk_size
+        noise = generate_noise(65, grid, mkt.firms, n_paths)
+        with array_pool():
+            costs_only = simulate_policy_paths(policy, mkt, noise)
+            sample = simulate_policy_paths(policy, mkt, noise)
+            for name in _TRAJECTORY_FIELDS[1:] + ("price_qv",):
+                getattr(sample, name)
+        np.testing.assert_array_equal(sample.terminal_emissions, sample.total_emissions[:, -1])
+        # an array of its own, which pins no trajectory
+        assert not np.shares_memory(sample.terminal_emissions, sample.total_emissions)
+        for got, want in [
+            (sample.cost, costs_only.cost),
+            (sample.terminal_emissions, costs_only.terminal_emissions),
+            *((sample.parts[key], costs_only.parts[key]) for key in costs_only.parts),
+        ]:
+            assert got.tobytes() == want.tobytes(), (n_steps, n_paths)
 
 
 @pytest.mark.parametrize("market_name", ["base", "mixed", "mixed_eta"])
@@ -743,6 +763,35 @@ def test_static_kernel_memory_is_flat_in_the_firm_count():
         finally:
             tracemalloc.stop()
     assert peaks[24] <= 1.5 * peaks[3], peaks
+
+
+@pytest.mark.parametrize("kind", ["static", "optimal_dynamic", "tax"])
+def test_costs_only_call_keeps_no_trajectory(base_market, kind):
+    """A call whose trajectories are never read takes its terminal sums
+    without the full paths: on noise rows drawn before it, as a chunk's are,
+    it keeps at most 2 (P, M+1) path arrays after it returns (the static
+    call its price and abatement, the optimal call its expected allocation,
+    the tax none), besides the sample's (P,) scalars and a few (M+1,) rows,
+    and the static call peaks at 3.5 path arrays.  The block is a default
+    chunk of the headline grid, 256 paths x 2000 steps, on which numpy's
+    fixed ufunc buffers (~0.15 MB) are small."""
+    policy = build_policy(PolicySpec(kind=kind), base_market)
+    grid = TimeGrid(base_market.horizon, 2000)
+    loads = permitsim.policies._noise_rows(base_market, policy)
+    noise = generate_noise(69, grid, base_market.firms, 256, loads=loads)
+    path_bytes = noise.n_paths * (grid.n_steps + 1) * 8
+    vector_bytes = (noise.n_paths + grid.n_steps + 1) * 8
+    tracemalloc.start()
+    try:
+        sample = simulate_policy_paths(policy, base_market, noise)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    paths = {"static": 2, "optimal_dynamic": 1, "tax": 0}[kind]
+    assert kept <= paths * path_bytes + 16 * vector_bytes, kept / path_bytes
+    if kind == "static":
+        assert peak <= 3.5 * path_bytes, peak / path_bytes
+    assert sample.cost.shape == (256,)
 
 
 # --- exact-transition price sampling ------------------------------------------------
