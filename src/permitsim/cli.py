@@ -36,19 +36,18 @@ from .policies import (
     CostReport,
     PolicyKind,
     PolicySpec,
+    _noise_rows,
     _simulate_runs,
     build_policy,
     cost_report_from_samples,
     estimate_eta_from_qv,
     optimal_dynamic_policy,
     run_ensemble,
+    simulate_policy_paths,
     static_policy,
     tax_policy,
 )
-# not called here but kept as a module attribute: perfbench/tracing.py wraps
-# it under this name
-from .policies import simulate_policy_paths  # noqa: F401
-from .stochastic import PathEnsemble, TimeGrid
+from .stochastic import PathEnsemble, TimeGrid, generate_noise
 
 TRAJECTORY_SCHEMA = "trajectory.v1"
 SWEEP_SCHEMA = "sweep.v1"
@@ -330,8 +329,8 @@ def _knots_text(grid: TimeGrid) -> tuple[str, ...]:
     return tuple(_fmt(t) for t in grid.knots)
 
 
-def _trajectory_rows(sample, noise, volume_scale: float, n_show: int) -> list[str]:
-    """The first ``n_show`` paths of a sample as trajectory.v1 rows.
+def _trajectory_rows(sample, noise, volume_scale: float) -> list[str]:
+    """Every path of a sample on the block ``noise`` as trajectory.v1 rows.
 
     Each path renders with one ``%`` operation on a template of all its
     rows: the path id, t and every column that is constant along the path
@@ -340,20 +339,20 @@ def _trajectory_rows(sample, noise, volume_scale: float, n_show: int) -> list[st
     column is constant when all its values have the same bits, so that
     0.0 and -0.0 stay apart.
     """
-    columns = [sample.price[:n_show]] + [
-        getattr(sample, name)[:n_show] * volume_scale for name in _TRAJECTORY_COLUMNS[3:]
+    columns = [sample.price] + [
+        getattr(sample, name) * volume_scale for name in _TRAJECTORY_COLUMNS[3:]
     ]
     rows = []
-    for p in range(n_show):
+    for p, path in enumerate(zip(*columns)):
         cells = []
         varying = []
-        for column in columns:
-            bits = column[p].view(np.int64)
+        for column in path:
+            bits = column.view(np.int64)
             if (bits == bits[0]).all():
-                cells.append(_fmt(column[p, 0]))
+                cells.append(_fmt(column[0]))
             else:
                 cells.append("%.17g")
-                varying.append(column[p])
+                varying.append(column)
         head = f"{noise.path_offset + p},"
         tail = "," + ",".join(cells)
         template = head + (tail + "\n" + head).join(_knots_text(noise.grid)) + tail
@@ -388,15 +387,17 @@ def _spec_for_kind(config: ScenarioConfig, kind: PolicyKind) -> PolicySpec:
 def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[PolicyKind]) -> dict:
     """Simulate the requested policies on shared shocks and write tables.
 
-    Writes ``trajectory_<kind>.csv`` per policy (first TRAJECTORY_PATH_CAP
-    paths) and ``summary.json`` with closed-form and Monte Carlo costs over
-    all ``n_paths`` paths.  The written paths are drawn as the ensemble's
-    first block, of their own, so the trajectories are built for them
-    alone; every later block, of `PathEnsemble`'s default size (about 2^16
-    knots per path array, at least 256 paths), yields only costs.  A path's
-    costs do not depend on the block it is drawn in, so the summary equals
-    that of any other chunking.  Returns the summary dict.  A failed run
-    removes the trajectory files it opened and writes no summary.
+    Writes ``summary.json`` with closed-form and Monte Carlo costs over all
+    ``n_paths`` paths, and ``trajectory_<kind>.csv`` per policy with the
+    first TRAJECTORY_PATH_CAP paths.  The costs come first, from
+    `run_ensemble` on `PathEnsemble`'s default chunks (about 2^16 knots per
+    path array, at least 256 paths), which build no trajectory.  The written
+    paths are then drawn again as one block that keeps only the loading rows
+    the runs read (`_noise_rows`), and each policy's rows come from
+    `simulate_policy_paths` on that block.  A path's numbers do not depend
+    on the block it is drawn in, so the rows are those of the same paths in
+    any chunk.  Returns the summary dict.  A failed run removes the
+    trajectory files it wrote and writes no summary.
 
     A Monte Carlo estimate more than four standard errors from its closed
     form is recorded as ``"consistent": false`` and the run still succeeds:
@@ -407,46 +408,38 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     mkt = config.market
     policies = [build_policy(_spec_for_kind(config, k), mkt) for k in kinds]
     grid = TimeGrid(mkt.horizon, config.n_steps)
-    ensemble = PathEnsemble(config.seed, grid, mkt.firms, config.n_paths, head=TRAJECTORY_PATH_CAP)
+    result = run_ensemble(mkt, policies, PathEnsemble(config.seed, grid, mkt.firms, config.n_paths))
+    summary = {
+        "schema": SUMMARY_SCHEMA,
+        "seed": config.seed,
+        "n_paths": config.n_paths,
+        "n_steps": config.n_steps,
+        "unit_scale": config.unit_scale,
+        "policies": {r.kind.value: _report_to_json(r) for r in result.reports},
+    }
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"summary holds a non-finite number: {exc}") from exc
+
+    loads = [load for policy in policies for load in _noise_rows(mkt, policy)]
+    noise = generate_noise(
+        config.seed, grid, mkt.firms, min(TRAJECTORY_PATH_CAP, config.n_paths), loads=loads
+    )
+    volume_scale = 1e-9 if config.unit_scale == "Gt" else 1.0
+    header = f"# {TRAJECTORY_SCHEMA}\n" + ",".join(_TRAJECTORY_COLUMNS) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    volume_scale = 1e-9 if config.unit_scale == "Gt" else 1.0
-
-    header = f"# {TRAJECTORY_SCHEMA}\n" + ",".join(_TRAJECTORY_COLUMNS) + "\n"
-    files = {}
-
-    def write_rows(noise, sample) -> None:
-        n_show = min(TRAJECTORY_PATH_CAP - noise.path_offset, noise.n_paths)
-        if n_show > 0:
-            rows = _trajectory_rows(sample, noise, volume_scale, n_show)
-            files[sample.kind].write("\n".join(rows) + "\n")
-
+    written = []
     try:
-        for kind in kinds:
-            f = (out / f"trajectory_{kind.value}.csv").open("w", newline="")
-            f.write(header)
-            files[kind] = f
-        result = run_ensemble(mkt, policies, ensemble, on_sample=write_rows)
-        summary = {
-            "schema": SUMMARY_SCHEMA,
-            "seed": config.seed,
-            "n_paths": config.n_paths,
-            "n_steps": config.n_steps,
-            "unit_scale": config.unit_scale,
-            "policies": {r.kind.value: _report_to_json(r) for r in result.reports},
-        }
-        try:
-            text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError as exc:
-            raise DomainError(f"summary holds a non-finite number: {exc}") from exc
+        for policy in policies:
+            rows = _trajectory_rows(simulate_policy_paths(policy, mkt, noise), noise, volume_scale)
+            written.append(out / f"trajectory_{policy.kind.value}.csv")
+            written[-1].write_text(header + "\n".join(rows) + "\n", newline="")
     except BaseException:
-        for f in files.values():
-            f.close()
-            Path(f.name).unlink(missing_ok=True)
+        for path in written:
+            path.unlink(missing_ok=True)
         raise
-    finally:
-        for f in files.values():
-            f.close()
     (out / "summary.json").write_text(text + "\n")
     return summary
 

@@ -505,10 +505,11 @@ class PolicyPathSample:
     ``total_emissions[:, -1]`` bit for bit but a separate array, so keeping
     it pins no trajectory.  The price and these are computed with the
     sample.  The other trajectories (``total_bank``, ``avg_abatement``,
-    ``total_emissions``, ``net_allocation_minus_initial``) and the per-path
-    ``price_qv`` are built from ``build`` on first access and then cached,
-    so a caller that reads only costs pays for none of them: the kernels
-    sum the terminal emissions without the paths the builders rebuild.
+    ``total_emissions``, ``net_allocation_minus_initial``) are built from
+    ``build`` on first access and the per-path ``price_qv`` from the price,
+    and then cached, so a caller that reads only costs pays for none of
+    them: the kernels sum the terminal emissions without the paths the
+    builders rebuild.
     Arrays may be views: under the optimal policy the price, the average
     abatement and the cost parts are read-only and repeat one row on every
     path, and the MSR's trajectories are transposed views of time-major
@@ -545,7 +546,7 @@ class PolicyPathSample:
     @cached_property
     def price_qv(self) -> np.ndarray:
         """Realized quadratic variation of the price at T, per path."""
-        return self.build["price_qv"]()
+        return realized_qv(self.price)[:, -1]
 
 
 def allocation_views(policy: Policy, mkt: MarketParams, noise: NoisePaths) -> list[AllocationView]:
@@ -798,7 +799,6 @@ def _simulate_martingale(
             mu_total * t - left_integral(abate_total, grid) + n * integrate_increments(d_wbar)
         ),
         net_allocation_minus_initial=lambda: expected_sum - expected_sum[:, :1] + alloc_flow * t,
-        price_qv=lambda: realized_qv(price)[:, -1],
     )
 
 
@@ -869,7 +869,6 @@ def simulate_policy_paths(
         avg_abatement=lambda: np.broadcast_to(alpha / n, shape),
         total_emissions=lambda: (mu_total - alpha) * t + integrate_increments(d_shocks),
         net_allocation_minus_initial=lambda: zero,
-        price_qv=lambda: np.zeros(noise.n_paths),
     )
 
 
@@ -1034,7 +1033,6 @@ def _msr_sample(
             + n * integrate_increments(d_wbar)
         ),
         net_allocation_minus_initial=net_allocation,
-        price_qv=lambda: realized_qv(price.T)[:, -1],
     )
 
 
@@ -1172,9 +1170,7 @@ def _stack_bounds(
 
 
 def _simulate_runs(
-    runs: list[tuple[MarketParams, Policy]],
-    ensemble: PathEnsemble,
-    on_sample: Callable[[NoisePaths, PolicyPathSample], None] | None = None,
+    runs: list[tuple[MarketParams, Policy]], ensemble: PathEnsemble
 ) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]]:
     """Simulate every (market, policy) run on every chunk of one ensemble.
 
@@ -1188,14 +1184,12 @@ def _simulate_runs(
     sweep) step as stacks in one `_simulate_msr` recursion; a stack holds
     at most (N+1) M // (M+1) runs, so its (M+1, R, P) step buffer holds no
     more doubles than the P (N+1) M standard normals the chunk draws.
-    Every other run, and an MSR
-    run without a neighbour to stack with, goes through
-    `simulate_policy_paths` on the whole chunk.  On the calling thread,
-    ``on_sample`` sees every (noise, sample) pair in chunk, then run order;
-    each sample is released once its hook call returns, and every stack's
-    generator is run to its end before the next noise draw.  Yields, per
-    run and in run order, the concatenated per-path cost, cost parts and
-    terminal emissions.  The chunk loop runs at the first item, and each
+    Every other run, and an MSR run without a neighbour to stack with,
+    goes through `simulate_policy_paths` on the whole chunk.  Each sample
+    is released once its costs are kept, and every stack's generator is
+    run to its end before the next noise draw.  Yields, per run and in run
+    order, the concatenated per-path cost, cost parts and terminal
+    emissions.  The chunk loop runs at the first item, and each
     run's concatenation is built when it is requested, so a caller that
     reports one run at a time holds one run's copies at once.
     """
@@ -1208,12 +1202,10 @@ def _simulate_runs(
     parts: list[list[dict[str, np.ndarray]]] = [[] for _ in runs]
     emissions: list[list[np.ndarray]] = [[] for _ in runs]
 
-    def record(i: int, noise: NoisePaths, sample: PolicyPathSample) -> None:
+    def record(i: int, sample: PolicyPathSample) -> None:
         costs[i].append(sample.cost)
         parts[i].append(sample.parts)
         emissions[i].append(sample.terminal_emissions)
-        if on_sample is not None:
-            on_sample(noise, sample)
 
     with array_pool():
         for noise in ensemble.chunks(loads):
@@ -1224,11 +1216,11 @@ def _simulate_runs(
                     # would keep one sample alive while the next is built
                     i = start
                     for sample in _simulate_msr(runs[start:stop], noise):
-                        record(i, noise, sample)
+                        record(i, sample)
                         i += 1
                         del sample  # free its trajectories before the next one is built
                 else:
-                    record(start, noise, simulate_policy_paths(policy, mkt, noise))
+                    record(start, simulate_policy_paths(policy, mkt, noise))
             del noise  # free its rows for the next draw
     for run_costs, run_parts, run_emissions in zip(costs, parts, emissions):
         yield (
@@ -1242,27 +1234,22 @@ def _simulate_runs(
 
 
 def run_ensemble(
-    mkt: MarketParams,
-    policies: list[Policy],
-    ensemble: PathEnsemble,
-    on_sample: Callable[[NoisePaths, PolicyPathSample], None] | None = None,
+    mkt: MarketParams, policies: list[Policy], ensemble: PathEnsemble
 ) -> ComparisonResult:
     """Simulate every policy on every chunk of a shared ensemble and report costs.
 
-    Chunk by chunk, each policy runs on the same noise block; ``on_sample``
-    (if given) sees every (noise, sample) pair in chunk, then policy order
-    (`_simulate_runs`), e.g. to write trajectories.  Only
-    the per-path costs, cost parts and terminal emissions are kept, so no
-    trajectory outlives its chunk.  A Monte Carlo estimate that misses its
-    closed form only clears its report's ``consistent`` flag;
-    `compare_policies` raises on it instead.
+    Chunk by chunk, each policy runs on the same noise block
+    (`_simulate_runs`).  Only the per-path costs, cost parts and terminal
+    emissions are kept, so no trajectory outlives its chunk.  A Monte Carlo
+    estimate that misses its closed form only clears its report's
+    ``consistent`` flag; `compare_policies` raises on it instead.
     """
     kinds = [p.kind for p in policies]
     if len(set(kinds)) != len(kinds):
         raise UnsupportedInputError("duplicate policy kinds in comparison")
     reports = []
     path_costs = {}
-    runs = _simulate_runs([(mkt, p) for p in policies], ensemble, on_sample)
+    runs = _simulate_runs([(mkt, p) for p in policies], ensemble)
     for policy, (cost, parts, emissions) in zip(policies, runs):
         reports.append(cost_report_from_samples(policy, cost, parts, emissions))
         path_costs[policy.kind] = cost

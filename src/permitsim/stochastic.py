@@ -584,9 +584,7 @@ class PathEnsemble:
     the numbers, only the memory profile.  Without ``chunk_size`` a block
     holds CHUNK_KNOTS // (M+1) paths and never fewer than MIN_CHUNK_PATHS:
     1285 paths at 50 steps, 256 from 255 steps up; ``chunk_size``
-    then reads that number.  With ``head`` > 0, paths [0, min(head,
-    n_paths)) come first as a block of their own and the rest follow in
-    ``chunk_size`` blocks.
+    then reads that number.
     """
 
     seed: int
@@ -594,7 +592,6 @@ class PathEnsemble:
     firms: tuple[FirmParams, ...]
     n_paths: int
     chunk_size: int | None = None
-    head: int = 0
 
     def __post_init__(self) -> None:
         if self.chunk_size is None:
@@ -603,8 +600,6 @@ class PathEnsemble:
         for name in ("n_paths", "chunk_size"):
             if getattr(self, name) < 1:
                 raise UnsupportedInputError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.head < 0:
-            raise UnsupportedInputError(f"head must be >= 0, got {self.head}")
 
     def require_firms(self, firms: Sequence[FirmParams]) -> None:
         """`NoisePaths.require_firms` for every block, checked before any draw."""
@@ -613,10 +608,9 @@ class PathEnsemble:
     def chunks(self, loads: Sequence[Sequence[float]] | None = None) -> Iterator[NoisePaths]:
         """The ensemble's blocks in path order, drawn by `generate_noise`:
         each keeps only the rows of ``loads`` when they are given."""
-        first = min(self.head or self.chunk_size, self.n_paths)
-        bounds = [0, *range(first, self.n_paths, self.chunk_size), self.n_paths]
-        for start, stop in zip(bounds, bounds[1:]):
-            yield generate_noise(self.seed, self.grid, self.firms, stop - start, start, loads)
+        for start in range(0, self.n_paths, self.chunk_size):
+            size = min(self.chunk_size, self.n_paths - start)
+            yield generate_noise(self.seed, self.grid, self.firms, size, start, loads)
 
     def path(self, index: int) -> NoisePaths:
         if not 0 <= index < self.n_paths:

@@ -432,8 +432,9 @@ def test_trajectory_rows_render_like_fmt():
                                  "net_allocation_minus_initial")
                 ]
                 want.append(",".join([str(3 + p), _fmt(t)] + [_fmt(v) for v in values]))
-        assert _trajectory_rows(sample, noise, volume_scale, 2) == want
-        assert _trajectory_rows(sample, noise, volume_scale, 1) == want[: grid.n_steps + 1]
+        assert _trajectory_rows(sample, noise, volume_scale) == want
+        first = SimpleNamespace(**{name: column[:1] for name, column in columns.items()})
+        assert _trajectory_rows(first, noise, volume_scale) == want[: grid.n_steps + 1]
 
 
 def test_trajectory_rows_write_constant_columns_as_text():
@@ -458,7 +459,7 @@ def test_trajectory_rows_write_constant_columns_as_text():
         for p in range(2)
         for k, t in enumerate(grid.knots)
     ]
-    assert _trajectory_rows(sample, noise, 1.0, 2) == want
+    assert _trajectory_rows(sample, noise, 1.0) == want
     assert want[1] == "0,1,0.33333333333333331,-0,2,0,2500000000"
 
 
@@ -469,26 +470,33 @@ _LAZY_COLUMNS = (
 
 @pytest.mark.parametrize("n_paths", [5, 8, 9, 300])
 def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, monkeypatch, n_paths):
-    """The first block holds the min(TRAJECTORY_PATH_CAP, n) written paths,
-    the rest follow in chunk-size blocks, no sample of a later block builds
-    a trajectory, and the summary's costs are those of the default layout.
-    At 300 steps a chunk holds 256 paths, so 300 paths are the written
-    block and two chunks."""
+    """The costs come first, from chunk-size blocks whose samples never
+    build a trajectory; then the min(TRAJECTORY_PATH_CAP, n) written paths,
+    the first ones, are drawn as a block of their own, whose samples build
+    the four columns it writes and never price_qv.  The summary's costs are
+    those of the default layout.  At 300 steps a chunk holds 256 paths, so
+    300 paths are two chunks."""
     real = permitsim.cli.run_ensemble
-    blocks = []
     chunk_sizes = []
+    blocks = []
 
-    def spying(mkt, policies, ensemble, on_sample):
-        def hook(noise, sample):
-            on_sample(noise, sample)
-            built = [name for name in _LAZY_COLUMNS if name in sample.__dict__]
-            blocks.append((noise.path_offset, noise.n_paths, sample.kind, built))
-
-        assert ensemble.head == TRAJECTORY_PATH_CAP
+    def spying(mkt, policies, ensemble):
         chunk_sizes.append(ensemble.chunk_size)
-        return real(mkt, policies, ensemble, hook)
+        return real(mkt, policies, ensemble)
+
+    def spy_on(module, role):
+        simulate = module.simulate_policy_paths
+
+        def simulating(policy, mkt, noise):
+            sample = simulate(policy, mkt, noise)
+            blocks.append((role, noise.path_offset, noise.n_paths, sample))
+            return sample
+
+        monkeypatch.setattr(module, "simulate_policy_paths", simulating)
 
     monkeypatch.setattr(permitsim.cli, "run_ensemble", spying)
+    spy_on(permitsim.policies, "costs")
+    spy_on(permitsim.cli, "written")
     n_steps = 300
     config = build_scenario({
         "preset": "paper-2020-base",
@@ -496,19 +504,27 @@ def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, mon
     })
     kinds = [PolicyKind.OPTIMAL_DYNAMIC, PolicyKind.STATIC, PolicyKind.MSR, PolicyKind.TAX]
     run_simulate(config, tmp_path / "out", kinds)
+    monkeypatch.undo()
 
     head = min(TRAJECTORY_PATH_CAP, n_paths)
     [chunk_size] = chunk_sizes
-    bounds = sorted({(offset, size) for offset, size, _, _ in blocks})
-    assert bounds[0] == (0, head)
-    assert [offset for offset, _ in bounds] == [0, *range(head, n_paths, chunk_size)]
+    roles = [role for role, _, _, _ in blocks]
+    assert roles == ["costs"] * (len(roles) - len(kinds)) + ["written"] * len(kinds)
+    bounds = sorted({(offset, size) for role, offset, size, _ in blocks if role == "costs"})
+    assert [offset for offset, _ in bounds] == list(range(0, n_paths, chunk_size))
     assert sum(size for _, size in bounds) == n_paths
     if n_paths == 300:
-        assert len(bounds) == 3
-    assert len(blocks) == len(bounds) * len(kinds)
-    for offset, _, kind, built in blocks:
-        # the written block builds the four columns it writes, never price_qv
-        assert built == ([] if offset else list(_LAZY_COLUMNS[:4])), (offset, kind)
+        assert len(bounds) == 2
+    assert len(blocks) == (len(bounds) + 1) * len(kinds)
+    for role, offset, size, sample in blocks:
+        built = [name for name in _LAZY_COLUMNS if name in sample.__dict__]
+        if role == "written":
+            assert (offset, size) == (0, head)
+            # the written block builds the four columns it writes, never price_qv
+            assert built == list(_LAZY_COLUMNS[:4]), sample.kind
+        else:
+            assert built == [], (offset, sample.kind)
+    assert [s.kind for role, _, _, s in blocks if role == "written"] == kinds
     for kind in kinds:
         rows = (tmp_path / "out" / f"trajectory_{kind.value}.csv").read_text().splitlines()
         assert len(rows) == 2 + head * (n_steps + 1)
@@ -522,6 +538,50 @@ def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, mon
     want = {r.kind.value: _report_to_json(r) for r in default.reports}
     written = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert json.dumps(written["policies"], sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_simulate_draws_the_written_block_with_only_its_loading_rows(tmp_path, monkeypatch):
+    """On 40 firms a block's (P, N+1, M) drivers weigh as much as 41 loading
+    rows, so the written block keeps exactly the rows `_noise_rows` declares
+    for the runs and never draws d_tilde; its trajectory rows are, to the
+    bit, those of paths 0-7 in a default 256-path chunk."""
+    firm = dict(PRESETS["paper-2020-base"]["firms"][0], mu=2.0e9 / 40, sigma=0.2e9 / math.sqrt(40))
+    cfg = write_config(
+        tmp_path, firms=[firm] * 40, simulation=small_sim_block(n_paths=300, n_steps=300, seed=11)
+    )
+    config = load_config(cfg)
+    real = permitsim.cli.simulate_policy_paths
+    noises = []
+
+    def simulating(policy, mkt, noise):
+        noises.append(noise)
+        return real(policy, mkt, noise)
+
+    monkeypatch.setattr(permitsim.cli, "simulate_policy_paths", simulating)
+    assert main(["simulate", "--config", cfg, "--policy", "all", "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.undo()
+
+    mkt = config.market
+    kinds = [PolicyKind.OPTIMAL_DYNAMIC, PolicyKind.STATIC, PolicyKind.MSR, PolicyKind.TAX]
+    policies = [build_policy(PolicySpec(kind=k, delta=config.policy.delta), mkt) for k in kinds]
+    loads = [load for p in policies for load in permitsim.policies._noise_rows(mkt, p)]
+    [noise] = {id(n): n for n in noises}.values()
+    assert (noise.path_offset, noise.n_paths) == (0, TRAJECTORY_PATH_CAP)
+    assert "d_tilde" not in noise.__dict__
+    assert set(noise._rows) == {np.asarray(load, dtype=float).tobytes() for load in loads}
+
+    grid = TimeGrid(mkt.horizon, 300)
+    ensemble = PathEnsemble(config.seed, grid, mkt.firms, 300)
+    assert ensemble.chunk_size == 256
+    chunk = next(ensemble.chunks(loads))
+    for policy in policies:
+        sample = permitsim.policies.simulate_policy_paths(policy, mkt, chunk)
+        first = SimpleNamespace(**{
+            name: getattr(sample, name)[:TRAJECTORY_PATH_CAP]
+            for name in ("price", *permitsim.cli._TRAJECTORY_COLUMNS[3:])
+        })
+        rows = (tmp_path / "out" / f"trajectory_{policy.kind.value}.csv").read_text().splitlines()
+        assert rows[2:] == _trajectory_rows(first, chunk, 1.0), policy.kind
 
 
 @pytest.mark.parametrize("seed", [7, 2020])

@@ -44,6 +44,7 @@ import permitsim.policies
 import permitsim.stochastic
 from permitsim.equilibrium import frictionless_initial_price
 from permitsim.policies import (
+    MSRPolicy,
     StaticPolicy,
     allocation_views,
     cost_report_from_samples,
@@ -903,30 +904,34 @@ def _four_policies(mkt):
     ]
 
 
-def test_run_ensemble_calls_on_sample_per_chunk_then_policy(base_market):
-    grid = TimeGrid(horizon=10.0, n_steps=20)
-    ensemble = PathEnsemble(
-        seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
-    )
-    policies = _four_policies(base_market)
-    seen = []
-    run_ensemble(
-        base_market, policies, ensemble,
-        on_sample=lambda noise, sample: seen.append(
-            (noise.path_offset, noise.n_paths, sample.kind)
-        ),
-    )
-    assert seen == [
-        (offset, size, p.kind)
-        for offset, size in ((0, 4), (4, 4), (8, 2))
-        for p in policies
-    ]
+def _spy_samples(monkeypatch, seen):
+    """Call ``seen(noise, sample)`` on every sample the chunk loop makes, as it
+    is made: spies on `simulate_policy_paths` and, for the MSR samples, on
+    the `_simulate_msr` stacks they come out of.  The spies keep no sample."""
+    direct = permitsim.policies.simulate_policy_paths
+    stacked = permitsim.policies._simulate_msr
+
+    def simulating(policy, mkt, noise):
+        sample = direct(policy, mkt, noise)
+        if not isinstance(policy, MSRPolicy):
+            seen(noise, sample)
+        return sample
+
+    def stepping(runs, noise):
+        for sample in stacked(runs, noise):
+            seen(noise, sample)
+            yield sample
+            del sample  # before the next sample is built
+
+    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", simulating)
+    monkeypatch.setattr(permitsim.policies, "_simulate_msr", stepping)
 
 
 def test_run_ensemble_keeps_no_trajectory(base_market, monkeypatch):
-    """No sample outlives its hook call: when the next simulation starts, every
-    earlier sample's emissions array is gone.  Keeping a view of the terminal
-    emissions, or the last sample itself, would keep the whole array alive."""
+    """No sample outlives its chunk's use of it: when the next simulation
+    starts, every earlier sample's emissions array is gone.  Keeping a view
+    of the terminal emissions, or the last sample itself, would keep the
+    whole array alive."""
     grid = TimeGrid(horizon=10.0, n_steps=20)
     ensemble = PathEnsemble(
         seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
@@ -941,10 +946,10 @@ def test_run_ensemble_keeps_no_trajectory(base_market, monkeypatch):
         return real(policy, mkt, noise)
 
     monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", counting)
-    result = run_ensemble(
-        base_market, _four_policies(base_market), ensemble,
-        on_sample=lambda noise, sample: refs.append(weakref.ref(sample.total_emissions)),
+    _spy_samples(
+        monkeypatch, lambda noise, sample: refs.append(weakref.ref(sample.total_emissions))
     )
+    result = run_ensemble(base_market, _four_policies(base_market), ensemble)
     gc.collect()
     assert live_at_call == [0] * (3 * 4)
     assert len(refs) == 3 * 4
@@ -952,16 +957,15 @@ def test_run_ensemble_keeps_no_trajectory(base_market, monkeypatch):
     assert all(r.n_paths == 10 for r in result.reports)
 
 
-def test_run_ensemble_builds_no_trajectory_its_hook_does_not_read(base_market):
+def test_run_ensemble_builds_no_trajectory_its_hook_does_not_read(base_market, monkeypatch):
+    """A spy that keeps every sample, and reads none, finds no trajectory built."""
     grid = TimeGrid(horizon=10.0, n_steps=20)
     ensemble = PathEnsemble(
         seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
     )
     samples = []
-    run_ensemble(
-        base_market, _four_policies(base_market), ensemble,
-        on_sample=lambda noise, sample: samples.append(sample),
-    )
+    _spy_samples(monkeypatch, lambda noise, sample: samples.append(sample))
+    run_ensemble(base_market, _four_policies(base_market), ensemble)
     built_on_access = (
         "total_bank", "avg_abatement", "total_emissions",
         "net_allocation_minus_initial", "price_qv",
@@ -972,9 +976,9 @@ def test_run_ensemble_builds_no_trajectory_its_hook_does_not_read(base_market):
     assert "total_bank" in samples[0].__dict__
 
 
-def test_samples_kept_past_their_chunk_are_not_written_over(base_market):
+def test_samples_kept_past_their_chunk_are_not_written_over(base_market, monkeypatch):
     """The chunk loop reuses its path arrays (`array_pool`) only once
-    nothing refers to them: a sample the hook keeps past its chunk keeps
+    nothing refers to them: a sample a spy keeps past its chunk keeps
     its numbers, equal to those of the policy simulated alone."""
     grid = TimeGrid(horizon=10.0, n_steps=20)
     ensemble = PathEnsemble(
@@ -982,10 +986,9 @@ def test_samples_kept_past_their_chunk_are_not_written_over(base_market):
     )
     policies = {p.kind: p for p in _four_policies(base_market)}
     kept = []
-    run_ensemble(
-        base_market, list(policies.values()), ensemble,
-        on_sample=lambda noise, sample: kept.append((noise, sample)),
-    )
+    _spy_samples(monkeypatch, lambda noise, sample: kept.append((noise, sample)))
+    run_ensemble(base_market, list(policies.values()), ensemble)
+    monkeypatch.undo()
     assert len(kept) == 3 * 4
     for noise, sample in kept:
         alone = simulate_policy_paths(policies[sample.kind], base_market, noise)
@@ -1014,7 +1017,7 @@ def test_the_chunk_loop_takes_its_arrays_from_one_pool(base_market, monkeypatch)
     assert 0 < two == six
 
 
-def test_run_ensemble_never_derives_the_firm_shocks(base_market):
+def test_run_ensemble_never_derives_the_firm_shocks(base_market, monkeypatch):
     """Every policy reads only the independent drivers d_tilde, so no chunk
     ever builds its (n_paths, N, M) per-firm increments d_firm."""
     grid = TimeGrid(horizon=10.0, n_steps=20)
@@ -1022,17 +1025,15 @@ def test_run_ensemble_never_derives_the_firm_shocks(base_market):
         seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
     )
     noises = []
-    run_ensemble(
-        base_market, _four_policies(base_market), ensemble,
-        on_sample=lambda noise, sample: noises.append(noise),
-    )
+    _spy_samples(monkeypatch, lambda noise, sample: noises.append(noise))
+    run_ensemble(base_market, _four_policies(base_market), ensemble)
     assert len(noises) == 3 * 4
     assert all("d_firm" not in noise.__dict__ for noise in noises)
     noises[0].d_firm  # the check above would see a derived array
     assert "d_firm" in noises[0].__dict__
 
 
-def test_standard_runs_draw_only_loading_rows(base_market):
+def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     """Each chunk keeps only the loading rows its runs read: no standard
     policy, nor a custom one with non-tracking loadings, makes a chunk draw
     its (n_paths, N+1, M) drivers d_tilde."""
@@ -1047,10 +1048,11 @@ def test_standard_runs_draw_only_loading_rows(base_market):
         seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
     )
     drawn = []
-    run_ensemble(
-        base_market, [*_four_policies(base_market), custom], ensemble,
-        on_sample=lambda noise, sample: drawn.append((sample.kind, "d_tilde" in noise.__dict__)),
+    _spy_samples(
+        monkeypatch,
+        lambda noise, sample: drawn.append((sample.kind, "d_tilde" in noise.__dict__)),
     )
+    run_ensemble(base_market, [*_four_policies(base_market), custom], ensemble)
     kinds = [PolicyKind(k) for k in ("optimal_dynamic", "static", "tax", "msr", "custom_martingale")]
     assert drawn == [(kind, False) for kind in kinds] * 3
 
@@ -1212,7 +1214,13 @@ def test_stacked_msr_samples_equal_single_runs_to_the_bit(
 
     def spy(stack, noise):
         sizes.append(len(stack))
-        yield from real(stack, noise)
+        samples = real(stack, noise)
+        if len(stack) == 1:  # a reference run below
+            yield from samples
+            return
+        for sample in samples:
+            same_as_alone(noise, sample)
+            yield sample
 
     monkeypatch.setattr(permitsim.policies, "_simulate_msr", spy)
     offsets = []
@@ -1232,7 +1240,7 @@ def test_stacked_msr_samples_equal_single_runs_to_the_bit(
     ensemble = PathEnsemble(
         seed=13, grid=grid, firms=runs[0][0].firms, n_paths=chunk_size + 44
     )
-    list(permitsim.policies._simulate_runs(runs, ensemble, on_sample=same_as_alone))
+    list(permitsim.policies._simulate_runs(runs, ensemble))
     assert offsets == [0] * n_etas + [chunk_size] * n_etas
     # the reference runs above are stacks of one
     assert [s for s in sizes if s > 1] == stacks * 2
@@ -1249,16 +1257,15 @@ def test_only_neighbouring_msr_runs_on_the_same_volatilities_stack():
     assert permitsim.policies._stack_bounds(runs, cap=1) == [(i, i + 1) for i in range(8)]
 
 
-def test_mixed_runs_report_in_run_order_with_their_own_costs():
+def test_mixed_runs_report_in_run_order_with_their_own_costs(monkeypatch):
     runs = _msr_runs([1e7, 6e8, 1e9])
     runs.insert(2, (runs[0][0], tax_policy(runs[0][0])))
     ensemble = PathEnsemble(
         seed=4, grid=TimeGrid(10.0, 20), firms=runs[0][0].firms, n_paths=10, chunk_size=4
     )
     kinds = []
-    results = list(permitsim.policies._simulate_runs(
-        runs, ensemble, on_sample=lambda noise, sample: kinds.append(sample.kind.value)
-    ))
+    _spy_samples(monkeypatch, lambda noise, sample: kinds.append(sample.kind.value))
+    results = list(permitsim.policies._simulate_runs(runs, ensemble))
     assert kinds == ["msr", "msr", "tax", "msr"] * 3
     for (mkt, policy), (cost, parts, emissions) in zip(runs, results):
         [alone] = permitsim.policies._simulate_runs([(mkt, policy)], ensemble)

@@ -225,35 +225,19 @@ def test_path_ensemble_chunks_and_single_path():
         ens.path(10)
 
 
-@pytest.mark.parametrize(
-    "head, sizes", [(0, [4, 4, 2]), (1, [1, 4, 4, 1]), (3, [3, 4, 3]), (10, [10]), (12, [10])]
-)
-def test_path_ensemble_head_block_comes_first(head, sizes):
-    """``head`` paths come first as a block of their own; the same paths
-    follow in chunk-size blocks, with the same increments."""
-    firms = make_firms(2)
-    grid = TimeGrid(horizon=10.0, n_steps=8)
-    ens = PathEnsemble(seed=5, grid=grid, firms=firms, n_paths=10, chunk_size=4, head=head)
-    chunks = list(ens.chunks())
-    assert [c.n_paths for c in chunks] == sizes
-    assert [c.path_offset for c in chunks] == np.cumsum([0, *sizes[:-1]]).tolist()
-    whole = generate_noise(5, grid, firms, n_paths=10)
-    np.testing.assert_array_equal(np.concatenate([c.d_tilde for c in chunks]), whole.d_tilde)
-
-
 @pytest.mark.parametrize("n_steps, chunk_size", [(1, 32768), (50, 1285), (300, 256), (2000, 256)])
 def test_path_ensemble_sizes_its_chunks_by_knots(n_steps, chunk_size):
     """A default chunk holds CHUNK_KNOTS // (M+1) paths and at least
-    MIN_CHUNK_PATHS; an explicit chunk_size is kept; the head comes first."""
+    MIN_CHUNK_PATHS; an explicit chunk_size is kept."""
     firms = make_firms(2)
     grid = TimeGrid(horizon=10.0, n_steps=n_steps)
-    ens = PathEnsemble(seed=5, grid=grid, firms=firms, n_paths=3 * chunk_size, head=8)
+    ens = PathEnsemble(seed=5, grid=grid, firms=firms, n_paths=3 * chunk_size - 8)
     assert ens.chunk_size == chunk_size
     sizes = [c.n_paths for c in ens.chunks(loads=[])]
-    assert sizes == [8, chunk_size, chunk_size, chunk_size - 8]
-    explicit = PathEnsemble(seed=5, grid=grid, firms=firms, n_paths=600, chunk_size=256, head=8)
+    assert sizes == [chunk_size, chunk_size, chunk_size - 8]
+    explicit = PathEnsemble(seed=5, grid=grid, firms=firms, n_paths=600, chunk_size=256)
     assert explicit.chunk_size == 256
-    assert [c.n_paths for c in explicit.chunks(loads=[])] == [8, 256, 256, 80]
+    assert [c.n_paths for c in explicit.chunks(loads=[])] == [256, 256, 88]
 
 
 def test_array_pool_hands_an_array_out_again_only_once_nothing_refers_to_it():
@@ -285,12 +269,6 @@ def test_left_integral_in_a_pool_matches_outside():
     with array_pool():
         np.testing.assert_array_equal(left_integral(values, grid), want)
         np.testing.assert_array_equal(left_integral(values.T.copy().T, grid), want)
-
-
-def test_path_ensemble_rejects_a_negative_head():
-    grid = TimeGrid(horizon=1.0, n_steps=3)
-    with pytest.raises(UnsupportedInputError, match="head must be >= 0"):
-        PathEnsemble(seed=1, grid=grid, firms=make_firms(2), n_paths=3, head=-1)
 
 
 def test_path_ensemble_rejects_no_paths():
