@@ -20,9 +20,11 @@ infeasible input, 4 diagnostic failure (e.g. market clearing violation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -329,8 +331,9 @@ def _knots_text(grid: TimeGrid) -> tuple[str, ...]:
     return tuple(_fmt(t) for t in grid.knots)
 
 
-def _trajectory_rows(sample, noise, volume_scale: float) -> list[str]:
-    """Every path of a sample on the block ``noise`` as trajectory.v1 rows.
+def _trajectory_rows(sample, noise, volume_scale: float) -> str:
+    """Every path of a sample on the block ``noise`` as trajectory.v1 rows,
+    one text with a newline between rows and none after the last.
 
     Each path renders with one ``%`` operation on a template of all its
     rows: the path id, t and every column that is constant along the path
@@ -342,7 +345,7 @@ def _trajectory_rows(sample, noise, volume_scale: float) -> list[str]:
     columns = [sample.price] + [
         getattr(sample, name) * volume_scale for name in _TRAJECTORY_COLUMNS[3:]
     ]
-    rows = []
+    paths = []
     for p, path in enumerate(zip(*columns)):
         cells = []
         varying = []
@@ -357,8 +360,8 @@ def _trajectory_rows(sample, noise, volume_scale: float) -> list[str]:
         tail = "," + ",".join(cells)
         template = head + (tail + "\n" + head).join(_knots_text(noise.grid)) + tail
         values = tuple(np.stack(varying, axis=-1).ravel().tolist()) if varying else ()
-        rows.extend((template % values).split("\n"))
-    return rows
+        paths.append(template % values)
+    return "\n".join(paths)
 
 
 def _report_to_json(report: CostReport) -> dict:
@@ -397,7 +400,11 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     `simulate_policy_paths` on that block.  A path's numbers do not depend
     on the block it is drawn in, so the rows are those of the same paths in
     any chunk.  Returns the summary dict.  A failed run removes the
-    trajectory files it wrote and writes no summary.
+    trajectory files it wrote and writes no summary.  An ``out_dir`` that
+    cannot be a directory fails before the first chunk is drawn, and an
+    `OSError` from writing the outputs fails as a `ConfigError`
+    (`_require_out_dir`, `_write_outputs`); the directory is made only once
+    the costs are in.
 
     A Monte Carlo estimate more than four standard errors from its closed
     form is recorded as ``"consistent": false`` and the run still succeeds:
@@ -405,6 +412,7 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     and the summary is where that shows.  `compare_policies` raises a
     `DiagnosticError` on the same miss.
     """
+    out = _require_out_dir(out_dir)
     mkt = config.market
     policies = [build_policy(_spec_for_kind(config, k), mkt) for k in kinds]
     grid = TimeGrid(mkt.horizon, config.n_steps)
@@ -428,20 +436,53 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     )
     volume_scale = 1e-9 if config.unit_scale == "Gt" else 1.0
     header = f"# {TRAJECTORY_SCHEMA}\n" + ",".join(_TRAJECTORY_COLUMNS) + "\n"
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
+
+    def files() -> Iterator[tuple[str, str]]:
         for policy in policies:
             rows = _trajectory_rows(simulate_policy_paths(policy, mkt, noise), noise, volume_scale)
-            written.append(out / f"trajectory_{policy.kind.value}.csv")
-            written[-1].write_text(header + "\n".join(rows) + "\n", newline="")
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    (out / "summary.json").write_text(text + "\n")
+            yield f"trajectory_{policy.kind.value}.csv", header + rows + "\n"
+        yield "summary.json", text + "\n"
+
+    _write_outputs(out, files())
     return summary
+
+
+def _require_out_dir(out_dir: str | Path) -> Path:
+    """``out_dir`` as a Path, or a `ConfigError` when it cannot be made a
+    directory: it, or the nearest of its parents that exists, is not one."""
+    out = Path(out_dir)
+    try:
+        for path in (out, *out.parents):
+            if path.exists():
+                if not path.is_dir():
+                    raise ConfigError(f"--out: {path} exists and is not a directory")
+                break
+    except OSError as exc:  # e.g. a parent that may not be searched
+        raise ConfigError(f"--out: cannot inspect {out}: {exc}") from exc
+    return out
+
+
+def _write_outputs(out: Path, files: Iterable[tuple[str, str]]) -> None:
+    """Make the directory ``out`` and write each (name, text) of ``files`` into it.
+
+    ``files`` may render each text as it is iterated.  A failure, in a
+    write or in rendering, removes every file written so far, as far as it
+    can; an `OSError` from making the directory or writing a file raises
+    `ConfigError`.
+    """
+    written = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            written.append(out / name)
+            written[-1].write_text(text, newline="")
+    except BaseException as exc:
+        for path in written:
+            with contextlib.suppress(OSError):  # the error that stopped the writes is raised
+                path.unlink()
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write the outputs to {out}: {exc}") from exc
+        raise
 
 
 def run_compare(
@@ -456,8 +497,10 @@ def run_compare(
     than the chunk's (P, N+1, M) standard normals, and the rows share
     shocks path by path.  Writes ``sweep.csv``;
     returns the rows as dicts in eta order.  A non-finite row value raises
-    `DomainError` and writes no file.
+    `DomainError` and writes no file; ``out_dir`` is checked and written as
+    in `run_simulate`.
     """
+    out = _require_out_dir(out_dir)
     if not etas:
         raise ConfigError("compare needs at least one eta value")
     for e in etas:
@@ -497,9 +540,7 @@ def run_compare(
                 f"sweep row at eta {row['eta']:g} holds a non-finite {', '.join(bad)}"
             )
         lines.append(",".join(_fmt(row[c]) for c in _SWEEP_COLUMNS))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_outputs(out, [("sweep.csv", "\n".join(lines) + "\n")])
     return rows
 
 

@@ -65,6 +65,7 @@ from .equilibrium import (  # noqa: F401
 )
 from .firm import AllocationView
 from .stochastic import (
+    CHUNK_KNOTS,
     NoisePaths,
     PathEnsemble,
     TimeGrid,
@@ -503,13 +504,13 @@ class PolicyPathSample:
     {abatement, trading, penalty, tax} whose values sum to ``cost``, and
     ``terminal_emissions`` the total emissions at T, equal to
     ``total_emissions[:, -1]`` bit for bit but a separate array, so keeping
-    it pins no trajectory.  The price and these are computed with the
-    sample.  The other trajectories (``total_bank``, ``avg_abatement``,
-    ``total_emissions``, ``net_allocation_minus_initial``) are built from
+    it pins no trajectory.  These are computed with the sample.  Every
+    trajectory (``price``, ``total_bank``, ``avg_abatement``,
+    ``total_emissions``, ``net_allocation_minus_initial``) is built from
     ``build`` on first access and the per-path ``price_qv`` from the price,
     and then cached, so a caller that reads only costs pays for none of
-    them: the kernels sum the terminal emissions without the paths the
-    builders rebuild.
+    them: the kernels take their per-path sums over row blocks of a
+    scratch array, without the paths the builders rebuild.
     Arrays may be views: under the optimal policy the price, the average
     abatement and the cost parts are read-only and repeat one row on every
     path, and the MSR's trajectories are transposed views of time-major
@@ -517,11 +518,15 @@ class PolicyPathSample:
     """
 
     kind: PolicyKind
-    price: np.ndarray
     cost: np.ndarray
     parts: dict[str, np.ndarray]
     terminal_emissions: np.ndarray
     build: dict[str, Callable[[], np.ndarray]] = field(repr=False)
+
+    @cached_property
+    def price(self) -> np.ndarray:
+        """Allowance price, euros/ton."""
+        return self.build["price"]()
 
     @cached_property
     def total_bank(self) -> np.ndarray:
@@ -613,7 +618,6 @@ def static_price_paths(
 def _sample(
     kind: PolicyKind,
     run: Callable[[], str],
-    price: np.ndarray,
     parts: dict[str, np.ndarray],
     terminal_emissions: np.ndarray,
     **build: Callable[[], np.ndarray],
@@ -629,12 +633,34 @@ def _sample(
         raise DomainError(f"{run()} overflows: a cost or the terminal emissions are not finite")
     return PolicyPathSample(
         kind=kind,
-        price=price,
         cost=cost,
         parts=parts,
         terminal_emissions=terminal_emissions,
         build=build,
     )
+
+
+def _block_rows(n_paths: int, n_knots: int) -> int:
+    """Paths per row block of a kernel's per-path reductions.
+
+    CHUNK_KNOTS // n_knots, the rule that sizes a default chunk, without its
+    MIN_CHUNK_PATHS floor (at least 1, at most ``n_paths``): a block of
+    paths by knots holds about CHUNK_KNOTS doubles, so a kernel's scratch
+    stays small however many paths its chunk holds.
+    """
+    return min(n_paths, max(1, CHUNK_KNOTS // n_knots))
+
+
+def _row_blocks(n_rows: int, size: int) -> Iterator[tuple[slice, int]]:
+    """(rows, length) of consecutive blocks of at most ``size`` rows covering ``n_rows``."""
+    for start in range(0, n_rows, size):
+        stop = min(start + size, n_rows)
+        yield slice(start, stop), stop - start
+
+
+def _block(scratch: np.ndarray, *shape: int) -> np.ndarray:
+    """The first doubles of a flat scratch row as a C-ordered ``shape`` array."""
+    return scratch[: math.prod(shape)].reshape(shape)
 
 
 def _simulate_martingale(
@@ -667,9 +693,9 @@ def _simulate_martingale(
     c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam) from the terminal condition
     X_i(T) = -P_T / (2 lam).  The clearing check runs on the firm sum
     sum_i B_i, built from sum_i c_i(t) = (N + 2 lam sum_i eta_i (T - t)) / (2 lam)
-    and N dZbar, a (P, M+1) path.  The price and this path are each one
-    (P, M+1) array, whose increments are written into it and summed in
-    place (`integrate_increments` with ``out``).  For the static lump sum
+    and N dZbar, a (P, M+1) path.  The price is one (P, M+1) array and this
+    path one row block at a time; each takes its increments written into it
+    and summed in place (`integrate_increments` with ``out``).  For the static lump sum
     dZbar = -dWbar is never built: the price takes dWbar with sign -1, and
     (-N) dWbar = N (-dWbar) holds to the bit.
 
@@ -692,16 +718,24 @@ def _simulate_martingale(
     that the sample's read-only views repeat on every path.  A cost or
     terminal emission that is not finite raises `DomainError` (`_sample`).
 
-    The terminal emissions take the last knots of the abated total and the
-    shock path sum_i sigma_i W_i as running sums (`_last_knot`); only the
-    trajectory builders, on first access, build those paths.
+    Every per-path reduction runs over row blocks of `_block_rows` paths in
+    one pooled scratch of two (rows, M+1) arrays: the summed expected
+    allocation and the summed trade, whose max |x| the clearing check reads
+    (a NaN in any block fails it) and whose last knot the trading cost
+    reads, then the abatement gap sums and the abated total's last knot,
+    and the shock path's last knot (`_last_knot`).  Per-row sums and
+    running sums do not depend on the block, so neither do the costs.  A
+    costs-only call keeps only the price (none under the optimal policy);
+    the price and every other trajectory are built by the sample's
+    builders on first access.
     """
     if not mkt.is_frictionless:
         raise UnsupportedInputError("finite depth: use equilibrium_frictions")
     grid = noise.grid
     t = grid.knots
     dt, horizon = grid.dt, grid.horizon
-    shape = (noise.n_paths, grid.n_steps + 1)
+    n_paths, m = noise.n_paths, grid.n_steps
+    shape = (n_paths, m + 1)
     lam = mkt.penalty
     n = mkt.n_firms
     etas = np.array([fp.eta for fp in mkt.firms])
@@ -710,15 +744,20 @@ def _simulate_martingale(
     # sum_i sigma_i dW_i = N dWbar, the mean shock the block caches for every run on it
     d_wbar = noise.weighted_mean_increments([fp.sigma for fp in mkt.firms])
     mu_total = float(sum(fp.mu for fp in mkt.firms))
+    rows = _block_rows(n_paths, m + 1)
+    scratch = pooled_empty((2, rows * (m + 1)))
 
     # sum_i M_i(t) = sum_i m0_i + (sum_i gamma_i) Wtilde(t); a zero loading
     # (the static lump sum) moves nothing
     m0_sum = float(m0.sum())
-    if gamma.any():
-        expected_sum = integrate_increments(noise.row(gamma.sum(axis=0)))
-        expected_sum += m0_sum
-    else:
-        expected_sum = np.full((noise.n_paths, 1), m0_sum)
+    alloc_row = noise.row(gamma.sum(axis=0)) if gamma.any() else None
+
+    def expected_sum(paths: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        if alloc_row is None:
+            return np.full((n_paths, 1), m0_sum)
+        total = integrate_increments(alloc_row[paths], out=out)
+        total += m0_sum
+        return total
 
     eta_total = float(etas.sum())
     m0_bar = float(m0.mean())
@@ -727,39 +766,56 @@ def _simulate_martingale(
     trade0 = float(etas @ hs) * horizon - coef_sum[0] * p0 - m0_sum
     # the firm-mean allocation surprise dZbar = mean_i (dM_i - sigma_i dW_i)
     loading = (gamma - shocks).mean(axis=0)
-    if loading.any():
+    surprise = loading.any()
+    if surprise:
         # dZbar = sign * row; the static lump sum's is -dWbar (dM_i = 0)
         sign, row = (1.0, noise.row(loading)) if gamma.any() else (-1.0, d_wbar)
         price = frictionless_price(mkt, grid, m0_bar, row, sign)
-        # sum_i dB_i = -(sum_i c_i(t) dP + N dZbar), written into the
-        # summed trade and integrated in place
-        trade = pooled_empty(shape)
-        d_trade = trade[:, 1:]
-        np.subtract(price[:, 1:], price[:, :-1], out=d_trade)
-        d_trade *= coef_sum[:-1]
-        d_trade += (sign * n) * row
-        integrate_increments(d_trade, out=trade)
-        np.subtract(trade0, trade, out=trade)
-        del d_trade
+        trade_T = np.empty(n_paths)
     else:
         # no surprise: dP = 0 and the summed trade stays at its start, on
         # every path alike
-        price = np.full((1, shape[1]), p0)
-        trade = np.full((1, 1), trade0)
-    require_frictionless_clearing(mkt, grid, price, trade, abs_max(expected_sum))
-    trade_T = trade[:, -1].copy()
-    del trade  # its array serves the excess
+        price = np.full((1, m + 1), p0)
+        trade_T = np.full(1, trade0)
+    alloc_max = [] if alloc_row is not None else [abs_max(expected_sum())]
+    trade_max = [] if surprise else [abs_max(trade_T)]
+    for paths, b in _row_blocks(n_paths, rows):
+        block = _block(scratch[0], b, m + 1)
+        if alloc_row is not None:
+            alloc_max.append(abs_max(expected_sum(paths, block)))
+        if surprise:
+            # sum_i dB_i = -(sum_i c_i(t) dP + N dZbar), written into the
+            # block's summed trade and integrated in place
+            d_trade = block[:, 1:]
+            np.subtract(price[paths, 1:], price[paths, :-1], out=d_trade)
+            d_trade *= coef_sum[:-1]
+            d_trade += np.multiply(row[paths], sign * n, out=_block(scratch[1], b, m))
+            integrate_increments(d_trade, out=block)
+            np.subtract(trade0, block, out=block)
+            trade_max.append(abs_max(block))
+            trade_T[paths] = block[:, -1]
+    # the largest block maxima, NaN if any is (np.max propagates it)
+    require_frictionless_clearing(mkt, grid, price, np.array(trade_max), float(np.max(alloc_max)))
 
     # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
     # h_eff; sums of the small excess keep the cancellation out of the costs
     h_eff = float(etas @ hs) / eta_total
-    excess = np.subtract(price, h_eff, out=pooled_empty(price.shape))
-    excess_left = excess[:, :-1]
-    # (excess + 2 h_eff) excess on the left knots, in one array
-    gap_sq = np.add(excess_left, 2.0 * h_eff, out=pooled_empty(excess_left.shape))
-    gap_sq *= excess_left
+    gap_sum = np.empty(len(price))
+    abated_T = np.empty(len(price))
+    for paths, b in _row_blocks(len(price), rows):
+        excess = np.subtract(price[paths], h_eff, out=_block(scratch[0], b, m + 1))
+        excess_left = excess[:, :-1]
+        # (excess + 2 h_eff) excess on the left knots
+        gap_sq = np.add(excess_left, 2.0 * h_eff, out=_block(scratch[1], b, m))
+        gap_sq *= excess_left
+        gap_sum[paths] = gap_sq.sum(axis=-1)
+        # the abated total eta_total (P - h_eff) to its last knot, summed in
+        # the running order of its builder
+        excess *= eta_total
+        np.multiply(excess[:, :-1], dt, out=gap_sq)
+        abated_T[paths] = np.cumsum(gap_sq, axis=-1, out=gap_sq)[:, -1]
     abatement = (
-        0.5 * eta_total * gap_sq.sum(axis=-1) * dt
+        0.5 * eta_total * gap_sum * dt
         - 0.5 * float(etas @ (hs - h_eff) ** 2) * horizon
     )
     trading = price[:, :-1].sum(axis=-1) * dt * trade_T / horizon
@@ -772,33 +828,35 @@ def _simulate_martingale(
         "penalty": np.broadcast_to(penalty, shape[:1]),
         "tax": np.zeros(shape[0]),
     }
+    terminal_emissions = mu_total * t[-1] - abated_T + n * _last_knot(d_wbar, scratch[1])
 
-    abate_total = excess  # eta_total (P - h_eff), in the excess's array
-    abate_total *= eta_total
-    # the terminal emissions read only the last knots of the abated total and
-    # of the shock path N Wbar, summed in the running order of their builders
-    np.multiply(abate_total[:, :-1], dt, out=gap_sq)
-    abated_T = _last_knot(gap_sq, out=gap_sq)
-    del gap_sq
-    price = np.broadcast_to(price, shape)
+    def abate_total() -> np.ndarray:
+        total = np.subtract(price, h_eff)  # eta_total (P - h_eff)
+        total *= eta_total
+        return total
+
+    def net_allocation() -> np.ndarray:
+        total = expected_sum()
+        return total - total[:, :1] + alloc_flow * t
+
     return _sample(
         kind,
         lambda: f"{kind.value} run ({grid.n_steps} steps)",
-        price,
         parts,
-        mu_total * t[-1] - abated_T + n * _last_knot(d_wbar),
+        terminal_emissions,
+        price=lambda: np.broadcast_to(price, shape),
         total_bank=lambda: (
-            expected_sum
+            expected_sum()
             + (mu_total - alloc_flow) * (horizon - t)
-            + left_integral(abate_total, grid)
+            + left_integral(abate_total(), grid)
             + (trade_T / horizon)[:, None] * t
             - n * integrate_increments(d_wbar)
         ),
-        avg_abatement=lambda: np.broadcast_to(abate_total / n, shape),
+        avg_abatement=lambda: np.broadcast_to(abate_total() / n, shape),
         total_emissions=lambda: (
-            mu_total * t - left_integral(abate_total, grid) + n * integrate_increments(d_wbar)
+            mu_total * t - left_integral(abate_total(), grid) + n * integrate_increments(d_wbar)
         ),
-        net_allocation_minus_initial=lambda: expected_sum - expected_sum[:, :1] + alloc_flow * t,
+        net_allocation_minus_initial=net_allocation,
     )
 
 
@@ -862,9 +920,9 @@ def simulate_policy_paths(
     return _sample(
         policy.kind,
         lambda: f"tax run ({grid.n_steps} steps)",
-        np.broadcast_to(policy.tau, shape),
         parts,
         terminal_emissions,
+        price=lambda: np.broadcast_to(policy.tau, shape),
         total_bank=lambda: zero,
         avg_abatement=lambda: np.broadcast_to(alpha / n, shape),
         total_emissions=lambda: (mu_total - alpha) * t + integrate_increments(d_shocks),
@@ -904,10 +962,13 @@ def _simulate_msr(
     runs may differ in every parameter but the firms' volatilities, which
     fix the average shock dWbar; they step together with the run index as
     an array axis (`_msr_steps`), so a stack costs the Python calls of one
-    run, and sums the shocks over time once.  Yields one sample per run, in
+    run, and sum the shocks over time once.  Yields one sample per run, in
     run order, each built when it is requested from the run's time-major
-    slice of the step buffer; the buffer is released when the generator is
-    exhausted.
+    slice of the step buffer, whose costs it reads in blocks of
+    `_block_rows` paths through one scratch shared by the stack
+    (`_msr_sample`).  The buffer comes from the active `array_pool`, so it
+    is written again only once the generator is exhausted and no sample of
+    the stack is left.
     """
     grid = noise.grid
     sigmas = tuple(fp.sigma for fp in runs[0][0].firms)
@@ -919,45 +980,49 @@ def _simulate_msr(
             raise UnsupportedInputError("stacked MSR runs must share the firms' volatilities")
     coefs = [_msr_coefficients(mkt, policy, grid) for mkt, policy in runs]
     d_wbar = noise.weighted_mean_increments(sigmas)
-    dw_t = pooled_empty(d_wbar.shape[::-1])
-    np.copyto(dw_t, d_wbar.T)
-    x_t = _msr_steps(runs, coefs, dw_t, grid.dt)
-    wbar_T = _time_sum(dw_t)
-    del dw_t  # the samples' scratch arrays may take its storage
+    x_t, wbar_T = _msr_steps(runs, coefs, d_wbar, grid.dt)
+    scratch = pooled_empty((grid.n_steps * _block_rows(noise.n_paths, grid.n_steps + 1),))
     for r, (mkt, policy) in enumerate(runs):
-        yield _msr_sample(mkt, policy, grid, *coefs[r], x_t[:, r], d_wbar, wbar_T)
+        yield _msr_sample(mkt, policy, grid, *coefs[r], x_t[:, r], d_wbar, wbar_T, scratch)
 
 
 def _msr_steps(
     runs: Sequence[tuple[MarketParams, MSRPolicy]],
     coefs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    dw_t: np.ndarray,
+    d_wbar: np.ndarray,
     dt: float,
-) -> np.ndarray:
-    """Average banks Xbar of a stack of R runs, time-major (M+1, R, P).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Average banks Xbar of a stack of R runs, time-major (M+1, R, P) and
+    pooled, and the shocks ``d_wbar``, (P, M), summed over time.
 
     The Euler step x + (delta (ramp - x) + eta (c0 + c1 x - h_bar)) dt - dW
     is x_{k+1} = a_k x_k + u_k, with a_k = 1 + (eta c1_k - delta) dt and
-    u_k = (delta ramp_k + eta (c0_k - h_bar)) dt - dW_k.  One bulk pass
-    writes every u_k into the buffer, then each knot takes two in-place
-    calls on (R, P) rows.  Every operation is elementwise, so a run's banks
-    have the same bits in a stack as alone.
+    u_k = (delta ramp_k + eta (c0_k - h_bar)) dt - dW_k.  The transposed
+    shocks go into the first run's rows of the buffer, where they are
+    summed over time (`_time_sum`), and two bulk passes turn them into
+    every run's u_k; then each knot takes two in-place calls on (R, P)
+    rows.  Every operation is elementwise, so a run's banks have the same
+    bits in a stack as alone.
     """
-    m, n_paths = dw_t.shape
+    n_paths, m = d_wbar.shape
     c0, c1, ramp = (np.stack(rows) for rows in zip(*coefs))
     eta, h_bar, delta, x_bar0 = np.array(
         [(mkt.agg.eta_bar, mkt.agg.h_bar, policy.delta, policy.x_bar0) for mkt, policy in runs]
     ).T[..., None]
     a_t = (1.0 + (eta * c1 - delta) * dt).T[..., None]
     b_t = ((delta * ramp + eta * (c0 - h_bar)) * dt).T[:-1, :, None]
-    x_t = np.empty((m + 1, len(runs), n_paths))
+    x_t = pooled_empty((m + 1, len(runs), n_paths))
     x_t[0] = x_bar0
-    np.subtract(b_t, dw_t[:, None], out=x_t[1:])
+    dw_t = x_t[1:, 0]
+    np.copyto(dw_t, d_wbar.T)
+    wbar_T = _time_sum(dw_t)
+    np.subtract(b_t[:, 1:], dw_t[:, None], out=x_t[1:, 1:])
+    np.subtract(b_t[:, 0], dw_t, out=dw_t)
     ax = np.empty(x_t.shape[1:])
     for a_k, x, x_next in zip(a_t, x_t, x_t[1:]):
         np.multiply(a_k, x, out=ax)
         x_next += ax
-    return x_t
+    return x_t, wbar_T
 
 
 def _time_sum(rows: np.ndarray) -> np.ndarray:
@@ -965,17 +1030,28 @@ def _time_sum(rows: np.ndarray) -> np.ndarray:
 
     numpy sums an outer axis one row at a time, in the running order of
     `integrate_increments`, but a lone path's column pairwise; cumsum keeps
-    the running order there, so a path's sums do not depend on its chunk.
+    the running order there, so a path's sums do not depend on its block.
     """
     if rows.shape[1] == 1:
         return np.cumsum(rows, axis=0)[-1]
     return rows.sum(axis=0)
 
 
-def _last_knot(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``integrate_increments(d)[:, -1]`` bit for bit (a pairwise ``sum`` is not),
-    with the running sums in ``out`` shaped like ``d`` (it may be ``d``) or pooled."""
-    return np.cumsum(d, axis=-1, out=pooled_empty(d.shape) if out is None else out)[:, -1].copy()
+def _last_knot(d: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``integrate_increments(d)[:, -1]`` bit for bit (a pairwise ``sum`` is not).
+
+    The running sums of ``d``, (P, M), go block by block of `_block_rows`
+    paths into a flat ``scratch`` that holds a block of (rows, M), or into
+    a pooled one.
+    """
+    n_paths, m = d.shape
+    rows = _block_rows(n_paths, m + 1)
+    if scratch is None:
+        scratch = pooled_empty((rows * m,))
+    last = np.empty(n_paths)
+    for paths, b in _row_blocks(n_paths, rows):
+        last[paths] = np.cumsum(d[paths], axis=-1, out=_block(scratch, b, m))[:, -1]
+    return last
 
 
 def _msr_sample(
@@ -988,32 +1064,49 @@ def _msr_sample(
     xbar: np.ndarray,
     d_wbar: np.ndarray,
     wbar_T: np.ndarray,
+    scratch: np.ndarray,
 ) -> PolicyPathSample:
     """One MSR run's sample from its time-major average banks ``xbar``, (M+1, P),
     the average shocks ``d_wbar``, (P, M), and their sums over time ``wbar_T``.
 
-    Costs are sums over time (`_time_sum`), and the trajectories transposed
-    views.  A cost part or terminal emission that is not finite, from an
-    overflowing recursion or penalty, raises `DomainError` (`_sample`).
+    Costs are sums over time (`_time_sum`), taken in blocks of
+    `_block_rows` paths: each block's abatement on the left knots goes
+    into the flat ``scratch``, which holds one time-major (M, rows) block.
+    The sample keeps ``xbar``; its trajectories, the price included, are
+    transposed views built from it on first access.  A cost part or
+    terminal emission that is not finite, from an overflowing recursion or
+    penalty, raises `DomainError` (`_sample`).
     """
     t = grid.knots
     n = mkt.n_firms
     agg = mkt.agg
     eta, h_bar, dt = agg.eta_bar, agg.h_bar, grid.dt
-    price = np.multiply(c1[:, None], xbar, out=pooled_empty(xbar.shape))
-    price += c0[:, None]
-    # the products alpha_k dt that left_integral sums in total_emissions
-    alpha_dt = np.subtract(price[:-1], h_bar, out=pooled_empty(price[:-1].shape))
-    alpha_dt *= eta
-    alpha_dt *= dt
-    abated = _time_sum(alpha_dt)
+    m, n_paths = grid.n_steps, xbar.shape[1]
+    rows = _block_rows(n_paths, m + 1)
+    abated = np.empty(n_paths)
+    alpha_sq = np.empty(n_paths)
+    for paths, b in _row_blocks(n_paths, rows):
+        # the products alpha_k dt = eta (P_k - h_bar) dt that left_integral
+        # sums in total_emissions, from the price on the left knots
+        alpha_dt = np.multiply(c1[:-1, None], xbar[:-1, paths], out=_block(scratch, m, b))
+        alpha_dt += c0[:-1, None]
+        alpha_dt -= h_bar
+        alpha_dt *= eta
+        alpha_dt *= dt
+        abated[paths] = _time_sum(alpha_dt)
+        alpha_dt *= alpha_dt  # sum_k (h_bar alpha_k + alpha_k^2 / (2 eta)) dt, from (alpha_k dt)^2
+        alpha_sq[paths] = _time_sum(alpha_dt)
     terminal_emissions = n * (agg.mu_bar * t[-1] - abated)
     terminal_emissions += n * wbar_T
-    alpha_dt *= alpha_dt  # sum_k (h_bar alpha_k + alpha_k^2 / (2 eta)) dt, from (alpha_k dt)^2
-    abatement = n * (h_bar * abated + _time_sum(alpha_dt) / (2.0 * eta * dt))
+    abatement = n * (h_bar * abated + alpha_sq / (2.0 * eta * dt))
     penalty = n * mkt.penalty * xbar[-1] ** 2
-    zeros_s = np.zeros(xbar.shape[1])
+    zeros_s = np.zeros(n_paths)
     parts = {"abatement": abatement, "trading": zeros_s, "penalty": penalty, "tax": zeros_s.copy()}
+
+    def price_paths() -> np.ndarray:
+        knots = np.multiply(c1[:, None], xbar)
+        knots += c0[:, None]
+        return knots.T
 
     def net_allocation() -> np.ndarray:
         alloc_rate = np.subtract(ramp[:, None], xbar).T
@@ -1023,17 +1116,18 @@ def _msr_sample(
     return _sample(
         policy.kind,
         lambda: f"MSR run (eta_bar {eta:g}, delta {policy.delta:g}, {grid.n_steps} steps)",
-        price.T,
         parts,
         terminal_emissions,
+        price=price_paths,
         total_bank=lambda: (n * xbar).T,
-        avg_abatement=lambda: eta * (price.T - h_bar),
+        avg_abatement=lambda: eta * (price_paths() - h_bar),
         total_emissions=lambda: (
-            n * (agg.mu_bar * t - left_integral(eta * (price.T - h_bar), grid))
+            n * (agg.mu_bar * t - left_integral(eta * (price_paths() - h_bar), grid))
             + n * integrate_increments(d_wbar)
         ),
         net_allocation_minus_initial=net_allocation,
     )
+
 
 
 # ---------------------------------------------------------------------------
@@ -1185,9 +1279,13 @@ def _simulate_runs(
     at most (N+1) M // (M+1) runs, so its (M+1, R, P) step buffer holds no
     more doubles than the P (N+1) M standard normals the chunk draws.
     Every other run, and an MSR run without a neighbour to stack with,
-    goes through `simulate_policy_paths` on the whole chunk.  Each sample
-    is released once its costs are kept, and every stack's generator is
-    run to its end before the next noise draw.  Yields, per run and in run
+    goes through `simulate_policy_paths` on the whole chunk.  Each kernel
+    takes its per-path costs over row blocks of CHUNK_KNOTS // (M+1) paths
+    (`_block_rows`) in one pooled scratch and builds no trajectory, so a
+    run keeps at most one (P, M+1) array of its own: a price that moves
+    (static, custom) or a stack's step buffer.  Each sample is released
+    once its costs are kept, and every stack's generator is run to its end
+    before the next noise draw.  Yields, per run and in run
     order, the concatenated per-path cost, cost parts and terminal
     emissions.  The chunk loop runs at the first item, and each
     run's concatenation is built when it is requested, so a caller that

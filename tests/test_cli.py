@@ -156,6 +156,43 @@ def test_output_directory_key_exits_2_and_writes_nothing(tmp_path, capsys, monke
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize(
+    "command, last_file",
+    [(["simulate", "--policy", "all"], "summary.json"), (["compare", "--etas", "1e7,6e8"], "sweep.csv")],
+    ids=["simulate", "compare"],
+)
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, command, last_file):
+    """An --out naming a file, or a path under one, exits 2 with a one-line
+    error before the first chunk is drawn and leaves the file as it was.
+    An OSError from writing the outputs, here a directory in the way of the
+    last file, exits 2 too and leaves no output file."""
+    real = permitsim.stochastic.generate_noise
+    draws = []
+
+    def drawing(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(permitsim.stochastic, "generate_noise", drawing)
+    cfg = write_config(tmp_path, simulation=small_sim_block(n_steps=10))
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    for out in (afile, afile / "sub"):
+        assert main([command[0], "--config", cfg, *command[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out:") and err.count("\n") == 1, err
+        assert "not a directory" in err
+    assert draws == [] and afile.read_text() == "kept"
+
+    out = tmp_path / "out"
+    (out / last_file).mkdir(parents=True)
+    assert main([command[0], "--config", cfg, *command[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the outputs") and err.count("\n") == 1, err
+    assert draws
+    assert [p.name for p in out.iterdir()] == [last_file]
+
+
 def test_invalid_firm_and_unit_scale_and_kind():
     with pytest.raises(ConfigError, match=r"config\.firms\[0\]"):
         build_scenario(
@@ -432,9 +469,9 @@ def test_trajectory_rows_render_like_fmt():
                                  "net_allocation_minus_initial")
                 ]
                 want.append(",".join([str(3 + p), _fmt(t)] + [_fmt(v) for v in values]))
-        assert _trajectory_rows(sample, noise, volume_scale) == want
+        assert _trajectory_rows(sample, noise, volume_scale) == "\n".join(want)
         first = SimpleNamespace(**{name: column[:1] for name, column in columns.items()})
-        assert _trajectory_rows(first, noise, volume_scale) == want[: grid.n_steps + 1]
+        assert _trajectory_rows(first, noise, volume_scale) == "\n".join(want[: grid.n_steps + 1])
 
 
 def test_trajectory_rows_write_constant_columns_as_text():
@@ -459,7 +496,7 @@ def test_trajectory_rows_write_constant_columns_as_text():
         for p in range(2)
         for k, t in enumerate(grid.knots)
     ]
-    assert _trajectory_rows(sample, noise, 1.0) == want
+    assert _trajectory_rows(sample, noise, 1.0) == "\n".join(want)
     assert want[1] == "0,1,0.33333333333333331,-0,2,0,2500000000"
 
 
@@ -581,7 +618,7 @@ def test_simulate_draws_the_written_block_with_only_its_loading_rows(tmp_path, m
             for name in ("price", *permitsim.cli._TRAJECTORY_COLUMNS[3:])
         })
         rows = (tmp_path / "out" / f"trajectory_{policy.kind.value}.csv").read_text().splitlines()
-        assert rows[2:] == _trajectory_rows(first, chunk, 1.0), policy.kind
+        assert "\n".join(rows[2:]) == _trajectory_rows(first, chunk, 1.0), policy.kind
 
 
 @pytest.mark.parametrize("seed", [7, 2020])
@@ -826,34 +863,51 @@ def test_compare_rows_from_several_stacks_match_per_eta_ensembles(
 def test_compare_frees_every_sample_and_stack_before_the_next_chunk(
     tmp_path, monkeypatch
 ):
-    """No sweep sample or stack step buffer outlives its chunk: each is gone
-    when the next chunk's noise is drawn, and each sample is gone before
-    the next one is built.  enumerate or zip over the samples would keep
-    the last one in their cached result tuple, and a stack left suspended
-    after its last yield would keep its step buffer."""
+    """A stack's step buffer comes from the chunk loop's `array_pool`, which
+    writes it again on a later chunk, so it must never be read after its
+    chunk: no sweep sample and no view of the buffer is alive when the next
+    chunk's noise is drawn, and each sample is gone before the next one is
+    built.  enumerate or zip over the samples would keep the last one in
+    their cached result tuple, and a stack left suspended after its last
+    yield would keep its views of the buffer."""
     real_draw = permitsim.stochastic.generate_noise
+    real_steps = permitsim.policies._msr_steps
     real_sample = permitsim.policies._msr_sample
-    prices, buffers, stack_sizes = [], [], []
+    real_pool = permitsim.stochastic._ArrayPool
+    pools, samples, views, stack_sizes, pooled = [], [], [], [], []
     live_at_draw, live_at_sample = [], []
 
     def live(refs):
         return sum(ref() is not None for ref in refs)
 
+    def recording():
+        pools.append(real_pool())
+        return pools[-1]
+
     def drawing(*args, **kwargs):
         gc.collect()
-        live_at_draw.append(live(prices) + live(buffers))
+        live_at_draw.append(live(samples) + live(views))
         return real_draw(*args, **kwargs)
 
-    def sampling(mkt, policy, grid, c0, c1, ramp, xbar, d_wbar, wbar_T):
+    def stepping(runs, coefs, d_wbar, dt):
+        x_t, wbar_T = real_steps(runs, coefs, d_wbar, dt)
+        views.append(weakref.ref(x_t))
+        stack_sizes.append(x_t.shape[1])
+        pooled.append(any(x_t.base is base for base in pools[-1]._bases))
+        return x_t, wbar_T
+
+    def sampling(*args):
         gc.collect()
-        live_at_sample.append(live(prices))
-        sample = real_sample(mkt, policy, grid, c0, c1, ramp, xbar, d_wbar, wbar_T)
-        prices.append(weakref.ref(sample.price))
-        buffers.append(weakref.ref(xbar.base))
-        stack_sizes.append(xbar.base.shape[1])
+        live_at_sample.append(live(samples))
+        xbar = args[6]
+        views.append(weakref.ref(xbar))
+        sample = real_sample(*args)
+        samples.append(weakref.ref(sample))
         return sample
 
+    monkeypatch.setattr(permitsim.stochastic, "_ArrayPool", recording)
     monkeypatch.setattr(permitsim.stochastic, "generate_noise", drawing)
+    monkeypatch.setattr(permitsim.policies, "_msr_steps", stepping)
     monkeypatch.setattr(permitsim.policies, "_msr_sample", sampling)
     n_paths = 2 * _default_chunk_size(20) + 88
     config = build_scenario({
@@ -862,8 +916,9 @@ def test_compare_frees_every_sample_and_stack_before_the_next_chunk(
     run_compare(config, [float(e) for e in np.geomspace(1e6, 1e9, 9)], tmp_path / "sweep")
     assert live_at_draw == [0, 0, 0]
     assert live_at_sample == [0] * (3 * 9)
-    # xbar views the (M+1, R, P) step buffer of its stack of 6 or 3 runs
-    assert stack_sizes == ([6] * 6 + [3] * 3) * 3
+    # each chunk steps a stack of 6 runs and one of 3, in buffers of the pool
+    assert stack_sizes == [6, 3] * 3
+    assert all(pooled) and len(views) == 3 * (2 + 9)
 
 
 def test_compare_never_writes_a_non_finite_row(tmp_path, monkeypatch):

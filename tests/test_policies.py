@@ -50,7 +50,7 @@ from permitsim.policies import (
     cost_report_from_samples,
     run_ensemble,
 )
-from permitsim.stochastic import array_pool, left_integral
+from permitsim.stochastic import NoisePaths, array_pool, left_integral
 
 import oracles
 from conftest import N_FIRMS, make_firms, make_market
@@ -766,33 +766,55 @@ def test_static_kernel_memory_is_flat_in_the_firm_count():
     assert peaks[24] <= 1.5 * peaks[3], peaks
 
 
-@pytest.mark.parametrize("kind", ["static", "optimal_dynamic", "tax"])
+@pytest.mark.parametrize("kind", ["static", "optimal_dynamic", "tax", "msr"])
 def test_costs_only_call_keeps_no_trajectory(base_market, kind):
-    """A call whose trajectories are never read takes its terminal sums
-    without the full paths: on noise rows drawn before it, as a chunk's are,
-    it keeps at most 2 (P, M+1) path arrays after it returns (the static
-    call its price and abatement, the optimal call its expected allocation,
-    the tax none), besides the sample's (P,) scalars and a few (M+1,) rows,
-    and the static call peaks at 3.5 path arrays.  The block is a default
-    chunk of the headline grid, 256 paths x 2000 steps, on which numpy's
-    fixed ufunc buffers (~0.15 MB) are small."""
+    """A call whose trajectories are never read takes its per-path sums over
+    row blocks of a scratch array: on noise rows drawn before it, as a
+    chunk's are, it keeps at most 1 (P, M+1) path array after it returns
+    (the static call its price, the MSR its step buffer, the optimal and
+    tax calls none), besides the sample's (P,) scalars and a few (M+1,)
+    rows, and it peaks at 1 path array plus its block scratch of two
+    (rows, M+1) arrays, rows = CHUNK_KNOTS // (M+1).  The block is a default
+    chunk of the headline grid, 256 paths x 2000 steps (rows = 32), on
+    which numpy's fixed ufunc buffers (~0.15 MB) are small."""
     policy = build_policy(PolicySpec(kind=kind), base_market)
     grid = TimeGrid(base_market.horizon, 2000)
     loads = permitsim.policies._noise_rows(base_market, policy)
     noise = generate_noise(69, grid, base_market.firms, 256, loads=loads)
-    path_bytes = noise.n_paths * (grid.n_steps + 1) * 8
-    vector_bytes = (noise.n_paths + grid.n_steps + 1) * 8
+    knots = grid.n_steps + 1
+    path_bytes = noise.n_paths * knots * 8
+    vector_bytes = (noise.n_paths + knots) * 8
+    scratch_bytes = 2 * (permitsim.stochastic.CHUNK_KNOTS // knots) * knots * 8
+    assert scratch_bytes < 0.26 * path_bytes
     tracemalloc.start()
     try:
         sample = simulate_policy_paths(policy, base_market, noise)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    paths = {"static": 2, "optimal_dynamic": 1, "tax": 0}[kind]
+    paths = {"static": 1, "msr": 1, "optimal_dynamic": 0, "tax": 0}[kind]
     assert kept <= paths * path_bytes + 16 * vector_bytes, kept / path_bytes
-    if kind == "static":
-        assert peak <= 3.5 * path_bytes, peak / path_bytes
+    assert peak <= path_bytes + scratch_bytes + 16 * vector_bytes, peak / path_bytes
     assert sample.cost.shape == (256,)
+    assert not any(name in sample.__dict__ for name in _TRAJECTORY_FIELDS)
+
+
+def test_a_nan_in_a_later_block_fails_the_clearing_check(base_market):
+    """The clearing scale takes the largest max |x| of the optimal policy's
+    expected allocation over row blocks of 32 paths; a NaN in the second
+    block must fail the check, although Python's max(a, nan) would drop it
+    (the optimal costs read nothing else of that row)."""
+    opt = optimal_dynamic_policy(base_market)
+    grid = TimeGrid(base_market.horizon, 2000)
+    loads = permitsim.policies._noise_rows(base_market, opt)
+    drawn = generate_noise(70, grid, base_market.firms, 256, loads=loads)
+    rows = [(np.asarray(load, dtype=float), drawn.row(load).copy()) for load in loads]
+    alloc_load = opt.gamma.sum(axis=0)
+    [alloc_row] = [row for load, row in rows if np.array_equal(load, alloc_load)]
+    alloc_row[40, 1000] = np.nan
+    noise = NoisePaths(70, 0, grid, drawn.ks, n_paths=256, rows=rows)
+    with pytest.raises(ClearingError, match="frictionless"):
+        simulate_policy_paths(opt, base_market, noise)
 
 
 # --- exact-transition price sampling ------------------------------------------------
@@ -1057,31 +1079,43 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     assert drawn == [(kind, False) for kind in kinds] * 3
 
 
+def _ci_custom_policy(mkt):
+    """The custom policy of the CI smoke runs: loadings that do not track the
+    shocks, so each chunk keeps three loading rows and the price moves."""
+    n = mkt.n_firms
+    gamma = np.zeros((n, n + 1))
+    gamma[:, 0] = 5e7
+    gamma[np.arange(n), np.arange(1, n + 1)] = 2e7
+    return custom_martingale_policy(mkt, np.full(n, -7e8), gamma, target_compliance=False)
+
+
 def test_run_ensemble_does_not_depend_on_chunking(base_market):
-    grid = TimeGrid(horizon=10.0, n_steps=50)
-    policies = _four_policies(base_market)
-    results = [
-        run_ensemble(
-            base_market, policies,
-            PathEnsemble(seed=21, grid=grid, firms=base_market.firms, n_paths=300,
-                         chunk_size=chunk_size),
-        )
-        for chunk_size in (100, 256)
-    ]
-    a, b = results
-    for ra, rb in zip(a.reports, b.reports):
-        assert ra.kind is rb.kind and ra.n_paths == rb.n_paths == 300
-        for x, y in [
-            (ra.mc_estimate, rb.mc_estimate),
-            (ra.mc_stderr, rb.mc_stderr),
-            (ra.expected_total_emissions, rb.expected_total_emissions),
-            (ra.emissions_stderr, rb.emissions_stderr),
-            *((ra.breakdown[k], rb.breakdown[k]) for k in ra.breakdown),
-        ]:
-            assert x == pytest.approx(y, rel=1e-12, abs=1e-12 * abs(ra.mc_estimate))
-    assert a.deltas.keys() == b.deltas.keys()
-    for key in a.deltas:
-        np.testing.assert_allclose(a.deltas[key], b.deltas[key], rtol=1e-12)
+    """The per-path costs, cost parts and terminal emissions of the four
+    standard policies and a custom one have the same bits on every chunking.
+    At 2000 steps the kernels reduce row blocks of 32 paths: chunks of 31
+    and 33 paths are a short block and a block with a one-path tail (the
+    lone-path branch of `_time_sum`), and 289 = 256 + 33 paths end on such
+    a tail.  At 50 steps every chunk is one block."""
+    runs = [(base_market, p) for p in [*_four_policies(base_market), _ci_custom_policy(base_market)]]
+    for n_steps, n_paths, chunk_sizes in [(2000, 289, (256, 1, 31, 33)), (50, 300, (256, 1, 100))]:
+        grid = TimeGrid(horizon=10.0, n_steps=n_steps)
+        per_size = []
+        for chunk_size in chunk_sizes:
+            ensemble = PathEnsemble(
+                seed=21, grid=grid, firms=base_market.firms, n_paths=n_paths, chunk_size=chunk_size
+            )
+            per_size.append([
+                [cost, *(parts[key] for key in sorted(parts)), emissions]
+                for cost, parts, emissions in permitsim.policies._simulate_runs(runs, ensemble)
+            ])
+        want = per_size[0]
+        for chunk_size, got in zip(chunk_sizes[1:], per_size[1:]):
+            for (_, policy), got_run, want_run in zip(runs, got, want):
+                for a, b in zip(got_run, want_run):
+                    assert a.shape == (n_paths,)
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64)), (
+                        n_steps, chunk_size, policy.kind
+                    )
 
 
 def test_compare_policies_reports_what_run_ensemble_reports(base_market):
