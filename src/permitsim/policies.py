@@ -65,15 +65,16 @@ from .equilibrium import (  # noqa: F401
 )
 from .firm import AllocationView
 from .stochastic import (
-    CHUNK_KNOTS,
     NoisePaths,
     PathEnsemble,
     TimeGrid,
     array_pool,
+    block_rows,
     integrate_increments,
     left_integral,
     pooled_empty,
     realized_qv,
+    row_blocks,
     weighted_mean_load,
 )
 
@@ -640,24 +641,6 @@ def _sample(
     )
 
 
-def _block_rows(n_paths: int, n_knots: int) -> int:
-    """Paths per row block of a kernel's per-path reductions.
-
-    CHUNK_KNOTS // n_knots, the rule that sizes a default chunk, without its
-    MIN_CHUNK_PATHS floor (at least 1, at most ``n_paths``): a block of
-    paths by knots holds about CHUNK_KNOTS doubles, so a kernel's scratch
-    stays small however many paths its chunk holds.
-    """
-    return min(n_paths, max(1, CHUNK_KNOTS // n_knots))
-
-
-def _row_blocks(n_rows: int, size: int) -> Iterator[tuple[slice, int]]:
-    """(rows, length) of consecutive blocks of at most ``size`` rows covering ``n_rows``."""
-    for start in range(0, n_rows, size):
-        stop = min(start + size, n_rows)
-        yield slice(start, stop), stop - start
-
-
 def _block(scratch: np.ndarray, *shape: int) -> np.ndarray:
     """The first doubles of a flat scratch row as a C-ordered ``shape`` array."""
     return scratch[: math.prod(shape)].reshape(shape)
@@ -669,24 +652,26 @@ def _simulate_martingale(
     noise: NoisePaths,
     m0: np.ndarray,
     gamma: np.ndarray,
-    alloc_flow: float,
+    tracks_trends: bool,
 ) -> PolicyPathSample:
     """Frictionless equilibrium of a martingale allocation, every firm sum taken first.
 
     Firm i expects the total allocation M_i(t) = m0_i + (gamma Wtilde)_i(t)
     and holds A_i(t), which reaches M_i(T) at the horizon.  Besides the
-    martingale part, allowances arrive at the deterministic total rate
-    ``alloc_flow`` (tons/year): sum_i mu_i for the tracking policies, whose
-    holdings equal their expectation, and 0 for the static lump sum, whose
-    holdings x_bar0 - mu_i t deplete with emissions; hence
-    sum_i A_i(t) = sum_i M_i(t) + (sum_i mu_i - alloc_flow) (T - t).
+    martingale part, allowances arrive at a deterministic total rate
+    alloc_flow (tons/year): sum_i mu_i for the tracking policies
+    (``tracks_trends``), whose holdings equal their expectation, and 0 for
+    the static lump sum, whose holdings x_bar0 - mu_i t deplete with
+    emissions; hence sum_i A_i(t) = sum_i M_i(t) + (sum_i mu_i - alloc_flow) (T - t).
+    The trends are summed once, so the last term is exactly 0 when tracking.
 
     Only the average allocation surprise dZbar moves the price
     (`frictionless_price`).  Its driver is the firm-mean loading row
     mean_i (gamma - shocks)_i times ``d_tilde``; for the static lump sum
     that is minus the mean shock dWbar, the block's cached
     `NoisePaths.weighted_mean_increments`, which also gives the emissions'
-    shock sum_i sigma_i W_i = N Wbar.
+    shock sum_i sigma_i W_i = N Wbar; its terminal value N Wbar_T is the
+    block's cached `NoisePaths.row_total` of that row.
     Abatement is alpha_i = eta_i (P - h_i).  Firm i's cumulative trade
     starts at B_i(0) = eta_i h_i T - c_i(0) P_0 - M_i(0) and moves by
     dB_i = -(c_i(t) dP + dM_i - sigma_i dW_i), with
@@ -718,12 +703,12 @@ def _simulate_martingale(
     that the sample's read-only views repeat on every path.  A cost or
     terminal emission that is not finite raises `DomainError` (`_sample`).
 
-    Every per-path reduction runs over row blocks of `_block_rows` paths in
+    Every per-path reduction runs over row blocks of `block_rows` paths in
     one pooled scratch of two (rows, M+1) arrays: the summed expected
     allocation and the summed trade, whose max |x| the clearing check reads
     (a NaN in any block fails it) and whose last knot the trading cost
-    reads, then the abatement gap sums and the abated total's last knot,
-    and the shock path's last knot (`_last_knot`).  Per-row sums and
+    reads, then the abatement gap sums and the abated total's last knot.
+    The shock total is taken before the kernel allocates.  Per-row sums and
     running sums do not depend on the block, so neither do the costs.  A
     costs-only call keeps only the price (none under the optimal policy);
     the price and every other trajectory are built by the sample's
@@ -741,10 +726,12 @@ def _simulate_martingale(
     etas = np.array([fp.eta for fp in mkt.firms])
     hs = np.array([fp.h for fp in mkt.firms])
     shocks = tracking_gamma(mkt.firms)  # sigma_i dW_i = (shocks dWtilde)_i
-    # sum_i sigma_i dW_i = N dWbar, the mean shock the block caches for every run on it
-    d_wbar = noise.weighted_mean_increments([fp.sigma for fp in mkt.firms])
+    # sum_i sigma_i dW_i = N dWbar: the mean shock and its sum over time, cached by the block
+    wbar_load = weighted_mean_load(noise.ks, [fp.sigma for fp in mkt.firms])
+    wbar_T, d_wbar = noise.row_total(wbar_load), noise.row(wbar_load)
     mu_total = float(sum(fp.mu for fp in mkt.firms))
-    rows = _block_rows(n_paths, m + 1)
+    alloc_flow = mu_total if tracks_trends else 0.0
+    rows = block_rows(n_paths, m + 1)
     scratch = pooled_empty((2, rows * (m + 1)))
 
     # sum_i M_i(t) = sum_i m0_i + (sum_i gamma_i) Wtilde(t); a zero loading
@@ -779,7 +766,7 @@ def _simulate_martingale(
         trade_T = np.full(1, trade0)
     alloc_max = [] if alloc_row is not None else [abs_max(expected_sum())]
     trade_max = [] if surprise else [abs_max(trade_T)]
-    for paths, b in _row_blocks(n_paths, rows):
+    for paths, b in row_blocks(n_paths, rows):
         block = _block(scratch[0], b, m + 1)
         if alloc_row is not None:
             alloc_max.append(abs_max(expected_sum(paths, block)))
@@ -802,7 +789,7 @@ def _simulate_martingale(
     h_eff = float(etas @ hs) / eta_total
     gap_sum = np.empty(len(price))
     abated_T = np.empty(len(price))
-    for paths, b in _row_blocks(len(price), rows):
+    for paths, b in row_blocks(len(price), rows):
         excess = np.subtract(price[paths], h_eff, out=_block(scratch[0], b, m + 1))
         excess_left = excess[:, :-1]
         # (excess + 2 h_eff) excess on the left knots
@@ -828,7 +815,7 @@ def _simulate_martingale(
         "penalty": np.broadcast_to(penalty, shape[:1]),
         "tax": np.zeros(shape[0]),
     }
-    terminal_emissions = mu_total * t[-1] - abated_T + n * _last_knot(d_wbar, scratch[1])
+    terminal_emissions = mu_total * t[-1] - abated_T + n * wbar_T
 
     def abate_total() -> np.ndarray:
         total = np.subtract(price, h_eff)  # eta_total (P - h_eff)
@@ -877,19 +864,14 @@ def simulate_policy_paths(
     noise.require_firms(mkt.firms)
     n = mkt.n_firms
     mus = np.array([fp.mu for fp in mkt.firms])
-    mu_total = float(mus.sum())
     if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)):
         return _simulate_martingale(
-            policy.kind, mkt, noise, policy.m0, policy.gamma, alloc_flow=mu_total
+            policy.kind, mkt, noise, policy.m0, policy.gamma, tracks_trends=True
         )
     if isinstance(policy, StaticPolicy):
+        m0 = policy.x_bar0 - mus * noise.grid.horizon
         return _simulate_martingale(
-            policy.kind,
-            mkt,
-            noise,
-            policy.x_bar0 - mus * noise.grid.horizon,
-            np.zeros((n, n + 1)),
-            alloc_flow=0.0,
+            policy.kind, mkt, noise, m0, np.zeros((n, n + 1)), tracks_trends=False
         )
     if isinstance(policy, MSRPolicy):
         [sample] = _simulate_msr([(mkt, policy)], noise)  # exhausts the generator
@@ -900,9 +882,11 @@ def simulate_policy_paths(
     grid = noise.grid
     t = grid.knots
     shape = (noise.n_paths, grid.n_steps + 1)
+    mu_total = float(mus.sum())
     alpha = float(policy.alpha.sum())
-    d_shocks = noise.row(tracking_gamma(mkt.firms).sum(axis=0))  # sum_i sigma_i dW_i
-    terminal_emissions = (mu_total - alpha) * t[-1] + _last_knot(d_shocks)
+    shock_load = tracking_gamma(mkt.firms).sum(axis=0)  # sum_i sigma_i dW_i
+    terminal_emissions = (mu_total - alpha) * t[-1] + noise.row_total(shock_load)
+    d_shocks = noise.row(shock_load)
     hs = np.array([fp.h for fp in mkt.firms])
     etas = np.array([fp.eta for fp in mkt.firms])
     abate_cost = grid.horizon * float(
@@ -962,10 +946,11 @@ def _simulate_msr(
     runs may differ in every parameter but the firms' volatilities, which
     fix the average shock dWbar; they step together with the run index as
     an array axis (`_msr_steps`), so a stack costs the Python calls of one
-    run, and sum the shocks over time once.  Yields one sample per run, in
+    run, and read the shocks' sum over time, the block's cached
+    `NoisePaths.row_total`, once.  Yields one sample per run, in
     run order, each built when it is requested from the run's time-major
     slice of the step buffer, whose costs it reads in blocks of
-    `_block_rows` paths through one scratch shared by the stack
+    `block_rows` paths through one scratch shared by the stack
     (`_msr_sample`).  The buffer comes from the active `array_pool`, so it
     is written again only once the generator is exhausted and no sample of
     the stack is left.
@@ -979,9 +964,10 @@ def _simulate_msr(
         if tuple(fp.sigma for fp in mkt.firms) != sigmas:
             raise UnsupportedInputError("stacked MSR runs must share the firms' volatilities")
     coefs = [_msr_coefficients(mkt, policy, grid) for mkt, policy in runs]
-    d_wbar = noise.weighted_mean_increments(sigmas)
-    x_t, wbar_T = _msr_steps(runs, coefs, d_wbar, grid.dt)
-    scratch = pooled_empty((grid.n_steps * _block_rows(noise.n_paths, grid.n_steps + 1),))
+    wbar_load = weighted_mean_load(noise.ks, sigmas)
+    wbar_T, d_wbar = noise.row_total(wbar_load), noise.row(wbar_load)
+    x_t = _msr_steps(runs, coefs, d_wbar, grid.dt)
+    scratch = pooled_empty((grid.n_steps * block_rows(noise.n_paths, grid.n_steps + 1),))
     for r, (mkt, policy) in enumerate(runs):
         yield _msr_sample(mkt, policy, grid, *coefs[r], x_t[:, r], d_wbar, wbar_T, scratch)
 
@@ -991,18 +977,17 @@ def _msr_steps(
     coefs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     d_wbar: np.ndarray,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Average banks Xbar of a stack of R runs, time-major (M+1, R, P) and
-    pooled, and the shocks ``d_wbar``, (P, M), summed over time.
+    pooled, on the shocks ``d_wbar``, (P, M).
 
     The Euler step x + (delta (ramp - x) + eta (c0 + c1 x - h_bar)) dt - dW
     is x_{k+1} = a_k x_k + u_k, with a_k = 1 + (eta c1_k - delta) dt and
     u_k = (delta ramp_k + eta (c0_k - h_bar)) dt - dW_k.  The transposed
-    shocks go into the first run's rows of the buffer, where they are
-    summed over time (`_time_sum`), and two bulk passes turn them into
-    every run's u_k; then each knot takes two in-place calls on (R, P)
-    rows.  Every operation is elementwise, so a run's banks have the same
-    bits in a stack as alone.
+    shocks go into the first run's rows of the buffer, and two bulk passes
+    turn them into every run's u_k; then each knot takes two in-place calls
+    on (R, P) rows.  Every operation is elementwise, so a run's banks have
+    the same bits in a stack as alone.
     """
     n_paths, m = d_wbar.shape
     c0, c1, ramp = (np.stack(rows) for rows in zip(*coefs))
@@ -1015,14 +1000,13 @@ def _msr_steps(
     x_t[0] = x_bar0
     dw_t = x_t[1:, 0]
     np.copyto(dw_t, d_wbar.T)
-    wbar_T = _time_sum(dw_t)
     np.subtract(b_t[:, 1:], dw_t[:, None], out=x_t[1:, 1:])
     np.subtract(b_t[:, 0], dw_t, out=dw_t)
     ax = np.empty(x_t.shape[1:])
     for a_k, x, x_next in zip(a_t, x_t, x_t[1:]):
         np.multiply(a_k, x, out=ax)
         x_next += ax
-    return x_t, wbar_T
+    return x_t
 
 
 def _time_sum(rows: np.ndarray) -> np.ndarray:
@@ -1035,23 +1019,6 @@ def _time_sum(rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] == 1:
         return np.cumsum(rows, axis=0)[-1]
     return rows.sum(axis=0)
-
-
-def _last_knot(d: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """``integrate_increments(d)[:, -1]`` bit for bit (a pairwise ``sum`` is not).
-
-    The running sums of ``d``, (P, M), go block by block of `_block_rows`
-    paths into a flat ``scratch`` that holds a block of (rows, M), or into
-    a pooled one.
-    """
-    n_paths, m = d.shape
-    rows = _block_rows(n_paths, m + 1)
-    if scratch is None:
-        scratch = pooled_empty((rows * m,))
-    last = np.empty(n_paths)
-    for paths, b in _row_blocks(n_paths, rows):
-        last[paths] = np.cumsum(d[paths], axis=-1, out=_block(scratch, b, m))[:, -1]
-    return last
 
 
 def _msr_sample(
@@ -1067,10 +1034,10 @@ def _msr_sample(
     scratch: np.ndarray,
 ) -> PolicyPathSample:
     """One MSR run's sample from its time-major average banks ``xbar``, (M+1, P),
-    the average shocks ``d_wbar``, (P, M), and their sums over time ``wbar_T``.
+    the average shocks ``d_wbar``, (P, M), and their totals ``wbar_T`` (`NoisePaths.row_total`).
 
     Costs are sums over time (`_time_sum`), taken in blocks of
-    `_block_rows` paths: each block's abatement on the left knots goes
+    `block_rows` paths: each block's abatement on the left knots goes
     into the flat ``scratch``, which holds one time-major (M, rows) block.
     The sample keeps ``xbar``; its trajectories, the price included, are
     transposed views built from it on first access.  A cost part or
@@ -1082,10 +1049,10 @@ def _msr_sample(
     agg = mkt.agg
     eta, h_bar, dt = agg.eta_bar, agg.h_bar, grid.dt
     m, n_paths = grid.n_steps, xbar.shape[1]
-    rows = _block_rows(n_paths, m + 1)
+    rows = block_rows(n_paths, m + 1)
     abated = np.empty(n_paths)
     alpha_sq = np.empty(n_paths)
-    for paths, b in _row_blocks(n_paths, rows):
+    for paths, b in row_blocks(n_paths, rows):
         # the products alpha_k dt = eta (P_k - h_bar) dt that left_integral
         # sums in total_emissions, from the price on the left knots
         alpha_dt = np.multiply(c1[:-1, None], xbar[:-1, paths], out=_block(scratch, m, b))
@@ -1281,7 +1248,7 @@ def _simulate_runs(
     Every other run, and an MSR run without a neighbour to stack with,
     goes through `simulate_policy_paths` on the whole chunk.  Each kernel
     takes its per-path costs over row blocks of CHUNK_KNOTS // (M+1) paths
-    (`_block_rows`) in one pooled scratch and builds no trajectory, so a
+    (`block_rows`) in one pooled scratch and builds no trajectory, so a
     run keeps at most one (P, M+1) array of its own: a price that moves
     (static, custom) or a stack's step buffer.  Each sample is released
     once its costs are kept, and every stack's generator is run to its end

@@ -26,9 +26,11 @@ shock, the sum of a policy's allocation loadings).  Given those loads,
 `generate_noise` draws a few paths of normals at a time into a small
 scratch and keeps only the rows; the block's drivers,
 ``NoisePaths.d_tilde``, are then drawn from the same streams on first
-access.  `map_path_slices` draws a large block of paths as contiguous path
-slices, one per CPU the process may run on; the shocks are per-path
-streams, so the numbers do not depend on the split.
+access; a row's sum over time, on which every policy's emissions end, is
+taken once per block (``NoisePaths.row_total``).  `map_path_slices` draws
+a large block of paths as contiguous path slices, one per CPU the process
+may run on; the shocks are per-path streams, so the numbers do not depend
+on the split.
 """
 
 from __future__ import annotations
@@ -116,6 +118,7 @@ class NoisePaths:
     (``d_tilde=``: `generate_noise` without loads, `coarsen_noise`) holds
     them from the start.  A firm's shock is a loading row times
     ``d_tilde``, and ``d_firm`` derives the per-firm increments on demand.
+    ``row_total(load)``, a row's sum over time, is cached as the rows are.
     """
 
     seed: int
@@ -144,6 +147,7 @@ class NoisePaths:
         init("ks", ks)
         init("n_paths", n_paths if d_tilde is None else d_tilde.shape[0])
         init("_rows", {})
+        init("_totals", {})
         if d_tilde is not None:
             self.__dict__["d_tilde"] = d_tilde  # the cached_property's value
         for load, row in rows:
@@ -178,20 +182,29 @@ class NoisePaths:
         """Integrated correlated firm shocks W_i, shape (n_paths, N, M+1)."""
         return integrate_increments(self.d_firm)
 
+    def _cached(self, cache: dict, load: Sequence[float], compute: Callable) -> np.ndarray:
+        """``compute(load)`` on first use, read-only; ``cache`` keys it by the load's bits."""
+        load = _load_vector(load, self.n_firms + 1)
+        key = load.tobytes()
+        value = cache.get(key)
+        if value is None:
+            value = compute(load)
+            value.setflags(write=False)
+            cache[key] = value
+        return value
+
     def row(self, load: Sequence[float]) -> np.ndarray:
         """``load @ d_tilde`` for a loading row on the N+1 drivers, (n_paths, M), read-only.
 
         A row drawn with the block is served as drawn; any other is
         computed from ``d_tilde`` once and shared by every later caller.
         """
-        load = _load_vector(load, self.n_firms + 1)
-        key = load.tobytes()
-        row = self._rows.get(key)
-        if row is None:
-            row = load @ self.d_tilde
-            row.setflags(write=False)
-            self._rows[key] = row
-        return row
+        return self._cached(self._rows, load, lambda load: load @ self.d_tilde)
+
+    def row_total(self, load: Sequence[float]) -> np.ndarray:
+        """``integrate_increments(row(load))[:, -1]`` bit for bit, (n_paths,), read-only,
+        computed once per load (`_running_total`) and shared as the row is."""
+        return self._cached(self._totals, load, lambda load: _running_total(self.row(load)))
 
     def weighted_mean_increments(self, sigmas: Sequence[float]) -> np.ndarray:
         """(1/N) sum_i sigma_i dW_i, shape (n_paths, M), read-only.
@@ -575,6 +588,32 @@ CHUNK_KNOTS = 1 << 16
 MIN_CHUNK_PATHS = 256
 
 
+def block_rows(n_paths: int, n_knots: int) -> int:
+    """Paths per row block of a per-path reduction: the default chunk's rule
+    CHUNK_KNOTS // n_knots without its MIN_CHUNK_PATHS floor (1 to ``n_paths``),
+    so a block's scratch stays near CHUNK_KNOTS doubles however large its chunk."""
+    return min(n_paths, max(1, CHUNK_KNOTS // n_knots))
+
+
+def row_blocks(n_rows: int, size: int) -> Iterator[tuple[slice, int]]:
+    """(rows, length) of consecutive blocks of at most ``size`` rows covering ``n_rows``."""
+    for start in range(0, n_rows, size):
+        stop = min(start + size, n_rows)
+        yield slice(start, stop), stop - start
+
+
+def _running_total(d: np.ndarray) -> np.ndarray:
+    """``integrate_increments(d)[:, -1]`` bit for bit (a pairwise ``sum`` is not): the
+    running sums of ``d``, (P, M), over `block_rows` paths at a time in an unpooled
+    scratch (a pool would keep a base this size that no larger request reuses)."""
+    n_paths, m = d.shape
+    scratch = np.empty((block_rows(n_paths, m + 1), m))
+    total = np.empty(n_paths)
+    for paths, b in row_blocks(n_paths, len(scratch)):
+        total[paths] = np.cumsum(d[paths], axis=-1, out=scratch[:b])[:, -1]
+    return total
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """A lazily generated ensemble of independent noise paths.
@@ -630,13 +669,7 @@ def coarsen_noise(noise: NoisePaths, factor: int) -> NoisePaths:
     coarse = TimeGrid(noise.grid.horizon, m // factor)
     shape_t = noise.d_tilde.shape
     d_tilde = noise.d_tilde.reshape(shape_t[0], shape_t[1], m // factor, factor).sum(axis=-1)
-    return NoisePaths(
-        seed=noise.seed,
-        path_offset=noise.path_offset,
-        grid=coarse,
-        ks=noise.ks,
-        d_tilde=d_tilde,
-    )
+    return NoisePaths(noise.seed, noise.path_offset, coarse, noise.ks, d_tilde)
 
 
 # ---------------------------------------------------------------------------

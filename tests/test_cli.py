@@ -890,11 +890,11 @@ def test_compare_frees_every_sample_and_stack_before_the_next_chunk(
         return real_draw(*args, **kwargs)
 
     def stepping(runs, coefs, d_wbar, dt):
-        x_t, wbar_T = real_steps(runs, coefs, d_wbar, dt)
+        x_t = real_steps(runs, coefs, d_wbar, dt)
         views.append(weakref.ref(x_t))
         stack_sizes.append(x_t.shape[1])
         pooled.append(any(x_t.base is base for base in pools[-1]._bases))
-        return x_t, wbar_T
+        return x_t
 
     def sampling(*args):
         gc.collect()

@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -713,6 +714,51 @@ def test_terminal_emissions_are_the_last_knot(market_name, kind):
             *((sample.parts[key], costs_only.parts[key]) for key in costs_only.parts),
         ]:
             assert got.tobytes() == want.tobytes(), (n_steps, n_paths)
+
+
+def test_the_four_standard_policies_take_one_total_per_distinct_row(base_market, monkeypatch):
+    """Every kernel reads its terminal shock sum from the block: the optimal,
+    static and MSR runs share the weighted-mean row's total and the tax reads
+    the shock-sum row's, so a block that runs all four sums two rows."""
+    summed = []
+    real = permitsim.stochastic._running_total
+
+    def counting(d):
+        summed.append(d)
+        return real(d)
+
+    monkeypatch.setattr(permitsim.stochastic, "_running_total", counting)
+    policies = [
+        build_policy(PolicySpec(kind=kind), base_market)
+        for kind in ("optimal_dynamic", "static", "msr", "tax")
+    ]
+    loads = [load for p in policies for load in permitsim.policies._noise_rows(base_market, p)]
+    noise = generate_noise(72, TimeGrid(base_market.horizon, 300), base_market.firms, 40, loads=loads)
+    for policy in policies:
+        simulate_policy_paths(policy, base_market, noise)
+    firms = base_market.firms
+    wbar = noise.weighted_mean_increments([fp.sigma for fp in firms])
+    shock_sum = noise.row(tracking_gamma(firms).sum(axis=0))
+    assert [id(d) for d in summed] == [id(wbar), id(shock_sum)]
+
+
+@pytest.mark.parametrize("kind", ["optimal_dynamic", "custom_martingale"])
+def test_a_tracking_policys_total_bank_starts_at_its_endowment(kind):
+    """The firms' trends are summed once per run: on 9 firms whose Python
+    and numpy trend sums differ, a policy that allocates the trends starts
+    its summed bank at sum_i m0_i to the bit."""
+    mus = np.random.default_rng(2).uniform(1e8, 4e8, 9)
+    assert float(mus.sum()) != sum(mus.tolist())
+    firms = tuple(replace(fp, mu=float(mu)) for fp, mu in zip(make_firms(9), mus))
+    mkt = make_market(firms)
+    opt = optimal_dynamic_policy(mkt)
+    policy = opt
+    if kind == "custom_martingale":
+        gamma = np.linspace(-1.0, 1.0, 90).reshape(9, 10) * 1e7
+        policy = custom_martingale_policy(mkt, opt.m0, gamma)
+    noise = generate_noise(73, TimeGrid(mkt.horizon, 50), firms, 4)
+    sample = simulate_policy_paths(policy, mkt, noise)
+    assert np.all(sample.total_bank[:, 0] == policy.m0.sum())
 
 
 @pytest.mark.parametrize("market_name", ["base", "mixed", "mixed_eta"])

@@ -18,6 +18,7 @@ from permitsim.stochastic import (
     array_pool,
     closing_martingale,
     coarsen_noise,
+    integrate_increments,
     left_integral,
     map_path_slices,
     martingale_drift_stat,
@@ -134,6 +135,29 @@ def test_drawn_rows_are_the_loads_times_the_drivers(monkeypatch, n_steps, scratc
     for load in loads:
         assert noise.row(load).tobytes() == (load @ whole.d_tilde).tobytes()
     assert "d_tilde" not in noise.__dict__
+
+
+@pytest.mark.parametrize(
+    "n_paths, n_steps, drawn",
+    [(1, 50, True), (40, 1, True), (289, 2000, True), (40, 300, False)],
+    ids=["one-path", "one-step", "289x2000", "from-d_tilde"],
+)
+def test_row_totals_are_the_last_knots_of_the_rows(n_paths, n_steps, drawn):
+    """`NoisePaths.row_total` is the last knot of the row's running sum, bit
+    for bit, on a block drawn with loads or built from its drivers, and a
+    second call serves the same read-only array.  At 2000 steps the sums go
+    over row blocks of 32 paths, and 289 = 9 * 32 + 1 paths end on a
+    one-path block."""
+    firms = make_firms()
+    grid = TimeGrid(horizon=10.0, n_steps=n_steps)
+    loads = _loads(firms)
+    noise = generate_noise(18, grid, firms, n_paths, path_offset=2, loads=loads if drawn else None)
+    for load in loads:
+        total = noise.row_total(load)
+        assert total.shape == (n_paths,) and not total.flags.writeable
+        assert total.tobytes() == integrate_increments(noise.row(load))[:, -1].tobytes()
+        assert noise.row_total(list(load)) is total
+    assert ("d_tilde" in noise.__dict__) is not drawn
 
 
 def test_a_row_that_was_not_drawn_is_served_with_the_same_bits():
