@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -331,25 +332,23 @@ def _knots_text(grid: TimeGrid) -> tuple[str, ...]:
     return tuple(_fmt(t) for t in grid.knots)
 
 
-def _trajectory_rows(sample, noise, volume_scale: float) -> str:
-    """Every path of a sample on the block ``noise`` as trajectory.v1 rows,
-    one text with a newline between rows and none after the last.
+def _trajectory_rows(sample, noise, volume_scale: float) -> Iterator[str]:
+    """Every path of a sample on the block ``noise`` as trajectory.v1 rows:
+    yields one text per path, in path order, with a newline after each row.
 
     Each path renders with one ``%`` operation on a template of all its
     rows: the path id, t and every column that is constant along the path
     are text in the template, and only the varying columns are formatted
     (``%.17g`` and ``format(x, ".17g")`` print floats identically).  A
     column is constant when all its values have the same bits, so that
-    0.0 and -0.0 stay apart.
+    0.0 and -0.0 stay apart.  The volume columns are scaled path by path,
+    so no scaled copy of a whole column is made.
     """
-    columns = [sample.price] + [
-        getattr(sample, name) * volume_scale for name in _TRAJECTORY_COLUMNS[3:]
-    ]
-    paths = []
+    columns = [sample.price] + [getattr(sample, name) for name in _TRAJECTORY_COLUMNS[3:]]
     for p, path in enumerate(zip(*columns)):
         cells = []
         varying = []
-        for column in path:
+        for column in (path[0], *(volumes * volume_scale for volumes in path[1:])):
             bits = column.view(np.int64)
             if (bits == bits[0]).all():
                 cells.append(_fmt(column[0]))
@@ -357,11 +356,10 @@ def _trajectory_rows(sample, noise, volume_scale: float) -> str:
                 cells.append("%.17g")
                 varying.append(column)
         head = f"{noise.path_offset + p},"
-        tail = "," + ",".join(cells)
-        template = head + (tail + "\n" + head).join(_knots_text(noise.grid)) + tail
+        tail = "," + ",".join(cells) + "\n"
+        template = head + (tail + head).join(_knots_text(noise.grid)) + tail
         values = tuple(np.stack(varying, axis=-1).ravel().tolist()) if varying else ()
-        paths.append(template % values)
-    return "\n".join(paths)
+        yield template % values
 
 
 def _report_to_json(report: CostReport) -> dict:
@@ -397,7 +395,8 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     path array, at least 256 paths), which build no trajectory.  The written
     paths are then drawn again as one block that keeps only the loading rows
     the runs read (`_noise_rows`), and each policy's rows come from
-    `simulate_policy_paths` on that block.  A path's numbers do not depend
+    `simulate_policy_paths` on that block and are written path by path
+    (`_trajectory_rows`).  A path's numbers do not depend
     on the block it is drawn in, so the rows are those of the same paths in
     any chunk.  Returns the summary dict.  A failed run removes the
     trajectory files it wrote and writes no summary.  An ``out_dir`` that
@@ -437,11 +436,11 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     volume_scale = 1e-9 if config.unit_scale == "Gt" else 1.0
     header = f"# {TRAJECTORY_SCHEMA}\n" + ",".join(_TRAJECTORY_COLUMNS) + "\n"
 
-    def files() -> Iterator[tuple[str, str]]:
+    def files() -> Iterator[tuple[str, Iterable[str]]]:
         for policy in policies:
             rows = _trajectory_rows(simulate_policy_paths(policy, mkt, noise), noise, volume_scale)
-            yield f"trajectory_{policy.kind.value}.csv", header + rows + "\n"
-        yield "summary.json", text + "\n"
+            yield f"trajectory_{policy.kind.value}.csv", itertools.chain([header], rows)
+        yield "summary.json", [text + "\n"]
 
     _write_outputs(out, files())
     return summary
@@ -462,20 +461,23 @@ def _require_out_dir(out_dir: str | Path) -> Path:
     return out
 
 
-def _write_outputs(out: Path, files: Iterable[tuple[str, str]]) -> None:
-    """Make the directory ``out`` and write each (name, text) of ``files`` into it.
+def _write_outputs(out: Path, files: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Make the directory ``out`` and write each (name, pieces) of ``files``
+    into it, the file's text being its pieces in order.
 
-    ``files`` may render each text as it is iterated.  A failure, in a
-    write or in rendering, removes every file written so far, as far as it
-    can; an `OSError` from making the directory or writing a file raises
-    `ConfigError`.
+    ``files`` and each file's pieces may be rendered as they are iterated,
+    so that no file's whole text is held at once.  A failure, in a write
+    or in rendering, removes every file written so far, a partly written
+    one included, as far as it can; an `OSError` from making the directory
+    or writing a file raises `ConfigError`.
     """
     written = []
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in files:
+        for name, pieces in files:
             written.append(out / name)
-            written[-1].write_text(text, newline="")
+            with written[-1].open("w", newline="") as file:
+                file.writelines(pieces)
     except BaseException as exc:
         for path in written:
             with contextlib.suppress(OSError):  # the error that stopped the writes is raised
@@ -540,7 +542,7 @@ def run_compare(
                 f"sweep row at eta {row['eta']:g} holds a non-finite {', '.join(bad)}"
             )
         lines.append(",".join(_fmt(row[c]) for c in _SWEEP_COLUMNS))
-    _write_outputs(out, [("sweep.csv", "\n".join(lines) + "\n")])
+    _write_outputs(out, [("sweep.csv", ["\n".join(lines) + "\n"])])
     return rows
 
 

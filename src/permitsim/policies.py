@@ -1207,6 +1207,19 @@ def _noise_rows(mkt: MarketParams, policy: Policy) -> list[np.ndarray]:
     return loads
 
 
+def _keeps_path_array(mkt: MarketParams, policy: Policy) -> bool:
+    """Whether a costs-only run keeps a (P, M+1) array of its own: an MSR
+    step buffer, or a martingale price that the allocation surprise moves
+    (the static policy, a custom one with a surprise loading)."""
+    if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)):
+        gamma = policy.gamma
+    elif isinstance(policy, StaticPolicy):
+        gamma = 0.0  # no allocation moves
+    else:
+        return isinstance(policy, MSRPolicy)  # the tax keeps nothing
+    return bool((gamma - tracking_gamma(mkt.firms)).mean(axis=0).any())
+
+
 def _stack_bounds(
     runs: list[tuple[MarketParams, Policy]], cap: int
 ) -> list[tuple[int, int]]:
@@ -1250,19 +1263,34 @@ def _simulate_runs(
     takes its per-path costs over row blocks of CHUNK_KNOTS // (M+1) paths
     (`block_rows`) in one pooled scratch and builds no trajectory, so a
     run keeps at most one (P, M+1) array of its own: a price that moves
-    (static, custom) or a stack's step buffer.  Each sample is released
-    once its costs are kept, and every stack's generator is run to its end
-    before the next noise draw.  Yields, per run and in run
-    order, the concatenated per-path cost, cost parts and terminal
-    emissions.  The chunk loop runs at the first item, and each
-    run's concatenation is built when it is requested, so a caller that
-    reports one run at a time holds one run's copies at once.
+    (static, custom) or a stack's step buffer (`_keeps_path_array`).  On
+    each chunk the runs that keep none (optimal, tax, a custom policy
+    without a surprise) go first, then the others, each group in run order,
+    and after each range the chunk drops every loading row that no later
+    range reads (`NoisePaths.drop`): a freed row's pooled memory then holds
+    the next price or step buffer.  Each sample is released once its costs
+    are kept, and every stack's generator is run to its end before the
+    next noise draw.  Yields, per run and in run order, the concatenated
+    per-path cost, cost parts and terminal emissions.  The chunk loop runs
+    at the first item, and each run's concatenation is built when it is
+    requested, so a caller that reports one run at a time holds one run's
+    copies at once.
     """
     for mkt, _ in runs:
         ensemble.require_firms(mkt.firms)
-    loads = [load for mkt, policy in runs for load in _noise_rows(mkt, policy)]
+    reads = [_noise_rows(mkt, policy) for mkt, policy in runs]
+    loads = [load for run_reads in reads for load in run_reads]
     m = ensemble.grid.n_steps
     bounds = _stack_bounds(runs, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
+    # a stable sort: the ranges that keep no path array first, each group in run order
+    order = sorted(bounds, key=lambda bound: _keeps_path_array(*runs[bound[0]]))
+    # the rows each range is the last to read, found from the last range back
+    last_read: list[list[np.ndarray]] = []
+    later: set[bytes] = set()
+    for start, stop in reversed(order):
+        read = {load.tobytes(): load for run_reads in reads[start:stop] for load in run_reads}
+        last_read.insert(0, [load for key, load in read.items() if key not in later])
+        later.update(read)
     costs: list[list[np.ndarray]] = [[] for _ in runs]
     parts: list[list[dict[str, np.ndarray]]] = [[] for _ in runs]
     emissions: list[list[np.ndarray]] = [[] for _ in runs]
@@ -1274,7 +1302,7 @@ def _simulate_runs(
 
     with array_pool():
         for noise in ensemble.chunks(loads):
-            for start, stop in bounds:
+            for (start, stop), done in zip(order, last_read):
                 mkt, policy = runs[start]
                 if stop - start > 1:
                     # neither enumerate nor zip: each caches its last item, which
@@ -1286,6 +1314,7 @@ def _simulate_runs(
                         del sample  # free its trajectories before the next one is built
                 else:
                     record(start, simulate_policy_paths(policy, mkt, noise))
+                noise.drop(done)
             del noise  # free its rows for the next draw
     for run_costs, run_parts, run_emissions in zip(costs, parts, emissions):
         yield (

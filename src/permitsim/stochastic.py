@@ -44,7 +44,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -118,7 +118,8 @@ class NoisePaths:
     (``d_tilde=``: `generate_noise` without loads, `coarsen_noise`) holds
     them from the start.  A firm's shock is a loading row times
     ``d_tilde``, and ``d_firm`` derives the per-firm increments on demand.
-    ``row_total(load)``, a row's sum over time, is cached as the rows are.
+    ``row_total(load)``, a row's sum over time, is cached as the rows are,
+    and ``drop(loads)`` forgets both once no caller will read them.
     """
 
     seed: int
@@ -206,6 +207,15 @@ class NoisePaths:
         computed once per load (`_running_total`) and shared as the row is."""
         return self._cached(self._totals, load, lambda load: _running_total(self.row(load)))
 
+    def drop(self, loads: Iterable[Sequence[float]]) -> None:
+        """Forget the rows of ``loads`` and their totals, so that their memory
+        is freed once no caller holds them; a later `row` of one of them is
+        computed from ``d_tilde`` again."""
+        for load in loads:
+            key = _load_vector(load, self.n_firms + 1).tobytes()
+            self._rows.pop(key, None)
+            self._totals.pop(key, None)
+
     def weighted_mean_increments(self, sigmas: Sequence[float]) -> np.ndarray:
         """(1/N) sum_i sigma_i dW_i, shape (n_paths, M), read-only.
 
@@ -213,6 +223,10 @@ class NoisePaths:
         with the same sigmas (e.g. each eta of a sweep) shares it.
         """
         return self.row(weighted_mean_load(self.ks, sigmas))
+
+
+#: Doubles in 64 KiB: every base of an `array_pool` is a whole number of them.
+_POOL_GRAIN = 8192
 
 
 class _ArrayPool:
@@ -225,7 +239,10 @@ class _ArrayPool:
     holds the last reference to it, so an array that is still read, e.g.
     by a sample kept past its chunk, is never written over.  A request
     takes the smallest free base that holds it, so a chunk smaller than
-    the one before reuses its arrays.
+    the one before reuses its arrays.  A new base is rounded up to whole
+    64 KiB, so that requests of nearly one size share a base whichever
+    comes first: at 256 x 2000 the noise draw's scratch (126000 doubles)
+    and the kernels' row-block scratch (128064) are one base.
     """
 
     def __init__(self) -> None:
@@ -240,7 +257,7 @@ class _ArrayPool:
                 if best is None or base.size < best.size:
                     best = base
         if best is None:
-            best = np.empty(size)
+            best = np.empty(-(-size // _POOL_GRAIN) * _POOL_GRAIN)
             self._bases.append(best)
             # the list's, this name's and the call's own references: the
             # count the loop above sees for a base no view refers to
@@ -519,18 +536,24 @@ def _draw_rows(
     load times a stack of (N+1, M) blocks is the product ``row`` computes on
     the whole block, path by path, so the bits are the same; a (K, N+1)
     matrix of loads would be a matrix product, which may round differently.
+    Slice 0 runs on the calling thread and takes its scratch from the active
+    `array_pool`; the other slices run on pool threads, which may not use
+    it, and take theirs from ``np.empty``.
     """
     fill = _path_filler(seed, grid, n_paths, path_offset)
     m = grid.n_steps
-    # one allocation for every row: with a separate (P, M) array per row,
-    # glibc returned the kernels' freed temporaries to the system after each
-    # chunk and faulted them back in (10^4 x 2000: 580k against 430k minor
-    # faults, 6.6 s against 5.5 s); in an `array_pool` it is reused
-    rows = list(pooled_empty((len(loads), n_paths, m)))
+    # each row is pooled on its own, on a base that holds a (P, M+1) path
+    # array: a chunk frees a row once its last run is done
+    # (`NoisePaths.drop`), and the row's memory then holds the chunk's next
+    # price or MSR step buffer instead of the pool making a base for it
+    rows = [
+        pooled_empty((n_paths * (m + 1),))[: n_paths * m].reshape(n_paths, m) for _ in loads
+    ]
     per_pass = max(1, ROW_SCRATCH_DOUBLES // (n_drivers * m))
 
     def draw(start: int, stop: int) -> None:
-        scratch = np.empty((min(per_pass, stop - start), n_drivers, m))
+        empty = pooled_empty if start == 0 else np.empty
+        scratch = empty((min(per_pass, stop - start), n_drivers, m))
         for first in range(start, stop, per_pass):
             block = scratch[: min(per_pass, stop - first)]
             fill(block, first)

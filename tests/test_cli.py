@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 from functools import partial
@@ -23,6 +24,7 @@ from permitsim import (
     PolicySpec,
     TimeGrid,
     build_policy,
+    generate_noise,
 )
 from permitsim.cli import (
     PRESETS,
@@ -30,6 +32,7 @@ from permitsim.cli import (
     _fmt,
     _report_to_json,
     _trajectory_rows,
+    _write_outputs,
     build_scenario,
     load_config,
     main,
@@ -372,6 +375,9 @@ def test_nan_mu_exits_2_and_writes_no_summary(tmp_path, capsys, policy):
 
 
 def test_failed_simulate_leaves_no_trajectory_files(tmp_path, capsys, monkeypatch):
+    """A run that fails in a cost chunk writes nothing; one whose written
+    rows fail on a later path of a table, after the earlier paths of that
+    file are on disk, removes that file and every one before it."""
     real = permitsim.policies.simulate_policy_paths
     calls = []
 
@@ -389,6 +395,38 @@ def test_failed_simulate_leaves_no_trajectory_files(tmp_path, capsys, monkeypatc
     assert len(calls) == 2
     assert list(out.glob("trajectory_*.csv")) == []
     assert not (out / "summary.json").exists()
+    monkeypatch.undo()
+
+    table = tmp_path / "half" / "trajectory_static.csv"
+    on_disk = []
+
+    class FailingRows(np.ndarray):
+        """A trajectory whose third path fails when the writer reaches it."""
+
+        def __iter__(self):
+            for p, row in enumerate(self.view(np.ndarray)):
+                if p == 2:
+                    on_disk.append(table.stat().st_size)
+                    raise DomainError("synthetic overflow on path 2")
+                yield row
+
+    written = permitsim.cli.simulate_policy_paths
+
+    def failing_builder(policy, mkt, noise):
+        sample = written(policy, mkt, noise)
+        if policy.kind is PolicyKind.STATIC:
+            build = sample.build["total_emissions"]
+            sample.build["total_emissions"] = lambda: build().view(FailingRows)
+        return sample
+
+    monkeypatch.setattr(permitsim.cli, "simulate_policy_paths", failing_builder)
+    cfg = write_config(tmp_path, simulation=small_sim_block(n_steps=300))
+    argv = ["simulate", "--config", cfg, "--policy", "all", "--out", str(table.parent)]
+    assert main(argv) == 3
+    assert "synthetic overflow on path 2" in capsys.readouterr().err
+    # the header and at least path 0's 301 rows were on disk when path 2 failed
+    assert on_disk[0] > 301 * 20
+    assert list(table.parent.iterdir()) == []
 
 
 @pytest.mark.parametrize("horizon", [1e308, 1e-300])
@@ -469,9 +507,13 @@ def test_trajectory_rows_render_like_fmt():
                                  "net_allocation_minus_initial")
                 ]
                 want.append(",".join([str(3 + p), _fmt(t)] + [_fmt(v) for v in values]))
-        assert _trajectory_rows(sample, noise, volume_scale) == "\n".join(want)
+        pieces = list(_trajectory_rows(sample, noise, volume_scale))
+        assert len(pieces) == 2  # one per path
+        assert "".join(pieces) == "".join(row + "\n" for row in want)
         first = SimpleNamespace(**{name: column[:1] for name, column in columns.items()})
-        assert _trajectory_rows(first, noise, volume_scale) == "\n".join(want[: grid.n_steps + 1])
+        assert "".join(_trajectory_rows(first, noise, volume_scale)) == "".join(
+            row + "\n" for row in want[: grid.n_steps + 1]
+        )
 
 
 def test_trajectory_rows_write_constant_columns_as_text():
@@ -496,8 +538,38 @@ def test_trajectory_rows_write_constant_columns_as_text():
         for p in range(2)
         for k, t in enumerate(grid.knots)
     ]
-    assert _trajectory_rows(sample, noise, 1.0) == "\n".join(want)
+    assert "".join(_trajectory_rows(sample, noise, 1.0)) == "".join(row + "\n" for row in want)
     assert want[1] == "0,1,0.33333333333333331,-0,2,0,2500000000"
+
+
+def test_writing_the_tables_never_holds_a_whole_table_text(tmp_path):
+    """The four 8 x 2001 tables of `simulate --policy all` are written path
+    by path: the traced peak of `_write_outputs`, with every trajectory
+    built beforehand, stays below the size of the smallest table."""
+    config = build_scenario({"preset": "paper-2020-base"})
+    mkt = config.market
+    grid = TimeGrid(mkt.horizon, 2000)
+    kinds = [PolicyKind.OPTIMAL_DYNAMIC, PolicyKind.STATIC, PolicyKind.MSR, PolicyKind.TAX]
+    policies = [build_policy(PolicySpec(kind=k), mkt) for k in kinds]
+    noise = generate_noise(9, grid, mkt.firms, TRAJECTORY_PATH_CAP)
+    samples = [permitsim.cli.simulate_policy_paths(p, mkt, noise) for p in policies]
+    for sample in samples:
+        for name in ("price", *permitsim.cli._TRAJECTORY_COLUMNS[3:]):
+            getattr(sample, name)
+    permitsim.cli._knots_text(grid)
+    files = (
+        (f"trajectory_{kind.value}.csv", _trajectory_rows(sample, noise, 1.0))
+        for kind, sample in zip(kinds, samples)
+    )
+    tracemalloc.start()
+    try:
+        _write_outputs(tmp_path, files)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = [path.stat().st_size for path in tmp_path.iterdir()]
+    assert len(sizes) == 4
+    assert peak < min(sizes), (peak, sizes)
 
 
 _LAZY_COLUMNS = (
@@ -618,7 +690,8 @@ def test_simulate_draws_the_written_block_with_only_its_loading_rows(tmp_path, m
             for name in ("price", *permitsim.cli._TRAJECTORY_COLUMNS[3:])
         })
         rows = (tmp_path / "out" / f"trajectory_{policy.kind.value}.csv").read_text().splitlines()
-        assert "\n".join(rows[2:]) == _trajectory_rows(first, chunk, 1.0), policy.kind
+        text = "".join(_trajectory_rows(first, chunk, 1.0))
+        assert "".join(row + "\n" for row in rows[2:]) == text, policy.kind
 
 
 @pytest.mark.parametrize("seed", [7, 2020])

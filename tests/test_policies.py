@@ -51,7 +51,7 @@ from permitsim.policies import (
     cost_report_from_samples,
     run_ensemble,
 )
-from permitsim.stochastic import NoisePaths, array_pool, left_integral
+from permitsim.stochastic import NoisePaths, array_pool, left_integral, weighted_mean_load
 
 import oracles
 from conftest import N_FIRMS, make_firms, make_market
@@ -1104,7 +1104,10 @@ def test_run_ensemble_never_derives_the_firm_shocks(base_market, monkeypatch):
 def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     """Each chunk keeps only the loading rows its runs read: no standard
     policy, nor a custom one with non-tracking loadings, makes a chunk draw
-    its (n_paths, N+1, M) drivers d_tilde."""
+    its (n_paths, N+1, M) drivers d_tilde, although each chunk drops every
+    row after its last reader (a dropped row read again would draw them).
+    The runs that keep no path array (optimal, tax) go first, then the
+    others (static, MSR and the custom policy, whose price moves)."""
     custom = custom_martingale_policy(
         base_market,
         np.zeros(N_FIRMS),
@@ -1121,8 +1124,64 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
         lambda noise, sample: drawn.append((sample.kind, "d_tilde" in noise.__dict__)),
     )
     run_ensemble(base_market, [*_four_policies(base_market), custom], ensemble)
-    kinds = [PolicyKind(k) for k in ("optimal_dynamic", "static", "tax", "msr", "custom_martingale")]
+    kinds = [PolicyKind(k) for k in ("optimal_dynamic", "tax", "static", "msr", "custom_martingale")]
     assert drawn == [(kind, False) for kind in kinds] * 3
+
+
+def test_each_chunk_drops_a_row_after_its_last_reader(base_market, monkeypatch):
+    """The four standard policies read two rows: the weighted-mean shock
+    (optimal, static, MSR) and the shock sum (optimal, tax).  The shock sum
+    is dropped once the optimal and tax runs are done, before the static
+    price and the MSR step buffer are made, and every row once the chunk's
+    last run is done."""
+    wbar = weighted_mean_load(
+        [fp.k for fp in base_market.firms], [fp.sigma for fp in base_market.firms]
+    ).tobytes()
+    shock_sum = tracking_gamma(base_market.firms).sum(axis=0).tobytes()
+    ensemble = PathEnsemble(
+        seed=5, grid=TimeGrid(10.0, 20), firms=base_market.firms, n_paths=6, chunk_size=4
+    )
+    held = []
+    noises = []
+    _spy_samples(
+        monkeypatch, lambda noise, sample: held.append((sample.kind.value, set(noise._rows)))
+    )
+    real_drop = NoisePaths.drop
+
+    def dropping(noise, loads):
+        real_drop(noise, loads)
+        noises.append(noise)
+
+    monkeypatch.setattr(NoisePaths, "drop", dropping)
+    run_ensemble(base_market, _four_policies(base_market), ensemble)
+    assert held == [
+        ("optimal_dynamic", {wbar, shock_sum}),
+        ("tax", {wbar, shock_sum}),
+        ("static", {wbar}),
+        ("msr", {wbar}),
+    ] * 2
+    assert all(not noise._rows and not noise._totals for noise in noises)
+
+
+def test_a_standard_chunk_never_holds_both_rows_beside_a_path_array(base_market, monkeypatch):
+    """`run_ensemble` over the four standard policies, on two 256 x 2000
+    chunks drawn on one CPU, peaks below two (P, M) loading rows plus one
+    (P, M+1) path array: the shock-sum row is freed before the static price
+    is made, and its pooled memory holds that price."""
+    monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: 1)
+    grid = TimeGrid(base_market.horizon, 2000)
+    ensemble = PathEnsemble(seed=71, grid=grid, firms=base_market.firms, n_paths=512)
+    assert ensemble.chunk_size == 256
+    row_bytes = 256 * 2000 * 8
+    path_bytes = 256 * 2001 * 8
+    tracemalloc.start()
+    try:
+        result = run_ensemble(base_market, _four_policies(base_market), ensemble)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_paths == 512
+    assert peak < 2 * row_bytes + path_bytes, peak / path_bytes
 
 
 def _ci_custom_policy(mkt):
@@ -1346,7 +1405,8 @@ def test_mixed_runs_report_in_run_order_with_their_own_costs(monkeypatch):
     kinds = []
     _spy_samples(monkeypatch, lambda noise, sample: kinds.append(sample.kind.value))
     results = list(permitsim.policies._simulate_runs(runs, ensemble))
-    assert kinds == ["msr", "msr", "tax", "msr"] * 3
+    # the tax keeps no path array and goes first; results stay in run order
+    assert kinds == ["tax", "msr", "msr", "msr"] * 3
     for (mkt, policy), (cost, parts, emissions) in zip(runs, results):
         [alone] = permitsim.policies._simulate_runs([(mkt, policy)], ensemble)
         assert np.array_equal(cost, alone[0])

@@ -267,7 +267,7 @@ def test_path_ensemble_sizes_its_chunks_by_knots(n_steps, chunk_size):
 def test_array_pool_hands_an_array_out_again_only_once_nothing_refers_to_it():
     """Outside a pool every array is new.  Inside one, an array's memory is
     handed out again only once no view of it is alive, and to a request no
-    larger than it."""
+    larger than its base, which is rounded up to whole 64 KiB (8192 doubles)."""
     assert pooled_empty((4, 5)).flags.owndata
     with array_pool():
         a = pooled_empty((4, 5))
@@ -280,10 +280,71 @@ def test_array_pool_hands_an_array_out_again_only_once_nothing_refers_to_it():
         assert where_b != where_a  # a's memory is still read through ``kept``
         del b
         assert pooled_empty((4, 5)).ctypes.data == where_b
-        assert pooled_empty((5, 5)).ctypes.data not in (where_a, where_b)
+        assert pooled_empty((5, 5)).ctypes.data == where_b
+        assert pooled_empty((2, 4096)).ctypes.data == where_b
+        assert pooled_empty((8193,)).ctypes.data not in (where_a, where_b)
         del kept
         c = pooled_empty((3, 5))
         assert c.shape == (3, 5) and c.ctypes.data == where_a
+
+
+def test_a_freed_row_holds_the_next_path_array_of_its_chunk():
+    """A freed (P, M) array's base takes the next (P, M+1) request: at 256 x
+    2000 steps the 64 KiB rounding leaves room for it, and a noise row sits
+    on a base sized for a path array, which holds it on any grid, also at
+    2048 steps, where 256 x 2048 doubles are whole 64 KiB."""
+    with array_pool():
+        row = pooled_empty((256, 2000))
+        where = row.ctypes.data
+        del row
+        assert pooled_empty((256, 2001)).ctypes.data == where
+    load = np.ones(3)
+    grid = TimeGrid(horizon=10.0, n_steps=2048)
+    with array_pool():
+        noise = generate_noise(3, grid, make_firms(2), 256, loads=[load])
+        where = noise.row(load).ctypes.data
+        del noise
+        assert pooled_empty((256, 2049)).ctypes.data == where
+
+
+def test_only_the_calling_thread_takes_draw_scratch_from_the_pool(monkeypatch):
+    """A split row draw runs slice 0 on the calling thread, whose scratch is
+    a view of a pool base; the slices on pool threads may not use the pool
+    and never call it.  The rows have the bits of an unsplit draw."""
+    firms = make_firms(3)
+    grid = TimeGrid(horizon=10.0, n_steps=20)
+    load = np.arange(4.0)
+    want = generate_noise(31, grid, firms, n_paths=11, loads=[load]).row(load)
+    force_split(monkeypatch)
+    caller = threading.get_ident()
+    takers = []
+    blocks = []
+    pool_empty = permitsim.stochastic._ArrayPool.empty
+    path_filler = permitsim.stochastic._path_filler
+
+    def empty(pool, shape):
+        takers.append(threading.get_ident())
+        return pool_empty(pool, shape)
+
+    def filler(*args):
+        fill = path_filler(*args)
+
+        def spying(block, first):
+            blocks.append((threading.get_ident(), block))
+            fill(block, first)
+
+        return spying
+
+    monkeypatch.setattr(permitsim.stochastic._ArrayPool, "empty", empty)
+    monkeypatch.setattr(permitsim.stochastic, "_path_filler", filler)
+    with array_pool():
+        noise = generate_noise(31, grid, firms, n_paths=11, loads=[load])
+        bases = permitsim.stochastic._array_pool.get()._bases
+    assert set(takers) == {caller}
+    assert len({ident for ident, _ in blocks}) > 1  # the draw split
+    for ident, block in blocks:
+        assert any(block.base is base for base in bases) == (ident == caller)
+    assert noise.row(load).tobytes() == want.tobytes()
 
 
 def test_left_integral_in_a_pool_matches_outside():
