@@ -495,9 +495,9 @@ def run_compare(
     Closed forms for optimal/static/tax; Monte Carlo (with stderr) for the
     MSR.  The shocks do not depend on eta, so one path ensemble serves the
     whole sweep: each chunk's noise is drawn once and the etas' MSR runs
-    step on it together, in stacks whose step buffer holds no more doubles
-    than the chunk's (P, N+1, M) standard normals, and the rows share
-    shocks path by path.  Writes ``sweep.csv``;
+    step on it together, in stacks of at most (N+1) M // (M+1) runs
+    through a rolling block of knots, and the rows share shocks path by
+    path.  Writes ``sweep.csv``;
     returns the rows as dicts in eta order.  A non-finite row value raises
     `DomainError` and writes no file; ``out_dir`` is checked and written as
     in `run_simulate`.

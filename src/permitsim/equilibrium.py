@@ -188,6 +188,7 @@ def frictionless_price(
     m0_bar: float | np.ndarray,
     d_driver: np.ndarray,
     sign: float = 1.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Frictionless clearing price from the average allocation surprise.
 
@@ -197,10 +198,10 @@ def frictionless_price(
     average initial expected allocation (scalar or per path, (n_paths, 1)).
     ``sign`` = -1 takes -dZbar as it is, e.g. the static lump sum's mean
     shock dWbar, with the bits of its negation: -f (-dW) = f dW exactly.
-    The increments are written into the returned (n_paths, M+1) price and
-    summed there in place.
+    The increments are written into the returned (n_paths, M+1) price,
+    ``out`` when it is given, and summed there in place.
     """
-    price = pooled_empty(d_driver.shape[:-1] + (d_driver.shape[-1] + 1,))
+    price = pooled_empty(d_driver.shape[:-1] + (d_driver.shape[-1] + 1,)) if out is None else out
     np.multiply(-sign * f_coeff(mkt, grid.knots[:-1]), d_driver, out=price[..., 1:])
     integrate_increments(price[..., 1:], out=price)
     price += frictionless_initial_price(mkt, grid, m0_bar)

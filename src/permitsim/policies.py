@@ -35,7 +35,7 @@ import enum
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 
 import numpy as np
 
@@ -65,11 +65,11 @@ from .equilibrium import (  # noqa: F401
 )
 from .firm import AllocationView
 from .stochastic import (
+    CHUNK_KNOTS,
     NoisePaths,
     PathEnsemble,
     TimeGrid,
     array_pool,
-    block_rows,
     integrate_increments,
     left_integral,
     pooled_empty,
@@ -678,11 +678,9 @@ def _simulate_martingale(
     c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam) from the terminal condition
     X_i(T) = -P_T / (2 lam).  The clearing check runs on the firm sum
     sum_i B_i, built from sum_i c_i(t) = (N + 2 lam sum_i eta_i (T - t)) / (2 lam)
-    and N dZbar, a (P, M+1) path.  The price is one (P, M+1) array and this
-    path one row block at a time; each takes its increments written into it
-    and summed in place (`integrate_increments` with ``out``).  For the static lump sum
-    dZbar = -dWbar is never built: the price takes dWbar with sign -1, and
-    (-N) dWbar = N (-dWbar) holds to the bit.
+    and N dZbar.  For the static lump sum dZbar = -dWbar is never built:
+    the price takes dWbar with sign -1, and (-N) dWbar = N (-dWbar) holds
+    to the bit.
 
     The terminal banks need no per-firm path either.  In
     X_i(T) = M_i(T) + sum_k alpha_i(t_k) dt + B_i(T) - sigma_i W_i(T) the
@@ -703,16 +701,17 @@ def _simulate_martingale(
     that the sample's read-only views repeat on every path.  A cost or
     terminal emission that is not finite raises `DomainError` (`_sample`).
 
-    Every per-path reduction runs over row blocks of `block_rows` paths in
-    one pooled scratch of two (rows, M+1) arrays: the summed expected
-    allocation and the summed trade, whose max |x| the clearing check reads
-    (a NaN in any block fails it) and whose last knot the trading cost
-    reads, then the abatement gap sums and the abated total's last knot.
-    The shock total is taken before the kernel allocates.  Per-row sums and
-    running sums do not depend on the block, so neither do the costs.  A
-    costs-only call keeps only the price (none under the optimal policy);
-    the price and every other trajectory are built by the sample's
-    builders on first access.
+    A moving price is built one row block at a time (`frictionless_price`),
+    and each block's summed trade and cost sums are taken from it, in one
+    pooled scratch of three (rows, M+1) arrays; the clearing check reads the blocks' largest max |x| (a NaN in any block
+    fails it).  The summed expected allocation is read only when the price
+    moves; when it does not, the summed trade is trade0 on every path and
+    the clearing scale takes the allocation's t = 0 term |sum_i m0_i|.
+    Per-row sums and running sums do not depend on the block, so neither do
+    the costs.  So a costs-only call keeps no (P, M+1) array and reads no
+    row but the price driver and a moving allocation's loading sum; the
+    whole price, built once, and every other trajectory are built by the
+    sample's builders on first access.
     """
     if not mkt.is_frictionless:
         raise UnsupportedInputError("finite depth: use equilibrium_frictions")
@@ -726,23 +725,25 @@ def _simulate_martingale(
     etas = np.array([fp.eta for fp in mkt.firms])
     hs = np.array([fp.h for fp in mkt.firms])
     shocks = tracking_gamma(mkt.firms)  # sigma_i dW_i = (shocks dWtilde)_i
-    # sum_i sigma_i dW_i = N dWbar: the mean shock and its sum over time, cached by the block
+    # sum_i sigma_i dW_i = N dWbar: its sum over time, cached by the block
     wbar_load = weighted_mean_load(noise.ks, [fp.sigma for fp in mkt.firms])
-    wbar_T, d_wbar = noise.row_total(wbar_load), noise.row(wbar_load)
+    wbar_T = noise.row_total(wbar_load)
     mu_total = float(sum(fp.mu for fp in mkt.firms))
     alloc_flow = mu_total if tracks_trends else 0.0
-    rows = block_rows(n_paths, m + 1)
-    scratch = pooled_empty((2, rows * (m + 1)))
+    # three (rows, M+1) blocks in two default chunk knots' doubles, the
+    # base the noise draw's scratch and the MSR's rolling block take
+    rows = min(n_paths, max(1, 2 * CHUNK_KNOTS // (3 * (m + 1))))
+    scratch = pooled_empty((3, rows * (m + 1)))
 
     # sum_i M_i(t) = sum_i m0_i + (sum_i gamma_i) Wtilde(t); a zero loading
     # (the static lump sum) moves nothing
     m0_sum = float(m0.sum())
-    alloc_row = noise.row(gamma.sum(axis=0)) if gamma.any() else None
+    alloc_load = gamma.sum(axis=0) if gamma.any() else None
 
     def expected_sum(paths: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        if alloc_row is None:
+        if alloc_load is None:
             return np.full((n_paths, 1), m0_sum)
-        total = integrate_increments(alloc_row[paths], out=out)
+        total = integrate_increments(noise.row(alloc_load)[paths], out=out)
         total += m0_sum
         return total
 
@@ -751,46 +752,51 @@ def _simulate_martingale(
     p0 = frictionless_initial_price(mkt, grid, m0_bar)
     coef_sum = (n + 2.0 * lam * eta_total * (horizon - t)) / (2.0 * lam)
     trade0 = float(etas @ hs) * horizon - coef_sum[0] * p0 - m0_sum
+    # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
+    # h_eff; sums of the small excess keep the cancellation out of the costs
+    h_eff = float(etas @ hs) / eta_total
     # the firm-mean allocation surprise dZbar = mean_i (dM_i - sigma_i dW_i)
     loading = (gamma - shocks).mean(axis=0)
     surprise = loading.any()
+    # no surprise: dP = 0 and the summed trade stays at its start, on every
+    # path alike, so each sum is taken once, on one row
+    n_rows = n_paths if surprise else 1
     if surprise:
-        # dZbar = sign * row; the static lump sum's is -dWbar (dM_i = 0)
-        sign, row = (1.0, noise.row(loading)) if gamma.any() else (-1.0, d_wbar)
-        price = frictionless_price(mkt, grid, m0_bar, row, sign)
-        trade_T = np.empty(n_paths)
-    else:
-        # no surprise: dP = 0 and the summed trade stays at its start, on
-        # every path alike
-        price = np.full((1, m + 1), p0)
-        trade_T = np.full(1, trade0)
-    alloc_max = [] if alloc_row is not None else [abs_max(expected_sum())]
-    trade_max = [] if surprise else [abs_max(trade_T)]
-    for paths, b in row_blocks(n_paths, rows):
-        block = _block(scratch[0], b, m + 1)
-        if alloc_row is not None:
-            alloc_max.append(abs_max(expected_sum(paths, block)))
+        # dZbar = sign * driver; the static lump sum's is -dWbar (dM_i = 0)
+        sign, driver = (1.0, noise.row(loading)) if gamma.any() else (-1.0, noise.row(wbar_load))
+
+    def price_rows(paths: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
         if surprise:
+            return frictionless_price(mkt, grid, m0_bar, driver[paths], sign, out)
+        return np.full((1, m + 1), p0)
+
+    trade_T = np.full(n_rows, trade0)
+    price_sum, gap_sum, abated_T = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
+    p_T = np.empty((n_rows, 1))
+    reads_alloc = surprise and alloc_load is not None
+    alloc_max = [] if reads_alloc else [abs(m0_sum)]
+    trade_max = [] if surprise else [abs(trade0)]
+    price_max = []
+    for paths, b in row_blocks(n_rows, rows):
+        price = price_rows(paths, _block(scratch[2], b, m + 1))
+        price_max.append(abs_max(price))
+        if surprise:
+            block = _block(scratch[0], b, m + 1)
+            if reads_alloc:
+                alloc_max.append(abs_max(expected_sum(paths, block)))
             # sum_i dB_i = -(sum_i c_i(t) dP + N dZbar), written into the
             # block's summed trade and integrated in place
             d_trade = block[:, 1:]
-            np.subtract(price[paths, 1:], price[paths, :-1], out=d_trade)
+            np.subtract(price[:, 1:], price[:, :-1], out=d_trade)
             d_trade *= coef_sum[:-1]
-            d_trade += np.multiply(row[paths], sign * n, out=_block(scratch[1], b, m))
+            d_trade += np.multiply(driver[paths], sign * n, out=_block(scratch[1], b, m))
             integrate_increments(d_trade, out=block)
             np.subtract(trade0, block, out=block)
             trade_max.append(abs_max(block))
             trade_T[paths] = block[:, -1]
-    # the largest block maxima, NaN if any is (np.max propagates it)
-    require_frictionless_clearing(mkt, grid, price, np.array(trade_max), float(np.max(alloc_max)))
-
-    # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
-    # h_eff; sums of the small excess keep the cancellation out of the costs
-    h_eff = float(etas @ hs) / eta_total
-    gap_sum = np.empty(len(price))
-    abated_T = np.empty(len(price))
-    for paths, b in row_blocks(len(price), rows):
-        excess = np.subtract(price[paths], h_eff, out=_block(scratch[0], b, m + 1))
+        price_sum[paths] = price[:, :-1].sum(axis=-1)
+        p_T[paths, 0] = price[:, -1]
+        excess = np.subtract(price, h_eff, out=_block(scratch[0], b, m + 1))
         excess_left = excess[:, :-1]
         # (excess + 2 h_eff) excess on the left knots
         gap_sq = np.add(excess_left, 2.0 * h_eff, out=_block(scratch[1], b, m))
@@ -801,12 +807,16 @@ def _simulate_martingale(
         excess *= eta_total
         np.multiply(excess[:, :-1], dt, out=gap_sq)
         abated_T[paths] = np.cumsum(gap_sq, axis=-1, out=gap_sq)[:, -1]
+    # the largest block maxima, NaN if any is (np.max propagates it)
+    require_frictionless_clearing(
+        mkt, grid, np.array(price_max), np.array(trade_max), float(np.max(alloc_max))
+    )
+
     abatement = (
         0.5 * eta_total * gap_sum * dt
         - 0.5 * float(etas @ (hs - h_eff) ** 2) * horizon
     )
-    trading = price[:, :-1].sum(axis=-1) * dt * trade_T / horizon
-    p_T = price[:, -1:]
+    trading = price_sum * dt * trade_T / horizon
     bank_T = -p_T / (2.0 * lam) - etas * dt * (p_T - p0)
     penalty = lam * (bank_T**2).sum(axis=1)
     parts = {
@@ -817,10 +827,15 @@ def _simulate_martingale(
     }
     terminal_emissions = mu_total * t[-1] - abated_T + n * wbar_T
 
+    whole_price = cache(price_rows)
+
     def abate_total() -> np.ndarray:
-        total = np.subtract(price, h_eff)  # eta_total (P - h_eff)
+        total = np.subtract(whole_price(), h_eff)  # eta_total (P - h_eff)
         total *= eta_total
         return total
+
+    def shock_sum() -> np.ndarray:
+        return n * integrate_increments(noise.row(wbar_load))
 
     def net_allocation() -> np.ndarray:
         total = expected_sum()
@@ -831,18 +846,16 @@ def _simulate_martingale(
         lambda: f"{kind.value} run ({grid.n_steps} steps)",
         parts,
         terminal_emissions,
-        price=lambda: np.broadcast_to(price, shape),
+        price=lambda: np.broadcast_to(whole_price(), shape),
         total_bank=lambda: (
             expected_sum()
             + (mu_total - alloc_flow) * (horizon - t)
             + left_integral(abate_total(), grid)
             + (trade_T / horizon)[:, None] * t
-            - n * integrate_increments(d_wbar)
+            - shock_sum()
         ),
         avg_abatement=lambda: np.broadcast_to(abate_total() / n, shape),
-        total_emissions=lambda: (
-            mu_total * t - left_integral(abate_total(), grid) + n * integrate_increments(d_wbar)
-        ),
+        total_emissions=lambda: mu_total * t - left_integral(abate_total(), grid) + shock_sum(),
         net_allocation_minus_initial=net_allocation,
     )
 
@@ -886,7 +899,6 @@ def simulate_policy_paths(
     alpha = float(policy.alpha.sum())
     shock_load = tracking_gamma(mkt.firms).sum(axis=0)  # sum_i sigma_i dW_i
     terminal_emissions = (mu_total - alpha) * t[-1] + noise.row_total(shock_load)
-    d_shocks = noise.row(shock_load)
     hs = np.array([fp.h for fp in mkt.firms])
     etas = np.array([fp.eta for fp in mkt.firms])
     abate_cost = grid.horizon * float(
@@ -909,7 +921,9 @@ def simulate_policy_paths(
         price=lambda: np.broadcast_to(policy.tau, shape),
         total_bank=lambda: zero,
         avg_abatement=lambda: np.broadcast_to(alpha / n, shape),
-        total_emissions=lambda: (mu_total - alpha) * t + integrate_increments(d_shocks),
+        total_emissions=lambda: (
+            (mu_total - alpha) * t + integrate_increments(noise.row(shock_load))
+        ),
         net_allocation_minus_initial=lambda: zero,
     )
 
@@ -945,15 +959,13 @@ def _simulate_msr(
     X_{k+1} = a_k X_k + b_k - dWbar_k with deterministic a_k and b_k.  The
     runs may differ in every parameter but the firms' volatilities, which
     fix the average shock dWbar; they step together with the run index as
-    an array axis (`_msr_steps`), so a stack costs the Python calls of one
-    run, and read the shocks' sum over time, the block's cached
-    `NoisePaths.row_total`, once.  Yields one sample per run, in
-    run order, each built when it is requested from the run's time-major
-    slice of the step buffer, whose costs it reads in blocks of
-    `block_rows` paths through one scratch shared by the stack
-    (`_msr_sample`).  The buffer comes from the active `array_pool`, so it
-    is written again only once the generator is exhausted and no sample of
-    the stack is left.
+    an array axis, through a rolling block of knots (`_msr_sums`), so a
+    stack costs the Python calls of one run, and read the shocks' sum over
+    time, the block's cached `NoisePaths.row_total`, once.  Yields one
+    sample per run, in run order, each built when it is requested from the
+    run's sums (`_msr_sample`).  The rolling block comes from the active
+    `array_pool` and is released before the first sample is built, so no
+    sample refers to it.
     """
     grid = noise.grid
     sigmas = tuple(fp.sigma for fp in runs[0][0].firms)
@@ -966,117 +978,170 @@ def _simulate_msr(
     coefs = [_msr_coefficients(mkt, policy, grid) for mkt, policy in runs]
     wbar_load = weighted_mean_load(noise.ks, sigmas)
     wbar_T, d_wbar = noise.row_total(wbar_load), noise.row(wbar_load)
-    x_t = _msr_steps(runs, coefs, d_wbar, grid.dt)
-    scratch = pooled_empty((grid.n_steps * block_rows(noise.n_paths, grid.n_steps + 1),))
+    abated, alpha_sq, x_T = _msr_sums(runs, coefs, d_wbar, grid.dt)
     for r, (mkt, policy) in enumerate(runs):
-        yield _msr_sample(mkt, policy, grid, *coefs[r], x_t[:, r], d_wbar, wbar_T, scratch)
+        yield _msr_sample(
+            mkt, policy, grid, coefs[r], d_wbar, wbar_T, abated[r], alpha_sq[r], x_T[r]
+        )
+
+
+def _msr_affine(
+    runs: Sequence[tuple[MarketParams, MSRPolicy]],
+    coefs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The step coefficients of a stack of R runs, time-major: a_k, (M+1, R, 1),
+    and b_k, (M, R, 1).
+
+    The Euler step x + (delta (ramp - x) + eta (c0 + c1 x - h_bar)) dt - dW
+    is x_{k+1} = a_k x_k + b_k - dW_k, with a_k = 1 + (eta c1_k - delta) dt
+    and b_k = (delta ramp_k + eta (c0_k - h_bar)) dt.  Every operation is
+    elementwise, so a run's rows have the same bits in a stack as alone.
+    """
+    c0, c1, ramp = (np.stack(rows) for rows in zip(*coefs))
+    eta, h_bar, delta = np.array(
+        [(mkt.agg.eta_bar, mkt.agg.h_bar, policy.delta) for mkt, policy in runs]
+    ).T[..., None]
+    a_t = (1.0 + (eta * c1 - delta) * dt).T[..., None]
+    b_t = ((delta * ramp + eta * (c0 - h_bar)) * dt).T[:-1, :, None]
+    return a_t, b_t
 
 
 def _msr_steps(
+    a_t: np.ndarray, b_t: np.ndarray, d_wbar: np.ndarray, k0: int, x_t: np.ndarray
+) -> None:
+    """Step the time-major banks ``x_t``, (n+1, R, P), from knot ``k0`` in its
+    row 0 to knot k0 + n in its last row, on the shocks ``d_wbar``, (P, M).
+
+    The transposed shocks go into the first run's rows, and two bulk passes
+    turn them into every run's u_k = b_k - dW_k; then each knot takes two
+    in-place calls on (R, P) rows, x_{k+1} = u_k + a_k x_k.
+    """
+    n = len(x_t) - 1
+    b_t = b_t[k0 : k0 + n]
+    dw_t = x_t[1:, 0]
+    np.copyto(dw_t, d_wbar[:, k0 : k0 + n].T)
+    np.subtract(b_t[:, 1:], dw_t[:, None], out=x_t[1:, 1:])
+    np.subtract(b_t[:, 0], dw_t, out=dw_t)
+    ax = np.empty(x_t.shape[1:])
+    for a_k, x, x_next in zip(a_t[k0 : k0 + n], x_t, x_t[1:]):
+        np.multiply(a_k, x, out=ax)
+        x_next += ax
+
+
+def _time_sum(rows: np.ndarray, out: np.ndarray) -> None:
+    """Sum time-major (n, ...) rows over time into ``out``, knot by knot.
+
+    numpy sums an outer axis one row at a time, in the running order of
+    `integrate_increments`, but a lone column pairwise; cumsum keeps the
+    running order there, so a path's sums do not depend on its stack or
+    block.
+    """
+    if rows[0].size == 1:
+        out[...] = np.cumsum(rows, axis=0)[-1]
+    else:
+        np.add.reduce(rows, axis=0, out=out)
+
+
+def _msr_sums(
     runs: Sequence[tuple[MarketParams, MSRPolicy]],
     coefs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     d_wbar: np.ndarray,
     dt: float,
-) -> np.ndarray:
-    """Average banks Xbar of a stack of R runs, time-major (M+1, R, P) and
-    pooled, on the shocks ``d_wbar``, (P, M).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each run's sums over the left knots of alpha_k dt = eta (P_k - h_bar) dt
+    and of (alpha_k dt)^2, and its banks at T, each (R, P), for a stack of R
+    runs on the shocks ``d_wbar``, (P, M).
 
-    The Euler step x + (delta (ramp - x) + eta (c0 + c1 x - h_bar)) dt - dW
-    is x_{k+1} = a_k x_k + u_k, with a_k = 1 + (eta c1_k - delta) dt and
-    u_k = (delta ramp_k + eta (c0_k - h_bar)) dt - dW_k.  The transposed
-    shocks go into the first run's rows of the buffer, and two bulk passes
-    turn them into every run's u_k; then each knot takes two in-place calls
-    on (R, P) rows.  Every operation is elementwise, so a run's banks have
-    the same bits in a stack as alone.
+    The banks step (`_msr_steps`) through a pooled rolling block of
+    span + 1 knots, span = max(1, CHUNK_KNOTS // (R P) - 1), whose row 0
+    holds the last knot of the block before.  Each block's alpha_k dt go
+    into a second block of that shape, whose row 0 holds the running total
+    (-0.0 at first, which adds exactly), and its time-major sum continues
+    the total: every sum keeps the knot-by-knot order of one sum over all
+    M knots (`_time_sum`).  A run's sums have the same bits in a stack as
+    alone.
     """
     n_paths, m = d_wbar.shape
-    c0, c1, ramp = (np.stack(rows) for rows in zip(*coefs))
-    eta, h_bar, delta, x_bar0 = np.array(
-        [(mkt.agg.eta_bar, mkt.agg.h_bar, policy.delta, policy.x_bar0) for mkt, policy in runs]
+    a_t, b_t = _msr_affine(runs, coefs, dt)
+    c0, c1 = (np.stack(rows).T[..., None] for rows in list(zip(*coefs))[:2])
+    eta, h_bar, x_bar0 = np.array(
+        [(mkt.agg.eta_bar, mkt.agg.h_bar, policy.x_bar0) for mkt, policy in runs]
     ).T[..., None]
-    a_t = (1.0 + (eta * c1 - delta) * dt).T[..., None]
-    b_t = ((delta * ramp + eta * (c0 - h_bar)) * dt).T[:-1, :, None]
-    x_t = pooled_empty((m + 1, len(runs), n_paths))
+    span = max(1, CHUNK_KNOTS // (len(runs) * n_paths) - 1)
+    x_t, alpha = pooled_empty((2, min(span, m) + 1, len(runs), n_paths))
+    abated = np.full(x_t.shape[1:], -0.0)
+    alpha_sq = np.full(x_t.shape[1:], -0.0)
     x_t[0] = x_bar0
-    dw_t = x_t[1:, 0]
-    np.copyto(dw_t, d_wbar.T)
-    np.subtract(b_t[:, 1:], dw_t[:, None], out=x_t[1:, 1:])
-    np.subtract(b_t[:, 0], dw_t, out=dw_t)
-    ax = np.empty(x_t.shape[1:])
-    for a_k, x, x_next in zip(a_t, x_t, x_t[1:]):
-        np.multiply(a_k, x, out=ax)
-        x_next += ax
-    return x_t
-
-
-def _time_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum time-major (M, P) rows over time, knot by knot.
-
-    numpy sums an outer axis one row at a time, in the running order of
-    `integrate_increments`, but a lone path's column pairwise; cumsum keeps
-    the running order there, so a path's sums do not depend on its block.
-    """
-    if rows.shape[1] == 1:
-        return np.cumsum(rows, axis=0)[-1]
-    return rows.sum(axis=0)
+    for k0 in range(0, m, span):
+        n = min(span, m - k0)
+        _msr_steps(a_t, b_t, d_wbar, k0, x_t[: n + 1])
+        # the products alpha_k dt that left_integral sums in total_emissions,
+        # from the price c0_k + c1_k x_k on the block's left knots
+        alpha_dt = np.multiply(c1[k0 : k0 + n], x_t[:n], out=alpha[1 : n + 1])
+        alpha_dt += c0[k0 : k0 + n]
+        alpha_dt -= h_bar
+        alpha_dt *= eta
+        alpha_dt *= dt
+        alpha[0] = abated
+        _time_sum(alpha[: n + 1], abated)
+        alpha_dt *= alpha_dt
+        alpha[0] = alpha_sq
+        _time_sum(alpha[: n + 1], alpha_sq)
+        x_t[0] = x_t[n]
+    return abated, alpha_sq, x_t[0].copy()
 
 
 def _msr_sample(
     mkt: MarketParams,
     policy: MSRPolicy,
     grid: TimeGrid,
-    c0: np.ndarray,
-    c1: np.ndarray,
-    ramp: np.ndarray,
-    xbar: np.ndarray,
+    coefs: tuple[np.ndarray, np.ndarray, np.ndarray],
     d_wbar: np.ndarray,
     wbar_T: np.ndarray,
-    scratch: np.ndarray,
+    abated: np.ndarray,
+    alpha_sq: np.ndarray,
+    x_T: np.ndarray,
 ) -> PolicyPathSample:
-    """One MSR run's sample from its time-major average banks ``xbar``, (M+1, P),
-    the average shocks ``d_wbar``, (P, M), and their totals ``wbar_T`` (`NoisePaths.row_total`).
+    """One MSR run's sample from its sums over the left knots of alpha_k dt
+    and (alpha_k dt)^2 and its banks at T, each (P,) (`_msr_sums`), on the
+    average shocks ``d_wbar``, (P, M), whose totals are ``wbar_T``
+    (`NoisePaths.row_total`).
 
-    Costs are sums over time (`_time_sum`), taken in blocks of
-    `block_rows` paths: each block's abatement on the left knots goes
-    into the flat ``scratch``, which holds one time-major (M, rows) block.
-    The sample keeps ``xbar``; its trajectories, the price included, are
-    transposed views built from it on first access.  A cost part or
-    terminal emission that is not finite, from an overflowing recursion or
-    penalty, raises `DomainError` (`_sample`).
+    The abatement cost is sum_k (h_bar alpha_k + alpha_k^2 / (2 eta)) dt.
+    The trajectories, the price included, are transposed views of the
+    run's whole time-major banks, (M+1, P), which the first of them steps
+    again (`_msr_steps` from knot 0), with the same bits as the sums.  A
+    cost part or terminal emission that is not finite, from an overflowing
+    recursion or penalty, raises `DomainError` (`_sample`).
     """
     t = grid.knots
     n = mkt.n_firms
     agg = mkt.agg
     eta, h_bar, dt = agg.eta_bar, agg.h_bar, grid.dt
-    m, n_paths = grid.n_steps, xbar.shape[1]
-    rows = block_rows(n_paths, m + 1)
-    abated = np.empty(n_paths)
-    alpha_sq = np.empty(n_paths)
-    for paths, b in row_blocks(n_paths, rows):
-        # the products alpha_k dt = eta (P_k - h_bar) dt that left_integral
-        # sums in total_emissions, from the price on the left knots
-        alpha_dt = np.multiply(c1[:-1, None], xbar[:-1, paths], out=_block(scratch, m, b))
-        alpha_dt += c0[:-1, None]
-        alpha_dt -= h_bar
-        alpha_dt *= eta
-        alpha_dt *= dt
-        abated[paths] = _time_sum(alpha_dt)
-        alpha_dt *= alpha_dt  # sum_k (h_bar alpha_k + alpha_k^2 / (2 eta)) dt, from (alpha_k dt)^2
-        alpha_sq[paths] = _time_sum(alpha_dt)
+    c0, c1, ramp = coefs
+    n_paths = len(x_T)
     terminal_emissions = n * (agg.mu_bar * t[-1] - abated)
     terminal_emissions += n * wbar_T
     abatement = n * (h_bar * abated + alpha_sq / (2.0 * eta * dt))
-    penalty = n * mkt.penalty * xbar[-1] ** 2
+    penalty = n * mkt.penalty * x_T**2
     zeros_s = np.zeros(n_paths)
     parts = {"abatement": abatement, "trading": zeros_s, "penalty": penalty, "tax": zeros_s.copy()}
 
+    @cache
+    def banks() -> np.ndarray:
+        x_t = np.empty((grid.n_steps + 1, 1, n_paths))
+        x_t[0] = policy.x_bar0
+        _msr_steps(*_msr_affine([(mkt, policy)], [coefs], dt), d_wbar, 0, x_t)
+        return x_t[:, 0]
+
     def price_paths() -> np.ndarray:
-        knots = np.multiply(c1[:, None], xbar)
+        knots = np.multiply(c1[:, None], banks())
         knots += c0[:, None]
         return knots.T
 
     def net_allocation() -> np.ndarray:
-        alloc_rate = np.subtract(ramp[:, None], xbar).T
+        alloc_rate = np.subtract(ramp[:, None], banks()).T
         alloc_rate *= policy.delta
         return n * (left_integral(alloc_rate, grid) + agg.mu_bar * t)
 
@@ -1086,7 +1151,7 @@ def _msr_sample(
         parts,
         terminal_emissions,
         price=price_paths,
-        total_bank=lambda: (n * xbar).T,
+        total_bank=lambda: (n * banks()).T,
         avg_abatement=lambda: eta * (price_paths() - h_bar),
         total_emissions=lambda: (
             n * (agg.mu_bar * t - left_integral(eta * (price_paths() - h_bar), grid))
@@ -1094,7 +1159,6 @@ def _msr_sample(
         ),
         net_allocation_minus_initial=net_allocation,
     )
-
 
 
 # ---------------------------------------------------------------------------
@@ -1187,7 +1251,8 @@ class ComparisonResult:
 
 
 def _noise_rows(mkt: MarketParams, policy: Policy) -> list[np.ndarray]:
-    """The loading rows (`NoisePaths.row`) a run of ``policy`` reads from a noise block.
+    """The loading rows (`NoisePaths.row`) a run of ``policy`` reads from a
+    noise block, its trajectories included.
 
     The firms' weighted mean shock (the MSR's and static policy's price
     driver, and every martingale kernel's emissions); for the optimal and
@@ -1207,17 +1272,22 @@ def _noise_rows(mkt: MarketParams, policy: Policy) -> list[np.ndarray]:
     return loads
 
 
-def _keeps_path_array(mkt: MarketParams, policy: Policy) -> bool:
-    """Whether a costs-only run keeps a (P, M+1) array of its own: an MSR
-    step buffer, or a martingale price that the allocation surprise moves
-    (the static policy, a custom one with a surprise loading)."""
-    if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)):
-        gamma = policy.gamma
-    elif isinstance(policy, StaticPolicy):
-        gamma = 0.0  # no allocation moves
-    else:
-        return isinstance(policy, MSRPolicy)  # the tax keeps nothing
-    return bool((gamma - tracking_gamma(mkt.firms)).mean(axis=0).any())
+def _cost_reads(mkt: MarketParams, policy: Policy) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The loading rows a costs-only run of ``policy`` reads (`NoisePaths.row`),
+    and the loads it reads only through their totals (`NoisePaths.row_total`).
+
+    The tax reads the shock sum's total.  A moving price reads its driver,
+    the weighted mean shock for the static policy and the MSR; a custom
+    policy whose allocation surprises the market reads its loading sum and
+    surprise rows and the weighted mean shock's total, and one that
+    surprises no one (the optimal policy) only that total.
+    """
+    rows = _noise_rows(mkt, policy)
+    if isinstance(policy, TaxPolicy):
+        return [], rows
+    if len(rows) == 1:  # the price driver, whose total comes from the row
+        return rows, []
+    return rows[1:] if len(rows) == 3 else [], rows[:1]
 
 
 def _stack_bounds(
@@ -1226,7 +1296,9 @@ def _stack_bounds(
     """Split the run indices into ranges [start, stop) that simulate together.
 
     Consecutive MSR runs whose firms share their volatilities form stacks of
-    at most ``cap`` runs; every other run is a range of its own.
+    at most ``cap`` runs; every other run is a range of its own.  A stack
+    steps through a rolling block of about CHUNK_KNOTS doubles, so the cap
+    bounds no buffer: it keeps the block's span of knots from shrinking.
     """
     bounds: list[tuple[int, int]] = []
     key = None
@@ -1251,44 +1323,36 @@ def _simulate_runs(
     Each chunk's noise is drawn once and serves every run, so the runs share
     shocks path by path; no trajectory outlives its chunk.  The ensemble
     sets the chunks (`PathEnsemble.chunk_size`, by default sized by the
-    grid), and no run's numbers depend on them.  The chunk keeps
-    only the loading rows the runs read (`_noise_rows`), and every run is
-    checked against the ensemble's firms before the first draw.
-    Consecutive MSR runs on the same firm volatilities (the etas of a
-    sweep) step as stacks in one `_simulate_msr` recursion; a stack holds
-    at most (N+1) M // (M+1) runs, so its (M+1, R, P) step buffer holds no
-    more doubles than the P (N+1) M standard normals the chunk draws.
-    Every other run, and an MSR run without a neighbour to stack with,
-    goes through `simulate_policy_paths` on the whole chunk.  Each kernel
-    takes its per-path costs over row blocks of CHUNK_KNOTS // (M+1) paths
-    (`block_rows`) in one pooled scratch and builds no trajectory, so a
-    run keeps at most one (P, M+1) array of its own: a price that moves
-    (static, custom) or a stack's step buffer (`_keeps_path_array`).  On
-    each chunk the runs that keep none (optimal, tax, a custom policy
-    without a surprise) go first, then the others, each group in run order,
-    and after each range the chunk drops every loading row that no later
-    range reads (`NoisePaths.drop`): a freed row's pooled memory then holds
-    the next price or step buffer.  Each sample is released once its costs
-    are kept, and every stack's generator is run to its end before the
-    next noise draw.  Yields, per run and in run order, the concatenated
-    per-path cost, cost parts and terminal emissions.  The chunk loop runs
-    at the first item, and each run's concatenation is built when it is
-    requested, so a caller that reports one run at a time holds one run's
-    copies at once.
+    grid), and no run's numbers depend on them.  A chunk keeps only the
+    loading rows the runs' costs read, and the totals of the loads they
+    read only through them (`_cost_reads`); every run is checked against
+    the ensemble's firms before the first draw.  Consecutive MSR runs on
+    the same firm volatilities (the etas of a sweep) step as stacks in one
+    `_simulate_msr` recursion of at most (N+1) M // (M+1) runs
+    (`_stack_bounds`).  Every other run goes through `simulate_policy_paths`
+    on the whole chunk.  The kernels take their per-path costs in pooled
+    scratch of about 2 CHUNK_KNOTS doubles, one base shared with the noise
+    draw's scratch, and build no trajectory, so no run keeps a (P, M+1) array: a chunk of the four standard policies holds one
+    row, the weighted mean shock.  The runs go in run order, and after each
+    range the chunk drops what no later range reads (`NoisePaths.drop`).
+    Each sample is released once its costs are kept, and every stack's
+    generator is run to its end before the next noise draw.  Yields, per
+    run and in run order, the concatenated per-path cost, cost parts and
+    terminal emissions, each built when it is requested, so a caller that
+    reports one run at a time holds one run's copies at once.
     """
     for mkt, _ in runs:
         ensemble.require_firms(mkt.firms)
-    reads = [_noise_rows(mkt, policy) for mkt, policy in runs]
-    loads = [load for run_reads in reads for load in run_reads]
+    reads = [_cost_reads(mkt, policy) for mkt, policy in runs]
+    rows = {load.tobytes(): load for run_rows, _ in reads for load in run_rows}
+    totals = {load.tobytes(): load for _, run_totals in reads for load in run_totals}
     m = ensemble.grid.n_steps
     bounds = _stack_bounds(runs, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
-    # a stable sort: the ranges that keep no path array first, each group in run order
-    order = sorted(bounds, key=lambda bound: _keeps_path_array(*runs[bound[0]]))
-    # the rows each range is the last to read, found from the last range back
+    # what each range is the last to read, found from the last range back
     last_read: list[list[np.ndarray]] = []
     later: set[bytes] = set()
-    for start, stop in reversed(order):
-        read = {load.tobytes(): load for run_reads in reads[start:stop] for load in run_reads}
+    for start, stop in reversed(bounds):
+        read = {load.tobytes(): load for r, t in reads[start:stop] for load in r + t}
         last_read.insert(0, [load for key, load in read.items() if key not in later])
         later.update(read)
     costs: list[list[np.ndarray]] = [[] for _ in runs]
@@ -1301,8 +1365,8 @@ def _simulate_runs(
         emissions[i].append(sample.terminal_emissions)
 
     with array_pool():
-        for noise in ensemble.chunks(loads):
-            for (start, stop), done in zip(order, last_read):
+        for noise in ensemble.chunks(list(rows.values()), list(totals.values())):
+            for (start, stop), done in zip(bounds, last_read):
                 mkt, policy = runs[start]
                 if stop - start > 1:
                     # neither enumerate nor zip: each caches its last item, which

@@ -27,7 +27,8 @@ shock, the sum of a policy's allocation loadings).  Given those loads,
 scratch and keeps only the rows; the block's drivers,
 ``NoisePaths.d_tilde``, are then drawn from the same streams on first
 access; a row's sum over time, on which every policy's emissions end, is
-taken once per block (``NoisePaths.row_total``).  `map_path_slices` draws
+taken once per block (``NoisePaths.row_total``), in the draw for a row that
+is read only through it.  `map_path_slices` draws
 a large block of paths as contiguous path slices, one per CPU the process
 may run on; the shocks are per-path streams, so the numbers do not depend
 on the split.
@@ -118,8 +119,9 @@ class NoisePaths:
     (``d_tilde=``: `generate_noise` without loads, `coarsen_noise`) holds
     them from the start.  A firm's shock is a loading row times
     ``d_tilde``, and ``d_firm`` derives the per-firm increments on demand.
-    ``row_total(load)``, a row's sum over time, is cached as the rows are,
-    and ``drop(loads)`` forgets both once no caller will read them.
+    ``row_total(load)``, a row's sum over time, is cached as the rows are
+    (``totals=`` holds those of rows never kept), and ``drop(loads)``
+    forgets both once no caller will read them.
     """
 
     seed: int
@@ -137,7 +139,8 @@ class NoisePaths:
         d_tilde: np.ndarray | None = None,
         *,
         n_paths: int | None = None,
-        rows: Sequence[tuple[np.ndarray, np.ndarray]] = (),
+        rows: Iterable[tuple[np.ndarray, np.ndarray]] = (),
+        totals: Iterable[tuple[np.ndarray, np.ndarray]] = (),
     ) -> None:
         if (d_tilde is None) == (n_paths is None):
             raise TypeError("NoisePaths takes either d_tilde or n_paths")
@@ -151,9 +154,10 @@ class NoisePaths:
         init("_totals", {})
         if d_tilde is not None:
             self.__dict__["d_tilde"] = d_tilde  # the cached_property's value
-        for load, row in rows:
-            row.setflags(write=False)
-            self._rows[load.tobytes()] = row
+        for cache, drawn in ((self._rows, rows), (self._totals, totals)):
+            for load, value in drawn:
+                value.setflags(write=False)
+                cache[load.tobytes()] = value
 
     @property
     def n_firms(self) -> int:
@@ -204,7 +208,7 @@ class NoisePaths:
 
     def row_total(self, load: Sequence[float]) -> np.ndarray:
         """``integrate_increments(row(load))[:, -1]`` bit for bit, (n_paths,), read-only,
-        computed once per load (`_running_total`) and shared as the row is."""
+        from the draw or computed once per load (`_running_total`), and shared as the row is."""
         return self._cached(self._totals, load, lambda load: _running_total(self.row(load)))
 
     def drop(self, loads: Iterable[Sequence[float]]) -> None:
@@ -241,8 +245,9 @@ class _ArrayPool:
     takes the smallest free base that holds it, so a chunk smaller than
     the one before reuses its arrays.  A new base is rounded up to whole
     64 KiB, so that requests of nearly one size share a base whichever
-    comes first: at 256 x 2000 the noise draw's scratch (126000 doubles)
-    and the kernels' row-block scratch (128064) are one base.
+    comes first: at 256 x 2000 the noise draw's scratch (131072 doubles),
+    the martingale kernel's three row blocks (126063) and the MSR's rolling
+    block (131072) are one base.
     """
 
     def __init__(self) -> None:
@@ -339,6 +344,13 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _slice_bounds(n_paths: int, path_doubles: int) -> list[int]:
+    """The path bounds of the slices `map_path_slices` cuts a block into."""
+    min_paths = -(-MIN_SLICE_DOUBLES // max(1, path_doubles))
+    n_slices = max(1, min(_cpu_count(), n_paths // min_paths))
+    return [n_paths * k // n_slices for k in range(n_slices + 1)]
+
+
 def map_path_slices(fn: Callable[[int, int], _T], n_paths: int, path_doubles: int) -> list[_T]:
     """``fn(start, stop)`` on contiguous path slices covering [0, n_paths), in path order.
 
@@ -355,19 +367,16 @@ def map_path_slices(fn: Callable[[int, int], _T], n_paths: int, path_doubles: in
     in path order) propagates once every other slice has finished.
     """
     global _slice_pool
-    cpus = _cpu_count()
-    min_paths = -(-MIN_SLICE_DOUBLES // max(1, path_doubles))
-    n_slices = min(cpus, n_paths // min_paths)
-    if n_slices <= 1:
+    bounds = _slice_bounds(n_paths, path_doubles)
+    if len(bounds) == 2:
         return [fn(0, n_paths)]
     with _slice_pool_lock:
         if _slice_pool is None:
             # imported on first use: the import would add to every start-up
             from concurrent.futures import ThreadPoolExecutor
 
-            _slice_pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="permitsim")
+            _slice_pool = ThreadPoolExecutor(_cpu_count() - 1, thread_name_prefix="permitsim")
         pool = _slice_pool
-    bounds = [n_paths * k // n_slices for k in range(n_slices + 1)]
     futures = [
         pool.submit(contextvars.copy_context().run, fn, start, stop)
         for start, stop in zip(bounds[1:-1], bounds[2:])
@@ -484,8 +493,8 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-#: Doubles of standard normals a row draw holds at a time per path slice:
-#: a few paths, and never fewer than one.
+#: Doubles of standard normals a row draw holds at a time, over all its path
+#: slices: a few paths, and never fewer than one per slice.
 ROW_SCRATCH_DOUBLES = 1 << 17
 
 
@@ -528,41 +537,65 @@ def _draw_rows(
     n_paths: int,
     path_offset: int,
     loads: list[np.ndarray],
-) -> list[np.ndarray]:
-    """``load @ d_tilde``, (n_paths, M), for each load, without the whole block.
+    totals: list[np.ndarray],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``load @ d_tilde``, (n_paths, M), for each of ``loads``, and its sum over
+    time, (n_paths,), for each of ``totals``, without the whole block.
 
-    Each path slice fills a scratch of ROW_SCRATCH_DOUBLES doubles (at least
-    one path) a few paths at a time and writes each load's rows from it.  A
-    load times a stack of (N+1, M) blocks is the product ``row`` computes on
-    the whole block, path by path, so the bits are the same; a (K, N+1)
-    matrix of loads would be a matrix product, which may round differently.
-    Slice 0 runs on the calling thread and takes its scratch from the active
-    `array_pool`; the other slices run on pool threads, which may not use
-    it, and take theirs from ``np.empty``.
+    Each path slice fills its share of one scratch of ROW_SCRATCH_DOUBLES
+    doubles (at least one path) a few paths at a time and writes each
+    load's rows from it.  A load times a stack of (N+1, M) blocks is the
+    product ``row`` computes on the whole block, path by path, so the bits
+    are the same; a (K, N+1) matrix of loads would be a matrix product,
+    which may round differently.  A total's row is summed in the scratch
+    with the bits of `_running_total` and never kept.  The calling thread
+    takes the scratch from the active `array_pool`, which pool threads may
+    not use, and cuts it among the slices.
     """
     fill = _path_filler(seed, grid, n_paths, path_offset)
     m = grid.n_steps
-    # each row is pooled on its own, on a base that holds a (P, M+1) path
-    # array: a chunk frees a row once its last run is done
-    # (`NoisePaths.drop`), and the row's memory then holds the chunk's next
-    # price or MSR step buffer instead of the pool making a base for it
+    # each row is pooled on its own base, sized for a (P, M+1) path array
     rows = [
         pooled_empty((n_paths * (m + 1),))[: n_paths * m].reshape(n_paths, m) for _ in loads
     ]
-    per_pass = max(1, ROW_SCRATCH_DOUBLES // (n_drivers * m))
+    sums = [np.empty(n_paths) for _ in totals]
+    if not (loads or totals):
+        return rows, sums
+    bounds = _slice_bounds(n_paths, n_drivers * m)
+    n_slices = len(bounds) - 1
+    path_doubles = (n_drivers + bool(totals)) * m  # normals, and a total's row
+    # one size however the block splits: the pool's bases do not depend on the CPUs
+    doubles = max(n_slices * path_doubles, min(ROW_SCRATCH_DOUBLES, n_paths * path_doubles))
+    widest = max(stop - start for start, stop in zip(bounds, bounds[1:]))
+    per_pass = max(1, min(widest, doubles // (n_slices * path_doubles)))
+    scratch = pooled_empty((doubles,))
 
     def draw(start: int, stop: int) -> None:
-        empty = pooled_empty if start == 0 else np.empty
-        scratch = empty((min(per_pass, stop - start), n_drivers, m))
+        k = bounds.index(start)
+        slab = scratch[k * per_pass * path_doubles : (k + 1) * per_pass * path_doubles]
+        normals = slab[: per_pass * n_drivers * m].reshape(per_pass, n_drivers, m)
+        running = slab[per_pass * n_drivers * m :].reshape(-1, m)
         for first in range(start, stop, per_pass):
-            block = scratch[: min(per_pass, stop - first)]
+            b = min(per_pass, stop - first)
+            block = normals[:b]
             fill(block, first)
             for load, row in zip(loads, rows):
-                np.matmul(load, block, out=row[first : first + len(block)])
+                np.matmul(load, block, out=row[first : first + b])
+            for load, total in zip(totals, sums):
+                part = np.matmul(load, block, out=running[:b])
+                total[first : first + b] = np.cumsum(part, axis=-1, out=part)[:, -1]
 
-    if loads:
-        map_path_slices(draw, n_paths, n_drivers * m)
-    return rows
+    map_path_slices(draw, n_paths, n_drivers * m)
+    return rows, sums
+
+
+def _distinct(loads: Iterable[Sequence[float]], n_drivers: int) -> dict[bytes, np.ndarray]:
+    """``loads`` as float vectors on the drivers, keyed by their bits, first kept."""
+    by_bits = {}
+    for load in loads:
+        load = _load_vector(load, n_drivers)
+        by_bits.setdefault(load.tobytes(), load)
+    return by_bits
 
 
 def generate_noise(
@@ -572,6 +605,7 @@ def generate_noise(
     n_paths: int = 1,
     path_offset: int = 0,
     loads: Sequence[Sequence[float]] | None = None,
+    totals: Sequence[Sequence[float]] = (),
 ) -> NoisePaths:
     """Brownian increments of paths [path_offset, path_offset + n_paths).
 
@@ -583,9 +617,10 @@ def generate_noise(
     ``loads`` the block holds all its drivers, ``d_tilde``.  With ``loads``
     (loading rows on the N+1 drivers) it keeps only ``load @ d_tilde`` for
     each, drawn without ever holding more than a few paths of normals
-    (`_draw_rows`), and draws ``d_tilde`` on first access.  A large block is
-    drawn as path slices on the process's CPUs (`map_path_slices`), which
-    gives the same numbers as one pass.
+    (`_draw_rows`), and draws ``d_tilde`` on first access; of ``totals`` it
+    keeps only each row's sum over time (`NoisePaths.row_total`).  A large
+    block is drawn as path slices on the process's CPUs
+    (`map_path_slices`), which gives the same numbers as one pass.
     """
     n_drivers = len(firms) + 1
     ks = tuple(float(f.k) for f in firms)
@@ -593,13 +628,20 @@ def generate_noise(
         return NoisePaths(
             seed, path_offset, grid, ks, _draw_drivers(seed, grid, n_drivers, n_paths, path_offset)
         )
-    by_bits = {}
-    for load in loads:
-        load = _load_vector(load, n_drivers)
-        by_bits.setdefault(load.tobytes(), load)
-    kept = list(by_bits.values())
-    rows = _draw_rows(seed, grid, n_drivers, n_paths, path_offset, kept)
-    return NoisePaths(seed, path_offset, grid, ks, n_paths=n_paths, rows=list(zip(kept, rows)))
+    kept = _distinct(loads, n_drivers)
+    summed = {k: v for k, v in _distinct(totals, n_drivers).items() if k not in kept}
+    rows, sums = _draw_rows(
+        seed, grid, n_drivers, n_paths, path_offset, [*kept.values()], [*summed.values()]
+    )
+    return NoisePaths(
+        seed,
+        path_offset,
+        grid,
+        ks,
+        n_paths=n_paths,
+        rows=zip(kept.values(), rows),
+        totals=zip(summed.values(), sums),
+    )
 
 
 #: A default chunk holds enough paths that each of its (P, M+1) path arrays
@@ -667,12 +709,15 @@ class PathEnsemble:
         """`NoisePaths.require_firms` for every block, checked before any draw."""
         _require_loadings([f.k for f in self.firms], firms)
 
-    def chunks(self, loads: Sequence[Sequence[float]] | None = None) -> Iterator[NoisePaths]:
+    def chunks(
+        self, loads: Sequence[Sequence[float]] | None = None, totals: Sequence[Sequence[float]] = ()
+    ) -> Iterator[NoisePaths]:
         """The ensemble's blocks in path order, drawn by `generate_noise`:
-        each keeps only the rows of ``loads`` when they are given."""
+        each keeps only the rows of ``loads`` and the sums of ``totals``
+        when they are given."""
         for start in range(0, self.n_paths, self.chunk_size):
             size = min(self.chunk_size, self.n_paths - start)
-            yield generate_noise(self.seed, self.grid, self.firms, size, start, loads)
+            yield generate_noise(self.seed, self.grid, self.firms, size, start, loads, totals)
 
     def path(self, index: int) -> NoisePaths:
         if not 0 <= index < self.n_paths:

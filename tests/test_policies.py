@@ -815,14 +815,13 @@ def test_static_kernel_memory_is_flat_in_the_firm_count():
 @pytest.mark.parametrize("kind", ["static", "optimal_dynamic", "tax", "msr"])
 def test_costs_only_call_keeps_no_trajectory(base_market, kind):
     """A call whose trajectories are never read takes its per-path sums over
-    row blocks of a scratch array: on noise rows drawn before it, as a
-    chunk's are, it keeps at most 1 (P, M+1) path array after it returns
-    (the static call its price, the MSR its step buffer, the optimal and
-    tax calls none), besides the sample's (P,) scalars and a few (M+1,)
-    rows, and it peaks at 1 path array plus its block scratch of two
-    (rows, M+1) arrays, rows = CHUNK_KNOTS // (M+1).  The block is a default
-    chunk of the headline grid, 256 paths x 2000 steps (rows = 32), on
-    which numpy's fixed ufunc buffers (~0.15 MB) are small."""
+    blocks of scratch arrays: on noise rows drawn before it, as a chunk's
+    are, it keeps no (P, M+1) path array after it returns, only the
+    sample's (P,) scalars and a few (M+1,) rows, and it peaks at two
+    scratches of two (rows, M+1) arrays, rows = CHUNK_KNOTS // (M+1): every
+    kernel's pooled scratch holds about 2 CHUNK_KNOTS doubles.  The block is
+    a default chunk of the headline grid, 256 paths x 2000 steps (rows =
+    32), on which numpy's fixed ufunc buffers (~0.15 MB) are small."""
     policy = build_policy(PolicySpec(kind=kind), base_market)
     grid = TimeGrid(base_market.horizon, 2000)
     loads = permitsim.policies._noise_rows(base_market, policy)
@@ -838,29 +837,30 @@ def test_costs_only_call_keeps_no_trajectory(base_market, kind):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    paths = {"static": 1, "msr": 1, "optimal_dynamic": 0, "tax": 0}[kind]
-    assert kept <= paths * path_bytes + 16 * vector_bytes, kept / path_bytes
-    assert peak <= path_bytes + scratch_bytes + 16 * vector_bytes, peak / path_bytes
+    assert kept <= 16 * vector_bytes, kept / path_bytes
+    assert peak <= 2 * scratch_bytes + 16 * vector_bytes, peak / path_bytes
     assert sample.cost.shape == (256,)
     assert not any(name in sample.__dict__ for name in _TRAJECTORY_FIELDS)
 
 
 def test_a_nan_in_a_later_block_fails_the_clearing_check(base_market):
-    """The clearing scale takes the largest max |x| of the optimal policy's
-    expected allocation over row blocks of 32 paths; a NaN in the second
-    block must fail the check, although Python's max(a, nan) would drop it
-    (the optimal costs read nothing else of that row)."""
-    opt = optimal_dynamic_policy(base_market)
+    """The static price is built one row block of 32 paths at a time, and the
+    clearing check takes the largest max |x| of the blocks' prices and
+    summed trades; a NaN in the second block of the price's driver must
+    fail the check, although Python's max(a, nan) would drop it."""
+    stat = static_policy(base_market)
     grid = TimeGrid(base_market.horizon, 2000)
-    loads = permitsim.policies._noise_rows(base_market, opt)
+    loads = permitsim.policies._noise_rows(base_market, stat)
     drawn = generate_noise(70, grid, base_market.firms, 256, loads=loads)
     rows = [(np.asarray(load, dtype=float), drawn.row(load).copy()) for load in loads]
-    alloc_load = opt.gamma.sum(axis=0)
-    [alloc_row] = [row for load, row in rows if np.array_equal(load, alloc_load)]
-    alloc_row[40, 1000] = np.nan
+    wbar_load = weighted_mean_load(
+        [fp.k for fp in base_market.firms], [fp.sigma for fp in base_market.firms]
+    )
+    [driver] = [row for load, row in rows if np.array_equal(load, wbar_load)]
+    driver[40, 1000] = np.nan
     noise = NoisePaths(70, 0, grid, drawn.ks, n_paths=256, rows=rows)
     with pytest.raises(ClearingError, match="frictionless"):
-        simulate_policy_paths(opt, base_market, noise)
+        simulate_policy_paths(stat, base_market, noise)
 
 
 # --- exact-transition price sampling ------------------------------------------------
@@ -1102,18 +1102,26 @@ def test_run_ensemble_never_derives_the_firm_shocks(base_market, monkeypatch):
 
 
 def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
-    """Each chunk keeps only the loading rows its runs read: no standard
+    """Each chunk keeps only the loading rows its runs' costs read, and the
+    totals of the loads they read only through their totals: no standard
     policy, nor a custom one with non-tracking loadings, makes a chunk draw
     its (n_paths, N+1, M) drivers d_tilde, although each chunk drops every
-    row after its last reader (a dropped row read again would draw them).
-    The runs that keep no path array (optimal, tax) go first, then the
-    others (static, MSR and the custom policy, whose price moves)."""
+    row and total after its last reader (a dropped row read again would
+    draw them).  The four standard policies read one row, the weighted-mean
+    shock (the static and MSR price driver), and the shock sum's total (the
+    tax); the custom policy its loading sum and surprise loading.  The runs
+    go in run order."""
     custom = custom_martingale_policy(
         base_market,
         np.zeros(N_FIRMS),
         0.5 * tracking_gamma(base_market.firms),
         target_compliance=False,
     )
+    firms = base_market.firms
+    wbar = weighted_mean_load([fp.k for fp in firms], [fp.sigma for fp in firms]).tobytes()
+    shock_sum = tracking_gamma(firms).sum(axis=0).tobytes()
+    alloc = custom.gamma.sum(axis=0).tobytes()
+    surprise = (custom.gamma - tracking_gamma(firms)).mean(axis=0).tobytes()
     grid = TimeGrid(horizon=10.0, n_steps=20)
     ensemble = PathEnsemble(
         seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
@@ -1123,17 +1131,28 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
         monkeypatch,
         lambda noise, sample: drawn.append((sample.kind, "d_tilde" in noise.__dict__)),
     )
+    real_draw = permitsim.stochastic.generate_noise
+    kept = []
+
+    def drawing(*args, **kwargs):
+        noise = real_draw(*args, **kwargs)
+        kept.append((set(noise._rows), set(noise._totals)))
+        return noise
+
+    monkeypatch.setattr(permitsim.stochastic, "generate_noise", drawing)
     run_ensemble(base_market, [*_four_policies(base_market), custom], ensemble)
-    kinds = [PolicyKind(k) for k in ("optimal_dynamic", "tax", "static", "msr", "custom_martingale")]
+    kinds = [PolicyKind(k) for k in ("optimal_dynamic", "static", "tax", "msr", "custom_martingale")]
     assert drawn == [(kind, False) for kind in kinds] * 3
+    # the custom policy reads the weighted-mean total, which the row gives
+    assert kept == [({wbar, alloc, surprise}, {shock_sum})] * 3
 
 
 def test_each_chunk_drops_a_row_after_its_last_reader(base_market, monkeypatch):
-    """The four standard policies read two rows: the weighted-mean shock
-    (optimal, static, MSR) and the shock sum (optimal, tax).  The shock sum
-    is dropped once the optimal and tax runs are done, before the static
-    price and the MSR step buffer are made, and every row once the chunk's
-    last run is done."""
+    """The four standard policies' costs read one row, the weighted-mean
+    shock (static, MSR), its total (optimal, static, MSR) and the shock
+    sum's total, which the draw sums (tax).  The run order is optimal,
+    static, tax, MSR: the shock sum's total is dropped once the tax is done,
+    and every row and total once the chunk's last run is done."""
     wbar = weighted_mean_load(
         [fp.k for fp in base_market.firms], [fp.sigma for fp in base_market.firms]
     ).tobytes()
@@ -1144,7 +1163,10 @@ def test_each_chunk_drops_a_row_after_its_last_reader(base_market, monkeypatch):
     held = []
     noises = []
     _spy_samples(
-        monkeypatch, lambda noise, sample: held.append((sample.kind.value, set(noise._rows)))
+        monkeypatch,
+        lambda noise, sample: held.append(
+            (sample.kind.value, set(noise._rows), set(noise._totals))
+        ),
     )
     real_drop = NoisePaths.drop
 
@@ -1155,33 +1177,56 @@ def test_each_chunk_drops_a_row_after_its_last_reader(base_market, monkeypatch):
     monkeypatch.setattr(NoisePaths, "drop", dropping)
     run_ensemble(base_market, _four_policies(base_market), ensemble)
     assert held == [
-        ("optimal_dynamic", {wbar, shock_sum}),
-        ("tax", {wbar, shock_sum}),
-        ("static", {wbar}),
-        ("msr", {wbar}),
+        ("optimal_dynamic", {wbar}, {wbar, shock_sum}),
+        ("static", {wbar}, {wbar, shock_sum}),
+        ("tax", {wbar}, {wbar, shock_sum}),
+        ("msr", {wbar}, {wbar}),
     ] * 2
     assert all(not noise._rows and not noise._totals for noise in noises)
 
 
-def test_a_standard_chunk_never_holds_both_rows_beside_a_path_array(base_market, monkeypatch):
-    """`run_ensemble` over the four standard policies, on two 256 x 2000
-    chunks drawn on one CPU, peaks below two (P, M) loading rows plus one
-    (P, M+1) path array: the shock-sum row is freed before the static price
-    is made, and its pooled memory holds that price."""
-    monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: 1)
-    grid = TimeGrid(base_market.horizon, 2000)
-    ensemble = PathEnsemble(seed=71, grid=grid, firms=base_market.firms, n_paths=512)
+def _traced_peak_of_two_standard_chunks(mkt):
+    """tracemalloc's peak over `run_ensemble` of the four standard policies on
+    two default 256 x 2000 chunks."""
+    grid = TimeGrid(mkt.horizon, 2000)
+    ensemble = PathEnsemble(seed=71, grid=grid, firms=mkt.firms, n_paths=512)
     assert ensemble.chunk_size == 256
-    row_bytes = 256 * 2000 * 8
-    path_bytes = 256 * 2001 * 8
     tracemalloc.start()
     try:
-        result = run_ensemble(base_market, _four_policies(base_market), ensemble)
+        result = run_ensemble(mkt, _four_policies(mkt), ensemble)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.n_paths == 512
-    assert peak < 2 * row_bytes + path_bytes, peak / path_bytes
+    return peak
+
+
+def test_a_standard_chunk_never_holds_both_rows_beside_a_path_array(base_market, monkeypatch):
+    """The four standard policies' costs, on two 256 x 2000 chunks drawn on
+    one CPU, peak below one (P, M) loading row plus one (P, M+1) path
+    array: a chunk keeps the weighted-mean row and the shock sum's total,
+    the static price is built one row block at a time and the MSR steps
+    through a rolling block of knots."""
+    monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: 1)
+    row_bytes = 256 * 2000 * 8
+    path_bytes = 256 * 2001 * 8
+    peak = _traced_peak_of_two_standard_chunks(base_market)
+    assert peak < row_bytes + path_bytes, peak / path_bytes
+
+
+def test_the_draw_scratch_does_not_grow_with_the_cpus(base_market, monkeypatch):
+    """A split draw cuts one pooled scratch among its slices, so the traced
+    peak of two standard 256 x 2000 chunks is the same on 1, 2 and 8 CPUs
+    (1, 2 and 3 slices), up to less than one 64 KiB pool grain; a scratch
+    of its own per slice added about 1 MB per slice.  A first run creates
+    the slice threads and every first-use state."""
+    monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: 8)
+    _traced_peak_of_two_standard_chunks(base_market)
+    peaks = {}
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: cpus)
+        peaks[cpus] = _traced_peak_of_two_standard_chunks(base_market)
+    assert max(peaks[2], peaks[8]) < peaks[1] + 8 * permitsim.stochastic._POOL_GRAIN, peaks
 
 
 def _ci_custom_policy(mkt):
@@ -1385,6 +1430,63 @@ def test_stacked_msr_samples_equal_single_runs_to_the_bit(
     assert [s for s in sizes if s > 1] == stacks * 2
 
 
+def _msr_knot_by_knot(mkt, policy, grid, d_wbar):
+    """One MSR run's banks, (M+1, P), and its sums over the left knots of
+    alpha_k dt and (alpha_k dt)^2, stepped and summed one knot at a time."""
+    c0, c1, ramp = permitsim.policies._msr_coefficients(mkt, policy, grid)
+    eta, h_bar, delta, dt = mkt.agg.eta_bar, mkt.agg.h_bar, policy.delta, grid.dt
+    x = np.empty((grid.n_steps + 1, d_wbar.shape[0]))
+    x[0] = policy.x_bar0
+    for k in range(grid.n_steps):
+        a_k = 1.0 + (eta * c1[k] - delta) * dt
+        b_k = (delta * ramp[k] + eta * (c0[k] - h_bar)) * dt
+        x[k + 1] = (b_k - d_wbar[:, k]) + a_k * x[k]
+        alpha_dt = (c1[k] * x[k] + c0[k] - h_bar) * eta * dt
+        abated = alpha_dt if k == 0 else abated + alpha_dt
+        alpha_sq = alpha_dt * alpha_dt if k == 0 else alpha_sq + alpha_dt * alpha_dt
+    return x, abated, alpha_sq
+
+
+@pytest.mark.parametrize("n_paths", [1, 33, 256])
+@pytest.mark.parametrize("n_runs", [1, 6])
+@pytest.mark.parametrize("span", [1, 2, 3, None], ids=["span-1", "span-2", "span-3", "span-M"])
+def test_rolling_msr_block_equals_the_full_recursion(monkeypatch, n_runs, n_paths, span):
+    """The MSR steps a stack through a rolling block of knots and continues
+    its sums block by block; each run's sums and banks at T, and the banks
+    its trajectories rebuild, have the bits of the recursion stepped and
+    summed knot by knot over all 20 knots, for spans of 1 and 2, a span of
+    3 that does not divide 20, and the default span (at least 20 here); a
+    lone path is one column."""
+    m = 20
+    runs = _msr_runs(np.geomspace(1e6, 1e9, n_runs))
+    grid = TimeGrid(10.0, m)
+    firms = runs[0][0].firms
+    noise = generate_noise(15, grid, firms, n_paths)
+    d_wbar = noise.weighted_mean_increments([fp.sigma for fp in firms])
+    if span is not None:
+        monkeypatch.setattr(permitsim.policies, "CHUNK_KNOTS", (span + 1) * n_runs * n_paths)
+    real_steps = permitsim.policies._msr_steps
+    blocks = []
+
+    def stepping(a_t, b_t, d_wbar, k0, x_t):
+        blocks.append(len(x_t) - 1)
+        real_steps(a_t, b_t, d_wbar, k0, x_t)
+
+    monkeypatch.setattr(permitsim.policies, "_msr_steps", stepping)
+    coefs = [permitsim.policies._msr_coefficients(mkt, policy, grid) for mkt, policy in runs]
+    abated, alpha_sq, x_T = permitsim.policies._msr_sums(runs, coefs, d_wbar, grid.dt)
+    want_blocks = [m] if span is None else [span] * (m // span) + [m % span] * (m % span > 0)
+    assert blocks == want_blocks
+    samples = list(permitsim.policies._simulate_msr(runs, noise))
+    for r, ((mkt, policy), sample) in enumerate(zip(runs, samples)):
+        x, want_abated, want_alpha_sq = _msr_knot_by_knot(mkt, policy, grid, d_wbar)
+        assert abated[r].tobytes() == want_abated.tobytes()
+        assert alpha_sq[r].tobytes() == want_alpha_sq.tobytes()
+        assert x_T[r].tobytes() == x[-1].tobytes()
+        assert sample.total_bank.tobytes() == (mkt.n_firms * x).T.tobytes()
+        assert sample.parts["penalty"].tobytes() == (mkt.n_firms * mkt.penalty * x[-1] ** 2).tobytes()
+
+
 def test_only_neighbouring_msr_runs_on_the_same_volatilities_stack():
     a, b = _msr_runs([1e7, 6e8])
     loud = make_market(make_firms(sigma=0.3e9 / math.sqrt(6)))
@@ -1405,8 +1507,8 @@ def test_mixed_runs_report_in_run_order_with_their_own_costs(monkeypatch):
     kinds = []
     _spy_samples(monkeypatch, lambda noise, sample: kinds.append(sample.kind.value))
     results = list(permitsim.policies._simulate_runs(runs, ensemble))
-    # the tax keeps no path array and goes first; results stay in run order
-    assert kinds == ["tax", "msr", "msr", "msr"] * 3
+    # a stack of two, the tax and a lone MSR run, in run order
+    assert kinds == ["msr", "msr", "tax", "msr"] * 3
     for (mkt, policy), (cost, parts, emissions) in zip(runs, results):
         [alone] = permitsim.policies._simulate_runs([(mkt, policy)], ensemble)
         assert np.array_equal(cost, alone[0])

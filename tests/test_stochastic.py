@@ -117,23 +117,31 @@ def _loads(firms):
 )
 def test_drawn_rows_are_the_loads_times_the_drivers(monkeypatch, n_steps, scratch_paths, split):
     """A block drawn with loads keeps load @ d_tilde of the whole block, bit
-    for bit, whether the scratch divides a slice or not and whether the block
-    splits, and draws no d_tilde.  At 2000 steps the scratch holds 9 of the
-    block's 40 paths; with 3, the 11-path block, and its 4-path slices when
-    it splits in three, end on a partial pass."""
+    for bit, and of a load drawn as a total only that row's running sum,
+    whether the scratch divides a slice or not and whether the block splits,
+    and draws no d_tilde.  At 2000 steps the scratch holds 8 of the block's
+    40 paths (normals and a total's row); with 3 per slice, the 11-path
+    block, and its 4-path slices when it splits in three, end on a partial
+    pass."""
     firms = make_firms()
     grid = TimeGrid(horizon=10.0, n_steps=n_steps)
     loads = _loads(firms)
+    total_load = np.arange(len(firms) + 1.0)
     n_paths = 40 if scratch_paths is None else 11
     whole = generate_noise(17, grid, firms, n_paths=n_paths, path_offset=3)
     if scratch_paths is not None:
-        doubles = scratch_paths * (len(firms) + 1) * n_steps
+        doubles = scratch_paths * (3 if split else 1) * (len(firms) + 2) * n_steps
         monkeypatch.setattr(permitsim.stochastic, "ROW_SCRATCH_DOUBLES", doubles)
     if split:
         force_split(monkeypatch)
-    noise = generate_noise(17, grid, firms, n_paths=n_paths, path_offset=3, loads=loads)
+    noise = generate_noise(
+        17, grid, firms, n_paths=n_paths, path_offset=3, loads=loads, totals=[total_load]
+    )
     for load in loads:
         assert noise.row(load).tobytes() == (load @ whole.d_tilde).tobytes()
+    want = integrate_increments(total_load @ whole.d_tilde)[:, -1]
+    assert noise.row_total(total_load).tobytes() == want.tobytes()
+    assert total_load.tobytes() not in noise._rows
     assert "d_tilde" not in noise.__dict__
 
 
@@ -308,9 +316,11 @@ def test_a_freed_row_holds_the_next_path_array_of_its_chunk():
 
 
 def test_only_the_calling_thread_takes_draw_scratch_from_the_pool(monkeypatch):
-    """A split row draw runs slice 0 on the calling thread, whose scratch is
-    a view of a pool base; the slices on pool threads may not use the pool
-    and never call it.  The rows have the bits of an unsplit draw."""
+    """A split row draw takes one scratch from the pool on the calling thread,
+    before the split, and cuts it among the slices: the slices on pool
+    threads may not use the pool and never call it, but every slice's
+    blocks, theirs included, are views of the caller's pool base.  The rows
+    have the bits of an unsplit draw."""
     firms = make_firms(3)
     grid = TimeGrid(horizon=10.0, n_steps=20)
     load = np.arange(4.0)
@@ -343,7 +353,7 @@ def test_only_the_calling_thread_takes_draw_scratch_from_the_pool(monkeypatch):
     assert set(takers) == {caller}
     assert len({ident for ident, _ in blocks}) > 1  # the draw split
     for ident, block in blocks:
-        assert any(block.base is base for base in bases) == (ident == caller)
+        assert any(block.base is base for base in bases)
     assert noise.row(load).tobytes() == want.tobytes()
 
 
