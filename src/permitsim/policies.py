@@ -703,10 +703,11 @@ def _simulate_martingale(
 
     A moving price is built one row block at a time (`frictionless_price`),
     and each block's summed trade and cost sums are taken from it, in one
-    pooled scratch of three (rows, M+1) arrays; the clearing check reads the blocks' largest max |x| (a NaN in any block
-    fails it).  The summed expected allocation is read only when the price
-    moves; when it does not, the summed trade is trade0 on every path and
-    the clearing scale takes the allocation's t = 0 term |sum_i m0_i|.
+    pooled scratch of three (rows, M+1) arrays; the clearing check reads
+    the blocks' largest max |x| (a NaN in any block fails it).  The summed
+    expected allocation is read only when the price moves; when it does
+    not, the summed trade is trade0 on every path and the clearing scale
+    takes the allocation's t = 0 term |sum_i m0_i|.
     Per-row sums and running sums do not depend on the block, so neither do
     the costs.  So a costs-only call keeps no (P, M+1) array and reads no
     row but the price driver and a moving allocation's loading sum; the
@@ -1332,29 +1333,23 @@ def _simulate_runs(
     (`_stack_bounds`).  Every other run goes through `simulate_policy_paths`
     on the whole chunk.  The kernels take their per-path costs in pooled
     scratch of about 2 CHUNK_KNOTS doubles, one base shared with the noise
-    draw's scratch, and build no trajectory, so no run keeps a (P, M+1) array: a chunk of the four standard policies holds one
-    row, the weighted mean shock.  The runs go in run order, and after each
-    range the chunk drops what no later range reads (`NoisePaths.drop`).
+    draw's scratch, and build no trajectory, so no run keeps a (P, M+1)
+    array: a chunk of the four standard policies holds one row, the
+    weighted mean shock, as long as the chunk.  The runs go in run order.
     Each sample is released once its costs are kept, and every stack's
-    generator is run to its end before the next noise draw.  Yields, per
-    run and in run order, the concatenated per-path cost, cost parts and
-    terminal emissions, each built when it is requested, so a caller that
-    reports one run at a time holds one run's copies at once.
+    generator is run to its end and the chunk released before the next
+    noise draw.  Yields, per run and in run order, the concatenated
+    per-path cost, cost parts and terminal emissions, each built when it
+    is requested, so a caller that reports one run at a time holds one
+    run's copies at once.
     """
     for mkt, _ in runs:
         ensemble.require_firms(mkt.firms)
     reads = [_cost_reads(mkt, policy) for mkt, policy in runs]
-    rows = {load.tobytes(): load for run_rows, _ in reads for load in run_rows}
-    totals = {load.tobytes(): load for _, run_totals in reads for load in run_totals}
+    rows = [load for run_rows, _ in reads for load in run_rows]
+    totals = [load for _, run_totals in reads for load in run_totals]
     m = ensemble.grid.n_steps
     bounds = _stack_bounds(runs, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
-    # what each range is the last to read, found from the last range back
-    last_read: list[list[np.ndarray]] = []
-    later: set[bytes] = set()
-    for start, stop in reversed(bounds):
-        read = {load.tobytes(): load for r, t in reads[start:stop] for load in r + t}
-        last_read.insert(0, [load for key, load in read.items() if key not in later])
-        later.update(read)
     costs: list[list[np.ndarray]] = [[] for _ in runs]
     parts: list[list[dict[str, np.ndarray]]] = [[] for _ in runs]
     emissions: list[list[np.ndarray]] = [[] for _ in runs]
@@ -1365,8 +1360,8 @@ def _simulate_runs(
         emissions[i].append(sample.terminal_emissions)
 
     with array_pool():
-        for noise in ensemble.chunks(list(rows.values()), list(totals.values())):
-            for (start, stop), done in zip(bounds, last_read):
+        for noise in ensemble.chunks(rows, totals):
+            for start, stop in bounds:
                 mkt, policy = runs[start]
                 if stop - start > 1:
                     # neither enumerate nor zip: each caches its last item, which
@@ -1378,7 +1373,6 @@ def _simulate_runs(
                         del sample  # free its trajectories before the next one is built
                 else:
                     record(start, simulate_policy_paths(policy, mkt, noise))
-                noise.drop(done)
             del noise  # free its rows for the next draw
     for run_costs, run_parts, run_emissions in zip(costs, parts, emissions):
         yield (

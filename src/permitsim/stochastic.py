@@ -120,8 +120,8 @@ class NoisePaths:
     them from the start.  A firm's shock is a loading row times
     ``d_tilde``, and ``d_firm`` derives the per-firm increments on demand.
     ``row_total(load)``, a row's sum over time, is cached as the rows are
-    (``totals=`` holds those of rows never kept), and ``drop(loads)``
-    forgets both once no caller will read them.
+    (``totals=`` holds those of rows never kept); both live as long as
+    the block.
     """
 
     seed: int
@@ -210,15 +210,6 @@ class NoisePaths:
         """``integrate_increments(row(load))[:, -1]`` bit for bit, (n_paths,), read-only,
         from the draw or computed once per load (`_running_total`), and shared as the row is."""
         return self._cached(self._totals, load, lambda load: _running_total(self.row(load)))
-
-    def drop(self, loads: Iterable[Sequence[float]]) -> None:
-        """Forget the rows of ``loads`` and their totals, so that their memory
-        is freed once no caller holds them; a later `row` of one of them is
-        computed from ``d_tilde`` again."""
-        for load in loads:
-            key = _load_vector(load, self.n_firms + 1).tobytes()
-            self._rows.pop(key, None)
-            self._totals.pop(key, None)
 
     def weighted_mean_increments(self, sigmas: Sequence[float]) -> np.ndarray:
         """(1/N) sum_i sigma_i dW_i, shape (n_paths, M), read-only.
@@ -554,10 +545,7 @@ def _draw_rows(
     """
     fill = _path_filler(seed, grid, n_paths, path_offset)
     m = grid.n_steps
-    # each row is pooled on its own base, sized for a (P, M+1) path array
-    rows = [
-        pooled_empty((n_paths * (m + 1),))[: n_paths * m].reshape(n_paths, m) for _ in loads
-    ]
+    rows = [pooled_empty((n_paths, m)) for _ in loads]
     sums = [np.empty(n_paths) for _ in totals]
     if not (loads or totals):
         return rows, sums

@@ -1064,9 +1064,8 @@ def test_samples_kept_past_their_chunk_are_not_written_over(base_market, monkeyp
             np.testing.assert_array_equal(getattr(sample, name), getattr(alone, name))
 
 
-def test_the_chunk_loop_takes_its_arrays_from_one_pool(base_market, monkeypatch):
-    """Every chunk after the first reuses the arrays of the one before: the
-    pool holds no more arrays after six chunks than after two."""
+def _recorded_pools(monkeypatch):
+    """The list of every `array_pool` entered from now on, in order."""
     pools = []
     real_pool = permitsim.stochastic._ArrayPool
 
@@ -1075,6 +1074,13 @@ def test_the_chunk_loop_takes_its_arrays_from_one_pool(base_market, monkeypatch)
         return pools[-1]
 
     monkeypatch.setattr(permitsim.stochastic, "_ArrayPool", recording)
+    return pools
+
+
+def test_the_chunk_loop_takes_its_arrays_from_one_pool(base_market, monkeypatch):
+    """Every chunk after the first reuses the arrays of the one before: the
+    pool holds no more arrays after six chunks than after two."""
+    pools = _recorded_pools(monkeypatch)
     grid = TimeGrid(horizon=10.0, n_steps=20)
     for n_paths in (8, 24):
         ensemble = PathEnsemble(
@@ -1083,6 +1089,28 @@ def test_the_chunk_loop_takes_its_arrays_from_one_pool(base_market, monkeypatch)
         run_ensemble(base_market, _four_policies(base_market), ensemble)
     two, six = (len(pool._bases) for pool in pools)
     assert 0 < two == six
+
+
+@pytest.mark.parametrize(
+    "n_paths, n_steps, bases",
+    [(512, 2000, [516096, 131072]), (2570, 50, [65536, 131072]), (512, 300, [81920, 131072])],
+)
+def test_a_standard_chunk_loop_ends_on_two_pool_bases(
+    base_market, monkeypatch, n_paths, n_steps, bases
+):
+    """The four standard policies' chunk loop, drawn on one CPU, ends with
+    two pool bases, in doubles: the chunk's one loading row (the weighted
+    mean shock, pooled at its (P, M) size and rounded up to whole 64 KiB)
+    and the scratch that the draw, the kernels and the MSR's rolling block
+    share.  A third base, or a larger one, is a chunk holding more."""
+    monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: 1)
+    pools = _recorded_pools(monkeypatch)
+    grid = TimeGrid(horizon=10.0, n_steps=n_steps)
+    ensemble = PathEnsemble(seed=5, grid=grid, firms=base_market.firms, n_paths=n_paths)
+    assert n_paths == 2 * ensemble.chunk_size
+    run_ensemble(base_market, _four_policies(base_market), ensemble)
+    (pool,) = pools
+    assert [base.size for base in pool._bases] == bases
 
 
 def test_run_ensemble_never_derives_the_firm_shocks(base_market, monkeypatch):
@@ -1105,12 +1133,13 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     """Each chunk keeps only the loading rows its runs' costs read, and the
     totals of the loads they read only through their totals: no standard
     policy, nor a custom one with non-tracking loadings, makes a chunk draw
-    its (n_paths, N+1, M) drivers d_tilde, although each chunk drops every
-    row and total after its last reader (a dropped row read again would
-    draw them).  The four standard policies read one row, the weighted-mean
-    shock (the static and MSR price driver), and the shock sum's total (the
-    tax); the custom policy its loading sum and surprise loading.  The runs
-    go in run order."""
+    its (n_paths, N+1, M) drivers d_tilde.  The four standard policies read
+    one row, the weighted-mean shock (the static and MSR price driver), its
+    total (every run but the tax) and the shock sum's total (the tax); the
+    custom policy its loading sum and surprise loading.  The runs go in run
+    order, and every run of a chunk sees the rows and totals the chunk was
+    drawn with, beside the weighted-mean row's total, which its first
+    reader caches."""
     custom = custom_martingale_policy(
         base_market,
         np.zeros(N_FIRMS),
@@ -1126,10 +1155,12 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     ensemble = PathEnsemble(
         seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
     )
-    drawn = []
+    seen = []
     _spy_samples(
         monkeypatch,
-        lambda noise, sample: drawn.append((sample.kind, "d_tilde" in noise.__dict__)),
+        lambda noise, sample: seen.append(
+            (sample.kind, "d_tilde" in noise.__dict__, set(noise._rows), set(noise._totals))
+        ),
     )
     real_draw = permitsim.stochastic.generate_noise
     kept = []
@@ -1142,47 +1173,13 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     monkeypatch.setattr(permitsim.stochastic, "generate_noise", drawing)
     run_ensemble(base_market, [*_four_policies(base_market), custom], ensemble)
     kinds = [PolicyKind(k) for k in ("optimal_dynamic", "static", "tax", "msr", "custom_martingale")]
-    assert drawn == [(kind, False) for kind in kinds] * 3
+    assert [(kind, drew) for kind, drew, _, _ in seen] == [(kind, False) for kind in kinds] * 3
     # the custom policy reads the weighted-mean total, which the row gives
     assert kept == [({wbar, alloc, surprise}, {shock_sum})] * 3
-
-
-def test_each_chunk_drops_a_row_after_its_last_reader(base_market, monkeypatch):
-    """The four standard policies' costs read one row, the weighted-mean
-    shock (static, MSR), its total (optimal, static, MSR) and the shock
-    sum's total, which the draw sums (tax).  The run order is optimal,
-    static, tax, MSR: the shock sum's total is dropped once the tax is done,
-    and every row and total once the chunk's last run is done."""
-    wbar = weighted_mean_load(
-        [fp.k for fp in base_market.firms], [fp.sigma for fp in base_market.firms]
-    ).tobytes()
-    shock_sum = tracking_gamma(base_market.firms).sum(axis=0).tobytes()
-    ensemble = PathEnsemble(
-        seed=5, grid=TimeGrid(10.0, 20), firms=base_market.firms, n_paths=6, chunk_size=4
-    )
-    held = []
-    noises = []
-    _spy_samples(
-        monkeypatch,
-        lambda noise, sample: held.append(
-            (sample.kind.value, set(noise._rows), set(noise._totals))
-        ),
-    )
-    real_drop = NoisePaths.drop
-
-    def dropping(noise, loads):
-        real_drop(noise, loads)
-        noises.append(noise)
-
-    monkeypatch.setattr(NoisePaths, "drop", dropping)
-    run_ensemble(base_market, _four_policies(base_market), ensemble)
-    assert held == [
-        ("optimal_dynamic", {wbar}, {wbar, shock_sum}),
-        ("static", {wbar}, {wbar, shock_sum}),
-        ("tax", {wbar}, {wbar, shock_sum}),
-        ("msr", {wbar}, {wbar}),
-    ] * 2
-    assert all(not noise._rows and not noise._totals for noise in noises)
+    runs = len(kinds)
+    for chunk, (rows, totals) in enumerate(kept):
+        for _, _, run_rows, run_totals in seen[chunk * runs : (chunk + 1) * runs]:
+            assert (run_rows, run_totals) == (rows, totals | {wbar})
 
 
 def _traced_peak_of_two_standard_chunks(mkt):

@@ -298,21 +298,12 @@ def test_array_pool_hands_an_array_out_again_only_once_nothing_refers_to_it():
 
 def test_a_freed_row_holds_the_next_path_array_of_its_chunk():
     """A freed (P, M) array's base takes the next (P, M+1) request: at 256 x
-    2000 steps the 64 KiB rounding leaves room for it, and a noise row sits
-    on a base sized for a path array, which holds it on any grid, also at
-    2048 steps, where 256 x 2048 doubles are whole 64 KiB."""
+    2000 steps the 64 KiB rounding leaves room for it."""
     with array_pool():
         row = pooled_empty((256, 2000))
         where = row.ctypes.data
         del row
         assert pooled_empty((256, 2001)).ctypes.data == where
-    load = np.ones(3)
-    grid = TimeGrid(horizon=10.0, n_steps=2048)
-    with array_pool():
-        noise = generate_noise(3, grid, make_firms(2), 256, loads=[load])
-        where = noise.row(load).ctypes.data
-        del noise
-        assert pooled_empty((256, 2049)).ctypes.data == where
 
 
 def test_only_the_calling_thread_takes_draw_scratch_from_the_pool(monkeypatch):
