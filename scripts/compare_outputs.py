@@ -5,7 +5,8 @@ Runs one matrix of `simulate` and `compare` cases on this checkout, with
 its uncommitted changes, and on a base revision, which is checked out with
 `git worktree` into a temporary directory and removed afterwards.  Each
 case runs in a fresh ``python -m permitsim.cli`` process on the
-``paper-2020-base`` preset.  For every output file it prints "identical",
+``paper-2020-base`` preset, under all four standard policies or under a
+custom martingale policy.  For every output file it prints "identical",
 or the largest relative difference |a - b| / max(|a|, |b|) of each column
 (CSV) or field (JSON) that differs.
 
@@ -31,12 +32,36 @@ SEED = 4242
 #: The 13 etas of the `sweep-eta` benchmark workload: 1e6 to 1e9, log spaced.
 ETAS = ",".join(repr(10.0 ** (6.0 + 0.25 * i)) for i in range(13))
 
-#: (case name, subcommand arguments), each run with ``--config``, ``--seed`` and ``--out``.
+#: The config files the cases run on, by file name: the preset, and the preset
+#: under a custom martingale policy whose loadings track no firm's shock
+#: (gamma = 5e7 on the common driver and 2e7 on the firm's own), so that its
+#: price, trading and penalty move on every path.
+CONFIGS = {
+    "preset.json": {"preset": "paper-2020-base"},
+    "custom.json": {
+        "preset": "paper-2020-base",
+        "policy": {
+            "kind": "custom_martingale",
+            "target_compliance": False,
+            "m0": [-7e8] * 6,
+            "gamma": [[5e7, *(2e7 if j == i else 0.0 for j in range(6))] for i in range(6)],
+        },
+    },
+}
+
+#: (case name, config file, subcommand arguments), each run with ``--config``,
+#: ``--seed`` and ``--out``.
 CASES = [
-    (f"{command[0]}-{paths}x{steps}", [*command, "--paths", str(paths), "--steps", str(steps)])
-    for command, shapes in (
-        (["simulate", "--policy", "all"], ((1024, 2000), (20000, 50), (289, 2000), (8, 2000), (9, 1))),
-        (["compare", "--etas", ETAS], ((1000, 300), (257, 2000))),
+    (f"{name}-{paths}x{steps}", config, [*command, "--paths", str(paths), "--steps", str(steps)])
+    for name, config, command, shapes in (
+        (
+            "simulate",
+            "preset.json",
+            ["simulate", "--policy", "all"],
+            ((1024, 2000), (20000, 50), (289, 2000), (8, 2000), (9, 1)),
+        ),
+        ("custom", "custom.json", ["simulate"], ((3000, 50), (300, 2000))),
+        ("compare", "preset.json", ["compare", "--etas", ETAS], ((1000, 300), (257, 2000))),
     )
     for paths, steps in shapes
 ]
@@ -144,15 +169,16 @@ def compare_trees(base: Path, change: Path) -> list[tuple[str, str]]:
 
 def _run_cases(tree: Path, out: Path) -> None:
     """Every case of the matrix on the sources of ``tree``, written under ``out``."""
-    config = out / "preset.json"
     out.mkdir(parents=True)
-    config.write_text('{"preset": "paper-2020-base"}\n')
+    for config, scenario in CONFIGS.items():
+        (out / config).write_text(json.dumps(scenario) + "\n")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    for name, args in CASES:
+    for name, config, args in CASES:
         command = [sys.executable, "-m", "permitsim.cli", *args]
-        command += ["--config", str(config), "--seed", str(SEED), "--out", str(out / name)]
+        command += ["--config", str(out / config), "--seed", str(SEED), "--out", str(out / name)]
         subprocess.run(command, env=env, check=True)
-    config.unlink()
+    for config in CONFIGS:
+        (out / config).unlink()
 
 
 def main(argv: list[str] | None = None) -> int:

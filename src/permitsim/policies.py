@@ -512,9 +512,12 @@ class PolicyPathSample:
     and then cached, so a caller that reads only costs pays for none of
     them: the kernels take their per-path sums over row blocks of a
     scratch array, without the paths the builders rebuild.
-    Arrays may be views: under the optimal policy the price, the average
-    abatement and the cost parts are read-only and repeat one row on every
-    path, and the MSR's trajectories are transposed views of time-major
+    Arrays may be views: under the optimal policy the price and the average
+    abatement are read-only and repeat one row on every path; a cost part
+    that is the same on every path (every part of the optimal policy, the
+    tax's abatement, trading and penalty, the MSR's trading and tax, and
+    every martingale run's tax) is a read-only view with stride 0 of one
+    value; and the MSR's trajectories are transposed views of time-major
     (M+1, P) arrays.
     """
 
@@ -616,6 +619,13 @@ def static_price_paths(
     return price
 
 
+def _path_cost(parts: dict[str, np.ndarray]) -> np.ndarray:
+    """The per-path cost, the sum of the cost parts in one order, so that a
+    cost summed per chunk and one summed over the concatenated parts agree
+    to the bit."""
+    return parts["abatement"] + parts["trading"] + parts["penalty"] + parts["tax"]
+
+
 def _sample(
     kind: PolicyKind,
     run: Callable[[], str],
@@ -629,7 +639,7 @@ def _sample(
     kernel, cost part or sum of the parts, raises `DomainError` (an O(P)
     check: a non-finite part makes the cost non-finite).
     """
-    cost = parts["abatement"] + parts["trading"] + parts["penalty"] + parts["tax"]
+    cost = _path_cost(parts)
     if not (np.isfinite(cost).all() and np.isfinite(terminal_emissions).all()):
         raise DomainError(f"{run()} overflows: a cost or the terminal emissions are not finite")
     return PolicyPathSample(
@@ -698,7 +708,8 @@ def _simulate_martingale(
     every firm's shock (the optimal policy) nothing surprises the market:
     the price is the constant P0 and sum_i B_i stays sum_i B_i(0), so the
     price, the abatement and every cost part are computed once, as one row
-    that the sample's read-only views repeat on every path.  A cost or
+    that the sample's read-only views repeat on every path; the tax part is
+    a stride-0 view of 0.0 under every allocation.  A cost or
     terminal emission that is not finite raises `DomainError` (`_sample`).
 
     A moving price is built one row block at a time (`frictionless_price`),
@@ -824,7 +835,7 @@ def _simulate_martingale(
         "abatement": np.broadcast_to(abatement, shape[:1]),
         "trading": np.broadcast_to(trading, shape[:1]),
         "penalty": np.broadcast_to(penalty, shape[:1]),
-        "tax": np.zeros(shape[0]),
+        "tax": np.broadcast_to(0.0, shape[:1]),
     }
     terminal_emissions = mu_total * t[-1] - abated_T + n * wbar_T
 
@@ -905,14 +916,15 @@ def simulate_policy_paths(
     abate_cost = grid.horizon * float(
         np.sum(hs * policy.alpha + policy.alpha**2 / (2.0 * etas))
     )
-    zeros_s = np.zeros(noise.n_paths)
+    # the parts but the tax, the price, bank, abatement and net allocation are
+    # the same on every path: read-only views
+    zero_s = np.broadcast_to(0.0, shape[:1])
     parts = {
-        "abatement": np.full(noise.n_paths, abate_cost),
-        "trading": zeros_s,
-        "penalty": zeros_s.copy(),
+        "abatement": np.broadcast_to(abate_cost, shape[:1]),
+        "trading": zero_s,
+        "penalty": zero_s,
         "tax": policy.tau * terminal_emissions,
     }
-    # price, bank, abatement and net allocation are constant: read-only views
     zero = np.broadcast_to(0.0, shape)
     return _sample(
         policy.kind,
@@ -1126,8 +1138,8 @@ def _msr_sample(
     terminal_emissions += n * wbar_T
     abatement = n * (h_bar * abated + alpha_sq / (2.0 * eta * dt))
     penalty = n * mkt.penalty * x_T**2
-    zeros_s = np.zeros(n_paths)
-    parts = {"abatement": abatement, "trading": zeros_s, "penalty": penalty, "tax": zeros_s.copy()}
+    zero_s = np.broadcast_to(0.0, (n_paths,))  # read-only, stride 0
+    parts = {"abatement": abatement, "trading": zero_s, "penalty": penalty, "tax": zero_s}
 
     @cache
     def banks() -> np.ndarray:
@@ -1277,18 +1289,18 @@ def _cost_reads(mkt: MarketParams, policy: Policy) -> tuple[list[np.ndarray], li
     """The loading rows a costs-only run of ``policy`` reads (`NoisePaths.row`),
     and the loads it reads only through their totals (`NoisePaths.row_total`).
 
-    The tax reads the shock sum's total.  A moving price reads its driver,
-    the weighted mean shock for the static policy and the MSR; a custom
-    policy whose allocation surprises the market reads its loading sum and
-    surprise rows and the weighted mean shock's total, and one that
-    surprises no one (the optimal policy) only that total.
+    The tax reads the shock sum's total, and every other run the weighted
+    mean shock's total.  A moving price reads its driver, the weighted mean
+    shock for the static policy and the MSR; a custom policy whose
+    allocation surprises the market reads its loading sum and surprise
+    rows, and one that surprises no one (the optimal policy) no row.
     """
     rows = _noise_rows(mkt, policy)
     if isinstance(policy, TaxPolicy):
         return [], rows
-    if len(rows) == 1:  # the price driver, whose total comes from the row
-        return rows, []
-    return rows[1:] if len(rows) == 3 else [], rows[:1]
+    # the price driver when it is the only row; a surprise's two rows past it
+    read = rows if len(rows) == 1 else rows[1:] if len(rows) == 3 else []
+    return read, rows[:1]
 
 
 def _stack_bounds(
@@ -1336,12 +1348,18 @@ def _simulate_runs(
     draw's scratch, and build no trajectory, so no run keeps a (P, M+1)
     array: a chunk of the four standard policies holds one row, the
     weighted mean shock, as long as the chunk.  The runs go in run order.
-    Each sample is released once its costs are kept, and every stack's
-    generator is run to its end and the chunk released before the next
-    noise draw.  Yields, per run and in run order, the concatenated
-    per-path cost, cost parts and terminal emissions, each built when it
-    is requested, so a caller that reports one run at a time holds one
-    run's copies at once.
+    Each sample is released once its cost parts and terminal emissions are
+    kept, and every stack's generator is run to its end and the chunk
+    released before the next noise draw.  A chunk keeps no per-path cost,
+    and a part that is the same on every path is the kernel's read-only
+    stride-0 view, so only its value and path count: the four standard
+    policies keep 10 (P,) arrays per chunk, the terminal emissions and the
+    parts that vary by path.  Yields, per run and in run order, the
+    concatenated cost parts, the per-path cost summed from them
+    (`_path_cost`, with the bits of the chunks' costs) and the terminal
+    emissions, each built when it is requested; a run's pieces are
+    released as it is yielded, so a caller that reports one run at a time
+    holds one run's copies at once.
     """
     for mkt, _ in runs:
         ensemble.require_firms(mkt.firms)
@@ -1350,14 +1368,11 @@ def _simulate_runs(
     totals = [load for _, run_totals in reads for load in run_totals]
     m = ensemble.grid.n_steps
     bounds = _stack_bounds(runs, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
-    costs: list[list[np.ndarray]] = [[] for _ in runs]
-    parts: list[list[dict[str, np.ndarray]]] = [[] for _ in runs]
-    emissions: list[list[np.ndarray]] = [[] for _ in runs]
+    # per run, each chunk's (cost parts, terminal emissions)
+    kept: list[list[tuple[dict[str, np.ndarray], np.ndarray]]] = [[] for _ in runs]
 
     def record(i: int, sample: PolicyPathSample) -> None:
-        costs[i].append(sample.cost)
-        parts[i].append(sample.parts)
-        emissions[i].append(sample.terminal_emissions)
+        kept[i].append((sample.parts, sample.terminal_emissions))
 
     with array_pool():
         for noise in ensemble.chunks(rows, totals):
@@ -1374,15 +1389,21 @@ def _simulate_runs(
                 else:
                     record(start, simulate_policy_paths(policy, mkt, noise))
             del noise  # free its rows for the next draw
-    for run_costs, run_parts, run_emissions in zip(costs, parts, emissions):
-        yield (
-            np.concatenate(run_costs),
-            {
-                key: np.concatenate([c[key] for c in run_parts])
-                for key in ("abatement", "trading", "penalty", "tax")
-            },
-            np.concatenate(run_emissions),
-        )
+    kept.reverse()
+    while kept:
+        yield _joined(kept.pop())  # the run's pieces are freed as _joined returns
+
+
+def _joined(
+    pieces: list[tuple[dict[str, np.ndarray], np.ndarray]],
+) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+    """One run's per-path cost, cost parts and terminal emissions over all
+    paths, from its per-chunk (cost parts, terminal emissions) ``pieces``."""
+    parts = {
+        key: np.concatenate([chunk_parts[key] for chunk_parts, _ in pieces])
+        for key in ("abatement", "trading", "penalty", "tax")
+    }
+    return _path_cost(parts), parts, np.concatenate([emissions for _, emissions in pieces])
 
 
 def run_ensemble(
@@ -1391,8 +1412,10 @@ def run_ensemble(
     """Simulate every policy on every chunk of a shared ensemble and report costs.
 
     Chunk by chunk, each policy runs on the same noise block
-    (`_simulate_runs`).  Only the per-path costs, cost parts and terminal
-    emissions are kept, so no trajectory outlives its chunk.  A Monte Carlo
+    (`_simulate_runs`).  Only the cost parts that vary by path and the
+    terminal emissions are kept, so no trajectory outlives its chunk; each
+    policy's per-path cost is summed from its concatenated parts, and only
+    those costs are held for the deltas once its report is made.  A Monte Carlo
     estimate that misses its closed form only clears its report's
     ``consistent`` flag; `compare_policies` raises on it instead.
     """

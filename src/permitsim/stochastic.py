@@ -27,8 +27,9 @@ shock, the sum of a policy's allocation loadings).  Given those loads,
 scratch and keeps only the rows; the block's drivers,
 ``NoisePaths.d_tilde``, are then drawn from the same streams on first
 access; a row's sum over time, on which every policy's emissions end, is
-taken once per block (``NoisePaths.row_total``), in the draw for a row that
-is read only through it.  `map_path_slices` draws
+taken once per block (``NoisePaths.row_total``), in the draw for every load
+drawn as a total, from its kept row or, for a row read only through it,
+from the scratch.  `map_path_slices` draws
 a large block of paths as contiguous path slices, one per CPU the process
 may run on; the shocks are per-path streams, so the numbers do not depend
 on the split.
@@ -120,8 +121,8 @@ class NoisePaths:
     them from the start.  A firm's shock is a loading row times
     ``d_tilde``, and ``d_firm`` derives the per-firm increments on demand.
     ``row_total(load)``, a row's sum over time, is cached as the rows are
-    (``totals=`` holds those of rows never kept); both live as long as
-    the block.
+    (``totals=`` holds those summed in the draw, kept rows or not); both
+    live as long as the block.
     """
 
     seed: int
@@ -538,8 +539,9 @@ def _draw_rows(
     load's rows from it.  A load times a stack of (N+1, M) blocks is the
     product ``row`` computes on the whole block, path by path, so the bits
     are the same; a (K, N+1) matrix of loads would be a matrix product,
-    which may round differently.  A total's row is summed in the scratch
-    with the bits of `_running_total` and never kept.  The calling thread
+    which may round differently.  A total is summed with the bits of
+    `_running_total`: a kept load's from its rows just written, any other's
+    from its rows in the scratch, which are never kept.  The calling thread
     takes the scratch from the active `array_pool`, which pool threads may
     not use, and cuts it among the slices.
     """
@@ -547,6 +549,9 @@ def _draw_rows(
     m = grid.n_steps
     rows = [pooled_empty((n_paths, m)) for _ in loads]
     sums = [np.empty(n_paths) for _ in totals]
+    # the kept row a total is summed from, None for a load drawn only as a total
+    by_bits = {load.tobytes(): row for load, row in zip(loads, rows)}
+    summed_rows = [by_bits.get(load.tobytes()) for load in totals]
     if not (loads or totals):
         return rows, sums
     bounds = _slice_bounds(n_paths, n_drivers * m)
@@ -569,9 +574,12 @@ def _draw_rows(
             fill(block, first)
             for load, row in zip(loads, rows):
                 np.matmul(load, block, out=row[first : first + b])
-            for load, total in zip(totals, sums):
-                part = np.matmul(load, block, out=running[:b])
-                total[first : first + b] = np.cumsum(part, axis=-1, out=part)[:, -1]
+            for load, row, total in zip(totals, summed_rows, sums):
+                if row is None:
+                    part = np.matmul(load, block, out=running[:b])
+                else:
+                    part = row[first : first + b]
+                total[first : first + b] = np.cumsum(part, axis=-1, out=running[:b])[:, -1]
 
     map_path_slices(draw, n_paths, n_drivers * m)
     return rows, sums
@@ -606,7 +614,8 @@ def generate_noise(
     (loading rows on the N+1 drivers) it keeps only ``load @ d_tilde`` for
     each, drawn without ever holding more than a few paths of normals
     (`_draw_rows`), and draws ``d_tilde`` on first access; of ``totals`` it
-    keeps only each row's sum over time (`NoisePaths.row_total`).  A large
+    keeps each row's sum over time (`NoisePaths.row_total`), summed in the
+    draw, and no row unless the load is one of ``loads``.  A large
     block is drawn as path slices on the process's CPUs
     (`map_path_slices`), which gives the same numbers as one pass.
     """
@@ -617,7 +626,7 @@ def generate_noise(
             seed, path_offset, grid, ks, _draw_drivers(seed, grid, n_drivers, n_paths, path_offset)
         )
     kept = _distinct(loads, n_drivers)
-    summed = {k: v for k, v in _distinct(totals, n_drivers).items() if k not in kept}
+    summed = _distinct(totals, n_drivers)
     rows, sums = _draw_rows(
         seed, grid, n_drivers, n_paths, path_offset, [*kept.values()], [*summed.values()]
     )
@@ -658,7 +667,8 @@ def row_blocks(n_rows: int, size: int) -> Iterator[tuple[slice, int]]:
 def _running_total(d: np.ndarray) -> np.ndarray:
     """``integrate_increments(d)[:, -1]`` bit for bit (a pairwise ``sum`` is not): the
     running sums of ``d``, (P, M), over `block_rows` paths at a time in an unpooled
-    scratch (a pool would keep a base this size that no larger request reuses)."""
+    scratch (a pool would keep a base this size that no larger request reuses), for
+    a block whose total was not drawn with it (``totals=``)."""
     n_paths, m = d.shape
     scratch = np.empty((block_rows(n_paths, m + 1), m))
     total = np.empty(n_paths)

@@ -997,8 +997,10 @@ def test_compare_never_writes_a_non_finite_row(tmp_path, monkeypatch):
     real = permitsim.policies._simulate_msr
 
     def infinite_cost(runs, noise):
+        # the chunk loop keeps the cost parts, not the cost, and sums them per run
         for sample in real(runs, noise):
-            yield replace(sample, cost=np.full_like(sample.cost, np.inf))
+            inf = np.full_like(sample.parts["penalty"], np.inf)
+            yield replace(sample, parts={**sample.parts, "penalty": inf})
 
     monkeypatch.setattr(permitsim.policies, "_simulate_msr", infinite_cost)
     config = build_scenario({"preset": "paper-2020-base", "simulation": small_sim_block()})

@@ -1138,8 +1138,8 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     total (every run but the tax) and the shock sum's total (the tax); the
     custom policy its loading sum and surprise loading.  The runs go in run
     order, and every run of a chunk sees the rows and totals the chunk was
-    drawn with, beside the weighted-mean row's total, which its first
-    reader caches."""
+    drawn with and no other: the weighted-mean row's total is summed in the
+    draw, from the kept row, so no reader computes it after the draw."""
     custom = custom_martingale_policy(
         base_market,
         np.zeros(N_FIRMS),
@@ -1174,12 +1174,11 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     run_ensemble(base_market, [*_four_policies(base_market), custom], ensemble)
     kinds = [PolicyKind(k) for k in ("optimal_dynamic", "static", "tax", "msr", "custom_martingale")]
     assert [(kind, drew) for kind, drew, _, _ in seen] == [(kind, False) for kind in kinds] * 3
-    # the custom policy reads the weighted-mean total, which the row gives
-    assert kept == [({wbar, alloc, surprise}, {shock_sum})] * 3
+    assert kept == [({wbar, alloc, surprise}, {wbar, shock_sum})] * 3
     runs = len(kinds)
     for chunk, (rows, totals) in enumerate(kept):
         for _, _, run_rows, run_totals in seen[chunk * runs : (chunk + 1) * runs]:
-            assert (run_rows, run_totals) == (rows, totals | {wbar})
+            assert (run_rows, run_totals) == (rows, totals)
 
 
 def _traced_peak_of_two_standard_chunks(mkt):
@@ -1278,6 +1277,64 @@ def test_compare_policies_reports_what_run_ensemble_reports(base_market):
     for rc, rp in zip(checked.reports, plain.reports):
         assert rc.consistent
         assert vars(rc) == vars(rp)
+
+
+def test_run_ensemble_reports_what_the_chunks_samples_report(base_market):
+    """The chunk loop keeps only the cost parts that vary by path and the
+    terminal emissions, and sums each run's cost from its concatenated
+    parts: its reports and deltas equal, field by field, those built from
+    each chunk's `simulate_policy_paths` sample, with the samples' costs,
+    parts and terminal emissions concatenated.  Four chunks at 50 steps, the
+    last a short one, on the four standard policies and the CI custom
+    policy, whose allocation moves and whose trading and penalty vary by
+    path."""
+    policies = [*_four_policies(base_market), _ci_custom_policy(base_market)]
+    ensemble = PathEnsemble(
+        seed=23, grid=TimeGrid(10.0, 50), firms=base_market.firms, n_paths=350, chunk_size=100
+    )
+    result = run_ensemble(base_market, policies, ensemble)
+    chunks = [
+        [simulate_policy_paths(policy, base_market, noise) for policy in policies]
+        for noise in ensemble.chunks()
+    ]
+    assert len(chunks) == 4
+    costs = {}
+    for policy, report, samples in zip(policies, result.reports, zip(*chunks)):
+        cost = np.concatenate([s.cost for s in samples])
+        parts = {key: np.concatenate([s.parts[key] for s in samples]) for key in samples[0].parts}
+        emissions = np.concatenate([s.terminal_emissions for s in samples])
+        assert vars(report) == vars(cost_report_from_samples(policy, cost, parts, emissions))
+        costs[policy.kind.value] = cost
+    kinds = list(costs)
+    assert result.deltas == {
+        (a, b): permitsim.policies._mean_se(costs[a] - costs[b])
+        for i, a in enumerate(kinds)
+        for b in kinds[i + 1 :]
+    }
+    assert result.n_paths == 350
+
+
+def test_constant_cost_parts_are_read_only_stride_0_views(base_market, kernel_noise):
+    """A cost part that is the same on every path is a read-only view with
+    stride 0 of one value, so a chunk keeps no (P,) array of it: every part
+    of the optimal policy, the tax's abatement, trading and penalty, the
+    MSR's trading and tax, and the static and custom policies' tax.  Every
+    other part is a (P,) array of its own values."""
+    constant = {
+        PolicyKind.OPTIMAL_DYNAMIC: {"abatement", "trading", "penalty", "tax"},
+        PolicyKind.STATIC: {"tax"},
+        PolicyKind.TAX: {"abatement", "trading", "penalty"},
+        PolicyKind.MSR: {"trading", "tax"},
+        PolicyKind.CUSTOM_MARTINGALE: {"tax"},
+    }
+    for policy in [*_four_policies(base_market), _ci_custom_policy(base_market)]:
+        sample = simulate_policy_paths(policy, base_market, kernel_noise)
+        for key, part in sample.parts.items():
+            assert part.shape == (kernel_noise.n_paths,)
+            if key in constant[policy.kind]:
+                assert part.strides == (0,) and not part.flags.writeable, (policy.kind, key)
+            else:
+                assert part.strides == (8,) and np.unique(part).size > 1, (policy.kind, key)
 
 
 def test_custom_martingale_matches_optimal_cost(base_market, medium_noise):

@@ -119,7 +119,9 @@ def test_drawn_rows_are_the_loads_times_the_drivers(monkeypatch, n_steps, scratc
     """A block drawn with loads keeps load @ d_tilde of the whole block, bit
     for bit, and of a load drawn as a total only that row's running sum,
     whether the scratch divides a slice or not and whether the block splits,
-    and draws no d_tilde.  At 2000 steps the scratch holds 8 of the block's
+    and draws no d_tilde.  A kept load drawn as a total too has its running
+    sum from the draw, summed from the kept row, so no reader sums the row
+    again.  At 2000 steps the scratch holds 8 of the block's
     40 paths (normals and a total's row); with 3 per slice, the 11-path
     block, and its 4-path slices when it splits in three, end on a partial
     pass."""
@@ -135,13 +137,17 @@ def test_drawn_rows_are_the_loads_times_the_drivers(monkeypatch, n_steps, scratc
     if split:
         force_split(monkeypatch)
     noise = generate_noise(
-        17, grid, firms, n_paths=n_paths, path_offset=3, loads=loads, totals=[total_load]
+        17, grid, firms, n_paths=n_paths, path_offset=3, loads=loads,
+        totals=[total_load, loads[1]],
     )
+    drawn_totals = dict(noise._totals)
     for load in loads:
         assert noise.row(load).tobytes() == (load @ whole.d_tilde).tobytes()
-    want = integrate_increments(total_load @ whole.d_tilde)[:, -1]
-    assert noise.row_total(total_load).tobytes() == want.tobytes()
+    for load in (total_load, loads[1]):
+        want = integrate_increments(load @ whole.d_tilde)[:, -1]
+        assert drawn_totals[load.tobytes()].tobytes() == want.tobytes()
     assert total_load.tobytes() not in noise._rows
+    assert loads[0].tobytes() not in noise._totals
     assert "d_tilde" not in noise.__dict__
 
 
