@@ -18,6 +18,7 @@ Exits 0 when every file is identical and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 #: The simulation seed of every case.
 SEED = 4242
@@ -167,6 +169,19 @@ def compare_trees(base: Path, change: Path) -> list[tuple[str, str]]:
     return verdicts
 
 
+@contextlib.contextmanager
+def base_worktree(checkout: Path, rev: str, tmp: Path) -> Iterator[Path]:
+    """``rev`` of the repository at ``checkout``, checked out with `git
+    worktree` under ``tmp`` and removed again when the block exits."""
+    worktree = tmp / "base-tree"
+    git = ["git", "-C", str(checkout)]
+    subprocess.run([*git, "worktree", "add", "--detach", str(worktree), rev], check=True)
+    try:
+        yield worktree
+    finally:
+        subprocess.run([*git, "worktree", "remove", "--force", str(worktree)], check=True)
+
+
 def _run_cases(tree: Path, out: Path) -> None:
     """Every case of the matrix on the sources of ``tree``, written under ``out``."""
     out.mkdir(parents=True)
@@ -191,13 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     checkout = Path(__file__).resolve().parents[1]
     with tempfile.TemporaryDirectory(prefix="permitsim-compare-") as tmp:
         tmp = Path(tmp)
-        worktree = tmp / "base-tree"
-        git = ["git", "-C", str(checkout)]
-        subprocess.run([*git, "worktree", "add", "--detach", str(worktree), args.base], check=True)
-        try:
+        with base_worktree(checkout, args.base, tmp) as worktree:
             _run_cases(worktree, tmp / "base")
-        finally:
-            subprocess.run([*git, "worktree", "remove", "--force", str(worktree)], check=True)
         _run_cases(checkout, tmp / "change")
         verdicts = compare_trees(tmp / "base", tmp / "change")
     for name, verdict in verdicts:

@@ -65,7 +65,7 @@ from .equilibrium import (  # noqa: F401
 )
 from .firm import AllocationView
 from .stochastic import (
-    CHUNK_KNOTS,
+    SCRATCH_DOUBLES,
     NoisePaths,
     PathEnsemble,
     TimeGrid,
@@ -742,9 +742,9 @@ def _simulate_martingale(
     wbar_T = noise.row_total(wbar_load)
     mu_total = float(sum(fp.mu for fp in mkt.firms))
     alloc_flow = mu_total if tracks_trends else 0.0
-    # three (rows, M+1) blocks in two default chunk knots' doubles, the
-    # base the noise draw's scratch and the MSR's rolling block take
-    rows = min(n_paths, max(1, 2 * CHUNK_KNOTS // (3 * (m + 1))))
+    # three (rows, M+1) blocks in one pooled scratch, the base the noise
+    # draw's scratch and the MSR's rolling blocks take
+    rows = min(n_paths, max(1, SCRATCH_DOUBLES // (3 * (m + 1))))
     scratch = pooled_empty((3, rows * (m + 1)))
 
     # sum_i M_i(t) = sum_i m0_i + (sum_i gamma_i) Wtilde(t); a zero loading
@@ -1067,7 +1067,7 @@ def _msr_sums(
     runs on the shocks ``d_wbar``, (P, M).
 
     The banks step (`_msr_steps`) through a pooled rolling block of
-    span + 1 knots, span = max(1, CHUNK_KNOTS // (R P) - 1), whose row 0
+    span + 1 knots, span = max(1, SCRATCH_DOUBLES // (2 R P) - 1), whose row 0
     holds the last knot of the block before.  Each block's alpha_k dt go
     into a second block of that shape, whose row 0 holds the running total
     (-0.0 at first, which adds exactly), and its time-major sum continues
@@ -1081,7 +1081,7 @@ def _msr_sums(
     eta, h_bar, x_bar0 = np.array(
         [(mkt.agg.eta_bar, mkt.agg.h_bar, policy.x_bar0) for mkt, policy in runs]
     ).T[..., None]
-    span = max(1, CHUNK_KNOTS // (len(runs) * n_paths) - 1)
+    span = max(1, SCRATCH_DOUBLES // (2 * len(runs) * n_paths) - 1)
     x_t, alpha = pooled_empty((2, min(span, m) + 1, len(runs), n_paths))
     abated = np.full(x_t.shape[1:], -0.0)
     alpha_sq = np.full(x_t.shape[1:], -0.0)
@@ -1310,7 +1310,7 @@ def _stack_bounds(
 
     Consecutive MSR runs whose firms share their volatilities form stacks of
     at most ``cap`` runs; every other run is a range of its own.  A stack
-    steps through a rolling block of about CHUNK_KNOTS doubles, so the cap
+    steps through rolling blocks of about SCRATCH_DOUBLES doubles, so the cap
     bounds no buffer: it keeps the block's span of knots from shrinking.
     """
     bounds: list[tuple[int, int]] = []
@@ -1344,7 +1344,7 @@ def _simulate_runs(
     `_simulate_msr` recursion of at most (N+1) M // (M+1) runs
     (`_stack_bounds`).  Every other run goes through `simulate_policy_paths`
     on the whole chunk.  The kernels take their per-path costs in pooled
-    scratch of about 2 CHUNK_KNOTS doubles, one base shared with the noise
+    scratch of about SCRATCH_DOUBLES doubles, one base shared with the noise
     draw's scratch, and build no trajectory, so no run keeps a (P, M+1)
     array: a chunk of the four standard policies holds one row, the
     weighted mean shock, as long as the chunk.  The runs go in run order.

@@ -237,9 +237,9 @@ class _ArrayPool:
     takes the smallest free base that holds it, so a chunk smaller than
     the one before reuses its arrays.  A new base is rounded up to whole
     64 KiB, so that requests of nearly one size share a base whichever
-    comes first: at 256 x 2000 the noise draw's scratch (131072 doubles),
-    the martingale kernel's three row blocks (126063) and the MSR's rolling
-    block (131072) are one base.
+    comes first: at 256 x 2000 the noise draw's scratch (65536 doubles),
+    the martingale kernel's three row blocks (60030) and the MSR's two
+    rolling blocks (65536), each sized by SCRATCH_DOUBLES, are one base.
     """
 
     def __init__(self) -> None:
@@ -314,18 +314,6 @@ def integrate_increments(d: np.ndarray, out: np.ndarray | None = None) -> np.nda
 MIN_SLICE_DOUBLES = 1 << 20
 
 _T = TypeVar("_T")
-_slice_pool = None
-_slice_pool_lock = threading.Lock()
-
-
-def _forget_slice_pool() -> None:
-    global _slice_pool, _slice_pool_lock
-    _slice_pool = None
-    _slice_pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # a forked child inherits the pool, not its threads
-    os.register_at_fork(after_in_child=_forget_slice_pool)
 
 
 def _cpu_count() -> int:
@@ -350,35 +338,43 @@ def map_path_slices(fn: Callable[[int, int], _T], n_paths: int, path_doubles: in
     one slice per CPU of the process, but only so far as every slice keeps
     at least MIN_SLICE_DOUBLES doubles; a block that does not split is one
     slice, and ``fn(0, n_paths)`` runs directly.  The calling thread runs
-    slice 0 and a module thread pool, created on first use with one worker
-    fewer than the CPUs, runs the others, each in a copy of the caller's
-    context so that its ``np.errstate`` holds there too (errstate is a
-    context variable from numpy 2 on, the package's floor).  ``fn`` gains only
-    where its array work releases the GIL; it must touch only its own paths
-    and must not split again.  When a slice raises, the exception (the first
-    in path order) propagates once every other slice has finished.
+    slice 0, and one thread started per other slice runs it in a copy of the
+    caller's context, so that its ``np.errstate`` holds there too (errstate
+    is a context variable from numpy 2 on, the package's floor); every
+    thread is joined before the call returns, so none outlives it.  ``fn``
+    gains only where its array work releases the GIL; it must touch only
+    its own paths and must not split again.  When a slice raises, the
+    exception (the first in path order) propagates once every other slice
+    has finished.
     """
-    global _slice_pool
     bounds = _slice_bounds(n_paths, path_doubles)
     if len(bounds) == 2:
         return [fn(0, n_paths)]
-    with _slice_pool_lock:
-        if _slice_pool is None:
-            # imported on first use: the import would add to every start-up
-            from concurrent.futures import ThreadPoolExecutor
+    results: list = [None] * (len(bounds) - 2)
+    errors: list[BaseException | None] = [None] * len(results)
 
-            _slice_pool = ThreadPoolExecutor(_cpu_count() - 1, thread_name_prefix="permitsim")
-        pool = _slice_pool
-    futures = [
-        pool.submit(contextvars.copy_context().run, fn, start, stop)
-        for start, stop in zip(bounds[1:-1], bounds[2:])
+    def run(k: int, start: int, stop: int) -> None:
+        try:
+            results[k] = fn(start, stop)
+        except BaseException as exc:  # raised again on the calling thread
+            errors[k] = exc
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, k, start, stop))
+        for k, (start, stop) in enumerate(zip(bounds[1:-1], bounds[2:]))
     ]
     try:
+        for thread in threads:
+            thread.start()
         first = fn(0, bounds[1])
     finally:
-        for future in futures:
-            future.exception()  # waits for the slice without raising
-    return [first, *(future.result() for future in futures)]
+        for thread in threads:
+            if thread.is_alive():  # a thread that failed to start never is
+                thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return [first, *results]
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, NEP 19)
@@ -485,9 +481,11 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-#: Doubles of standard normals a row draw holds at a time, over all its path
-#: slices: a few paths, and never fewer than one per slice.
-ROW_SCRATCH_DOUBLES = 1 << 17
+#: Doubles of every pooled scratch: the normals a row draw holds at a time
+#: over all its path slices (a few paths, and never fewer than one per
+#: slice), the static kernel's three row blocks, and the MSR's two rolling
+#: blocks of knots.  One size, so that at a default chunk they share one base.
+SCRATCH_DOUBLES = 1 << 16
 
 
 def _path_filler(
@@ -534,7 +532,7 @@ def _draw_rows(
     """``load @ d_tilde``, (n_paths, M), for each of ``loads``, and its sum over
     time, (n_paths,), for each of ``totals``, without the whole block.
 
-    Each path slice fills its share of one scratch of ROW_SCRATCH_DOUBLES
+    Each path slice fills its share of one scratch of SCRATCH_DOUBLES
     doubles (at least one path) a few paths at a time and writes each
     load's rows from it.  A load times a stack of (N+1, M) blocks is the
     product ``row`` computes on the whole block, path by path, so the bits
@@ -542,8 +540,8 @@ def _draw_rows(
     which may round differently.  A total is summed with the bits of
     `_running_total`: a kept load's from its rows just written, any other's
     from its rows in the scratch, which are never kept.  The calling thread
-    takes the scratch from the active `array_pool`, which pool threads may
-    not use, and cuts it among the slices.
+    takes the scratch from the active `array_pool`, which the slices' other
+    threads may not use, and cuts it among the slices.
     """
     fill = _path_filler(seed, grid, n_paths, path_offset)
     m = grid.n_steps
@@ -558,7 +556,7 @@ def _draw_rows(
     n_slices = len(bounds) - 1
     path_doubles = (n_drivers + bool(totals)) * m  # normals, and a total's row
     # one size however the block splits: the pool's bases do not depend on the CPUs
-    doubles = max(n_slices * path_doubles, min(ROW_SCRATCH_DOUBLES, n_paths * path_doubles))
+    doubles = max(n_slices * path_doubles, min(SCRATCH_DOUBLES, n_paths * path_doubles))
     widest = max(stop - start for start, stop in zip(bounds, bounds[1:]))
     per_pass = max(1, min(widest, doubles // (n_slices * path_doubles)))
     scratch = pooled_empty((doubles,))

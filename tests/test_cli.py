@@ -747,8 +747,8 @@ def test_simulate_writes_the_same_bytes_when_blocks_split(tmp_path, monkeypatch)
         assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
-def test_an_overflow_on_a_pool_thread_exits_3(tmp_path, monkeypatch):
-    """A noise-draw slice that overflows on a pool thread raises there as it
+def test_an_overflow_on_a_slice_thread_exits_3(tmp_path, monkeypatch):
+    """A noise-draw slice that overflows on a slice thread raises there as it
     would on the calling thread, and the run fails as a domain error."""
     force_split(monkeypatch)
     caller = threading.get_ident()

@@ -818,10 +818,10 @@ def test_costs_only_call_keeps_no_trajectory(base_market, kind):
     blocks of scratch arrays: on noise rows drawn before it, as a chunk's
     are, it keeps no (P, M+1) path array after it returns, only the
     sample's (P,) scalars and a few (M+1,) rows, and it peaks at two
-    scratches of two (rows, M+1) arrays, rows = CHUNK_KNOTS // (M+1): every
-    kernel's pooled scratch holds about 2 CHUNK_KNOTS doubles.  The block is
-    a default chunk of the headline grid, 256 paths x 2000 steps (rows =
-    32), on which numpy's fixed ufunc buffers (~0.15 MB) are small."""
+    scratches of SCRATCH_DOUBLES doubles, the most any kernel's pooled
+    scratch holds.  The block is a default chunk of the headline grid, 256
+    paths x 2000 steps (static row blocks of 10 paths, MSR blocks of 127
+    knots), on which numpy's fixed ufunc buffers (~0.15 MB) are small."""
     policy = build_policy(PolicySpec(kind=kind), base_market)
     grid = TimeGrid(base_market.horizon, 2000)
     loads = permitsim.policies._noise_rows(base_market, policy)
@@ -829,7 +829,7 @@ def test_costs_only_call_keeps_no_trajectory(base_market, kind):
     knots = grid.n_steps + 1
     path_bytes = noise.n_paths * knots * 8
     vector_bytes = (noise.n_paths + knots) * 8
-    scratch_bytes = 2 * (permitsim.stochastic.CHUNK_KNOTS // knots) * knots * 8
+    scratch_bytes = permitsim.stochastic.SCRATCH_DOUBLES * 8
     assert scratch_bytes < 0.26 * path_bytes
     tracemalloc.start()
     try:
@@ -1093,7 +1093,7 @@ def test_the_chunk_loop_takes_its_arrays_from_one_pool(base_market, monkeypatch)
 
 @pytest.mark.parametrize(
     "n_paths, n_steps, bases",
-    [(512, 2000, [516096, 131072]), (2570, 50, [65536, 131072]), (512, 300, [81920, 131072])],
+    [(512, 2000, [516096, 65536]), (2570, 50, [65536, 65536]), (512, 300, [81920, 65536])],
 )
 def test_a_standard_chunk_loop_ends_on_two_pool_bases(
     base_market, monkeypatch, n_paths, n_steps, bases
@@ -1101,8 +1101,9 @@ def test_a_standard_chunk_loop_ends_on_two_pool_bases(
     """The four standard policies' chunk loop, drawn on one CPU, ends with
     two pool bases, in doubles: the chunk's one loading row (the weighted
     mean shock, pooled at its (P, M) size and rounded up to whole 64 KiB)
-    and the scratch that the draw, the kernels and the MSR's rolling block
-    share.  A third base, or a larger one, is a chunk holding more."""
+    and the scratch of SCRATCH_DOUBLES that the draw, the kernels and the
+    MSR's rolling blocks share.  A third base, or a larger one, is a chunk
+    holding more."""
     monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: 1)
     pools = _recorded_pools(monkeypatch)
     grid = TimeGrid(horizon=10.0, n_steps=n_steps)
@@ -1238,11 +1239,13 @@ def _ci_custom_policy(mkt):
 def test_run_ensemble_does_not_depend_on_chunking(base_market):
     """The per-path costs, cost parts and terminal emissions of the four
     standard policies and a custom one have the same bits on every chunking.
-    At 2000 steps the kernels reduce row blocks of 32 paths: chunks of 31
-    and 33 paths are a short block and a block with a one-path tail (the
-    lone-path branch of `_time_sum`), and 289 = 256 + 33 paths end on such
-    a tail.  At 50 steps every chunk is one block."""
+    At 2000 steps the static kernel reduces row blocks of 10 paths: chunks
+    of 31 and 33 paths end on a one-path and a three-path block, and a
+    lone-path chunk is the lone-path branch of the MSR's `_time_sum`.  At
+    50 steps every chunk is one block."""
     runs = [(base_market, p) for p in [*_four_policies(base_market), _ci_custom_policy(base_market)]]
+    rows = permitsim.stochastic.SCRATCH_DOUBLES // (3 * 2001)
+    assert (rows, 31 % rows, 33 % rows) == (10, 1, 3)
     for n_steps, n_paths, chunk_sizes in [(2000, 289, (256, 1, 31, 33)), (50, 300, (256, 1, 100))]:
         grid = TimeGrid(horizon=10.0, n_steps=n_steps)
         per_size = []
@@ -1518,7 +1521,9 @@ def test_rolling_msr_block_equals_the_full_recursion(monkeypatch, n_runs, n_path
     noise = generate_noise(15, grid, firms, n_paths)
     d_wbar = noise.weighted_mean_increments([fp.sigma for fp in firms])
     if span is not None:
-        monkeypatch.setattr(permitsim.policies, "CHUNK_KNOTS", (span + 1) * n_runs * n_paths)
+        monkeypatch.setattr(
+            permitsim.policies, "SCRATCH_DOUBLES", 2 * (span + 1) * n_runs * n_paths
+        )
     real_steps = permitsim.policies._msr_steps
     blocks = []
 

@@ -1,9 +1,12 @@
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,7 +124,7 @@ def test_drawn_rows_are_the_loads_times_the_drivers(monkeypatch, n_steps, scratc
     whether the scratch divides a slice or not and whether the block splits,
     and draws no d_tilde.  A kept load drawn as a total too has its running
     sum from the draw, summed from the kept row, so no reader sums the row
-    again.  At 2000 steps the scratch holds 8 of the block's
+    again.  At 2000 steps the scratch holds 4 of the block's
     40 paths (normals and a total's row); with 3 per slice, the 11-path
     block, and its 4-path slices when it splits in three, end on a partial
     pass."""
@@ -133,7 +136,7 @@ def test_drawn_rows_are_the_loads_times_the_drivers(monkeypatch, n_steps, scratc
     whole = generate_noise(17, grid, firms, n_paths=n_paths, path_offset=3)
     if scratch_paths is not None:
         doubles = scratch_paths * (3 if split else 1) * (len(firms) + 2) * n_steps
-        monkeypatch.setattr(permitsim.stochastic, "ROW_SCRATCH_DOUBLES", doubles)
+        monkeypatch.setattr(permitsim.stochastic, "SCRATCH_DOUBLES", doubles)
     if split:
         force_split(monkeypatch)
     noise = generate_noise(
@@ -314,7 +317,7 @@ def test_a_freed_row_holds_the_next_path_array_of_its_chunk():
 
 def test_only_the_calling_thread_takes_draw_scratch_from_the_pool(monkeypatch):
     """A split row draw takes one scratch from the pool on the calling thread,
-    before the split, and cuts it among the slices: the slices on pool
+    before the split, and cuts it among the slices: the slices on other
     threads may not use the pool and never call it, but every slice's
     blocks, theirs included, are views of the caller's pool base.  The rows
     have the bits of an unsplit draw."""
@@ -402,14 +405,21 @@ def test_path_slices_cover_the_block_in_path_order(monkeypatch):
 
 def test_a_block_that_does_not_split_runs_on_the_calling_thread(monkeypatch):
     """At the real slice size a small block is one slice, and on one CPU
-    even a large one is: ``fn`` runs directly and no thread pool is made."""
-    monkeypatch.setattr(permitsim.stochastic, "_slice_pool", None)
+    even a large one is: ``fn`` runs directly and no thread is started."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
     calls = []
     assert map_path_slices(_slice_log(calls), 256, 7 * 50) == [list(range(256))]
     monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: 1)
     assert map_path_slices(_slice_log(calls), 256, 7 * 2000) == [list(range(256))]
     assert calls == [(0, 256, threading.get_ident())] * 2
-    assert permitsim.stochastic._slice_pool is None
+    assert started == []
 
 
 def test_noise_is_the_same_when_its_block_splits(monkeypatch):
@@ -437,7 +447,7 @@ def test_a_failing_slice_raises_after_every_slice_finished(monkeypatch, failing)
     assert sorted(finished) == sorted({0, 1, 2} - {failing})
 
 
-def test_a_slice_on_a_pool_thread_keeps_the_callers_errstate(monkeypatch):
+def test_a_slice_on_another_thread_keeps_the_callers_errstate(monkeypatch):
     force_split(monkeypatch)
     caller = threading.get_ident()
 
@@ -457,11 +467,10 @@ def _split_in_child(queue):
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
 )
-def test_a_forked_child_splits_with_a_pool_of_its_own(monkeypatch):
-    """A child forked once the pool's one worker exists and idles must not
-    hand its slices to that worker, which the child does not have."""
+def test_a_forked_child_splits(monkeypatch):
+    """A child forked after the parent split a block starts slice threads of
+    its own: it has none of the parent's threads."""
     force_split(monkeypatch, cpus=2)
-    monkeypatch.setattr(permitsim.stochastic, "_slice_pool", None)
     map_path_slices(lambda start, stop: None, 2, 1)
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
@@ -481,7 +490,6 @@ def test_many_slices_on_few_cpus_each_fill_their_own_paths(monkeypatch):
     at once, with the interpreter switching threads as often as it can:
     every path is filled once, by the slice that owns it."""
     force_split(monkeypatch, cpus=8)
-    monkeypatch.setattr(permitsim.stochastic, "_slice_pool", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     failures = []
@@ -509,9 +517,43 @@ def test_many_slices_on_few_cpus_each_fill_their_own_paths(monkeypatch):
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-        if permitsim.stochastic._slice_pool is not None:
-            permitsim.stochastic._slice_pool.shutdown()
     assert failures == []
+
+
+_SPLIT_DRAW = """
+import sys, threading
+import permitsim.stochastic as stochastic
+from permitsim import FirmParams, TimeGrid, generate_noise
+
+stochastic.MIN_SLICE_DOUBLES = 1
+stochastic._cpu_count = lambda: 2
+started = []
+real_start = threading.Thread.start
+
+def start(thread):
+    started.append(thread)
+    real_start(thread)
+
+threading.Thread.start = start
+firms = (FirmParams(mu=1.0, sigma=1.0, k=0.5, h=25.0, eta=6e8),)
+before = threading.active_count()
+generate_noise(1, TimeGrid(10.0, 20), firms, n_paths=4, loads=[[1.0, 0.0]])
+print(len(started), before, threading.active_count(),
+      "concurrent.futures" in sys.modules, "logging" in sys.modules)
+"""
+
+
+def test_a_split_draw_joins_its_threads_and_imports_no_executor():
+    """A two-slice draw in a fresh interpreter starts one thread and joins
+    it: afterwards as many threads run as before, and neither
+    `concurrent.futures` nor the `logging` it imports was loaded."""
+    src = Path(permitsim.stochastic.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPLIT_DRAW], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    ).stdout.split()
+    assert out == ["1", "1", "1", "False", "False"]
 
 
 def test_coarsen_noise_aggregates_increments():
