@@ -39,7 +39,7 @@ from .policies import (
     CostReport,
     PolicyKind,
     PolicySpec,
-    _noise_rows,
+    _run_reads,
     _simulate_runs,
     build_policy,
     cost_report_from_samples,
@@ -429,10 +429,11 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     except ValueError as exc:
         raise DomainError(f"summary holds a non-finite number: {exc}") from exc
 
-    loads = [load for policy in policies for load in _noise_rows(mkt, policy)]
-    noise = generate_noise(
-        config.seed, grid, mkt.firms, min(TRAJECTORY_PATH_CAP, config.n_paths), loads=loads
-    )
+    reads = [_run_reads(mkt, policy, grid) for policy in policies]
+    loads = [load for run in reads for load in (*run.rows, *run.trajectory_rows)]
+    totals = [load for run in reads for load in run.totals]
+    n_written = min(TRAJECTORY_PATH_CAP, config.n_paths)
+    noise = generate_noise(config.seed, grid, mkt.firms, n_written, loads=loads, totals=totals)
     volume_scale = 1e-9 if config.unit_scale == "Gt" else 1.0
     header = f"# {TRAJECTORY_SCHEMA}\n" + ",".join(_TRAJECTORY_COLUMNS) + "\n"
 

@@ -7,12 +7,13 @@ is verified ex post: the per-knot clearing residual must stay below a hard
 relative tolerance or the run aborts, since downstream costs computed from
 a non-clearing "equilibrium" are silently wrong.
 
-The frictionless price formula (`frictionless_price`, whose start
-`frictionless_initial_price` is also the whole price when no allocation
-surprises the market) and its clearing check
-(`require_frictionless_clearing`) are shared with the martingale kernel in
-`policies`, which computes the same equilibrium from firm sums alone,
-without per-firm best responses or paths; both apply one rule.  The check
+The frictionless price formula (`frictionless_price` from its start
+`frictionless_initial_price`, which is also the whole price when no
+allocation surprises the market, and its step `frictionless_price_step`)
+and its clearing check (`require_frictionless_clearing`) are shared with
+the martingale kernel in `policies`, which computes the same equilibrium
+from firm sums alone, without per-firm best responses or paths; both
+apply one rule.  The check
 reads only what clearing constrains, the firms' summed cumulative trades,
 and measures their residual against the gross market terms.
 """
@@ -163,7 +164,8 @@ def equilibrium_frictionless(
     for i, (firm, view) in enumerate(zip(mkt.firms, views)):
         d_driver += (view.increments() - firm.sigma * noise.d_firm[:, i, :]) / n
         m0_bar += view.expected_total[:, :1] / n
-    price = frictionless_price(mkt, grid, m0_bar, d_driver)
+    p0 = frictionless_initial_price(mkt, grid, m0_bar)
+    price = frictionless_price(p0, frictionless_price_step(mkt, grid), d_driver)
 
     controls = [
         best_response_frictionless(
@@ -183,29 +185,33 @@ def equilibrium_frictionless(
 
 
 def frictionless_price(
-    mkt: MarketParams,
-    grid,
-    m0_bar: float | np.ndarray,
+    p0: float | np.ndarray,
+    step: np.ndarray,
     d_driver: np.ndarray,
-    sign: float = 1.0,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Frictionless clearing price from the average allocation surprise.
 
-    P_0 = f(0) (T Hbar - Mbar_0) and dP_k = -f(t_k) dZbar_k with left-knot
-    coefficients, where dZbar = (1/N) sum_i (dM_i - sigma_i dW_i) is
-    ``sign`` times ``d_driver``, shape (n_paths, M), and ``m0_bar`` the
-    average initial expected allocation (scalar or per path, (n_paths, 1)).
-    ``sign`` = -1 takes -dZbar as it is, e.g. the static lump sum's mean
-    shock dWbar, with the bits of its negation: -f (-dW) = f dW exactly.
-    The increments are written into the returned (n_paths, M+1) price,
-    ``out`` when it is given, and summed there in place.
+    P_0 = ``p0`` (`frictionless_initial_price`, a scalar or per path,
+    (n_paths, 1)) and dP_k = ``step``_k ``d_driver``_k, where the step
+    -sign f(t_k) (`frictionless_price_step`) turns the driver, shape
+    (n_paths, M), into -f(t_k) dZbar_k for dZbar = sign * driver.  The
+    increments are written into the returned (n_paths, M+1) price, ``out``
+    when it is given, and summed there in place.
     """
     price = pooled_empty(d_driver.shape[:-1] + (d_driver.shape[-1] + 1,)) if out is None else out
-    np.multiply(-sign * f_coeff(mkt, grid.knots[:-1]), d_driver, out=price[..., 1:])
+    np.multiply(step, d_driver, out=price[..., 1:])
     integrate_increments(price[..., 1:], out=price)
-    price += frictionless_initial_price(mkt, grid, m0_bar)
+    price += p0
     return price
+
+
+def frictionless_price_step(mkt: MarketParams, grid, sign: float = 1.0) -> np.ndarray:
+    """-sign f(t_k) on the left knots, (M,): the price step per unit of a
+    driver whose ``sign`` times is the average allocation surprise dZbar.
+    ``sign`` = -1 takes -dZbar as it is, e.g. the static lump sum's mean
+    shock dWbar, with the bits of its negation: -f (-dW) = f dW exactly."""
+    return -sign * f_coeff(mkt, grid.knots[:-1])
 
 
 def frictionless_initial_price(

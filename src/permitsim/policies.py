@@ -36,6 +36,7 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .equilibrium import (  # noqa: F401
     equilibrium_frictionless,
     frictionless_initial_price,
     frictionless_price,
+    frictionless_price_step,
     require_frictionless_clearing,
 )
 from .firm import AllocationView
@@ -504,21 +506,14 @@ class PolicyPathSample:
     (n_paths,).  ``parts`` holds the additive cost decomposition
     {abatement, trading, penalty, tax} whose values sum to ``cost``, and
     ``terminal_emissions`` the total emissions at T, equal to
-    ``total_emissions[:, -1]`` bit for bit but a separate array, so keeping
-    it pins no trajectory.  These are computed with the sample.  Every
-    trajectory (``price``, ``total_bank``, ``avg_abatement``,
-    ``total_emissions``, ``net_allocation_minus_initial``) is built from
-    ``build`` on first access and the per-path ``price_qv`` from the price,
-    and then cached, so a caller that reads only costs pays for none of
-    them: the kernels take their per-path sums over row blocks of a
-    scratch array, without the paths the builders rebuild.
-    Arrays may be views: under the optimal policy the price and the average
-    abatement are read-only and repeat one row on every path; a cost part
-    that is the same on every path (every part of the optimal policy, the
-    tax's abatement, trading and penalty, the MSR's trading and tax, and
-    every martingale run's tax) is a read-only view with stride 0 of one
-    value; and the MSR's trajectories are transposed views of time-major
-    (M+1, P) arrays.
+    ``total_emissions[:, -1]`` bit for bit but a separate array.  These are
+    computed with the sample.  Every trajectory (``price``, ``total_bank``,
+    ``avg_abatement``, ``total_emissions``, ``net_allocation_minus_initial``)
+    is built from ``build`` on first access and the per-path ``price_qv``
+    from the price, and then cached, with the bits the costs were summed
+    from.  Arrays may be read-only views: a value or row that is the same on
+    every path is repeated with stride 0, and the MSR's trajectories are
+    transposed time-major (M+1, P) arrays.
     """
 
     kind: PolicyKind
@@ -599,10 +594,9 @@ def static_price_paths(
     noise.require_firms(mkt.firms)
     pol = static_policy(mkt)
     grid = noise.grid
-    eta = mkt.agg.eta_bar
-    lam = mkt.penalty
-    sigmas = np.array([fp.sigma for fp in mkt.firms])
-    d_wbar = noise.weighted_mean_increments(sigmas)  # variance sigma^2 dt per step
+    eta, lam = mkt.agg.eta_bar, mkt.penalty
+    # variance sigma^2 dt per step
+    d_wbar = noise.row(weighted_mean_load(noise.ks, [fp.sigma for fp in mkt.firms]))
     t = grid.knots
     if method == "euler":
         d_price = f_coeff(mkt, t[:-1]) * d_wbar
@@ -656,140 +650,173 @@ def _block(scratch: np.ndarray, *shape: int) -> np.ndarray:
     return scratch[: math.prod(shape)].reshape(shape)
 
 
-def _simulate_martingale(
-    kind: PolicyKind,
+@dataclass(frozen=True, eq=False)
+class MartingaleRows:
+    """The deterministic part of one martingale run on a time grid
+    (`_martingale_rows`), and the loads its kernel reads from a noise block.
+
+    The firms enter through sums over them alone, so the kernel builds no
+    per-firm path; the per-knot rows are (M+1,), and the price step (M,).
+    """
+
+    p0: float                      # price at t = 0, euros/ton
+    m0_sum: float                  # sum_i m0_i, tons
+    eta_total: float               # sum_i eta_i
+    h_eff: float                   # eta-weighted mean cost sum_i eta_i h_i / eta_total, euros/ton
+    trade0: float                  # summed cumulative trade at t = 0, sum_i B_i(0), tons
+    coef_sum: np.ndarray           # sum_i c_i(t_k), c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam)
+    step: np.ndarray | None        # price step -sign f(t_k) per unit of the driver
+    trade_scale: float             # sign N: the summed trade's step per unit of the driver
+    abatement_const: float         # (T/2) sum_i eta_i (h_i - h_eff)^2, euros
+    mu_total: float                # sum_i mu_i, tons/year
+    alloc_flow: float              # deterministic allocation rate, tons/year
+    wbar_load: np.ndarray          # load of the weighted mean shock dWbar, (N+1,)
+    alloc_load: np.ndarray | None  # load of sum_i dM_i, None when gamma is 0
+    driver_load: np.ndarray | None  # load of the price driver, None when nothing surprises
+
+
+def _martingale_rows(
     mkt: MarketParams,
-    noise: NoisePaths,
+    grid: TimeGrid,
     m0: np.ndarray,
     gamma: np.ndarray,
     tracks_trends: bool,
+) -> MartingaleRows:
+    """The rows of the allocation M_i(t) = m0_i + (gamma Wtilde)_i(t) on ``grid``.
+
+    P_0 = f(0) (T Hbar - mean_i m0_i) (`frictionless_initial_price`).  The
+    firm-mean allocation surprise dZbar = mean_i (dM_i - sigma_i dW_i) is
+    sign times the driver: the driver's load is mean_i (gamma - shocks)_i
+    with sign 1, or, when gamma is 0 (the static lump sum), the weighted
+    mean shock dWbar with sign -1.  The price steps by -sign f(t_k) times
+    the driver (`frictionless_price_step`), and the summed trade by sign N
+    times it.  With ``tracks_trends`` the allocation also carries the firms'
+    trends, alloc_flow = sum_i mu_i; otherwise alloc_flow is 0.
+    """
+    lam, n, horizon = mkt.penalty, mkt.n_firms, grid.horizon
+    etas = np.array([fp.eta for fp in mkt.firms])
+    hs = np.array([fp.h for fp in mkt.firms])
+    shocks = tracking_gamma(mkt.firms)  # sigma_i dW_i = (shocks dWtilde)_i
+    wbar_load = weighted_mean_load([fp.k for fp in mkt.firms], [fp.sigma for fp in mkt.firms])
+    mu_total = float(sum(fp.mu for fp in mkt.firms))
+    m0_sum = float(m0.sum())
+    eta_total = float(etas.sum())
+    p0 = frictionless_initial_price(mkt, grid, float(m0.mean()))
+    coef_sum = (n + 2.0 * lam * eta_total * (horizon - grid.knots)) / (2.0 * lam)
+    # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
+    # h_eff; sums of the small excess keep the cancellation out of the costs
+    h_eff = float(etas @ hs) / eta_total
+    loading = (gamma - shocks).mean(axis=0)
+    surprise, moves = loading.any(), gamma.any()
+    sign, driver = (1.0, loading) if moves else (-1.0, wbar_load)
+    return MartingaleRows(
+        p0=p0, m0_sum=m0_sum, eta_total=eta_total, h_eff=h_eff,
+        trade0=float(etas @ hs) * horizon - coef_sum[0] * p0 - m0_sum, coef_sum=coef_sum,
+        step=frictionless_price_step(mkt, grid, sign) if surprise else None, trade_scale=sign * n,
+        abatement_const=0.5 * float(etas @ (hs - h_eff) ** 2) * horizon, mu_total=mu_total,
+        alloc_flow=mu_total if tracks_trends else 0.0, wbar_load=wbar_load,
+        alloc_load=gamma.sum(axis=0) if moves else None,
+        driver_load=driver if surprise else None,
+    )
+
+
+def _policy_rows(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> MartingaleRows:
+    """`_martingale_rows` of a martingale-type policy: the optimal and custom
+    policies allocate m0 + gamma W and the firms' trends; the static lump
+    sum holds x_bar0 - mu_i t, which is m0_i = x_bar0 - mu_i T, gamma = 0
+    and no trend.  Any other policy raises `UnsupportedInputError`."""
+    if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)):
+        return _martingale_rows(mkt, grid, policy.m0, policy.gamma, tracks_trends=True)
+    if isinstance(policy, StaticPolicy):
+        n = mkt.n_firms
+        m0 = policy.x_bar0 - np.array([fp.mu for fp in mkt.firms]) * grid.horizon
+        return _martingale_rows(mkt, grid, m0, np.zeros((n, n + 1)), tracks_trends=False)
+    raise UnsupportedInputError(f"cannot simulate policy of type {type(policy)!r}")
+
+
+def _simulate_martingale(
+    kind: PolicyKind, mkt: MarketParams, noise: NoisePaths, rows: MartingaleRows
 ) -> PolicyPathSample:
     """Frictionless equilibrium of a martingale allocation, every firm sum taken first.
 
     Firm i expects the total allocation M_i(t) = m0_i + (gamma Wtilde)_i(t)
     and holds A_i(t), which reaches M_i(T) at the horizon.  Besides the
-    martingale part, allowances arrive at a deterministic total rate
-    alloc_flow (tons/year): sum_i mu_i for the tracking policies
-    (``tracks_trends``), whose holdings equal their expectation, and 0 for
-    the static lump sum, whose holdings x_bar0 - mu_i t deplete with
-    emissions; hence sum_i A_i(t) = sum_i M_i(t) + (sum_i mu_i - alloc_flow) (T - t).
-    The trends are summed once, so the last term is exactly 0 when tracking.
+    martingale part, allowances arrive at the deterministic total rate
+    alloc_flow: the tracking policies' holdings equal their expectation,
+    and the static lump sum's x_bar0 - mu_i t deplete with emissions; hence
+    sum_i A_i(t) = sum_i M_i(t) + (sum_i mu_i - alloc_flow) (T - t), exactly
+    sum_i M_i(t) when tracking.
 
     Only the average allocation surprise dZbar moves the price
-    (`frictionless_price`).  Its driver is the firm-mean loading row
-    mean_i (gamma - shocks)_i times ``d_tilde``; for the static lump sum
-    that is minus the mean shock dWbar, the block's cached
-    `NoisePaths.weighted_mean_increments`, which also gives the emissions'
-    shock sum_i sigma_i W_i = N Wbar; its terminal value N Wbar_T is the
-    block's cached `NoisePaths.row_total` of that row.
-    Abatement is alpha_i = eta_i (P - h_i).  Firm i's cumulative trade
-    starts at B_i(0) = eta_i h_i T - c_i(0) P_0 - M_i(0) and moves by
-    dB_i = -(c_i(t) dP + dM_i - sigma_i dW_i), with
-    c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam) from the terminal condition
-    X_i(T) = -P_T / (2 lam).  The clearing check runs on the firm sum
-    sum_i B_i, built from sum_i c_i(t) = (N + 2 lam sum_i eta_i (T - t)) / (2 lam)
-    and N dZbar.  For the static lump sum dZbar = -dWbar is never built:
-    the price takes dWbar with sign -1, and (-N) dWbar = N (-dWbar) holds
-    to the bit.
-
-    The terminal banks need no per-firm path either.  In
+    (`frictionless_price`).  Abatement is alpha_i = eta_i (P - h_i).  Firm
+    i's cumulative trade starts at B_i(0) = eta_i h_i T - c_i(0) P_0 - M_i(0)
+    and moves by dB_i = -(c_i(t) dP + dM_i - sigma_i dW_i), with c_i(t) from
+    the terminal condition X_i(T) = -P_T / (2 lam); clearing is checked on
+    the firm sum sum_i B_i, built from sum_i c_i(t) and N dZbar.  In
     X_i(T) = M_i(T) + sum_k alpha_i(t_k) dt + B_i(T) - sigma_i W_i(T) the
-    allocation and shock terms cancel against those of B_i(T), leaving
-    -c_i(0) P_0 + eta_i dt sum_{k<M} P_k - sum_{k<M} c_i(t_k) dP_k.  Summed
-    by parts with c_i(t_k) - c_i(t_{k-1}) = -eta_i dt, that is the grid
-    identity
+    allocation and shock terms cancel against those of B_i(T); summed by
+    parts with c_i(t_k) - c_i(t_{k-1}) = -eta_i dt, that is the grid identity
 
         X_i(T) = -P_T / (2 lam) - eta_i dt (P_T - P_0),
 
     the terminal condition up to one grid term.  The costs are abatement
     sum_i (eta_i/2) sum_k (P_k^2 - h_i^2) dt, trading
-    (sum_k P_k dt) sum_i B_i(T) / T and penalty lam sum_i X_i(T)^2, and no
-    array with a firm axis is larger than (P, N).  When the loadings track
-    every firm's shock (the optimal policy) nothing surprises the market:
-    the price is the constant P0 and sum_i B_i stays sum_i B_i(0), so the
-    price, the abatement and every cost part are computed once, as one row
-    that the sample's read-only views repeat on every path; the tax part is
-    a stride-0 view of 0.0 under every allocation.  A cost or
-    terminal emission that is not finite raises `DomainError` (`_sample`).
+    (sum_k P_k dt) sum_i B_i(T) / T, penalty lam sum_i X_i(T)^2 and a tax
+    of 0; the terminal emissions are T sum_i mu_i minus the abated total
+    plus the shock sum N Wbar_T.
 
-    A moving price is built one row block at a time (`frictionless_price`),
-    and each block's summed trade and cost sums are taken from it, in one
-    pooled scratch of three (rows, M+1) arrays; the clearing check reads
-    the blocks' largest max |x| (a NaN in any block fails it).  The summed
-    expected allocation is read only when the price moves; when it does
-    not, the summed trade is trade0 on every path and the clearing scale
-    takes the allocation's t = 0 term |sum_i m0_i|.
-    Per-row sums and running sums do not depend on the block, so neither do
-    the costs.  So a costs-only call keeps no (P, M+1) array and reads no
-    row but the price driver and a moving allocation's loading sum; the
-    whole price, built once, and every other trajectory are built by the
-    sample's builders on first access.
+    ``rows`` are `_martingale_rows` on the block's grid.  A costs-only call
+    reads the rows of the driver and, when the price moves, of the loading
+    sum, and the total of the weighted mean shock; the trajectories read
+    the loading sum and the weighted mean shock rows too (`_run_reads`).
+    When nothing surprises the market the price is the constant P_0, and
+    every cost part and the price and abatement are one value or row that
+    the sample repeats on every path as read-only views.  The costs do not
+    depend on how the paths are cut into blocks or chunks.  Raises
+    `UnsupportedInputError` under finite depth, `ClearingError` when the
+    summed trades do not clear (a NaN fails the check), and `DomainError`
+    for a cost or terminal emission that is not finite (`_sample`).
     """
     if not mkt.is_frictionless:
         raise UnsupportedInputError("finite depth: use equilibrium_frictions")
     grid = noise.grid
-    t = grid.knots
-    dt, horizon = grid.dt, grid.horizon
+    t, dt, horizon = grid.knots, grid.dt, grid.horizon
     n_paths, m = noise.n_paths, grid.n_steps
     shape = (n_paths, m + 1)
-    lam = mkt.penalty
-    n = mkt.n_firms
+    lam, n = mkt.penalty, mkt.n_firms
     etas = np.array([fp.eta for fp in mkt.firms])
-    hs = np.array([fp.h for fp in mkt.firms])
-    shocks = tracking_gamma(mkt.firms)  # sigma_i dW_i = (shocks dWtilde)_i
-    # sum_i sigma_i dW_i = N dWbar: its sum over time, cached by the block
-    wbar_load = weighted_mean_load(noise.ks, [fp.sigma for fp in mkt.firms])
-    wbar_T = noise.row_total(wbar_load)
-    mu_total = float(sum(fp.mu for fp in mkt.firms))
-    alloc_flow = mu_total if tracks_trends else 0.0
-    # three (rows, M+1) blocks in one pooled scratch, the base the noise
-    # draw's scratch and the MSR's rolling blocks take
-    rows = min(n_paths, max(1, SCRATCH_DOUBLES // (3 * (m + 1))))
-    scratch = pooled_empty((3, rows * (m + 1)))
-
-    # sum_i M_i(t) = sum_i m0_i + (sum_i gamma_i) Wtilde(t); a zero loading
-    # (the static lump sum) moves nothing
-    m0_sum = float(m0.sum())
-    alloc_load = gamma.sum(axis=0) if gamma.any() else None
+    wbar_T = noise.row_total(rows.wbar_load)  # sum_i sigma_i W_i(T) = N Wbar_T
+    # three (rows, M+1) blocks in one pooled scratch
+    block_paths = min(n_paths, max(1, SCRATCH_DOUBLES // (3 * (m + 1))))
+    scratch = pooled_empty((3, block_paths * (m + 1)))
 
     def expected_sum(paths: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        if alloc_load is None:
-            return np.full((n_paths, 1), m0_sum)
-        total = integrate_increments(noise.row(alloc_load)[paths], out=out)
-        total += m0_sum
+        # sum_i M_i(t) = sum_i m0_i + (sum_i gamma_i) Wtilde(t)
+        if rows.alloc_load is None:
+            return np.full((n_paths, 1), rows.m0_sum)
+        total = integrate_increments(noise.row(rows.alloc_load)[paths], out=out)
+        total += rows.m0_sum
         return total
 
-    eta_total = float(etas.sum())
-    m0_bar = float(m0.mean())
-    p0 = frictionless_initial_price(mkt, grid, m0_bar)
-    coef_sum = (n + 2.0 * lam * eta_total * (horizon - t)) / (2.0 * lam)
-    trade0 = float(etas @ hs) * horizon - coef_sum[0] * p0 - m0_sum
-    # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
-    # h_eff; sums of the small excess keep the cancellation out of the costs
-    h_eff = float(etas @ hs) / eta_total
-    # the firm-mean allocation surprise dZbar = mean_i (dM_i - sigma_i dW_i)
-    loading = (gamma - shocks).mean(axis=0)
-    surprise = loading.any()
     # no surprise: dP = 0 and the summed trade stays at its start, on every
     # path alike, so each sum is taken once, on one row
+    driver = None if rows.driver_load is None else noise.row(rows.driver_load)
+    surprise = driver is not None
     n_rows = n_paths if surprise else 1
-    if surprise:
-        # dZbar = sign * driver; the static lump sum's is -dWbar (dM_i = 0)
-        sign, driver = (1.0, noise.row(loading)) if gamma.any() else (-1.0, noise.row(wbar_load))
 
     def price_rows(paths: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
         if surprise:
-            return frictionless_price(mkt, grid, m0_bar, driver[paths], sign, out)
-        return np.full((1, m + 1), p0)
+            return frictionless_price(rows.p0, rows.step, driver[paths], out)
+        return np.full((1, m + 1), rows.p0)
 
-    trade_T = np.full(n_rows, trade0)
+    trade_T = np.full(n_rows, rows.trade0)
     price_sum, gap_sum, abated_T = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
     p_T = np.empty((n_rows, 1))
-    reads_alloc = surprise and alloc_load is not None
-    alloc_max = [] if reads_alloc else [abs(m0_sum)]
-    trade_max = [] if surprise else [abs(trade0)]
+    reads_alloc = surprise and rows.alloc_load is not None
+    alloc_max = [] if reads_alloc else [abs(rows.m0_sum)]
+    trade_max = [] if surprise else [abs(rows.trade0)]
     price_max = []
-    for paths, b in row_blocks(n_rows, rows):
+    for paths, b in row_blocks(n_rows, block_paths):
         price = price_rows(paths, _block(scratch[2], b, m + 1))
         price_max.append(abs_max(price))
         if surprise:
@@ -800,23 +827,23 @@ def _simulate_martingale(
             # block's summed trade and integrated in place
             d_trade = block[:, 1:]
             np.subtract(price[:, 1:], price[:, :-1], out=d_trade)
-            d_trade *= coef_sum[:-1]
-            d_trade += np.multiply(driver[paths], sign * n, out=_block(scratch[1], b, m))
+            d_trade *= rows.coef_sum[:-1]
+            d_trade += np.multiply(driver[paths], rows.trade_scale, out=_block(scratch[1], b, m))
             integrate_increments(d_trade, out=block)
-            np.subtract(trade0, block, out=block)
+            np.subtract(rows.trade0, block, out=block)
             trade_max.append(abs_max(block))
             trade_T[paths] = block[:, -1]
         price_sum[paths] = price[:, :-1].sum(axis=-1)
         p_T[paths, 0] = price[:, -1]
-        excess = np.subtract(price, h_eff, out=_block(scratch[0], b, m + 1))
+        excess = np.subtract(price, rows.h_eff, out=_block(scratch[0], b, m + 1))
         excess_left = excess[:, :-1]
         # (excess + 2 h_eff) excess on the left knots
-        gap_sq = np.add(excess_left, 2.0 * h_eff, out=_block(scratch[1], b, m))
+        gap_sq = np.add(excess_left, 2.0 * rows.h_eff, out=_block(scratch[1], b, m))
         gap_sq *= excess_left
         gap_sum[paths] = gap_sq.sum(axis=-1)
         # the abated total eta_total (P - h_eff) to its last knot, summed in
         # the running order of its builder
-        excess *= eta_total
+        excess *= rows.eta_total
         np.multiply(excess[:, :-1], dt, out=gap_sq)
         abated_T[paths] = np.cumsum(gap_sq, axis=-1, out=gap_sq)[:, -1]
     # the largest block maxima, NaN if any is (np.max propagates it)
@@ -824,34 +851,27 @@ def _simulate_martingale(
         mkt, grid, np.array(price_max), np.array(trade_max), float(np.max(alloc_max))
     )
 
-    abatement = (
-        0.5 * eta_total * gap_sum * dt
-        - 0.5 * float(etas @ (hs - h_eff) ** 2) * horizon
-    )
+    abatement = 0.5 * rows.eta_total * gap_sum * dt - rows.abatement_const
     trading = price_sum * dt * trade_T / horizon
-    bank_T = -p_T / (2.0 * lam) - etas * dt * (p_T - p0)
+    bank_T = -p_T / (2.0 * lam) - etas * dt * (p_T - rows.p0)
     penalty = lam * (bank_T**2).sum(axis=1)
-    parts = {
-        "abatement": np.broadcast_to(abatement, shape[:1]),
-        "trading": np.broadcast_to(trading, shape[:1]),
-        "penalty": np.broadcast_to(penalty, shape[:1]),
-        "tax": np.broadcast_to(0.0, shape[:1]),
-    }
-    terminal_emissions = mu_total * t[-1] - abated_T + n * wbar_T
+    parts = dict(abatement=abatement, trading=trading, penalty=penalty, tax=0.0)
+    parts = {key: np.broadcast_to(value, shape[:1]) for key, value in parts.items()}
+    terminal_emissions = rows.mu_total * t[-1] - abated_T + n * wbar_T
 
     whole_price = cache(price_rows)
 
     def abate_total() -> np.ndarray:
-        total = np.subtract(whole_price(), h_eff)  # eta_total (P - h_eff)
-        total *= eta_total
+        total = np.subtract(whole_price(), rows.h_eff)  # eta_total (P - h_eff)
+        total *= rows.eta_total
         return total
 
     def shock_sum() -> np.ndarray:
-        return n * integrate_increments(noise.row(wbar_load))
+        return n * integrate_increments(noise.row(rows.wbar_load))
 
     def net_allocation() -> np.ndarray:
         total = expected_sum()
-        return total - total[:, :1] + alloc_flow * t
+        return total - total[:, :1] + rows.alloc_flow * t
 
     return _sample(
         kind,
@@ -861,13 +881,15 @@ def _simulate_martingale(
         price=lambda: np.broadcast_to(whole_price(), shape),
         total_bank=lambda: (
             expected_sum()
-            + (mu_total - alloc_flow) * (horizon - t)
+            + (rows.mu_total - rows.alloc_flow) * (horizon - t)
             + left_integral(abate_total(), grid)
             + (trade_T / horizon)[:, None] * t
             - shock_sum()
         ),
         avg_abatement=lambda: np.broadcast_to(abate_total() / n, shape),
-        total_emissions=lambda: mu_total * t - left_integral(abate_total(), grid) + shock_sum(),
+        total_emissions=lambda: (
+            rows.mu_total * t - left_integral(abate_total(), grid) + shock_sum()
+        ),
         net_allocation_minus_initial=net_allocation,
     )
 
@@ -887,35 +909,22 @@ def simulate_policy_paths(
     or terminal emissions overflow raises `DomainError`.
     """
     noise.require_firms(mkt.firms)
-    n = mkt.n_firms
-    mus = np.array([fp.mu for fp in mkt.firms])
-    if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)):
-        return _simulate_martingale(
-            policy.kind, mkt, noise, policy.m0, policy.gamma, tracks_trends=True
-        )
-    if isinstance(policy, StaticPolicy):
-        m0 = policy.x_bar0 - mus * noise.grid.horizon
-        return _simulate_martingale(
-            policy.kind, mkt, noise, m0, np.zeros((n, n + 1)), tracks_trends=False
-        )
+    grid = noise.grid
     if isinstance(policy, MSRPolicy):
         [sample] = _simulate_msr([(mkt, policy)], noise)  # exhausts the generator
         return sample
     if not isinstance(policy, TaxPolicy):
-        raise UnsupportedInputError(f"cannot simulate policy of type {type(policy)!r}")
+        rows = _policy_rows(mkt, policy, grid)  # raises for a policy of another type
+        return _simulate_martingale(policy.kind, mkt, noise, rows)
 
-    grid = noise.grid
-    t = grid.knots
-    shape = (noise.n_paths, grid.n_steps + 1)
-    mu_total = float(mus.sum())
+    t, shape = grid.knots, (noise.n_paths, grid.n_steps + 1)
+    mu_total = float(np.array([fp.mu for fp in mkt.firms]).sum())
     alpha = float(policy.alpha.sum())
-    shock_load = tracking_gamma(mkt.firms).sum(axis=0)  # sum_i sigma_i dW_i
+    [shock_load] = _run_reads(mkt, policy, grid).totals  # sum_i sigma_i dW_i
     terminal_emissions = (mu_total - alpha) * t[-1] + noise.row_total(shock_load)
     hs = np.array([fp.h for fp in mkt.firms])
     etas = np.array([fp.eta for fp in mkt.firms])
-    abate_cost = grid.horizon * float(
-        np.sum(hs * policy.alpha + policy.alpha**2 / (2.0 * etas))
-    )
+    abate_cost = grid.horizon * float(np.sum(hs * policy.alpha + policy.alpha**2 / (2.0 * etas)))
     # the parts but the tax, the price, bank, abatement and net allocation are
     # the same on every path: read-only views
     zero_s = np.broadcast_to(0.0, shape[:1])
@@ -933,7 +942,7 @@ def simulate_policy_paths(
         terminal_emissions,
         price=lambda: np.broadcast_to(policy.tau, shape),
         total_bank=lambda: zero,
-        avg_abatement=lambda: np.broadcast_to(alpha / n, shape),
+        avg_abatement=lambda: np.broadcast_to(alpha / mkt.n_firms, shape),
         total_emissions=lambda: (
             (mu_total - alpha) * t + integrate_increments(noise.row(shock_load))
         ),
@@ -941,21 +950,44 @@ def simulate_policy_paths(
     )
 
 
-def _msr_coefficients(
-    mkt: MarketParams, policy: MSRPolicy, grid: TimeGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The feedback coefficients c0, c1 and the drawdown ramp of one MSR run."""
+@dataclass(frozen=True, eq=False)
+class MSRRows:
+    """The deterministic part of one MSR run on a time grid (`_msr_rows`).
+
+    The price is in feedback form P_k = c0_k + c1_k Xbar_k, and the Euler
+    step of the average bank is X_{k+1} = a_k X_k + b_k - dWbar_k.  The
+    per-knot rows are (M+1,), and b_k (M,).
+    """
+
+    c0: np.ndarray   # euros/ton
+    c1: np.ndarray   # euros/ton^2
+    ramp: np.ndarray  # drawdown target (T - t) x_bar0 / T, tons
+    a: np.ndarray    # 1 + (eta_bar c1_k - delta) dt
+    b: np.ndarray    # (delta ramp_k + eta_bar (c0_k - h_bar)) dt, tons
+    eta_bar: float
+    h_bar: float
+    x_bar0: float    # the average bank at t = 0, tons
+    delta: float     # reversion speed, 1/year
+
+
+def _msr_rows(mkt: MarketParams, policy: MSRPolicy, grid: TimeGrid) -> MSRRows:
+    """The rows of one MSR run: c1 = -F (1 - delta z) and
+    c0 = F ((1 - delta z) ramp + z (eta_bar h_bar - x_bar0 / T)) with
+    z = `msr_z` and F = `msr_F`; the Euler step
+    x + (delta (ramp - x) + eta_bar (c0 + c1 x - h_bar)) dt - dW is
+    a_k x_k + b_k - dW_k.  Every row is elementwise in the knots, so a
+    run's rows have the same bits whichever runs it steps with."""
     t = grid.knots
-    delta = policy.delta
-    agg = mkt.agg
+    delta, dt = policy.delta, grid.dt
+    eta, h_bar = mkt.agg.eta_bar, mkt.agg.h_bar
     z = msr_z(delta, t, grid.horizon)
     big_f = msr_F(mkt, delta, t)
     ramp = (grid.horizon - t) * policy.x_bar0 / grid.horizon
     c1 = -big_f * (1.0 - delta * z)
-    c0 = big_f * (
-        (1.0 - delta * z) * ramp + z * (agg.eta_bar * agg.h_bar - policy.x_bar0 / grid.horizon)
-    )
-    return c0, c1, ramp
+    c0 = big_f * ((1.0 - delta * z) * ramp + z * (eta * h_bar - policy.x_bar0 / grid.horizon))
+    a = 1.0 + (eta * c1 - delta) * dt
+    b = ((delta * ramp + eta * (c0 - h_bar)) * dt)[:-1]
+    return MSRRows(c0, c1, ramp, a, b, eta, h_bar, policy.x_bar0, delta)
 
 
 def _simulate_msr(
@@ -964,21 +996,15 @@ def _simulate_msr(
     """Euler integration of the coupled (average bank, price) system, for a
     stack of MSR runs on one noise block.
 
-    Run r's price is in deterministic-coefficient feedback form
-    P_t = c0(t) + c1(t) Xbar_t with c1 = -F (1 - delta z), and its average
-    bank follows dXbar = (delta (ramp_t - Xbar_t) + eta (P_t - h_bar)) dt - dWbar_t.
-    At t = T the coefficients collapse to P_T = -2 lambda Xbar_T, the
-    terminal marginal penalty.  So the Euler step is the affine recurrence
-    X_{k+1} = a_k X_k + b_k - dWbar_k with deterministic a_k and b_k.  The
-    runs may differ in every parameter but the firms' volatilities, which
-    fix the average shock dWbar; they step together with the run index as
-    an array axis, through a rolling block of knots (`_msr_sums`), so a
-    stack costs the Python calls of one run, and read the shocks' sum over
-    time, the block's cached `NoisePaths.row_total`, once.  Yields one
-    sample per run, in run order, each built when it is requested from the
-    run's sums (`_msr_sample`).  The rolling block comes from the active
-    `array_pool` and is released before the first sample is built, so no
-    sample refers to it.
+    Run r's price is P_t = c0(t) + c1(t) Xbar_t, and its average bank
+    follows dXbar = (delta (ramp_t - Xbar_t) + eta (P_t - h_bar)) dt - dWbar_t
+    (`_msr_rows`).  At t = T the coefficients collapse to P_T = -2 lambda Xbar_T,
+    the terminal marginal penalty.  The runs may differ in every parameter
+    but the firms' volatilities, which fix the average shock dWbar; they
+    step together with the run index as an array axis (`_msr_sums`), so a
+    stack costs the Python calls of one run.  Yields one sample per run, in
+    run order, each built when it is requested (`_msr_sample`), with the
+    bits the run has alone.
     """
     grid = noise.grid
     sigmas = tuple(fp.sigma for fp in runs[0][0].firms)
@@ -988,36 +1014,12 @@ def _simulate_msr(
             raise UnsupportedInputError("finite depth: the MSR recursion is frictionless only")
         if tuple(fp.sigma for fp in mkt.firms) != sigmas:
             raise UnsupportedInputError("stacked MSR runs must share the firms' volatilities")
-    coefs = [_msr_coefficients(mkt, policy, grid) for mkt, policy in runs]
+    rows = [_msr_rows(mkt, policy, grid) for mkt, policy in runs]
     wbar_load = weighted_mean_load(noise.ks, sigmas)
     wbar_T, d_wbar = noise.row_total(wbar_load), noise.row(wbar_load)
-    abated, alpha_sq, x_T = _msr_sums(runs, coefs, d_wbar, grid.dt)
-    for r, (mkt, policy) in enumerate(runs):
-        yield _msr_sample(
-            mkt, policy, grid, coefs[r], d_wbar, wbar_T, abated[r], alpha_sq[r], x_T[r]
-        )
-
-
-def _msr_affine(
-    runs: Sequence[tuple[MarketParams, MSRPolicy]],
-    coefs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The step coefficients of a stack of R runs, time-major: a_k, (M+1, R, 1),
-    and b_k, (M, R, 1).
-
-    The Euler step x + (delta (ramp - x) + eta (c0 + c1 x - h_bar)) dt - dW
-    is x_{k+1} = a_k x_k + b_k - dW_k, with a_k = 1 + (eta c1_k - delta) dt
-    and b_k = (delta ramp_k + eta (c0_k - h_bar)) dt.  Every operation is
-    elementwise, so a run's rows have the same bits in a stack as alone.
-    """
-    c0, c1, ramp = (np.stack(rows) for rows in zip(*coefs))
-    eta, h_bar, delta = np.array(
-        [(mkt.agg.eta_bar, mkt.agg.h_bar, policy.delta) for mkt, policy in runs]
-    ).T[..., None]
-    a_t = (1.0 + (eta * c1 - delta) * dt).T[..., None]
-    b_t = ((delta * ramp + eta * (c0 - h_bar)) * dt).T[:-1, :, None]
-    return a_t, b_t
+    abated, alpha_sq, x_T = _msr_sums(rows, d_wbar, grid.dt)
+    for r, (mkt, _) in enumerate(runs):
+        yield _msr_sample(mkt, grid, rows[r], d_wbar, wbar_T, abated[r], alpha_sq[r], x_T[r])
 
 
 def _msr_steps(
@@ -1057,32 +1059,25 @@ def _time_sum(rows: np.ndarray, out: np.ndarray) -> None:
 
 
 def _msr_sums(
-    runs: Sequence[tuple[MarketParams, MSRPolicy]],
-    coefs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    d_wbar: np.ndarray,
-    dt: float,
+    rows: Sequence[MSRRows], d_wbar: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each run's sums over the left knots of alpha_k dt = eta (P_k - h_bar) dt
     and of (alpha_k dt)^2, and its banks at T, each (R, P), for a stack of R
-    runs on the shocks ``d_wbar``, (P, M).
+    runs with the `_msr_rows` ``rows`` on the shocks ``d_wbar``, (P, M).
 
-    The banks step (`_msr_steps`) through a pooled rolling block of
-    span + 1 knots, span = max(1, SCRATCH_DOUBLES // (2 R P) - 1), whose row 0
-    holds the last knot of the block before.  Each block's alpha_k dt go
-    into a second block of that shape, whose row 0 holds the running total
-    (-0.0 at first, which adds exactly), and its time-major sum continues
-    the total: every sum keeps the knot-by-knot order of one sum over all
-    M knots (`_time_sum`).  A run's sums have the same bits in a stack as
-    alone.
+    Every sum keeps the knot-by-knot order of one sum over all M knots
+    (`_time_sum`), so a run's sums have the same bits in a stack as alone.
     """
     n_paths, m = d_wbar.shape
-    a_t, b_t = _msr_affine(runs, coefs, dt)
-    c0, c1 = (np.stack(rows).T[..., None] for rows in list(zip(*coefs))[:2])
-    eta, h_bar, x_bar0 = np.array(
-        [(mkt.agg.eta_bar, mkt.agg.h_bar, policy.x_bar0) for mkt, policy in runs]
-    ).T[..., None]
-    span = max(1, SCRATCH_DOUBLES // (2 * len(runs) * n_paths) - 1)
-    x_t, alpha = pooled_empty((2, min(span, m) + 1, len(runs), n_paths))
+    # time-major (knots, R, 1)
+    per_run = zip(*((r.a, r.b, r.c0, r.c1) for r in rows))
+    a_t, b_t, c0, c1 = (np.stack(row, axis=1)[..., None] for row in per_run)
+    eta, h_bar, x_bar0 = np.array([(r.eta_bar, r.h_bar, r.x_bar0) for r in rows]).T[..., None]
+    # a rolling block of span + 1 knots, whose row 0 holds the last knot of
+    # the block before, and a second of alpha_k dt, whose row 0 holds the
+    # running total (-0.0 at first, which adds exactly)
+    span = max(1, SCRATCH_DOUBLES // (2 * len(rows) * n_paths) - 1)
+    x_t, alpha = pooled_empty((2, min(span, m) + 1, len(rows), n_paths))
     abated = np.full(x_t.shape[1:], -0.0)
     alpha_sq = np.full(x_t.shape[1:], -0.0)
     x_t[0] = x_bar0
@@ -1107,9 +1102,8 @@ def _msr_sums(
 
 def _msr_sample(
     mkt: MarketParams,
-    policy: MSRPolicy,
     grid: TimeGrid,
-    coefs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rows: MSRRows,
     d_wbar: np.ndarray,
     wbar_T: np.ndarray,
     abated: np.ndarray,
@@ -1128,13 +1122,10 @@ def _msr_sample(
     cost part or terminal emission that is not finite, from an overflowing
     recursion or penalty, raises `DomainError` (`_sample`).
     """
-    t = grid.knots
-    n = mkt.n_firms
-    agg = mkt.agg
-    eta, h_bar, dt = agg.eta_bar, agg.h_bar, grid.dt
-    c0, c1, ramp = coefs
+    t, n, mu_bar = grid.knots, mkt.n_firms, mkt.agg.mu_bar
+    eta, h_bar, dt = rows.eta_bar, rows.h_bar, grid.dt
     n_paths = len(x_T)
-    terminal_emissions = n * (agg.mu_bar * t[-1] - abated)
+    terminal_emissions = n * (mu_bar * t[-1] - abated)
     terminal_emissions += n * wbar_T
     abatement = n * (h_bar * abated + alpha_sq / (2.0 * eta * dt))
     penalty = n * mkt.penalty * x_T**2
@@ -1144,30 +1135,30 @@ def _msr_sample(
     @cache
     def banks() -> np.ndarray:
         x_t = np.empty((grid.n_steps + 1, 1, n_paths))
-        x_t[0] = policy.x_bar0
-        _msr_steps(*_msr_affine([(mkt, policy)], [coefs], dt), d_wbar, 0, x_t)
+        x_t[0] = rows.x_bar0
+        _msr_steps(rows.a[:, None, None], rows.b[:, None, None], d_wbar, 0, x_t)
         return x_t[:, 0]
 
     def price_paths() -> np.ndarray:
-        knots = np.multiply(c1[:, None], banks())
-        knots += c0[:, None]
+        knots = np.multiply(rows.c1[:, None], banks())
+        knots += rows.c0[:, None]
         return knots.T
 
     def net_allocation() -> np.ndarray:
-        alloc_rate = np.subtract(ramp[:, None], banks()).T
-        alloc_rate *= policy.delta
-        return n * (left_integral(alloc_rate, grid) + agg.mu_bar * t)
+        alloc_rate = np.subtract(rows.ramp[:, None], banks()).T
+        alloc_rate *= rows.delta
+        return n * (left_integral(alloc_rate, grid) + mu_bar * t)
 
     return _sample(
-        policy.kind,
-        lambda: f"MSR run (eta_bar {eta:g}, delta {policy.delta:g}, {grid.n_steps} steps)",
+        PolicyKind.MSR,
+        lambda: f"MSR run (eta_bar {eta:g}, delta {rows.delta:g}, {grid.n_steps} steps)",
         parts,
         terminal_emissions,
         price=price_paths,
         total_bank=lambda: (n * banks()).T,
         avg_abatement=lambda: eta * (price_paths() - h_bar),
         total_emissions=lambda: (
-            n * (agg.mu_bar * t - left_integral(eta * (price_paths() - h_bar), grid))
+            n * (mu_bar * t - left_integral(eta * (price_paths() - h_bar), grid))
             + n * integrate_increments(d_wbar)
         ),
         net_allocation_minus_initial=net_allocation,
@@ -1263,44 +1254,36 @@ class ComparisonResult:
         raise KeyError(f"no report for policy kind {key.value!r}")
 
 
-def _noise_rows(mkt: MarketParams, policy: Policy) -> list[np.ndarray]:
-    """The loading rows (`NoisePaths.row`) a run of ``policy`` reads from a
-    noise block, its trajectories included.
+class _Reads(NamedTuple):
+    """The loads a run reads from a noise block (`_run_reads`)."""
 
-    The firms' weighted mean shock (the MSR's and static policy's price
-    driver, and every martingale kernel's emissions); for the optimal and
-    custom policies also the sum of their loadings and, when the allocation
-    surprises the market, its firm-mean loading; for the tax the firms'
-    shock sum, the optimal policy's loading sum.
+    rows: list[np.ndarray]  # the rows its costs read (`NoisePaths.row`)
+    totals: list[np.ndarray]  # the loads its costs read only as totals (`NoisePaths.row_total`)
+    trajectory_rows: list[np.ndarray]  # the further rows its trajectories read
+
+
+def _run_reads(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> _Reads:
+    """The loads a run of ``policy`` on ``grid`` reads, from its kernel's rows.
+
+    The tax reads the firms' shock sum sum_i sigma_i dW_i, its costs as a
+    total and its emissions as a row; the MSR reads the weighted mean shock
+    as its price driver and as a total.  A martingale run reads the
+    weighted mean shock's total; its costs read the price driver and the
+    loading sum when the price moves, and its trajectories the weighted
+    mean shock and the loading sum rows (`_martingale_rows`).
     """
-    shocks = tracking_gamma(mkt.firms)
     if isinstance(policy, TaxPolicy):
-        return [shocks.sum(axis=0)]
-    loads = [weighted_mean_load([fp.k for fp in mkt.firms], [fp.sigma for fp in mkt.firms])]
-    if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)) and policy.gamma.any():
-        loads.append(policy.gamma.sum(axis=0))
-        surprise = (policy.gamma - shocks).mean(axis=0)
-        if surprise.any():
-            loads.append(surprise)
-    return loads
-
-
-def _cost_reads(mkt: MarketParams, policy: Policy) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The loading rows a costs-only run of ``policy`` reads (`NoisePaths.row`),
-    and the loads it reads only through their totals (`NoisePaths.row_total`).
-
-    The tax reads the shock sum's total, and every other run the weighted
-    mean shock's total.  A moving price reads its driver, the weighted mean
-    shock for the static policy and the MSR; a custom policy whose
-    allocation surprises the market reads its loading sum and surprise
-    rows, and one that surprises no one (the optimal policy) no row.
-    """
-    rows = _noise_rows(mkt, policy)
-    if isinstance(policy, TaxPolicy):
-        return [], rows
-    # the price driver when it is the only row; a surprise's two rows past it
-    read = rows if len(rows) == 1 else rows[1:] if len(rows) == 3 else []
-    return read, rows[:1]
+        shock_sum = tracking_gamma(mkt.firms).sum(axis=0)
+        return _Reads([], [shock_sum], [shock_sum])
+    if isinstance(policy, MSRPolicy):
+        wbar = weighted_mean_load([fp.k for fp in mkt.firms], [fp.sigma for fp in mkt.firms])
+        return _Reads([wbar], [wbar], [])
+    rows = _policy_rows(mkt, policy, grid)
+    moving = [] if rows.driver_load is None else [rows.driver_load, rows.alloc_load]
+    cost_rows = [load for load in moving if load is not None]
+    paths = [load for load in (rows.wbar_load, rows.alloc_load) if load is not None]
+    further = [load for load in paths if all(load is not row for row in cost_rows)]
+    return _Reads(cost_rows, [rows.wbar_load], further)
 
 
 def _stack_bounds(
@@ -1334,38 +1317,25 @@ def _simulate_runs(
     """Simulate every (market, policy) run on every chunk of one ensemble.
 
     Each chunk's noise is drawn once and serves every run, so the runs share
-    shocks path by path; no trajectory outlives its chunk.  The ensemble
-    sets the chunks (`PathEnsemble.chunk_size`, by default sized by the
-    grid), and no run's numbers depend on them.  A chunk keeps only the
-    loading rows the runs' costs read, and the totals of the loads they
-    read only through them (`_cost_reads`); every run is checked against
-    the ensemble's firms before the first draw.  Consecutive MSR runs on
-    the same firm volatilities (the etas of a sweep) step as stacks in one
-    `_simulate_msr` recursion of at most (N+1) M // (M+1) runs
-    (`_stack_bounds`).  Every other run goes through `simulate_policy_paths`
-    on the whole chunk.  The kernels take their per-path costs in pooled
-    scratch of about SCRATCH_DOUBLES doubles, one base shared with the noise
-    draw's scratch, and build no trajectory, so no run keeps a (P, M+1)
-    array: a chunk of the four standard policies holds one row, the
-    weighted mean shock, as long as the chunk.  The runs go in run order.
-    Each sample is released once its cost parts and terminal emissions are
-    kept, and every stack's generator is run to its end and the chunk
-    released before the next noise draw.  A chunk keeps no per-path cost,
-    and a part that is the same on every path is the kernel's read-only
-    stride-0 view, so only its value and path count: the four standard
-    policies keep 10 (P,) arrays per chunk, the terminal emissions and the
-    parts that vary by path.  Yields, per run and in run order, the
-    concatenated cost parts, the per-path cost summed from them
-    (`_path_cost`, with the bits of the chunks' costs) and the terminal
-    emissions, each built when it is requested; a run's pieces are
-    released as it is yielded, so a caller that reports one run at a time
-    holds one run's copies at once.
+    shocks path by path.  The ensemble sets the chunks
+    (`PathEnsemble.chunk_size`, by default sized by the grid), and no run's
+    numbers depend on them.  A chunk is drawn with the rows the runs' costs
+    read and the totals of the loads they read only as totals
+    (`_run_reads`); every run is checked against the ensemble's firms
+    before the first draw.  Consecutive MSR runs on the same firm
+    volatilities (the etas of a sweep) step as stacks in one `_simulate_msr`
+    recursion of at most (N+1) M // (M+1) runs (`_stack_bounds`); every
+    other run goes through `simulate_policy_paths` on the whole chunk.
+    Yields, per run and in run order, the per-path cost summed from the
+    concatenated cost parts (`_path_cost`, with the bits of the chunks'
+    costs), the parts and the terminal emissions, each built when it is
+    requested.  README "How a chunk is computed" gives the memory this takes.
     """
     for mkt, _ in runs:
         ensemble.require_firms(mkt.firms)
-    reads = [_cost_reads(mkt, policy) for mkt, policy in runs]
-    rows = [load for run_rows, _ in reads for load in run_rows]
-    totals = [load for _, run_totals in reads for load in run_totals]
+    reads = [_run_reads(mkt, policy, ensemble.grid) for mkt, policy in runs]
+    rows = [load for run in reads for load in run.rows]
+    totals = [load for run in reads for load in run.totals]
     m = ensemble.grid.n_steps
     bounds = _stack_bounds(runs, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
     # per run, each chunk's (cost parts, terminal emissions)

@@ -209,16 +209,10 @@ class NoisePaths:
 
     def row_total(self, load: Sequence[float]) -> np.ndarray:
         """``integrate_increments(row(load))[:, -1]`` bit for bit, (n_paths,), read-only,
-        from the draw or computed once per load (`_running_total`), and shared as the row is."""
-        return self._cached(self._totals, load, lambda load: _running_total(self.row(load)))
-
-    def weighted_mean_increments(self, sigmas: Sequence[float]) -> np.ndarray:
-        """(1/N) sum_i sigma_i dW_i, shape (n_paths, M), read-only.
-
-        The row of `weighted_mean_load`: every run on the block that asks
-        with the same sigmas (e.g. each eta of a sweep) shares it.
-        """
-        return self.row(weighted_mean_load(self.ks, sigmas))
+        from the draw or summed once per load from the row, and shared as the row is."""
+        return self._cached(
+            self._totals, load, lambda load: np.cumsum(self.row(load), axis=-1)[:, -1].copy()
+        )
 
 
 #: Doubles in 64 KiB: every base of an `array_pool` is a whole number of them.
@@ -537,11 +531,12 @@ def _draw_rows(
     load's rows from it.  A load times a stack of (N+1, M) blocks is the
     product ``row`` computes on the whole block, path by path, so the bits
     are the same; a (K, N+1) matrix of loads would be a matrix product,
-    which may round differently.  A total is summed with the bits of
-    `_running_total`: a kept load's from its rows just written, any other's
-    from its rows in the scratch, which are never kept.  The calling thread
-    takes the scratch from the active `array_pool`, which the slices' other
-    threads may not use, and cuts it among the slices.
+    which may round differently.  A total is the last knot of the row's
+    running sum, with the bits of `NoisePaths.row_total`: a kept load's from
+    its rows just written, any other's from its rows in the scratch, which
+    are never kept.  The calling thread takes the scratch from the active
+    `array_pool`, which the slices' other threads may not use, and cuts it
+    among the slices.
     """
     fill = _path_filler(seed, grid, n_paths, path_offset)
     m = grid.n_steps
@@ -648,13 +643,6 @@ CHUNK_KNOTS = 1 << 16
 MIN_CHUNK_PATHS = 256
 
 
-def block_rows(n_paths: int, n_knots: int) -> int:
-    """Paths per row block of a per-path reduction: the default chunk's rule
-    CHUNK_KNOTS // n_knots without its MIN_CHUNK_PATHS floor (1 to ``n_paths``),
-    so a block's scratch stays near CHUNK_KNOTS doubles however large its chunk."""
-    return min(n_paths, max(1, CHUNK_KNOTS // n_knots))
-
-
 def row_blocks(n_rows: int, size: int) -> Iterator[tuple[slice, int]]:
     """(rows, length) of consecutive blocks of at most ``size`` rows covering ``n_rows``."""
     for start in range(0, n_rows, size):
@@ -662,29 +650,15 @@ def row_blocks(n_rows: int, size: int) -> Iterator[tuple[slice, int]]:
         yield slice(start, stop), stop - start
 
 
-def _running_total(d: np.ndarray) -> np.ndarray:
-    """``integrate_increments(d)[:, -1]`` bit for bit (a pairwise ``sum`` is not): the
-    running sums of ``d``, (P, M), over `block_rows` paths at a time in an unpooled
-    scratch (a pool would keep a base this size that no larger request reuses), for
-    a block whose total was not drawn with it (``totals=``)."""
-    n_paths, m = d.shape
-    scratch = np.empty((block_rows(n_paths, m + 1), m))
-    total = np.empty(n_paths)
-    for paths, b in row_blocks(n_paths, len(scratch)):
-        total[paths] = np.cumsum(d[paths], axis=-1, out=scratch[:b])[:, -1]
-    return total
-
-
 @dataclass(frozen=True)
 class PathEnsemble:
     """A lazily generated ensemble of independent noise paths.
 
     Iterating ``chunks()`` yields NoisePaths blocks whose union is exactly the
-    ensemble; ``path(i)`` materializes a single path.  Chunking never changes
-    the numbers, only the memory profile.  Without ``chunk_size`` a block
-    holds CHUNK_KNOTS // (M+1) paths and never fewer than MIN_CHUNK_PATHS:
-    1285 paths at 50 steps, 256 from 255 steps up; ``chunk_size``
-    then reads that number.
+    ensemble.  Chunking never changes the numbers, only the memory profile.
+    Without ``chunk_size`` a block holds CHUNK_KNOTS // (M+1) paths and never
+    fewer than MIN_CHUNK_PATHS: 1285 paths at 50 steps, 256 from 255 steps
+    up; ``chunk_size`` then reads that number.
     """
 
     seed: int
@@ -714,11 +688,6 @@ class PathEnsemble:
         for start in range(0, self.n_paths, self.chunk_size):
             size = min(self.chunk_size, self.n_paths - start)
             yield generate_noise(self.seed, self.grid, self.firms, size, start, loads, totals)
-
-    def path(self, index: int) -> NoisePaths:
-        if not 0 <= index < self.n_paths:
-            raise IndexError(index)
-        return generate_noise(self.seed, self.grid, self.firms, 1, index)
 
 
 def coarsen_noise(noise: NoisePaths, factor: int) -> NoisePaths:

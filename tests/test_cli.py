@@ -651,9 +651,10 @@ def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, mon
 
 def test_simulate_draws_the_written_block_with_only_its_loading_rows(tmp_path, monkeypatch):
     """On 40 firms a block's (P, N+1, M) drivers weigh as much as 41 loading
-    rows, so the written block keeps exactly the rows `_noise_rows` declares
-    for the runs and never draws d_tilde; its trajectory rows are, to the
-    bit, those of paths 0-7 in a default 256-path chunk."""
+    rows, so the written block keeps exactly the rows `_run_reads` declares
+    for the runs' costs and trajectories and never draws d_tilde; its
+    trajectory rows are, to the bit, those of paths 0-7 in a default
+    256-path chunk."""
     firm = dict(PRESETS["paper-2020-base"]["firms"][0], mu=2.0e9 / 40, sigma=0.2e9 / math.sqrt(40))
     cfg = write_config(
         tmp_path, firms=[firm] * 40, simulation=small_sim_block(n_paths=300, n_steps=300, seed=11)
@@ -673,13 +674,14 @@ def test_simulate_draws_the_written_block_with_only_its_loading_rows(tmp_path, m
     mkt = config.market
     kinds = [PolicyKind.OPTIMAL_DYNAMIC, PolicyKind.STATIC, PolicyKind.MSR, PolicyKind.TAX]
     policies = [build_policy(PolicySpec(kind=k, delta=config.policy.delta), mkt) for k in kinds]
-    loads = [load for p in policies for load in permitsim.policies._noise_rows(mkt, p)]
+    grid = TimeGrid(mkt.horizon, 300)
+    reads = [permitsim.policies._run_reads(mkt, p, grid) for p in policies]
+    loads = [load for run in reads for load in (*run.rows, *run.trajectory_rows)]
     [noise] = {id(n): n for n in noises}.values()
     assert (noise.path_offset, noise.n_paths) == (0, TRAJECTORY_PATH_CAP)
     assert "d_tilde" not in noise.__dict__
     assert set(noise._rows) == {np.asarray(load, dtype=float).tobytes() for load in loads}
 
-    grid = TimeGrid(mkt.horizon, 300)
     ensemble = PathEnsemble(config.seed, grid, mkt.firms, 300)
     assert ensemble.chunk_size == 256
     chunk = next(ensemble.chunks(loads))

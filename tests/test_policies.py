@@ -27,6 +27,7 @@ from permitsim import (
     equilibrium_frictionless,
     equilibrium_frictions,
     estimate_eta_from_qv,
+    f_coeff,
     generate_noise,
     large_n_limit_delta,
     martingale_drift_stat,
@@ -51,10 +52,21 @@ from permitsim.policies import (
     cost_report_from_samples,
     run_ensemble,
 )
-from permitsim.stochastic import NoisePaths, array_pool, left_integral, weighted_mean_load
+from permitsim.stochastic import (
+    NoisePaths,
+    array_pool,
+    integrate_increments,
+    left_integral,
+    weighted_mean_load,
+)
 
 import oracles
 from conftest import N_FIRMS, make_firms, make_market
+
+
+def _wbar_row(noise, firms):
+    """The block's row of the weighted mean shock (1/N) sum_i sigma_i dW_i."""
+    return noise.row(weighted_mean_load(noise.ks, [fp.sigma for fp in firms]))
 
 
 def heterogeneous_eta_market():
@@ -373,7 +385,7 @@ def _msr_per_step_loop(policy, mkt, noise):
     ramp = (grid.horizon - t) * policy.x_bar0 / grid.horizon
     c1 = -big_f * (1.0 - delta * z)
     c0 = big_f * ((1.0 - delta * z) * ramp + z * (eta * h_bar - policy.x_bar0 / grid.horizon))
-    d_wbar = noise.weighted_mean_increments([fp.sigma for fp in mkt.firms])
+    d_wbar = _wbar_row(noise, mkt.firms)
     m = grid.n_steps
     xbar = np.empty((noise.n_paths, m + 1))
     price = np.empty_like(xbar)
@@ -716,30 +728,29 @@ def test_terminal_emissions_are_the_last_knot(market_name, kind):
             assert got.tobytes() == want.tobytes(), (n_steps, n_paths)
 
 
-def test_the_four_standard_policies_take_one_total_per_distinct_row(base_market, monkeypatch):
+def test_the_four_standard_policies_take_one_total_per_distinct_row(base_market):
     """Every kernel reads its terminal shock sum from the block: the optimal,
     static and MSR runs share the weighted-mean row's total and the tax reads
-    the shock-sum row's, so a block that runs all four sums two rows."""
-    summed = []
-    real = permitsim.stochastic._running_total
-
-    def counting(d):
-        summed.append(d)
-        return real(d)
-
-    monkeypatch.setattr(permitsim.stochastic, "_running_total", counting)
+    the shock-sum row's, so a block drawn with the runs' rows and no total
+    sums two rows, in that order, each the last knot of its running sum."""
     policies = [
         build_policy(PolicySpec(kind=kind), base_market)
         for kind in ("optimal_dynamic", "static", "msr", "tax")
     ]
-    loads = [load for p in policies for load in permitsim.policies._noise_rows(base_market, p)]
-    noise = generate_noise(72, TimeGrid(base_market.horizon, 300), base_market.firms, 40, loads=loads)
+    grid = TimeGrid(base_market.horizon, 300)
+    reads = [permitsim.policies._run_reads(base_market, p, grid) for p in policies]
+    loads = [load for run in reads for load in (*run.rows, *run.trajectory_rows)]
+    noise = generate_noise(72, grid, base_market.firms, 40, loads=loads)
+    assert not noise._totals
     for policy in policies:
         simulate_policy_paths(policy, base_market, noise)
     firms = base_market.firms
-    wbar = noise.weighted_mean_increments([fp.sigma for fp in firms])
-    shock_sum = noise.row(tracking_gamma(firms).sum(axis=0))
-    assert [id(d) for d in summed] == [id(wbar), id(shock_sum)]
+    wbar = weighted_mean_load(noise.ks, [fp.sigma for fp in firms])
+    shock_sum = tracking_gamma(firms).sum(axis=0)
+    assert list(noise._totals) == [wbar.tobytes(), shock_sum.tobytes()]
+    for load in (wbar, shock_sum):
+        want = integrate_increments(noise.row(load))[:, -1]
+        assert noise._totals[load.tobytes()].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["optimal_dynamic", "custom_martingale"])
@@ -795,6 +806,24 @@ def test_static_kernel_price_is_the_euler_price(base_market, kernel_noise):
     assert np.abs(sample.price - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_static_kernel_price_is_its_rows_running_sum(base_market):
+    """The static kernel's price is the rows' p0 plus the running sum of the
+    rows' step times the driver, bit for bit, on a 3-path block; the step is
+    f(t_k) on the left knots and the driver the weighted mean shock."""
+    grid = TimeGrid(base_market.horizon, 300)
+    stat = static_policy(base_market)
+    noise = generate_noise(74, grid, base_market.firms, 3)
+    rows = permitsim.policies._policy_rows(base_market, stat, grid)
+    assert rows.step.tobytes() == f_coeff(base_market, grid.knots[:-1]).tobytes()
+    driver = noise.row(rows.driver_load)
+    assert driver is _wbar_row(noise, base_market.firms)
+    price = simulate_policy_paths(stat, base_market, noise).price
+    assert price.shape == (3, 301)
+    assert np.all(price[:, 0] == rows.p0)
+    want = np.cumsum(rows.step * driver, axis=-1) + rows.p0
+    assert price[:, 1:].tobytes() == want.tobytes()
+
+
 def test_static_kernel_memory_is_flat_in_the_firm_count():
     """The kernel sums over the firms before it integrates: its traced
     allocation peak with 24 firms is within 1.5 times the peak with 3."""
@@ -815,8 +844,8 @@ def test_static_kernel_memory_is_flat_in_the_firm_count():
 @pytest.mark.parametrize("kind", ["static", "optimal_dynamic", "tax", "msr"])
 def test_costs_only_call_keeps_no_trajectory(base_market, kind):
     """A call whose trajectories are never read takes its per-path sums over
-    blocks of scratch arrays: on noise rows drawn before it, as a chunk's
-    are, it keeps no (P, M+1) path array after it returns, only the
+    blocks of scratch arrays: on the noise rows and totals a chunk draws for
+    it, it keeps no (P, M+1) path array after it returns, only the
     sample's (P,) scalars and a few (M+1,) rows, and it peaks at two
     scratches of SCRATCH_DOUBLES doubles, the most any kernel's pooled
     scratch holds.  The block is a default chunk of the headline grid, 256
@@ -824,8 +853,8 @@ def test_costs_only_call_keeps_no_trajectory(base_market, kind):
     knots), on which numpy's fixed ufunc buffers (~0.15 MB) are small."""
     policy = build_policy(PolicySpec(kind=kind), base_market)
     grid = TimeGrid(base_market.horizon, 2000)
-    loads = permitsim.policies._noise_rows(base_market, policy)
-    noise = generate_noise(69, grid, base_market.firms, 256, loads=loads)
+    reads = permitsim.policies._run_reads(base_market, policy, grid)
+    noise = generate_noise(69, grid, base_market.firms, 256, loads=reads.rows, totals=reads.totals)
     knots = grid.n_steps + 1
     path_bytes = noise.n_paths * knots * 8
     vector_bytes = (noise.n_paths + knots) * 8
@@ -844,13 +873,13 @@ def test_costs_only_call_keeps_no_trajectory(base_market, kind):
 
 
 def test_a_nan_in_a_later_block_fails_the_clearing_check(base_market):
-    """The static price is built one row block of 32 paths at a time, and the
+    """The static price is built one row block of 10 paths at a time, and the
     clearing check takes the largest max |x| of the blocks' prices and
-    summed trades; a NaN in the second block of the price's driver must
+    summed trades; a NaN in the fifth block of the price's driver must
     fail the check, although Python's max(a, nan) would drop it."""
     stat = static_policy(base_market)
     grid = TimeGrid(base_market.horizon, 2000)
-    loads = permitsim.policies._noise_rows(base_market, stat)
+    loads = permitsim.policies._run_reads(base_market, stat, grid).rows
     drawn = generate_noise(70, grid, base_market.firms, 256, loads=loads)
     rows = [(np.asarray(load, dtype=float), drawn.row(load).copy()) for load in loads]
     wbar_load = weighted_mean_load(
@@ -1236,6 +1265,69 @@ def _ci_custom_policy(mkt):
     return custom_martingale_policy(mkt, np.full(n, -7e8), gamma, target_compliance=False)
 
 
+def _permuted_tracking_policy(mkt):
+    """Tracking loadings with the firms' rows permuted: the firm-mean surprise
+    is 0, the loading sum is not."""
+    gamma = tracking_gamma(mkt.firms)[np.roll(np.arange(mkt.n_firms), 1)]
+    return custom_martingale_policy(mkt, np.zeros(mkt.n_firms), gamma, target_compliance=False)
+
+
+def _zero_gamma_policy(mkt):
+    """No loading at all: the price driver is the weighted mean shock row."""
+    n = mkt.n_firms
+    return custom_martingale_policy(
+        mkt, np.full(n, -7e8), np.zeros((n, n + 1)), target_compliance=False
+    )
+
+
+@pytest.mark.parametrize(
+    "build, n_cost_rows",
+    [
+        (_zero_gamma_policy, 1),
+        (_permuted_tracking_policy, 0),
+        (_ci_custom_policy, 2),
+        (optimal_dynamic_policy, 0),
+        (static_policy, 1),
+        (tax_policy, 0),
+        (msr_policy, 1),
+    ],
+    ids=["gamma-0", "permuted-tracking", "non-tracking", "optimal", "static", "tax", "msr"],
+)
+def test_a_run_reads_exactly_what_it_declares(base_market, build, n_cost_rows):
+    """A block drawn with exactly one run's declared rows and totals
+    (`_run_reads`) never draws d_tilde and caches no further row or total
+    when the run's costs are taken, and neither does the written block when
+    every trajectory is read; the costs have the bits of a block that holds
+    d_tilde.  The custom cases are the edges of the martingale reads: gamma
+    0 (the driver is the weighted mean shock), tracking loadings on permuted
+    firms (no surprise, a loading sum) and non-tracking loadings."""
+    mkt = base_market
+    policy = build(mkt)
+    grid = TimeGrid(mkt.horizon, 50)
+    reads = permitsim.policies._run_reads(mkt, policy, grid)
+    assert len(reads.rows) == n_cost_rows
+    wbar = weighted_mean_load([fp.k for fp in mkt.firms], [fp.sigma for fp in mkt.firms])
+    if build is _zero_gamma_policy:
+        rows = permitsim.policies._policy_rows(mkt, policy, grid)
+        assert reads.rows[0].tobytes() == wbar.tobytes() and rows.alloc_load is None
+    if build is _permuted_tracking_policy:
+        rows = permitsim.policies._policy_rows(mkt, policy, grid)
+        assert rows.driver_load is None and rows.alloc_load.any()
+    whole = simulate_policy_paths(policy, mkt, generate_noise(76, grid, mkt.firms, 12))
+    for loads, fields in [
+        (reads.rows, ()),
+        ([*reads.rows, *reads.trajectory_rows], _TRAJECTORY_FIELDS + ("price_qv",)),
+    ]:
+        noise = generate_noise(76, grid, mkt.firms, 12, loads=loads, totals=reads.totals)
+        declared = (set(noise._rows), set(noise._totals))
+        sample = simulate_policy_paths(policy, mkt, noise)
+        for name in fields:
+            getattr(sample, name)
+        assert "d_tilde" not in noise.__dict__
+        assert (set(noise._rows), set(noise._totals)) == declared
+        assert sample.cost.tobytes() == whole.cost.tobytes()
+
+
 def test_run_ensemble_does_not_depend_on_chunking(base_market):
     """The per-path costs, cost parts and terminal emissions of the four
     standard policies and a custom one have the same bits on every chunking.
@@ -1490,7 +1582,8 @@ def test_stacked_msr_samples_equal_single_runs_to_the_bit(
 def _msr_knot_by_knot(mkt, policy, grid, d_wbar):
     """One MSR run's banks, (M+1, P), and its sums over the left knots of
     alpha_k dt and (alpha_k dt)^2, stepped and summed one knot at a time."""
-    c0, c1, ramp = permitsim.policies._msr_coefficients(mkt, policy, grid)
+    rows = permitsim.policies._msr_rows(mkt, policy, grid)
+    c0, c1, ramp = rows.c0, rows.c1, rows.ramp
     eta, h_bar, delta, dt = mkt.agg.eta_bar, mkt.agg.h_bar, policy.delta, grid.dt
     x = np.empty((grid.n_steps + 1, d_wbar.shape[0]))
     x[0] = policy.x_bar0
@@ -1519,7 +1612,7 @@ def test_rolling_msr_block_equals_the_full_recursion(monkeypatch, n_runs, n_path
     grid = TimeGrid(10.0, m)
     firms = runs[0][0].firms
     noise = generate_noise(15, grid, firms, n_paths)
-    d_wbar = noise.weighted_mean_increments([fp.sigma for fp in firms])
+    d_wbar = _wbar_row(noise, firms)
     if span is not None:
         monkeypatch.setattr(
             permitsim.policies, "SCRATCH_DOUBLES", 2 * (span + 1) * n_runs * n_paths
@@ -1532,8 +1625,8 @@ def test_rolling_msr_block_equals_the_full_recursion(monkeypatch, n_runs, n_path
         real_steps(a_t, b_t, d_wbar, k0, x_t)
 
     monkeypatch.setattr(permitsim.policies, "_msr_steps", stepping)
-    coefs = [permitsim.policies._msr_coefficients(mkt, policy, grid) for mkt, policy in runs]
-    abated, alpha_sq, x_T = permitsim.policies._msr_sums(runs, coefs, d_wbar, grid.dt)
+    rows = [permitsim.policies._msr_rows(mkt, policy, grid) for mkt, policy in runs]
+    abated, alpha_sq, x_T = permitsim.policies._msr_sums(rows, d_wbar, grid.dt)
     want_blocks = [m] if span is None else [span] * (m // span) + [m % span] * (m % span > 0)
     assert blocks == want_blocks
     samples = list(permitsim.policies._simulate_msr(runs, noise))
@@ -1544,6 +1637,29 @@ def test_rolling_msr_block_equals_the_full_recursion(monkeypatch, n_runs, n_path
         assert x_T[r].tobytes() == x[-1].tobytes()
         assert sample.total_bank.tobytes() == (mkt.n_firms * x).T.tobytes()
         assert sample.parts["penalty"].tobytes() == (mkt.n_firms * mkt.penalty * x[-1] ** 2).tobytes()
+
+
+def test_a_runs_msr_rows_and_sums_are_the_same_alone_as_in_a_stack():
+    """Each run's rows are its own, elementwise in the knots: a_k and b_k equal
+    the step coefficients computed on the stacked (R, M+1) rows of six runs,
+    and each run's sums and banks at T, stepped alone, have the bits of its
+    row in the stack's."""
+    runs = _msr_runs(np.geomspace(1e6, 1e9, 6))
+    grid = TimeGrid(10.0, 20)
+    firms = runs[0][0].firms
+    d_wbar = _wbar_row(generate_noise(16, grid, firms, 33), firms)
+    rows = [permitsim.policies._msr_rows(mkt, policy, grid) for mkt, policy in runs]
+    c0, c1, ramp = (np.stack([getattr(r, name) for r in rows]) for name in ("c0", "c1", "ramp"))
+    eta, h_bar, delta = np.array([(r.eta_bar, r.h_bar, r.delta) for r in rows]).T[:, :, None]
+    a = 1.0 + (eta * c1 - delta) * grid.dt
+    b = (delta * ramp + eta * (c0 - h_bar)) * grid.dt
+    stacked = permitsim.policies._msr_sums(rows, d_wbar, grid.dt)
+    for r, run_rows in enumerate(rows):
+        assert run_rows.a.tobytes() == a[r].tobytes()
+        assert run_rows.b.tobytes() == b[r, :-1].tobytes()
+        alone = permitsim.policies._msr_sums([run_rows], d_wbar, grid.dt)
+        for got, want in zip(alone, stacked):
+            assert got[0].tobytes() == want[r].tobytes()
 
 
 def test_only_neighbouring_msr_runs_on_the_same_volatilities_stack():

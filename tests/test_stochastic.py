@@ -82,7 +82,7 @@ def test_weighted_mean_increment_variance():
     grid = TimeGrid(horizon=10.0, n_steps=50)
     noise = generate_noise(31, grid, firms, n_paths=4000)
     sigmas = np.array([f.sigma for f in firms])
-    dm = noise.weighted_mean_increments(sigmas)
+    dm = noise.row(weighted_mean_load(noise.ks, sigmas))
     from permitsim import compute_aggregates
 
     var_expected = compute_aggregates(firms).sigma_sq * grid.dt
@@ -94,14 +94,14 @@ def test_weighted_mean_increments_are_computed_once_per_sigmas():
     firms = make_firms(3)
     noise = generate_noise(8, TimeGrid(horizon=5.0, n_steps=10), firms, n_paths=4)
     sigmas = [f.sigma for f in firms]
-    first = noise.weighted_mean_increments(sigmas)
-    assert noise.weighted_mean_increments(np.array(sigmas)) is first
+    first = noise.row(weighted_mean_load(noise.ks, sigmas))
+    assert noise.row(weighted_mean_load(noise.ks, np.array(sigmas))) is first
     assert not first.flags.writeable
     w = np.array(sigmas)
     want = np.einsum("i,pik->pk", w, noise.d_firm) / len(firms)
     np.testing.assert_allclose(first, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    doubled = noise.weighted_mean_increments(2.0 * w)
-    assert doubled is not first and noise.weighted_mean_increments(2.0 * w) is doubled
+    doubled = noise.row(weighted_mean_load(noise.ks, 2.0 * w))
+    assert doubled is not first and noise.row(weighted_mean_load(noise.ks, 2.0 * w)) is doubled
     np.testing.assert_array_equal(doubled, 2.0 * first)
 
 
@@ -162,9 +162,8 @@ def test_drawn_rows_are_the_loads_times_the_drivers(monkeypatch, n_steps, scratc
 def test_row_totals_are_the_last_knots_of_the_rows(n_paths, n_steps, drawn):
     """`NoisePaths.row_total` is the last knot of the row's running sum, bit
     for bit, on a block drawn with loads or built from its drivers, and a
-    second call serves the same read-only array.  At 2000 steps the sums go
-    over row blocks of 32 paths, and 289 = 9 * 32 + 1 paths end on a
-    one-path block."""
+    second call serves the same read-only array, on one path, one step and
+    289 paths at 2000 steps."""
     firms = make_firms()
     grid = TimeGrid(horizon=10.0, n_steps=n_steps)
     loads = _loads(firms)
@@ -260,10 +259,6 @@ def test_path_ensemble_chunks_and_single_path():
     assert sizes == [4, 4, 2]
     whole = generate_noise(5, grid, firms, n_paths=10)
     np.testing.assert_array_equal(np.concatenate(collected), whole.d_tilde)
-    one = ens.path(7)
-    np.testing.assert_array_equal(one.d_tilde[0], whole.d_tilde[7])
-    with pytest.raises(IndexError):
-        ens.path(10)
 
 
 @pytest.mark.parametrize("n_steps, chunk_size", [(1, 32768), (50, 1285), (300, 256), (2000, 256)])
