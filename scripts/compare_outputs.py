@@ -60,7 +60,8 @@ CASES = [
             "simulate",
             "preset.json",
             ["simulate", "--policy", "all"],
-            ((1024, 2000), (20000, 50), (289, 2000), (8, 2000), (9, 1)),
+            # 287 = 256 + 31 paths: the tail chunk ends on a one-path row block
+            ((1024, 2000), (20000, 50), (287, 2000), (8, 2000), (9, 1)),
         ),
         ("custom", "custom.json", ["simulate"], ((3000, 50), (300, 2000))),
         ("compare", "preset.json", ["compare", "--etas", ETAS], ((1000, 300), (257, 2000))),

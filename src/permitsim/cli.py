@@ -39,7 +39,7 @@ from .policies import (
     CostReport,
     PolicyKind,
     PolicySpec,
-    _run_reads,
+    _describe,
     _simulate_runs,
     build_policy,
     cost_report_from_samples,
@@ -391,14 +391,13 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     Writes ``summary.json`` with closed-form and Monte Carlo costs over all
     ``n_paths`` paths, and ``trajectory_<kind>.csv`` per policy with the
     first TRAJECTORY_PATH_CAP paths.  The costs come first, from
-    `run_ensemble` on `PathEnsemble`'s default chunks (about 2^16 knots per
-    path array, at least 256 paths), which build no trajectory.  The written
-    paths are then drawn again as one block that keeps only the loading rows
-    the runs read (`_noise_rows`), and each policy's rows come from
-    `simulate_policy_paths` on that block and are written path by path
-    (`_trajectory_rows`).  A path's numbers do not depend
-    on the block it is drawn in, so the rows are those of the same paths in
-    any chunk.  Returns the summary dict.  A failed run removes the
+    `run_ensemble` on `PathEnsemble`'s default chunks, which build no
+    trajectory.  The written paths are then drawn again as one block with
+    the rows and totals the runs read (`_describe`), and each policy's rows
+    come from `simulate_policy_paths` on that block and are written path by
+    path (`_trajectory_rows`).  A path's numbers do not depend on the block
+    it is drawn in, so the rows are those of the same paths in any chunk.
+    Returns the summary dict.  A failed run removes the
     trajectory files it wrote and writes no summary.  An ``out_dir`` that
     cannot be a directory fails before the first chunk is drawn, and an
     `OSError` from writing the outputs fails as a `ConfigError`
@@ -429,9 +428,9 @@ def run_simulate(config: ScenarioConfig, out_dir: str | Path, kinds: list[Policy
     except ValueError as exc:
         raise DomainError(f"summary holds a non-finite number: {exc}") from exc
 
-    reads = [_run_reads(mkt, policy, grid) for policy in policies]
-    loads = [load for run in reads for load in (*run.rows, *run.trajectory_rows)]
-    totals = [load for run in reads for load in run.totals]
+    described = [_describe(mkt, policy, grid) for policy in policies]
+    loads = [load for run in described for load in (*run.cost_rows, *run.trajectory_rows)]
+    totals = [load for run in described for load in run.totals]
     n_written = min(TRAJECTORY_PATH_CAP, config.n_paths)
     noise = generate_noise(config.seed, grid, mkt.firms, n_written, loads=loads, totals=totals)
     volume_scale = 1e-9 if config.unit_scale == "Gt" else 1.0

@@ -36,7 +36,6 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, wraps
-from typing import NamedTuple
 
 import numpy as np
 
@@ -661,6 +660,7 @@ class MartingaleRows:
 
     p0: float                      # price at t = 0, euros/ton
     m0_sum: float                  # sum_i m0_i, tons
+    etas: np.ndarray               # eta_i per firm, (N,)
     eta_total: float               # sum_i eta_i
     h_eff: float                   # eta-weighted mean cost sum_i eta_i h_i / eta_total, euros/ton
     trade0: float                  # summed cumulative trade at t = 0, sum_i B_i(0), tons
@@ -710,7 +710,7 @@ def _martingale_rows(
     surprise, moves = loading.any(), gamma.any()
     sign, driver = (1.0, loading) if moves else (-1.0, wbar_load)
     return MartingaleRows(
-        p0=p0, m0_sum=m0_sum, eta_total=eta_total, h_eff=h_eff,
+        p0=p0, m0_sum=m0_sum, etas=etas, eta_total=eta_total, h_eff=h_eff,
         trade0=float(etas @ hs) * horizon - coef_sum[0] * p0 - m0_sum, coef_sum=coef_sum,
         step=frictionless_price_step(mkt, grid, sign) if surprise else None, trade_scale=sign * n,
         abatement_const=0.5 * float(etas @ (hs - h_eff) ** 2) * horizon, mu_total=mu_total,
@@ -720,23 +720,58 @@ def _martingale_rows(
     )
 
 
-def _policy_rows(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> MartingaleRows:
-    """`_martingale_rows` of a martingale-type policy: the optimal and custom
-    policies allocate m0 + gamma W and the firms' trends; the static lump
-    sum holds x_bar0 - mu_i t, which is m0_i = x_bar0 - mu_i T, gamma = 0
-    and no trend.  Any other policy raises `UnsupportedInputError`."""
+@dataclass(frozen=True, eq=False)
+class RunDescription:
+    """One (market, policy) run on a time grid (`_describe`)."""
+
+    mkt: MarketParams
+    policy: Policy
+    rows: MartingaleRows | MSRRows | None  # its kernel's rows; None for the tax
+    cost_rows: list[np.ndarray]  # the rows its costs read (`NoisePaths.row`)
+    totals: list[np.ndarray]  # the loads its costs read only as totals (`NoisePaths.row_total`)
+    trajectory_rows: list[np.ndarray]  # the further rows its trajectories read
+
+
+def _describe(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> RunDescription:
+    """The run of ``policy`` in ``mkt`` on ``grid``: its kernel's rows and the
+    loads it reads from a noise block, the one map from a policy type to both.
+
+    The optimal and custom policies allocate m0 + gamma W and the firms'
+    trends; the static lump sum holds x_bar0 - mu_i t, which is
+    m0_i = x_bar0 - mu_i T, gamma = 0 and no trend (`_martingale_rows`).
+    A martingale run reads the weighted mean shock's total; its costs read
+    the price driver and, when the price moves, the loading sum, and its
+    trajectories the weighted mean shock and the loading sum rows.  The MSR
+    (`_msr_rows`) reads the weighted mean shock as its price driver and as a
+    total.  The tax reads the firms' shock sum sum_i sigma_i dW_i, its costs
+    as a total and its emissions as a row.  A policy of another type, or a
+    market run under finite depth (only the tax needs no market), raises
+    `UnsupportedInputError`.
+    """
+    if isinstance(policy, TaxPolicy):
+        shock_sum = tracking_gamma(mkt.firms).sum(axis=0)
+        return RunDescription(mkt, policy, None, [], [shock_sum], [shock_sum])
     if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)):
-        return _martingale_rows(mkt, grid, policy.m0, policy.gamma, tracks_trends=True)
-    if isinstance(policy, StaticPolicy):
-        n = mkt.n_firms
+        m0, gamma, tracks_trends = policy.m0, policy.gamma, True
+    elif isinstance(policy, StaticPolicy):
         m0 = policy.x_bar0 - np.array([fp.mu for fp in mkt.firms]) * grid.horizon
-        return _martingale_rows(mkt, grid, m0, np.zeros((n, n + 1)), tracks_trends=False)
-    raise UnsupportedInputError(f"cannot simulate policy of type {type(policy)!r}")
+        gamma, tracks_trends = np.zeros((mkt.n_firms, mkt.n_firms + 1)), False
+    elif not isinstance(policy, MSRPolicy):
+        raise UnsupportedInputError(f"cannot simulate policy of type {type(policy)!r}")
+    if not mkt.is_frictionless:
+        raise UnsupportedInputError(f"finite depth: {policy.kind.value} is frictionless only")
+    if isinstance(policy, MSRPolicy):
+        msr = _msr_rows(mkt, policy, grid)
+        return RunDescription(mkt, policy, msr, [msr.wbar_load], [msr.wbar_load], [])
+    rows = _martingale_rows(mkt, grid, m0, gamma, tracks_trends)
+    moving = [] if rows.driver_load is None else [rows.driver_load, rows.alloc_load]
+    cost_rows = [load for load in moving if load is not None]
+    paths = [load for load in (rows.wbar_load, rows.alloc_load) if load is not None]
+    further = [load for load in paths if all(load is not row for row in cost_rows)]
+    return RunDescription(mkt, policy, rows, cost_rows, [rows.wbar_load], further)
 
 
-def _simulate_martingale(
-    kind: PolicyKind, mkt: MarketParams, noise: NoisePaths, rows: MartingaleRows
-) -> PolicyPathSample:
+def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSample:
     """Frictionless equilibrium of a martingale allocation, every firm sum taken first.
 
     Firm i expects the total allocation M_i(t) = m0_i + (gamma Wtilde)_i(t)
@@ -765,26 +800,20 @@ def _simulate_martingale(
     of 0; the terminal emissions are T sum_i mu_i minus the abated total
     plus the shock sum N Wbar_T.
 
-    ``rows`` are `_martingale_rows` on the block's grid.  A costs-only call
-    reads the rows of the driver and, when the price moves, of the loading
-    sum, and the total of the weighted mean shock; the trajectories read
-    the loading sum and the weighted mean shock rows too (`_run_reads`).
-    When nothing surprises the market the price is the constant P_0, and
-    every cost part and the price and abatement are one value or row that
-    the sample repeats on every path as read-only views.  The costs do not
-    depend on how the paths are cut into blocks or chunks.  Raises
-    `UnsupportedInputError` under finite depth, `ClearingError` when the
-    summed trades do not clear (a NaN fails the check), and `DomainError`
-    for a cost or terminal emission that is not finite (`_sample`).
+    ``run`` is described on the block's grid.  When nothing surprises the
+    market the price is the constant P_0, and the cost parts, price and
+    abatement are one value or row, repeated on every path as read-only
+    views.  The costs do not depend on how the paths are cut into blocks or
+    chunks.  Raises `ClearingError` when the summed trades do not clear (a
+    NaN fails the check), and `DomainError` for a cost or terminal emission
+    that is not finite (`_sample`).
     """
-    if not mkt.is_frictionless:
-        raise UnsupportedInputError("finite depth: use equilibrium_frictions")
+    mkt, rows, kind = run.mkt, run.rows, run.policy.kind
     grid = noise.grid
     t, dt, horizon = grid.knots, grid.dt, grid.horizon
     n_paths, m = noise.n_paths, grid.n_steps
     shape = (n_paths, m + 1)
     lam, n = mkt.penalty, mkt.n_firms
-    etas = np.array([fp.eta for fp in mkt.firms])
     wbar_T = noise.row_total(rows.wbar_load)  # sum_i sigma_i W_i(T) = N Wbar_T
     # three (rows, M+1) blocks in one pooled scratch
     block_paths = min(n_paths, max(1, SCRATCH_DOUBLES // (3 * (m + 1))))
@@ -853,7 +882,7 @@ def _simulate_martingale(
 
     abatement = 0.5 * rows.eta_total * gap_sum * dt - rows.abatement_const
     trading = price_sum * dt * trade_T / horizon
-    bank_T = -p_T / (2.0 * lam) - etas * dt * (p_T - rows.p0)
+    bank_T = -p_T / (2.0 * lam) - rows.etas * dt * (p_T - rows.p0)
     penalty = lam * (bank_T**2).sum(axis=1)
     parts = dict(abatement=abatement, trading=trading, penalty=penalty, tax=0.0)
     parts = {key: np.broadcast_to(value, shape[:1]) for key, value in parts.items()}
@@ -905,22 +934,37 @@ def simulate_policy_paths(
     its coupled (average bank, price) system with Euler steps.  All
     policies draw from the same underlying shocks, so samples produced
     from the same ``noise`` are directly comparable path by path.  The
-    block must have been drawn for the market's firms.  A path whose cost
-    or terminal emissions overflow raises `DomainError`.
+    block must have been drawn for the market's firms.  A run no kernel
+    simulates raises `UnsupportedInputError` (`_describe`), and a path
+    whose cost or terminal emissions overflow `DomainError`.
     """
     noise.require_firms(mkt.firms)
-    grid = noise.grid
-    if isinstance(policy, MSRPolicy):
-        [sample] = _simulate_msr([(mkt, policy)], noise)  # exhausts the generator
-        return sample
-    if not isinstance(policy, TaxPolicy):
-        rows = _policy_rows(mkt, policy, grid)  # raises for a policy of another type
-        return _simulate_martingale(policy.kind, mkt, noise, rows)
+    [sample] = _simulate_stack([_describe(mkt, policy, noise.grid)], noise)
+    return sample
 
+
+def _simulate_stack(
+    runs: Sequence[RunDescription], noise: NoisePaths
+) -> Iterator[PolicyPathSample]:
+    """The samples of the described ``runs`` on one noise block, in run order,
+    each built when it is requested: MSR runs step as one stack
+    (`_simulate_msr`); any other stack is one run."""
+    if isinstance(runs[0].rows, MSRRows):
+        yield from _simulate_msr(runs, noise)
+    else:
+        [run] = runs
+        yield (_simulate_tax if run.rows is None else _simulate_martingale)(run, noise)
+
+
+def _simulate_tax(run: RunDescription, noise: NoisePaths) -> PolicyPathSample:
+    """A constant tax tau and no market: firm i abates at alpha_i, the cost is
+    T sum_i (h_i alpha_i + alpha_i^2 / (2 eta_i)) plus tau times the terminal
+    emissions (sum_i mu_i - sum_i alpha_i) T + sum_i sigma_i W_i(T)."""
+    mkt, policy, grid = run.mkt, run.policy, noise.grid
     t, shape = grid.knots, (noise.n_paths, grid.n_steps + 1)
     mu_total = float(np.array([fp.mu for fp in mkt.firms]).sum())
     alpha = float(policy.alpha.sum())
-    [shock_load] = _run_reads(mkt, policy, grid).totals  # sum_i sigma_i dW_i
+    [shock_load] = run.totals  # sum_i sigma_i dW_i
     terminal_emissions = (mu_total - alpha) * t[-1] + noise.row_total(shock_load)
     hs = np.array([fp.h for fp in mkt.firms])
     etas = np.array([fp.eta for fp in mkt.firms])
@@ -968,6 +1012,7 @@ class MSRRows:
     h_bar: float
     x_bar0: float    # the average bank at t = 0, tons
     delta: float     # reversion speed, 1/year
+    wbar_load: np.ndarray  # load of the weighted mean shock dWbar, (N+1,)
 
 
 def _msr_rows(mkt: MarketParams, policy: MSRPolicy, grid: TimeGrid) -> MSRRows:
@@ -987,11 +1032,12 @@ def _msr_rows(mkt: MarketParams, policy: MSRPolicy, grid: TimeGrid) -> MSRRows:
     c0 = big_f * ((1.0 - delta * z) * ramp + z * (eta * h_bar - policy.x_bar0 / grid.horizon))
     a = 1.0 + (eta * c1 - delta) * dt
     b = ((delta * ramp + eta * (c0 - h_bar)) * dt)[:-1]
-    return MSRRows(c0, c1, ramp, a, b, eta, h_bar, policy.x_bar0, delta)
+    wbar_load = weighted_mean_load([fp.k for fp in mkt.firms], [fp.sigma for fp in mkt.firms])
+    return MSRRows(c0, c1, ramp, a, b, eta, h_bar, policy.x_bar0, delta, wbar_load)
 
 
 def _simulate_msr(
-    runs: Sequence[tuple[MarketParams, MSRPolicy]], noise: NoisePaths
+    runs: Sequence[RunDescription], noise: NoisePaths
 ) -> Iterator[PolicyPathSample]:
     """Euler integration of the coupled (average bank, price) system, for a
     stack of MSR runs on one noise block.
@@ -1002,24 +1048,20 @@ def _simulate_msr(
     the terminal marginal penalty.  The runs may differ in every parameter
     but the firms' volatilities, which fix the average shock dWbar; they
     step together with the run index as an array axis (`_msr_sums`), so a
-    stack costs the Python calls of one run.  Yields one sample per run, in
-    run order, each built when it is requested (`_msr_sample`), with the
-    bits the run has alone.
+    stack costs the Python calls of one run.  The ``runs`` are described on
+    the block's grid.  Yields one sample per run, in run order, each built
+    when it is requested (`_msr_sample`), with the bits the run has alone.
     """
-    grid = noise.grid
-    sigmas = tuple(fp.sigma for fp in runs[0][0].firms)
-    for mkt, _ in runs:
-        noise.require_firms(mkt.firms)
-        if not mkt.is_frictionless:
-            raise UnsupportedInputError("finite depth: the MSR recursion is frictionless only")
-        if tuple(fp.sigma for fp in mkt.firms) != sigmas:
+    sigmas = tuple(fp.sigma for fp in runs[0].mkt.firms)
+    for run in runs:
+        noise.require_firms(run.mkt.firms)
+        if tuple(fp.sigma for fp in run.mkt.firms) != sigmas:
             raise UnsupportedInputError("stacked MSR runs must share the firms' volatilities")
-    rows = [_msr_rows(mkt, policy, grid) for mkt, policy in runs]
-    wbar_load = weighted_mean_load(noise.ks, sigmas)
-    wbar_T, d_wbar = noise.row_total(wbar_load), noise.row(wbar_load)
+    grid, rows = noise.grid, [run.rows for run in runs]
+    wbar_T, d_wbar = noise.row_total(rows[0].wbar_load), noise.row(rows[0].wbar_load)
     abated, alpha_sq, x_T = _msr_sums(rows, d_wbar, grid.dt)
-    for r, (mkt, _) in enumerate(runs):
-        yield _msr_sample(mkt, grid, rows[r], d_wbar, wbar_T, abated[r], alpha_sq[r], x_T[r])
+    for r, run in enumerate(runs):
+        yield _msr_sample(run.mkt, grid, rows[r], d_wbar, wbar_T, abated[r], alpha_sq[r], x_T[r])
 
 
 def _msr_steps(
@@ -1254,38 +1296,6 @@ class ComparisonResult:
         raise KeyError(f"no report for policy kind {key.value!r}")
 
 
-class _Reads(NamedTuple):
-    """The loads a run reads from a noise block (`_run_reads`)."""
-
-    rows: list[np.ndarray]  # the rows its costs read (`NoisePaths.row`)
-    totals: list[np.ndarray]  # the loads its costs read only as totals (`NoisePaths.row_total`)
-    trajectory_rows: list[np.ndarray]  # the further rows its trajectories read
-
-
-def _run_reads(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> _Reads:
-    """The loads a run of ``policy`` on ``grid`` reads, from its kernel's rows.
-
-    The tax reads the firms' shock sum sum_i sigma_i dW_i, its costs as a
-    total and its emissions as a row; the MSR reads the weighted mean shock
-    as its price driver and as a total.  A martingale run reads the
-    weighted mean shock's total; its costs read the price driver and the
-    loading sum when the price moves, and its trajectories the weighted
-    mean shock and the loading sum rows (`_martingale_rows`).
-    """
-    if isinstance(policy, TaxPolicy):
-        shock_sum = tracking_gamma(mkt.firms).sum(axis=0)
-        return _Reads([], [shock_sum], [shock_sum])
-    if isinstance(policy, MSRPolicy):
-        wbar = weighted_mean_load([fp.k for fp in mkt.firms], [fp.sigma for fp in mkt.firms])
-        return _Reads([wbar], [wbar], [])
-    rows = _policy_rows(mkt, policy, grid)
-    moving = [] if rows.driver_load is None else [rows.driver_load, rows.alloc_load]
-    cost_rows = [load for load in moving if load is not None]
-    paths = [load for load in (rows.wbar_load, rows.alloc_load) if load is not None]
-    further = [load for load in paths if all(load is not row for row in cost_rows)]
-    return _Reads(cost_rows, [rows.wbar_load], further)
-
-
 def _stack_bounds(
     runs: list[tuple[MarketParams, Policy]], cap: int
 ) -> list[tuple[int, int]]:
@@ -1319,45 +1329,35 @@ def _simulate_runs(
     Each chunk's noise is drawn once and serves every run, so the runs share
     shocks path by path.  The ensemble sets the chunks
     (`PathEnsemble.chunk_size`, by default sized by the grid), and no run's
-    numbers depend on them.  A chunk is drawn with the rows the runs' costs
-    read and the totals of the loads they read only as totals
-    (`_run_reads`); every run is checked against the ensemble's firms
-    before the first draw.  Consecutive MSR runs on the same firm
-    volatilities (the etas of a sweep) step as stacks in one `_simulate_msr`
-    recursion of at most (N+1) M // (M+1) runs (`_stack_bounds`); every
-    other run goes through `simulate_policy_paths` on the whole chunk.
-    Yields, per run and in run order, the per-path cost summed from the
-    concatenated cost parts (`_path_cost`, with the bits of the chunks'
-    costs), the parts and the terminal emissions, each built when it is
-    requested.  README "How a chunk is computed" gives the memory this takes.
+    numbers depend on them.  Every run is checked against the ensemble's
+    firms and described (`_describe`) before the first draw.  Consecutive
+    MSR runs on the same firm volatilities (the etas of a sweep) step as
+    stacks of at most (N+1) M // (M+1) runs (`_stack_bounds`).  Yields, per
+    run and in run order, the per-path cost summed from the concatenated
+    cost parts (`_path_cost`, with the bits of the chunks' costs), the
+    parts and the terminal emissions, each built when it is requested.
+    README "How a chunk is computed" gives the reads and memory this takes.
     """
     for mkt, _ in runs:
         ensemble.require_firms(mkt.firms)
-    reads = [_run_reads(mkt, policy, ensemble.grid) for mkt, policy in runs]
-    rows = [load for run in reads for load in run.rows]
-    totals = [load for run in reads for load in run.totals]
+    described = [_describe(mkt, policy, ensemble.grid) for mkt, policy in runs]
+    rows = [load for run in described for load in run.cost_rows]
+    totals = [load for run in described for load in run.totals]
     m = ensemble.grid.n_steps
     bounds = _stack_bounds(runs, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
     # per run, each chunk's (cost parts, terminal emissions)
     kept: list[list[tuple[dict[str, np.ndarray], np.ndarray]]] = [[] for _ in runs]
 
-    def record(i: int, sample: PolicyPathSample) -> None:
-        kept[i].append((sample.parts, sample.terminal_emissions))
-
     with array_pool():
         for noise in ensemble.chunks(rows, totals):
             for start, stop in bounds:
-                mkt, policy = runs[start]
-                if stop - start > 1:
-                    # neither enumerate nor zip: each caches its last item, which
-                    # would keep one sample alive while the next is built
-                    i = start
-                    for sample in _simulate_msr(runs[start:stop], noise):
-                        record(i, sample)
-                        i += 1
-                        del sample  # free its trajectories before the next one is built
-                else:
-                    record(start, simulate_policy_paths(policy, mkt, noise))
+                # neither enumerate nor zip: each caches its last item, which
+                # would keep one sample alive while the next is built
+                i = start
+                for sample in _simulate_stack(described[start:stop], noise):
+                    kept[i].append((sample.parts, sample.terminal_emissions))
+                    i += 1
+                    del sample  # free its trajectories before the next one is built
             del noise  # free its rows for the next draw
     kept.reverse()
     while kept:

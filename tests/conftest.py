@@ -33,6 +33,21 @@ def force_split(monkeypatch, min_slice_doubles=1, cpus=3):
     monkeypatch.setattr(permitsim.stochastic, "_cpu_count", lambda: cpus)
 
 
+def count_calls(monkeypatch, module, *names):
+    """Count the calls of each function ``module.<name>`` from now on, in a
+    dict by name that the counting wrappers update."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def base_market():
     """Frictionless six-firm market at the default calibration."""

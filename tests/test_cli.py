@@ -42,7 +42,7 @@ from permitsim.cli import (
 from permitsim.policies import run_ensemble
 
 import oracles
-from conftest import force_split
+from conftest import count_calls, force_split
 
 
 def write_config(tmp_path, name="cfg.json", **blocks):
@@ -378,16 +378,16 @@ def test_failed_simulate_leaves_no_trajectory_files(tmp_path, capsys, monkeypatc
     """A run that fails in a cost chunk writes nothing; one whose written
     rows fail on a later path of a table, after the earlier paths of that
     file are on disk, removes that file and every one before it."""
-    real = permitsim.policies.simulate_policy_paths
+    real = permitsim.policies._simulate_stack
     calls = []
 
-    def fail_on_second_policy(policy, mkt, noise):
-        calls.append(policy.kind)
+    def fail_on_second_policy(runs, noise):
+        calls.append(runs[0].policy.kind)
         if len(calls) == 2:
             raise ClearingError("synthetic clearing violation")
-        return real(policy, mkt, noise)
+        return real(runs, noise)
 
-    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", fail_on_second_policy)
+    monkeypatch.setattr(permitsim.policies, "_simulate_stack", fail_on_second_policy)
     cfg = write_config(tmp_path, simulation=small_sim_block())
     out = tmp_path / "failed"
     assert main(["simulate", "--config", cfg, "--policy", "all", "--out", str(out)]) == 4
@@ -593,19 +593,27 @@ def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, mon
         chunk_sizes.append(ensemble.chunk_size)
         return real(mkt, policies, ensemble)
 
-    def spy_on(module, role):
-        simulate = module.simulate_policy_paths
+    stack = permitsim.policies._simulate_stack
+    simulate = permitsim.cli.simulate_policy_paths
+    writing = []  # the policy of the written block's sample being built
 
-        def simulating(policy, mkt, noise):
-            sample = simulate(policy, mkt, noise)
-            blocks.append((role, noise.path_offset, noise.n_paths, sample))
-            return sample
+    def stacking(runs, noise):
+        # the written block's samples come out of the kernels too
+        for sample in stack(runs, noise):
+            if not writing:
+                blocks.append(("costs", noise.path_offset, noise.n_paths, sample))
+            yield sample
 
-        monkeypatch.setattr(module, "simulate_policy_paths", simulating)
+    def simulating(policy, mkt, noise):
+        writing.append(policy)
+        sample = simulate(policy, mkt, noise)
+        writing.pop()
+        blocks.append(("written", noise.path_offset, noise.n_paths, sample))
+        return sample
 
     monkeypatch.setattr(permitsim.cli, "run_ensemble", spying)
-    spy_on(permitsim.policies, "costs")
-    spy_on(permitsim.cli, "written")
+    monkeypatch.setattr(permitsim.policies, "_simulate_stack", stacking)
+    monkeypatch.setattr(permitsim.cli, "simulate_policy_paths", simulating)
     n_steps = 300
     config = build_scenario({
         "preset": "paper-2020-base",
@@ -651,7 +659,7 @@ def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, mon
 
 def test_simulate_draws_the_written_block_with_only_its_loading_rows(tmp_path, monkeypatch):
     """On 40 firms a block's (P, N+1, M) drivers weigh as much as 41 loading
-    rows, so the written block keeps exactly the rows `_run_reads` declares
+    rows, so the written block keeps exactly the rows `_describe` declares
     for the runs' costs and trajectories and never draws d_tilde; its
     trajectory rows are, to the bit, those of paths 0-7 in a default
     256-path chunk."""
@@ -675,8 +683,8 @@ def test_simulate_draws_the_written_block_with_only_its_loading_rows(tmp_path, m
     kinds = [PolicyKind.OPTIMAL_DYNAMIC, PolicyKind.STATIC, PolicyKind.MSR, PolicyKind.TAX]
     policies = [build_policy(PolicySpec(kind=k, delta=config.policy.delta), mkt) for k in kinds]
     grid = TimeGrid(mkt.horizon, 300)
-    reads = [permitsim.policies._run_reads(mkt, p, grid) for p in policies]
-    loads = [load for run in reads for load in (*run.rows, *run.trajectory_rows)]
+    described = [permitsim.policies._describe(mkt, p, grid) for p in policies]
+    loads = [load for run in described for load in (*run.cost_rows, *run.trajectory_rows)]
     [noise] = {id(n): n for n in noises}.values()
     assert (noise.path_offset, noise.n_paths) == (0, TRAJECTORY_PATH_CAP)
     assert "d_tilde" not in noise.__dict__
@@ -933,6 +941,23 @@ def test_compare_rows_from_several_stacks_match_per_eta_ensembles(
     rows = run_compare(config, etas, tmp_path / "sweep")
     assert sizes == stacks * 2
     _assert_rows_match_per_eta_ensembles(config, etas, rows)
+
+
+def test_compare_describes_each_eta_once(tmp_path, monkeypatch):
+    """A 13-eta sweep over two chunks builds each eta's `_msr_rows` once, and
+    no martingale rows."""
+    n_steps = 300
+    config = build_scenario({
+        "preset": "paper-2020-base",
+        "simulation": small_sim_block(n_paths=_default_chunk_size(n_steps) + 44, n_steps=n_steps),
+    })
+    etas = [float(e) for e in np.geomspace(1e6, 1e9, 13)]
+    draws = count_calls(monkeypatch, permitsim.stochastic, "generate_noise")
+    built = count_calls(monkeypatch, permitsim.policies, "_martingale_rows", "_msr_rows")
+    rows = run_compare(config, etas, tmp_path / "sweep")
+    assert draws == {"generate_noise": 2}
+    assert built == {"_martingale_rows": 0, "_msr_rows": 13}
+    assert len(rows) == 13
 
 
 def test_compare_frees_every_sample_and_stack_before_the_next_chunk(

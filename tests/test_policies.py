@@ -46,7 +46,6 @@ import permitsim.policies
 import permitsim.stochastic
 from permitsim.equilibrium import frictionless_initial_price
 from permitsim.policies import (
-    MSRPolicy,
     StaticPolicy,
     allocation_views,
     cost_report_from_samples,
@@ -61,7 +60,7 @@ from permitsim.stochastic import (
 )
 
 import oracles
-from conftest import N_FIRMS, make_firms, make_market
+from conftest import N_FIRMS, count_calls, make_firms, make_market
 
 
 def _wbar_row(noise, firms):
@@ -667,6 +666,26 @@ def test_msr_rejects_finite_depth(frictional_market, kernel_noise):
         simulate_policy_paths(msr_policy(frictional_market), frictional_market, kernel_noise)
 
 
+@pytest.mark.parametrize("kind", ["optimal_dynamic", "static", "msr"])
+def test_a_market_run_under_finite_depth_raises_before_the_first_draw(
+    frictional_market, monkeypatch, kind
+):
+    """Every run is described before the first chunk is drawn, so a market
+    run under finite depth raises without drawing one; the tax needs no
+    market and still runs, on every chunk."""
+    mkt = frictional_market
+    policies = [tax_policy(mkt), build_policy(PolicySpec(kind=kind), mkt)]
+    ensemble = PathEnsemble(
+        seed=5, grid=TimeGrid(10.0, 20), firms=mkt.firms, n_paths=10, chunk_size=4
+    )
+    draws = count_calls(monkeypatch, permitsim.stochastic, "generate_noise")
+    with pytest.raises(UnsupportedInputError, match="finite depth"):
+        run_ensemble(mkt, policies, ensemble)
+    assert draws == {"generate_noise": 0}
+    [report] = run_ensemble(mkt, policies[:1], ensemble).reports
+    assert draws == {"generate_noise": 3} and report.n_paths == 10
+
+
 def test_martingale_kernel_still_checks_clearing(base_market, kernel_noise, monkeypatch):
     f_coeff = permitsim.equilibrium.f_coeff
     monkeypatch.setattr(
@@ -738,8 +757,8 @@ def test_the_four_standard_policies_take_one_total_per_distinct_row(base_market)
         for kind in ("optimal_dynamic", "static", "msr", "tax")
     ]
     grid = TimeGrid(base_market.horizon, 300)
-    reads = [permitsim.policies._run_reads(base_market, p, grid) for p in policies]
-    loads = [load for run in reads for load in (*run.rows, *run.trajectory_rows)]
+    described = [permitsim.policies._describe(base_market, p, grid) for p in policies]
+    loads = [load for run in described for load in (*run.cost_rows, *run.trajectory_rows)]
     noise = generate_noise(72, grid, base_market.firms, 40, loads=loads)
     assert not noise._totals
     for policy in policies:
@@ -813,7 +832,7 @@ def test_static_kernel_price_is_its_rows_running_sum(base_market):
     grid = TimeGrid(base_market.horizon, 300)
     stat = static_policy(base_market)
     noise = generate_noise(74, grid, base_market.firms, 3)
-    rows = permitsim.policies._policy_rows(base_market, stat, grid)
+    rows = permitsim.policies._describe(base_market, stat, grid).rows
     assert rows.step.tobytes() == f_coeff(base_market, grid.knots[:-1]).tobytes()
     driver = noise.row(rows.driver_load)
     assert driver is _wbar_row(noise, base_market.firms)
@@ -853,8 +872,8 @@ def test_costs_only_call_keeps_no_trajectory(base_market, kind):
     knots), on which numpy's fixed ufunc buffers (~0.15 MB) are small."""
     policy = build_policy(PolicySpec(kind=kind), base_market)
     grid = TimeGrid(base_market.horizon, 2000)
-    reads = permitsim.policies._run_reads(base_market, policy, grid)
-    noise = generate_noise(69, grid, base_market.firms, 256, loads=reads.rows, totals=reads.totals)
+    run = permitsim.policies._describe(base_market, policy, grid)
+    noise = generate_noise(69, grid, base_market.firms, 256, loads=run.cost_rows, totals=run.totals)
     knots = grid.n_steps + 1
     path_bytes = noise.n_paths * knots * 8
     vector_bytes = (noise.n_paths + knots) * 8
@@ -879,7 +898,7 @@ def test_a_nan_in_a_later_block_fails_the_clearing_check(base_market):
     fail the check, although Python's max(a, nan) would drop it."""
     stat = static_policy(base_market)
     grid = TimeGrid(base_market.horizon, 2000)
-    loads = permitsim.policies._run_reads(base_market, stat, grid).rows
+    loads = permitsim.policies._describe(base_market, stat, grid).cost_rows
     drawn = generate_noise(70, grid, base_market.firms, 256, loads=loads)
     rows = [(np.asarray(load, dtype=float), drawn.row(load).copy()) for load in loads]
     wbar_load = weighted_mean_load(
@@ -1003,16 +1022,9 @@ def _four_policies(mkt):
 
 def _spy_samples(monkeypatch, seen):
     """Call ``seen(noise, sample)`` on every sample the chunk loop makes, as it
-    is made: spies on `simulate_policy_paths` and, for the MSR samples, on
-    the `_simulate_msr` stacks they come out of.  The spies keep no sample."""
-    direct = permitsim.policies.simulate_policy_paths
-    stacked = permitsim.policies._simulate_msr
-
-    def simulating(policy, mkt, noise):
-        sample = direct(policy, mkt, noise)
-        if not isinstance(policy, MSRPolicy):
-            seen(noise, sample)
-        return sample
+    is made: a spy on `_simulate_stack`, the kernels' entry point, which
+    every sample comes out of.  The spy keeps no sample."""
+    stacked = permitsim.policies._simulate_stack
 
     def stepping(runs, noise):
         for sample in stacked(runs, noise):
@@ -1020,8 +1032,23 @@ def _spy_samples(monkeypatch, seen):
             yield sample
             del sample  # before the next sample is built
 
-    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", simulating)
-    monkeypatch.setattr(permitsim.policies, "_simulate_msr", stepping)
+    monkeypatch.setattr(permitsim.policies, "_simulate_stack", stepping)
+
+
+def test_run_ensemble_describes_each_run_once(base_market, monkeypatch):
+    """Each run's kernel rows are built once per ensemble, not per chunk:
+    over three chunks the optimal and static runs build their
+    `_martingale_rows` once each and the MSR run its `_msr_rows` once."""
+    grid = TimeGrid(horizon=10.0, n_steps=20)
+    ensemble = PathEnsemble(
+        seed=5, grid=grid, firms=base_market.firms, n_paths=10, chunk_size=4
+    )
+    policies = _four_policies(base_market)
+    draws = count_calls(monkeypatch, permitsim.stochastic, "generate_noise")
+    built = count_calls(monkeypatch, permitsim.policies, "_martingale_rows", "_msr_rows")
+    run_ensemble(base_market, policies, ensemble)
+    assert draws == {"generate_noise": 3}
+    assert built == {"_martingale_rows": 2, "_msr_rows": 1}
 
 
 def test_run_ensemble_keeps_no_trajectory(base_market, monkeypatch):
@@ -1035,14 +1062,14 @@ def test_run_ensemble_keeps_no_trajectory(base_market, monkeypatch):
     )
     refs = []
     live_at_call = []
-    real = permitsim.policies.simulate_policy_paths
+    real = permitsim.policies._simulate_stack
 
-    def counting(policy, mkt, noise):
+    def counting(runs, noise):
         gc.collect()
         live_at_call.append(sum(ref() is not None for ref in refs))
-        return real(policy, mkt, noise)
+        return real(runs, noise)
 
-    monkeypatch.setattr(permitsim.policies, "simulate_policy_paths", counting)
+    monkeypatch.setattr(permitsim.policies, "_simulate_stack", counting)
     _spy_samples(
         monkeypatch, lambda noise, sample: refs.append(weakref.ref(sample.total_emissions))
     )
@@ -1295,7 +1322,7 @@ def _zero_gamma_policy(mkt):
 )
 def test_a_run_reads_exactly_what_it_declares(base_market, build, n_cost_rows):
     """A block drawn with exactly one run's declared rows and totals
-    (`_run_reads`) never draws d_tilde and caches no further row or total
+    (`_describe`) never draws d_tilde and caches no further row or total
     when the run's costs are taken, and neither does the written block when
     every trajectory is read; the costs have the bits of a block that holds
     d_tilde.  The custom cases are the edges of the martingale reads: gamma
@@ -1304,21 +1331,19 @@ def test_a_run_reads_exactly_what_it_declares(base_market, build, n_cost_rows):
     mkt = base_market
     policy = build(mkt)
     grid = TimeGrid(mkt.horizon, 50)
-    reads = permitsim.policies._run_reads(mkt, policy, grid)
-    assert len(reads.rows) == n_cost_rows
+    run = permitsim.policies._describe(mkt, policy, grid)
+    assert len(run.cost_rows) == n_cost_rows
     wbar = weighted_mean_load([fp.k for fp in mkt.firms], [fp.sigma for fp in mkt.firms])
     if build is _zero_gamma_policy:
-        rows = permitsim.policies._policy_rows(mkt, policy, grid)
-        assert reads.rows[0].tobytes() == wbar.tobytes() and rows.alloc_load is None
+        assert run.cost_rows[0].tobytes() == wbar.tobytes() and run.rows.alloc_load is None
     if build is _permuted_tracking_policy:
-        rows = permitsim.policies._policy_rows(mkt, policy, grid)
-        assert rows.driver_load is None and rows.alloc_load.any()
+        assert run.rows.driver_load is None and run.rows.alloc_load.any()
     whole = simulate_policy_paths(policy, mkt, generate_noise(76, grid, mkt.firms, 12))
     for loads, fields in [
-        (reads.rows, ()),
-        ([*reads.rows, *reads.trajectory_rows], _TRAJECTORY_FIELDS + ("price_qv",)),
+        (run.cost_rows, ()),
+        ([*run.cost_rows, *run.trajectory_rows], _TRAJECTORY_FIELDS + ("price_qv",)),
     ]:
-        noise = generate_noise(76, grid, mkt.firms, 12, loads=loads, totals=reads.totals)
+        noise = generate_noise(76, grid, mkt.firms, 12, loads=loads, totals=run.totals)
         declared = (set(noise._rows), set(noise._totals))
         sample = simulate_policy_paths(policy, mkt, noise)
         for name in fields:
@@ -1625,11 +1650,12 @@ def test_rolling_msr_block_equals_the_full_recursion(monkeypatch, n_runs, n_path
         real_steps(a_t, b_t, d_wbar, k0, x_t)
 
     monkeypatch.setattr(permitsim.policies, "_msr_steps", stepping)
-    rows = [permitsim.policies._msr_rows(mkt, policy, grid) for mkt, policy in runs]
+    described = [permitsim.policies._describe(mkt, policy, grid) for mkt, policy in runs]
+    rows = [run.rows for run in described]
     abated, alpha_sq, x_T = permitsim.policies._msr_sums(rows, d_wbar, grid.dt)
     want_blocks = [m] if span is None else [span] * (m // span) + [m % span] * (m % span > 0)
     assert blocks == want_blocks
-    samples = list(permitsim.policies._simulate_msr(runs, noise))
+    samples = list(permitsim.policies._simulate_msr(described, noise))
     for r, ((mkt, policy), sample) in enumerate(zip(runs, samples)):
         x, want_abated, want_alpha_sq = _msr_knot_by_knot(mkt, policy, grid, d_wbar)
         assert abated[r].tobytes() == want_abated.tobytes()
@@ -1695,5 +1721,7 @@ def test_a_stack_of_msr_runs_must_share_the_volatilities():
     [(mkt, msr)] = _msr_runs([6e8])
     loud = make_market(make_firms(sigma=0.3e9 / math.sqrt(6)))
     noise = generate_noise(3, TimeGrid(10.0, 20), mkt.firms, 4)
+    runs = [(mkt, msr), (loud, msr_policy(loud, 0.1))]
+    described = [permitsim.policies._describe(m, policy, noise.grid) for m, policy in runs]
     with pytest.raises(UnsupportedInputError, match="volatilities"):
-        list(permitsim.policies._simulate_msr([(mkt, msr), (loud, msr_policy(loud, 0.1))], noise))
+        list(permitsim.policies._simulate_msr(described, noise))

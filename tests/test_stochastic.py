@@ -90,7 +90,7 @@ def test_weighted_mean_increment_variance():
     assert var_emp == pytest.approx(var_expected, rel=0.05)
 
 
-def test_weighted_mean_increments_are_computed_once_per_sigmas():
+def test_a_weighted_mean_row_is_computed_once_per_load():
     firms = make_firms(3)
     noise = generate_noise(8, TimeGrid(horizon=5.0, n_steps=10), firms, n_paths=4)
     sigmas = [f.sigma for f in firms]
