@@ -35,7 +35,7 @@ import enum
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property, wraps
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -497,54 +497,46 @@ def build_policy(spec: PolicySpec, mkt: MarketParams) -> Policy:
 # simulation
 
 
+def _trajectory(name: str, doc: str) -> property:
+    """A `PolicyPathSample` trajectory, read from the sample's one build."""
+    return property(lambda sample: sample._trajectories[name], doc=doc)
+
+
 @dataclass(frozen=True, eq=False)
 class PolicyPathSample:
     """Pathwise simulation output for one policy on one noise block.
 
     Trajectory arrays are (n_paths, M+1); all per-path scalars are
-    (n_paths,).  ``parts`` holds the additive cost decomposition
-    {abatement, trading, penalty, tax} whose values sum to ``cost``, and
-    ``terminal_emissions`` the total emissions at T, equal to
-    ``total_emissions[:, -1]`` bit for bit but a separate array.  These are
-    computed with the sample.  Every trajectory (``price``, ``total_bank``,
+    (n_paths,).  The costs come with the sample: ``parts`` holds the
+    additive cost decomposition {abatement, trading, penalty, tax} whose
+    values sum to ``cost``, and ``terminal_emissions`` the total emissions
+    at T, equal to ``total_emissions[:, -1]`` bit for bit but a separate
+    array.  The five trajectories (``price``, ``total_bank``,
     ``avg_abatement``, ``total_emissions``, ``net_allocation_minus_initial``)
-    is built from ``build`` on first access and the per-path ``price_qv``
-    from the price, and then cached, with the bits the costs were summed
-    from.  Arrays may be read-only views: a value or row that is the same on
-    every path is repeated with stride 0, and the MSR's trajectories are
-    transposed time-major (M+1, P) arrays.
+    are built together by ``build`` on first access to any of them, and the
+    per-path ``price_qv`` from the price; both are then cached, with the
+    bits the costs were summed from.  Arrays may be read-only views: a value
+    or row that is the same on every path is repeated with stride 0, and the
+    MSR's trajectories are transposed time-major (M+1, P) arrays.
     """
 
     kind: PolicyKind
     cost: np.ndarray
     parts: dict[str, np.ndarray]
     terminal_emissions: np.ndarray
-    build: dict[str, Callable[[], np.ndarray]] = field(repr=False)
+    build: Callable[[], dict[str, np.ndarray]] = field(repr=False)
 
     @cached_property
-    def price(self) -> np.ndarray:
-        """Allowance price, euros/ton."""
-        return self.build["price"]()
+    def _trajectories(self) -> dict[str, np.ndarray]:
+        return self.build()
 
-    @cached_property
-    def total_bank(self) -> np.ndarray:
-        """Sum of the firms' banks, tons."""
-        return self.build["total_bank"]()
-
-    @cached_property
-    def avg_abatement(self) -> np.ndarray:
-        """Average abatement rate per firm, tons/year."""
-        return self.build["avg_abatement"]()
-
-    @cached_property
-    def total_emissions(self) -> np.ndarray:
-        """Cumulative emissions of all firms, tons."""
-        return self.build["total_emissions"]()
-
-    @cached_property
-    def net_allocation_minus_initial(self) -> np.ndarray:
-        """Allowances received after t = 0, tons."""
-        return self.build["net_allocation_minus_initial"]()
+    price = _trajectory("price", "Allowance price, euros/ton.")
+    total_bank = _trajectory("total_bank", "Sum of the firms' banks, tons.")
+    avg_abatement = _trajectory("avg_abatement", "Average abatement rate per firm, tons/year.")
+    total_emissions = _trajectory("total_emissions", "Cumulative emissions of all firms, tons.")
+    net_allocation_minus_initial = _trajectory(
+        "net_allocation_minus_initial", "Allowances received after t = 0, tons."
+    )
 
     @cached_property
     def price_qv(self) -> np.ndarray:
@@ -624,9 +616,10 @@ def _sample(
     run: Callable[[], str],
     parts: dict[str, np.ndarray],
     terminal_emissions: np.ndarray,
-    **build: Callable[[], np.ndarray],
+    build: Callable[[], dict[str, np.ndarray]],
 ) -> PolicyPathSample:
-    """The sample of one run, described by ``run()`` in errors.
+    """The sample of one run, described by ``run()`` in errors, whose
+    trajectories ``build`` returns by name.
 
     A cost or terminal emission that is not finite, from an overflowing
     kernel, cost part or sum of the parts, raises `DomainError` (an O(P)
@@ -871,7 +864,7 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
         gap_sq *= excess_left
         gap_sum[paths] = gap_sq.sum(axis=-1)
         # the abated total eta_total (P - h_eff) to its last knot, summed in
-        # the running order of its builder
+        # the running order of `left_integral`
         excess *= rows.eta_total
         np.multiply(excess[:, :-1], dt, out=gap_sq)
         abated_T[paths] = np.cumsum(gap_sq, axis=-1, out=gap_sq)[:, -1]
@@ -888,38 +881,33 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
     parts = {key: np.broadcast_to(value, shape[:1]) for key, value in parts.items()}
     terminal_emissions = rows.mu_total * t[-1] - abated_T + n * wbar_T
 
-    whole_price = cache(price_rows)
-
-    def abate_total() -> np.ndarray:
-        total = np.subtract(whole_price(), rows.h_eff)  # eta_total (P - h_eff)
-        total *= rows.eta_total
-        return total
-
-    def shock_sum() -> np.ndarray:
-        return n * integrate_increments(noise.row(rows.wbar_load))
-
-    def net_allocation() -> np.ndarray:
-        total = expected_sum()
-        return total - total[:, :1] + rows.alloc_flow * t
+    def trajectories() -> dict[str, np.ndarray]:
+        price = price_rows()
+        abate_total = np.subtract(price, rows.h_eff)  # eta_total (P - h_eff)
+        abate_total *= rows.eta_total
+        abated = left_integral(abate_total, grid)
+        shock_sum = n * integrate_increments(noise.row(rows.wbar_load))
+        alloc = expected_sum()
+        return dict(
+            price=np.broadcast_to(price, shape),
+            total_bank=(
+                alloc
+                + (rows.mu_total - rows.alloc_flow) * (horizon - t)
+                + abated
+                + (trade_T / horizon)[:, None] * t
+                - shock_sum
+            ),
+            avg_abatement=np.broadcast_to(abate_total / n, shape),
+            total_emissions=rows.mu_total * t - abated + shock_sum,
+            net_allocation_minus_initial=alloc - alloc[:, :1] + rows.alloc_flow * t,
+        )
 
     return _sample(
         kind,
         lambda: f"{kind.value} run ({grid.n_steps} steps)",
         parts,
         terminal_emissions,
-        price=lambda: np.broadcast_to(whole_price(), shape),
-        total_bank=lambda: (
-            expected_sum()
-            + (rows.mu_total - rows.alloc_flow) * (horizon - t)
-            + left_integral(abate_total(), grid)
-            + (trade_T / horizon)[:, None] * t
-            - shock_sum()
-        ),
-        avg_abatement=lambda: np.broadcast_to(abate_total() / n, shape),
-        total_emissions=lambda: (
-            rows.mu_total * t - left_integral(abate_total(), grid) + shock_sum()
-        ),
-        net_allocation_minus_initial=net_allocation,
+        trajectories,
     )
 
 
@@ -978,19 +966,23 @@ def _simulate_tax(run: RunDescription, noise: NoisePaths) -> PolicyPathSample:
         "penalty": zero_s,
         "tax": policy.tau * terminal_emissions,
     }
-    zero = np.broadcast_to(0.0, shape)
+
+    def trajectories() -> dict[str, np.ndarray]:
+        zero = np.broadcast_to(0.0, shape)
+        return dict(
+            price=np.broadcast_to(policy.tau, shape),
+            total_bank=zero,
+            avg_abatement=np.broadcast_to(alpha / mkt.n_firms, shape),
+            total_emissions=(mu_total - alpha) * t + integrate_increments(noise.row(shock_load)),
+            net_allocation_minus_initial=zero,
+        )
+
     return _sample(
         policy.kind,
         lambda: f"tax run ({grid.n_steps} steps)",
         parts,
         terminal_emissions,
-        price=lambda: np.broadcast_to(policy.tau, shape),
-        total_bank=lambda: zero,
-        avg_abatement=lambda: np.broadcast_to(alpha / mkt.n_firms, shape),
-        total_emissions=lambda: (
-            (mu_total - alpha) * t + integrate_increments(noise.row(shock_load))
-        ),
-        net_allocation_minus_initial=lambda: zero,
+        trajectories,
     )
 
 
@@ -1046,17 +1038,16 @@ def _simulate_msr(
     follows dXbar = (delta (ramp_t - Xbar_t) + eta (P_t - h_bar)) dt - dWbar_t
     (`_msr_rows`).  At t = T the coefficients collapse to P_T = -2 lambda Xbar_T,
     the terminal marginal penalty.  The runs may differ in every parameter
-    but the firms' volatilities, which fix the average shock dWbar; they
-    step together with the run index as an array axis (`_msr_sums`), so a
-    stack costs the Python calls of one run.  The ``runs`` are described on
-    the block's grid.  Yields one sample per run, in run order, each built
-    when it is requested (`_msr_sample`), with the bits the run has alone.
+    but the weighted-mean load of the average shock dWbar, which the first
+    run's rows give; they step together with the run index as an array axis
+    (`_msr_sums`), so a stack costs the Python calls of one run.  The
+    ``runs`` are described on the block's grid, which was drawn for their
+    firms: `_stack_bounds` stacks only runs of one load, and the callers
+    check the firms, `_simulate_runs` once per run and
+    `simulate_policy_paths` on its block.  Yields one sample per run, in run
+    order, each built when it is requested (`_msr_sample`), with the bits
+    the run has alone.
     """
-    sigmas = tuple(fp.sigma for fp in runs[0].mkt.firms)
-    for run in runs:
-        noise.require_firms(run.mkt.firms)
-        if tuple(fp.sigma for fp in run.mkt.firms) != sigmas:
-            raise UnsupportedInputError("stacked MSR runs must share the firms' volatilities")
     grid, rows = noise.grid, [run.rows for run in runs]
     wbar_T, d_wbar = noise.row_total(rows[0].wbar_load), noise.row(rows[0].wbar_load)
     abated, alpha_sq, x_T = _msr_sums(rows, d_wbar, grid.dt)
@@ -1158,11 +1149,11 @@ def _msr_sample(
     (`NoisePaths.row_total`).
 
     The abatement cost is sum_k (h_bar alpha_k + alpha_k^2 / (2 eta)) dt.
-    The trajectories, the price included, are transposed views of the
-    run's whole time-major banks, (M+1, P), which the first of them steps
-    again (`_msr_steps` from knot 0), with the same bits as the sums.  A
-    cost part or terminal emission that is not finite, from an overflowing
-    recursion or penalty, raises `DomainError` (`_sample`).
+    The trajectories come from the run's whole time-major banks, (M+1, P),
+    stepped again from knot 0 (`_msr_steps`) with the bits of the sums; the
+    price and bank are transposed views of them.  A cost part or terminal
+    emission that is not finite, from an overflowing recursion or penalty,
+    raises `DomainError` (`_sample`).
     """
     t, n, mu_bar = grid.knots, mkt.n_firms, mkt.agg.mu_bar
     eta, h_bar, dt = rows.eta_bar, rows.h_bar, grid.dt
@@ -1174,36 +1165,33 @@ def _msr_sample(
     zero_s = np.broadcast_to(0.0, (n_paths,))  # read-only, stride 0
     parts = {"abatement": abatement, "trading": zero_s, "penalty": penalty, "tax": zero_s}
 
-    @cache
-    def banks() -> np.ndarray:
+    def trajectories() -> dict[str, np.ndarray]:
         x_t = np.empty((grid.n_steps + 1, 1, n_paths))
         x_t[0] = rows.x_bar0
         _msr_steps(rows.a[:, None, None], rows.b[:, None, None], d_wbar, 0, x_t)
-        return x_t[:, 0]
-
-    def price_paths() -> np.ndarray:
-        knots = np.multiply(rows.c1[:, None], banks())
-        knots += rows.c0[:, None]
-        return knots.T
-
-    def net_allocation() -> np.ndarray:
-        alloc_rate = np.subtract(rows.ramp[:, None], banks()).T
+        banks = x_t[:, 0]
+        price = np.multiply(rows.c1[:, None], banks)
+        price += rows.c0[:, None]
+        avg_abatement = eta * (price.T - h_bar)
+        alloc_rate = np.subtract(rows.ramp[:, None], banks).T
         alloc_rate *= rows.delta
-        return n * (left_integral(alloc_rate, grid) + mu_bar * t)
+        return dict(
+            price=price.T,
+            total_bank=(n * banks).T,
+            avg_abatement=avg_abatement,
+            total_emissions=(
+                n * (mu_bar * t - left_integral(avg_abatement, grid))
+                + n * integrate_increments(d_wbar)
+            ),
+            net_allocation_minus_initial=n * (left_integral(alloc_rate, grid) + mu_bar * t),
+        )
 
     return _sample(
         PolicyKind.MSR,
         lambda: f"MSR run (eta_bar {eta:g}, delta {rows.delta:g}, {grid.n_steps} steps)",
         parts,
         terminal_emissions,
-        price=price_paths,
-        total_bank=lambda: (n * banks()).T,
-        avg_abatement=lambda: eta * (price_paths() - h_bar),
-        total_emissions=lambda: (
-            n * (mu_bar * t - left_integral(eta * (price_paths() - h_bar), grid))
-            + n * integrate_increments(d_wbar)
-        ),
-        net_allocation_minus_initial=net_allocation,
+        trajectories,
     )
 
 
@@ -1296,22 +1284,20 @@ class ComparisonResult:
         raise KeyError(f"no report for policy kind {key.value!r}")
 
 
-def _stack_bounds(
-    runs: list[tuple[MarketParams, Policy]], cap: int
-) -> list[tuple[int, int]]:
+def _stack_bounds(runs: list[RunDescription], cap: int) -> list[tuple[int, int]]:
     """Split the run indices into ranges [start, stop) that simulate together.
 
-    Consecutive MSR runs whose firms share their volatilities form stacks of
-    at most ``cap`` runs; every other run is a range of its own.  A stack
-    steps through rolling blocks of about SCRATCH_DOUBLES doubles, so the cap
-    bounds no buffer: it keeps the block's span of knots from shrinking.
+    Consecutive MSR runs with the same weighted-mean load, the one row a
+    stack shares, form stacks of at most ``cap`` runs; every other run is a
+    range of its own.  This is where a stack's shared row is enforced
+    (`_simulate_msr` reads the first run's).  A stack steps through rolling
+    blocks of about SCRATCH_DOUBLES doubles, so the cap bounds no buffer: it
+    keeps the block's span of knots from shrinking.
     """
     bounds: list[tuple[int, int]] = []
     key = None
-    for i, (mkt, policy) in enumerate(runs):
-        run_key = (
-            tuple(fp.sigma for fp in mkt.firms) if isinstance(policy, MSRPolicy) else None
-        )
+    for i, run in enumerate(runs):
+        run_key = run.rows.wbar_load.tobytes() if isinstance(run.rows, MSRRows) else None
         start, stop = bounds[-1] if bounds else (0, 0)
         if run_key is not None and run_key == key and stop - start < cap:
             bounds[-1] = (start, i + 1)
@@ -1331,7 +1317,7 @@ def _simulate_runs(
     (`PathEnsemble.chunk_size`, by default sized by the grid), and no run's
     numbers depend on them.  Every run is checked against the ensemble's
     firms and described (`_describe`) before the first draw.  Consecutive
-    MSR runs on the same firm volatilities (the etas of a sweep) step as
+    MSR runs on the same weighted-mean load (the etas of a sweep) step as
     stacks of at most (N+1) M // (M+1) runs (`_stack_bounds`).  Yields, per
     run and in run order, the per-path cost summed from the concatenated
     cost parts (`_path_cost`, with the bits of the chunks' costs), the
@@ -1344,7 +1330,7 @@ def _simulate_runs(
     rows = [load for run in described for load in run.cost_rows]
     totals = [load for run in described for load in run.totals]
     m = ensemble.grid.n_steps
-    bounds = _stack_bounds(runs, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
+    bounds = _stack_bounds(described, max(1, (len(ensemble.firms) + 1) * m // (m + 1)))
     # per run, each chunk's (cost parts, terminal emissions)
     kept: list[list[tuple[dict[str, np.ndarray], np.ndarray]]] = [[] for _ in runs]
 

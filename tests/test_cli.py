@@ -415,8 +415,14 @@ def test_failed_simulate_leaves_no_trajectory_files(tmp_path, capsys, monkeypatc
     def failing_builder(policy, mkt, noise):
         sample = written(policy, mkt, noise)
         if policy.kind is PolicyKind.STATIC:
-            build = sample.build["total_emissions"]
-            sample.build["total_emissions"] = lambda: build().view(FailingRows)
+            build = sample.build
+
+            def failing_build():
+                paths = build()
+                paths["total_emissions"] = paths["total_emissions"].view(FailingRows)
+                return paths
+
+            sample = replace(sample, build=failing_build)
         return sample
 
     monkeypatch.setattr(permitsim.cli, "simulate_policy_paths", failing_builder)
@@ -572,9 +578,8 @@ def test_writing_the_tables_never_holds_a_whole_table_text(tmp_path):
     assert peak < min(sizes), (peak, sizes)
 
 
-_LAZY_COLUMNS = (
-    "total_bank", "avg_abatement", "total_emissions", "net_allocation_minus_initial", "price_qv",
-)
+# the sample's one cached trajectory build, and the price's QV
+_LAZY_COLUMNS = ("_trajectories", "price_qv")
 
 
 @pytest.mark.parametrize("n_paths", [5, 8, 9, 300])
@@ -582,7 +587,7 @@ def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, mon
     """The costs come first, from chunk-size blocks whose samples never
     build a trajectory; then the min(TRAJECTORY_PATH_CAP, n) written paths,
     the first ones, are drawn as a block of their own, whose samples build
-    the four columns it writes and never price_qv.  The summary's costs are
+    their trajectories and never price_qv.  The summary's costs are
     those of the default layout.  At 300 steps a chunk holds 256 paths, so
     300 paths are two chunks."""
     real = permitsim.cli.run_ensemble
@@ -637,8 +642,8 @@ def test_simulate_draws_the_written_paths_as_their_own_first_block(tmp_path, mon
         built = [name for name in _LAZY_COLUMNS if name in sample.__dict__]
         if role == "written":
             assert (offset, size) == (0, head)
-            # the written block builds the four columns it writes, never price_qv
-            assert built == list(_LAZY_COLUMNS[:4]), sample.kind
+            # the written block builds its trajectories, never price_qv
+            assert built == ["_trajectories"], sample.kind
         else:
             assert built == [], (offset, sample.kind)
     assert [s.kind for role, _, _, s in blocks if role == "written"] == kinds
@@ -945,7 +950,8 @@ def test_compare_rows_from_several_stacks_match_per_eta_ensembles(
 
 def test_compare_describes_each_eta_once(tmp_path, monkeypatch):
     """A 13-eta sweep over two chunks builds each eta's `_msr_rows` once, and
-    no martingale rows."""
+    no martingale rows, and checks each eta's firms against the ensemble
+    once, not again per chunk."""
     n_steps = 300
     config = build_scenario({
         "preset": "paper-2020-base",
@@ -954,9 +960,11 @@ def test_compare_describes_each_eta_once(tmp_path, monkeypatch):
     etas = [float(e) for e in np.geomspace(1e6, 1e9, 13)]
     draws = count_calls(monkeypatch, permitsim.stochastic, "generate_noise")
     built = count_calls(monkeypatch, permitsim.policies, "_martingale_rows", "_msr_rows")
+    checked = count_calls(monkeypatch, permitsim.stochastic, "_require_loadings")
     rows = run_compare(config, etas, tmp_path / "sweep")
     assert draws == {"generate_noise": 2}
     assert built == {"_martingale_rows": 0, "_msr_rows": 13}
+    assert checked == {"_require_loadings": 13}
     assert len(rows) == 13
 
 

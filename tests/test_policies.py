@@ -747,6 +747,26 @@ def test_terminal_emissions_are_the_last_knot(market_name, kind):
             assert got.tobytes() == want.tobytes(), (n_steps, n_paths)
 
 
+@pytest.mark.parametrize(
+    "kind, integrations", [("optimal_dynamic", 2), ("custom_martingale", 2), ("static", 1)]
+)
+def test_reading_every_trajectory_builds_each_shared_path_once(
+    base_market, monkeypatch, kind, integrations
+):
+    """The five trajectories of an 8-path sample are built together, on the
+    first read of any of them: one left integral of the abated total, and one
+    running sum per distinct path, the shock sum and, when the allocation
+    moves (the optimal and the non-tracking custom policy), the expected
+    allocation.  Reading them again builds nothing."""
+    policy = _kernel_policies(base_market)[kind]
+    noise = generate_noise(66, TimeGrid(base_market.horizon, 300), base_market.firms, 8)
+    sample = simulate_policy_paths(policy, base_market, noise)
+    calls = count_calls(monkeypatch, permitsim.policies, "integrate_increments", "left_integral")
+    for name in _TRAJECTORY_FIELDS * 2:
+        getattr(sample, name)
+    assert calls == {"integrate_increments": integrations, "left_integral": 1}
+
+
 def test_the_four_standard_policies_take_one_total_per_distinct_row(base_market):
     """Every kernel reads its terminal shock sum from the block: the optimal,
     static and MSR runs share the weighted-mean row's total and the tax reads
@@ -888,7 +908,7 @@ def test_costs_only_call_keeps_no_trajectory(base_market, kind):
     assert kept <= 16 * vector_bytes, kept / path_bytes
     assert peak <= 2 * scratch_bytes + 16 * vector_bytes, peak / path_bytes
     assert sample.cost.shape == (256,)
-    assert not any(name in sample.__dict__ for name in _TRAJECTORY_FIELDS)
+    assert "_trajectories" not in sample.__dict__
 
 
 def test_a_nan_in_a_later_block_fails_the_clearing_check(base_market):
@@ -1090,14 +1110,11 @@ def test_run_ensemble_builds_no_trajectory_its_hook_does_not_read(base_market, m
     samples = []
     _spy_samples(monkeypatch, lambda noise, sample: samples.append(sample))
     run_ensemble(base_market, _four_policies(base_market), ensemble)
-    built_on_access = (
-        "total_bank", "avg_abatement", "total_emissions",
-        "net_allocation_minus_initial", "price_qv",
-    )
+    built_on_access = ("_trajectories", "price_qv")
     assert len(samples) == 3 * 4
     assert not any(name in s.__dict__ for s in samples for name in built_on_access)
     samples[0].total_bank  # the check above would see a built trajectory
-    assert "total_bank" in samples[0].__dict__
+    assert "_trajectories" in samples[0].__dict__
 
 
 def test_samples_kept_past_their_chunk_are_not_written_over(base_market, monkeypatch):
@@ -1693,10 +1710,12 @@ def test_only_neighbouring_msr_runs_on_the_same_volatilities_stack():
     loud = make_market(make_firms(sigma=0.3e9 / math.sqrt(6)))
     tax = (a[0], tax_policy(a[0]))
     runs = [a, b, tax, a, b, a, (loud, msr_policy(loud, 0.1)), b]
-    assert permitsim.policies._stack_bounds(runs, cap=2) == [
+    grid = TimeGrid(10.0, 20)
+    described = [permitsim.policies._describe(mkt, policy, grid) for mkt, policy in runs]
+    assert permitsim.policies._stack_bounds(described, cap=2) == [
         (0, 2), (2, 3), (3, 5), (5, 6), (6, 7), (7, 8),
     ]
-    assert permitsim.policies._stack_bounds(runs, cap=1) == [(i, i + 1) for i in range(8)]
+    assert permitsim.policies._stack_bounds(described, cap=1) == [(i, i + 1) for i in range(8)]
 
 
 def test_mixed_runs_report_in_run_order_with_their_own_costs(monkeypatch):
@@ -1717,11 +1736,28 @@ def test_mixed_runs_report_in_run_order_with_their_own_costs(monkeypatch):
         assert all(np.array_equal(parts[k], alone[1][k]) for k in parts)
 
 
-def test_a_stack_of_msr_runs_must_share_the_volatilities():
-    [(mkt, msr)] = _msr_runs([6e8])
+def test_a_stack_of_msr_runs_must_share_the_volatilities(monkeypatch):
+    """A loud MSR run between quiet ones reads another weighted-mean row: it
+    steps alone on every chunk, beside a stack of the two quiet runs before
+    it, and reports the costs it has alone, bit for bit."""
+    quiet_a, quiet_b = _msr_runs([1e7, 6e8])
     loud = make_market(make_firms(sigma=0.3e9 / math.sqrt(6)))
-    noise = generate_noise(3, TimeGrid(10.0, 20), mkt.firms, 4)
-    runs = [(mkt, msr), (loud, msr_policy(loud, 0.1))]
-    described = [permitsim.policies._describe(m, policy, noise.grid) for m, policy in runs]
-    with pytest.raises(UnsupportedInputError, match="volatilities"):
-        list(permitsim.policies._simulate_msr(described, noise))
+    runs = [quiet_a, quiet_b, (loud, msr_policy(loud, 0.1)), quiet_a]
+    ensemble = PathEnsemble(
+        seed=3, grid=TimeGrid(10.0, 20), firms=loud.firms, n_paths=10, chunk_size=4
+    )
+    real = permitsim.policies._simulate_msr
+    sizes = []
+
+    def spy(stack, noise):
+        sizes.append(len(stack))
+        yield from real(stack, noise)
+
+    monkeypatch.setattr(permitsim.policies, "_simulate_msr", spy)
+    results = list(permitsim.policies._simulate_runs(runs, ensemble))
+    assert sizes == [2, 1, 1] * 3
+    for (mkt, policy), (cost, parts, emissions) in zip(runs, results):
+        [alone] = permitsim.policies._simulate_runs([(mkt, policy)], ensemble)
+        assert cost.tobytes() == alone[0].tobytes()
+        assert emissions.tobytes() == alone[2].tobytes()
+        assert all(parts[k].tobytes() == alone[1][k].tobytes() for k in parts)
