@@ -6,9 +6,11 @@ its uncommitted changes, and on a base revision, which is checked out with
 `git worktree` into a temporary directory and removed afterwards.  Each
 case runs in a fresh ``python -m permitsim.cli`` process on the
 ``paper-2020-base`` preset, under all four standard policies or under a
-custom martingale policy.  For every output file it prints "identical",
-or the largest relative difference |a - b| / max(|a|, |b|) of each column
-(CSV) or field (JSON) that differs.
+custom martingale policy, or on nine heterogeneous firms under the
+optimal, static and tax policies, one at a time: 37 output files in all.
+For every output file it prints "identical", or the largest relative
+difference |a - b| / max(|a|, |b|) of each column (CSV) or field (JSON)
+that differs.
 
     python scripts/compare_outputs.py --base HEAD~1
 
@@ -34,10 +36,15 @@ SEED = 4242
 #: The 13 etas of the `sweep-eta` benchmark workload: 1e6 to 1e9, log spaced.
 ETAS = ",".join(repr(10.0 ** (6.0 + 0.25 * i)) for i in range(13))
 
-#: The config files the cases run on, by file name: the preset, and the preset
+#: The config files the cases run on, by file name: the preset; the preset
 #: under a custom martingale policy whose loadings track no firm's shock
 #: (gamma = 5e7 on the common driver and 2e7 on the firm's own), so that its
-#: price, trading and penalty move on every path.
+#: price, trading and penalty move on every path; and the preset's market on
+#: nine firms of one eta and distinct mu, sigma, k and h.  From eight firms
+#: on, numpy sums a firm vector pairwise, so a sum over the firms taken in
+#: another order moves bits there; these values are picked so that the
+#: optimal, static and tax outputs each move when one of their firm sums
+#: (sum_i mu_i, sum_i eta_i h_i^2) is reduced in the other order.
 CONFIGS = {
     "preset.json": {"preset": "paper-2020-base"},
     "custom.json": {
@@ -48,6 +55,14 @@ CONFIGS = {
             "m0": [-7e8] * 6,
             "gamma": [[5e7, *(2e7 if j == i else 0.0 for j in range(6))] for i in range(6)],
         },
+    },
+    "hetero9.json": {
+        "preset": "paper-2020-base",
+        "firms": [
+            {"mu": 2.2e8 * 1.05**i, "sigma": 5e7 * 1.1**i, "k": 0.5 + 0.05 * i,
+             "h": 20.0 * 1.05**i, "eta": 6e8}
+            for i in range(9)
+        ],
     },
 }
 
@@ -65,6 +80,10 @@ CASES = [
         ),
         ("custom", "custom.json", ["simulate"], ((3000, 50), (300, 2000))),
         ("compare", "preset.json", ["compare", "--etas", ETAS], ((1000, 300), (257, 2000))),
+        *(
+            (f"hetero9-{kind}", "hetero9.json", ["simulate", "--policy", kind], ((300, 2000),))
+            for kind in ("optimal_dynamic", "static", "tax")
+        ),
     )
     for paths, steps in shapes
 ]

@@ -32,7 +32,7 @@ from .firm import (
     best_response_frictionless,
 )
 from .params import MarketParams, f_coeff, pi_coeff
-from .stochastic import NoisePaths, integrate_increments, pooled_empty
+from .stochastic import NoisePaths, integrate_increments
 
 #: Hard ceiling on the relative market-clearing residual.
 CLEARING_TOL = 1e-9
@@ -53,14 +53,6 @@ class EquilibriumPath:
     trade_rate: np.ndarray
     bank: np.ndarray
     total_trade: np.ndarray | None = None
-
-    @property
-    def n_paths(self) -> int:
-        return self.price.shape[0]
-
-    @property
-    def n_firms(self) -> int:
-        return self.abatement.shape[1]
 
     @property
     def total_bank(self) -> np.ndarray:
@@ -134,9 +126,7 @@ def equilibrium_frictions(
     ]
     alpha, beta, bank = _stack(controls)
 
-    marginal = np.zeros_like(price)
-    for i, firm in enumerate(mkt.firms):
-        marginal += firm.h + alpha[:, i, :] / firm.eta
+    marginal = (mkt.vec.h[:, None] + alpha / mkt.vec.eta[:, None]).sum(axis=1)
     _require_clearing(marginal - n * price, n * abs_max(price), "finite-depth")
     return EquilibriumPath(price=price, abatement=alpha, trade_rate=beta, bank=bank)
 
@@ -199,7 +189,7 @@ def frictionless_price(
     increments are written into the returned (n_paths, M+1) price, ``out``
     when it is given, and summed there in place.
     """
-    price = pooled_empty(d_driver.shape[:-1] + (d_driver.shape[-1] + 1,)) if out is None else out
+    price = np.empty(d_driver.shape[:-1] + (d_driver.shape[-1] + 1,)) if out is None else out
     np.multiply(step, d_driver, out=price[..., 1:])
     integrate_increments(price[..., 1:], out=price)
     price += p0
@@ -240,14 +230,12 @@ def require_frictionless_clearing(
     # The residual is a cancellation of gross terms of size ~ c(0) P + M +
     # eta h T summed over the firms, so "relative" must mean relative to
     # those, not to the (possibly zero) net trades themselves.
-    lam = mkt.penalty
-    etas = np.array([fp.eta for fp in mkt.firms])
-    hs = np.array([fp.h for fp in mkt.firms])
-    c0_sum = float(np.sum(1.0 + 2.0 * lam * etas * grid.horizon)) / (2.0 * lam)
+    lam, v = mkt.penalty, mkt.vec
+    c0_sum = float(np.sum(1.0 + 2.0 * lam * v.eta * grid.horizon)) / (2.0 * lam)
     gross = (
         c0_sum * abs_max(price)
         + alloc_sum_abs_max
-        + float(np.sum(etas * hs)) * grid.horizon
+        + float(np.sum(v.eta * v.h)) * grid.horizon
     )
     _require_clearing(trade_sum, gross, "frictionless")
 

@@ -98,8 +98,16 @@ def _martingale_price_integral(price: np.ndarray, grid) -> np.ndarray:
     return q
 
 
-def _ensure_price_martingale(price: np.ndarray, exc: type[Exception]) -> None:
-    if price.shape[0] >= 2:
+def _ensure_price_martingale(
+    price: np.ndarray, declared: bool | None, exc: type[Exception], refusal: str
+) -> None:
+    """Raise ``exc`` unless ``price`` is a martingale: with ``refusal`` when
+    it is ``declared`` not to be one, and when undeclared (None) unless it
+    passes the drift diagnostic or is a single constant path."""
+    if declared is not None:
+        if not declared:
+            raise exc(refusal)
+    elif price.shape[0] >= 2:
         diag = martingale_drift_stat(price)
         if not diag.passed():
             raise exc(
@@ -111,6 +119,15 @@ def _ensure_price_martingale(price: np.ndarray, exc: type[Exception]) -> None:
             "cannot certify a single non-constant path as a martingale; "
             "pass price_is_martingale or a conditional price integral"
         )
+
+
+def _bank(
+    allocation: AllocationView, alpha: np.ndarray, beta: np.ndarray, sigma: float, dw, grid
+) -> np.ndarray:
+    """The bank X_t = A_t + int_0^t (alpha + beta) ds - sigma W_t of a firm
+    holding ``allocation`` and shocked by the increments ``dw``, left-point."""
+    shock = sigma * integrate_increments(dw)
+    return allocation.realized + left_integral(alpha + beta, grid) - shock
 
 
 def best_response_frictions(
@@ -144,12 +161,8 @@ def best_response_frictions(
     if expected_price_integral is not None:
         q = np.asarray(expected_price_integral, dtype=float)
     else:
-        if price_is_martingale is None:
-            _ensure_price_martingale(price, UnsupportedInputError)
-        elif not price_is_martingale:
-            raise UnsupportedInputError(
-                "non-martingale price requires expected_price_integral"
-            )
+        refusal = "non-martingale price requires expected_price_integral"
+        _ensure_price_martingale(price, price_is_martingale, UnsupportedInputError, refusal)
         q = _martingale_price_integral(price, grid)
 
     lam, nu = mkt.penalty, mkt.depth
@@ -166,11 +179,7 @@ def best_response_frictions(
         alpha = integrate_increments(d_alpha)
         alpha += alpha0
         beta = nu * (h + alpha / eta - price)
-        bank = (
-            allocation.realized
-            + left_integral(alpha + beta, grid)
-            - sigma * integrate_increments(dw)
-        )
+        bank = _bank(allocation, alpha, beta, sigma, dw, grid)
         return FirmControls(abatement=alpha, trade_rate=beta, bank=bank)
 
     if method == "feedback":
@@ -224,10 +233,8 @@ def best_response_frictionless(
     """
     grid = noise.grid
     price = np.asarray(price, dtype=float)
-    if price_is_martingale is None:
-        _ensure_price_martingale(price, NonMartingalePriceError)
-    elif not price_is_martingale:
-        raise NonMartingalePriceError("frictionless best response needs a martingale price")
+    refusal = "frictionless best response needs a martingale price"
+    _ensure_price_martingale(price, price_is_martingale, NonMartingalePriceError, refusal)
 
     lam = mkt.penalty
     h, eta, sigma = firm.h, firm.eta, firm.sigma
@@ -255,11 +262,7 @@ def best_response_frictionless(
         beta = _spread_trade_rate(total, grid)
     else:
         beta = np.broadcast_to((total[:, -1] / horizon)[:, None], price.shape).copy()
-    bank = (
-        allocation.realized
-        + left_integral(alpha + beta, grid)
-        - sigma * integrate_increments(dw)
-    )
+    bank = _bank(allocation, alpha, beta, sigma, dw, grid)
     return FirmControls(abatement=alpha, trade_rate=beta, bank=bank, total_trade=total)
 
 

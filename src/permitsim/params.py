@@ -62,6 +62,24 @@ class FirmParams:
 
 
 @dataclass(frozen=True, eq=False)
+class FirmVectors:
+    """The firms' fields as read-only (N,) float arrays, in firm order."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    k: np.ndarray
+    h: np.ndarray
+    eta: np.ndarray
+
+
+def _firm_vectors(firms: tuple[FirmParams, ...]) -> FirmVectors:
+    # one C-ordered row per field, so that each vector is contiguous
+    rows = np.array([[f.mu, f.sigma, f.k, f.h, f.eta] for f in firms]).T.copy()
+    rows.setflags(write=False)
+    return FirmVectors(*rows)
+
+
+@dataclass(frozen=True, eq=False)
 class Aggregates:
     """Cross-sectional aggregates entering the closed forms.
 
@@ -78,18 +96,16 @@ class Aggregates:
 
 
 def compute_aggregates(firms: tuple[FirmParams, ...]) -> Aggregates:
-    n = len(firms)
-    sig = np.array([f.sigma for f in firms])
-    ks = np.array([f.k for f in firms])
+    v = _firm_vectors(firms)
     # off-diagonal sum via the common/idiosyncratic split:
     # sum_{i != j} k_i k_j s_i s_j = (sum k_i s_i)^2 - sum (k_i s_i)^2
-    cross = float(np.dot(sig, ks) ** 2 - np.dot(sig * ks, sig * ks))
-    sigma_sq = (float(np.dot(sig, sig)) + cross) / n**2
+    cross = float(np.dot(v.sigma, v.k) ** 2 - np.dot(v.sigma * v.k, v.sigma * v.k))
+    sigma_sq = (float(np.dot(v.sigma, v.sigma)) + cross) / len(firms) ** 2
     return Aggregates(
-        h_bar=float(np.mean([f.h for f in firms])),
-        eta_bar=float(np.mean([f.eta for f in firms])),
-        H_bar=float(np.mean([f.eta * f.h for f in firms])),
-        mu_bar=float(np.mean([f.mu for f in firms])),
+        h_bar=float(np.mean(v.h)),
+        eta_bar=float(np.mean(v.eta)),
+        H_bar=float(np.mean(v.eta * v.h)),
+        mu_bar=float(np.mean(v.mu)),
         sigma_sq=sigma_sq,
     )
 
@@ -146,6 +162,11 @@ class MarketParams:
     @cached_property
     def agg(self) -> Aggregates:
         return compute_aggregates(self.firms)
+
+    @cached_property
+    def vec(self) -> FirmVectors:
+        """The firms' fields as read-only (N,) arrays, in firm order."""
+        return _firm_vectors(self.firms)
 
 
 # ---------------------------------------------------------------------------

@@ -264,11 +264,9 @@ def _optimal_cost(mkt: MarketParams, p0: float) -> float:
     """The optimal policy's expected social cost at its price ``p0``."""
     lam = mkt.penalty
     horizon = mkt.horizon
-    etas = np.array([fp.eta for fp in mkt.firms])
-    hs = np.array([fp.h for fp in mkt.firms])
     return (mkt.n_firms / (4.0 * lam)) * (
         1.0 + 2.0 * lam * mkt.agg.eta_bar * horizon
-    ) * p0**2 - (horizon / 2.0) * float(np.sum(etas * hs**2))
+    ) * p0**2 - (horizon / 2.0) * float(np.sum(mkt.vec.eta * mkt.vec.h**2))
 
 
 @_closed_form
@@ -286,8 +284,7 @@ def optimal_dynamic_policy(mkt: MarketParams) -> OptimalDynamicPolicy:
     horizon = mkt.horizon
     p0 = _optimal_p0(mkt)
     level = ell(mkt)
-    etas = np.array([fp.eta for fp in mkt.firms])
-    hs = np.array([fp.h for fp in mkt.firms])
+    etas, hs = mkt.vec.eta, mkt.vec.h
     alpha = etas * (p0 - hs)
     beta = -(
         (1.0 + 2.0 * lam * etas * horizon) * p0 / (2.0 * lam)
@@ -324,9 +321,7 @@ def static_policy(mkt: MarketParams) -> StaticPolicy:
     over the optimal policy and the terminal price quadratic variation
     qv_T = 4 lam^2 sigma^2 T / (1 + 2 lam eta T).
     """
-    eta = _require_homogeneous(
-        np.array([fp.eta for fp in mkt.firms]), "eta"
-    )
+    eta = _require_homogeneous(mkt.vec.eta, "eta")
     agg = mkt.agg
     lam = mkt.penalty
     horizon = mkt.horizon
@@ -387,12 +382,12 @@ def tax_policy(mkt: MarketParams) -> TaxPolicy:
     ``break_even_lambda`` is the penalty level below which the tax would
     beat the optimal allowance design.
     """
-    eta = _require_homogeneous(np.array([fp.eta for fp in mkt.firms]), "eta")
+    eta = _require_homogeneous(mkt.vec.eta, "eta")
     agg = mkt.agg
     horizon = mkt.horizon
     n = mkt.n_firms
     tau = _optimal_p0(mkt)
-    hs = np.array([fp.h for fp in mkt.firms])
+    hs = mkt.vec.h
     alpha = eta * (tau - hs)
     cost = n * horizon * (
         eta / 2.0 * tau**2
@@ -420,9 +415,7 @@ def msr_policy(mkt: MarketParams, delta: float = DEFAULT_MSR_DELTA) -> MSRPolicy
     if not delta > 0.0:
         raise UnsupportedConfigurationError(f"msr delta must be > 0, got {delta}")
     for name in ("sigma", "eta", "h"):
-        _require_homogeneous(
-            np.array([getattr(fp, name) for fp in mkt.firms]), name
-        )
+        _require_homogeneous(getattr(mkt.vec, name), name)
     agg = mkt.agg
     horizon = mkt.horizon
     eta = agg.eta_bar
@@ -587,7 +580,7 @@ def static_price_paths(
     grid = noise.grid
     eta, lam = mkt.agg.eta_bar, mkt.penalty
     # variance sigma^2 dt per step
-    d_wbar = noise.row(weighted_mean_load(noise.ks, [fp.sigma for fp in mkt.firms]))
+    d_wbar = noise.row(weighted_mean_load(noise.ks, mkt.vec.sigma))
     t = grid.knots
     if method == "euler":
         d_price = f_coeff(mkt, t[:-1]) * d_wbar
@@ -653,7 +646,6 @@ class MartingaleRows:
 
     p0: float                      # price at t = 0, euros/ton
     m0_sum: float                  # sum_i m0_i, tons
-    etas: np.ndarray               # eta_i per firm, (N,)
     eta_total: float               # sum_i eta_i
     h_eff: float                   # eta-weighted mean cost sum_i eta_i h_i / eta_total, euros/ton
     trade0: float                  # summed cumulative trade at t = 0, sum_i B_i(0), tons
@@ -687,11 +679,10 @@ def _martingale_rows(
     trends, alloc_flow = sum_i mu_i; otherwise alloc_flow is 0.
     """
     lam, n, horizon = mkt.penalty, mkt.n_firms, grid.horizon
-    etas = np.array([fp.eta for fp in mkt.firms])
-    hs = np.array([fp.h for fp in mkt.firms])
+    etas, hs = mkt.vec.eta, mkt.vec.h
     shocks = tracking_gamma(mkt.firms)  # sigma_i dW_i = (shocks dWtilde)_i
-    wbar_load = weighted_mean_load([fp.k for fp in mkt.firms], [fp.sigma for fp in mkt.firms])
-    mu_total = float(sum(fp.mu for fp in mkt.firms))
+    wbar_load = weighted_mean_load(mkt.vec.k, mkt.vec.sigma)
+    mu_total = float(sum(mkt.vec.mu))
     m0_sum = float(m0.sum())
     eta_total = float(etas.sum())
     p0 = frictionless_initial_price(mkt, grid, float(m0.mean()))
@@ -703,7 +694,7 @@ def _martingale_rows(
     surprise, moves = loading.any(), gamma.any()
     sign, driver = (1.0, loading) if moves else (-1.0, wbar_load)
     return MartingaleRows(
-        p0=p0, m0_sum=m0_sum, etas=etas, eta_total=eta_total, h_eff=h_eff,
+        p0=p0, m0_sum=m0_sum, eta_total=eta_total, h_eff=h_eff,
         trade0=float(etas @ hs) * horizon - coef_sum[0] * p0 - m0_sum, coef_sum=coef_sum,
         step=frictionless_price_step(mkt, grid, sign) if surprise else None, trade_scale=sign * n,
         abatement_const=0.5 * float(etas @ (hs - h_eff) ** 2) * horizon, mu_total=mu_total,
@@ -722,7 +713,7 @@ class RunDescription:
     rows: MartingaleRows | MSRRows | None  # its kernel's rows; None for the tax
     cost_rows: list[np.ndarray]  # the rows its costs read (`NoisePaths.row`)
     totals: list[np.ndarray]  # the loads its costs read only as totals (`NoisePaths.row_total`)
-    trajectory_rows: list[np.ndarray]  # the further rows its trajectories read
+    trajectory_rows: list[np.ndarray]  # every row its trajectories read
 
 
 def _describe(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> RunDescription:
@@ -734,12 +725,14 @@ def _describe(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> RunDescripti
     m0_i = x_bar0 - mu_i T, gamma = 0 and no trend (`_martingale_rows`).
     A martingale run reads the weighted mean shock's total; its costs read
     the price driver and, when the price moves, the loading sum, and its
-    trajectories the weighted mean shock and the loading sum rows.  The MSR
-    (`_msr_rows`) reads the weighted mean shock as its price driver and as a
-    total.  The tax reads the firms' shock sum sum_i sigma_i dW_i, its costs
-    as a total and its emissions as a row.  A policy of another type, or a
-    market run under finite depth (only the tax needs no market), raises
-    `UnsupportedInputError`.
+    trajectories the price driver, the weighted mean shock and the loading
+    sum rows.  The MSR (`_msr_rows`) reads the weighted mean shock as its
+    price driver, as a total and in its trajectories.  The tax reads the
+    firms' shock sum sum_i sigma_i dW_i, its costs as a total and its
+    emissions as a row.  Every list holds each row its reader reads, and a
+    load may repeat across lists: `generate_noise` keeps one row per load's
+    bits.  A policy of another type, or a market run under finite depth
+    (only the tax needs no market), raises `UnsupportedInputError`.
     """
     if isinstance(policy, TaxPolicy):
         shock_sum = tracking_gamma(mkt.firms).sum(axis=0)
@@ -747,7 +740,7 @@ def _describe(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> RunDescripti
     if isinstance(policy, (OptimalDynamicPolicy, CustomMartingalePolicy)):
         m0, gamma, tracks_trends = policy.m0, policy.gamma, True
     elif isinstance(policy, StaticPolicy):
-        m0 = policy.x_bar0 - np.array([fp.mu for fp in mkt.firms]) * grid.horizon
+        m0 = policy.x_bar0 - mkt.vec.mu * grid.horizon
         gamma, tracks_trends = np.zeros((mkt.n_firms, mkt.n_firms + 1)), False
     elif not isinstance(policy, MSRPolicy):
         raise UnsupportedInputError(f"cannot simulate policy of type {type(policy)!r}")
@@ -755,13 +748,13 @@ def _describe(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> RunDescripti
         raise UnsupportedInputError(f"finite depth: {policy.kind.value} is frictionless only")
     if isinstance(policy, MSRPolicy):
         msr = _msr_rows(mkt, policy, grid)
-        return RunDescription(mkt, policy, msr, [msr.wbar_load], [msr.wbar_load], [])
+        return RunDescription(mkt, policy, msr, [msr.wbar_load], [msr.wbar_load], [msr.wbar_load])
     rows = _martingale_rows(mkt, grid, m0, gamma, tracks_trends)
     moving = [] if rows.driver_load is None else [rows.driver_load, rows.alloc_load]
     cost_rows = [load for load in moving if load is not None]
-    paths = [load for load in (rows.wbar_load, rows.alloc_load) if load is not None]
-    further = [load for load in paths if all(load is not row for row in cost_rows)]
-    return RunDescription(mkt, policy, rows, cost_rows, [rows.wbar_load], further)
+    paths = [rows.driver_load, rows.wbar_load, rows.alloc_load]
+    paths = [load for load in paths if load is not None]
+    return RunDescription(mkt, policy, rows, cost_rows, [rows.wbar_load], paths)
 
 
 def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSample:
@@ -875,7 +868,7 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
 
     abatement = 0.5 * rows.eta_total * gap_sum * dt - rows.abatement_const
     trading = price_sum * dt * trade_T / horizon
-    bank_T = -p_T / (2.0 * lam) - rows.etas * dt * (p_T - rows.p0)
+    bank_T = -p_T / (2.0 * lam) - mkt.vec.eta * dt * (p_T - rows.p0)
     penalty = lam * (bank_T**2).sum(axis=1)
     parts = dict(abatement=abatement, trading=trading, penalty=penalty, tax=0.0)
     parts = {key: np.broadcast_to(value, shape[:1]) for key, value in parts.items()}
@@ -950,13 +943,12 @@ def _simulate_tax(run: RunDescription, noise: NoisePaths) -> PolicyPathSample:
     emissions (sum_i mu_i - sum_i alpha_i) T + sum_i sigma_i W_i(T)."""
     mkt, policy, grid = run.mkt, run.policy, noise.grid
     t, shape = grid.knots, (noise.n_paths, grid.n_steps + 1)
-    mu_total = float(np.array([fp.mu for fp in mkt.firms]).sum())
+    v = mkt.vec
+    mu_total = float(v.mu.sum())
     alpha = float(policy.alpha.sum())
     [shock_load] = run.totals  # sum_i sigma_i dW_i
     terminal_emissions = (mu_total - alpha) * t[-1] + noise.row_total(shock_load)
-    hs = np.array([fp.h for fp in mkt.firms])
-    etas = np.array([fp.eta for fp in mkt.firms])
-    abate_cost = grid.horizon * float(np.sum(hs * policy.alpha + policy.alpha**2 / (2.0 * etas)))
+    abate_cost = grid.horizon * float(np.sum(v.h * policy.alpha + policy.alpha**2 / (2.0 * v.eta)))
     # the parts but the tax, the price, bank, abatement and net allocation are
     # the same on every path: read-only views
     zero_s = np.broadcast_to(0.0, shape[:1])
@@ -1024,7 +1016,7 @@ def _msr_rows(mkt: MarketParams, policy: MSRPolicy, grid: TimeGrid) -> MSRRows:
     c0 = big_f * ((1.0 - delta * z) * ramp + z * (eta * h_bar - policy.x_bar0 / grid.horizon))
     a = 1.0 + (eta * c1 - delta) * dt
     b = ((delta * ramp + eta * (c0 - h_bar)) * dt)[:-1]
-    wbar_load = weighted_mean_load([fp.k for fp in mkt.firms], [fp.sigma for fp in mkt.firms])
+    wbar_load = weighted_mean_load(mkt.vec.k, mkt.vec.sigma)
     return MSRRows(c0, c1, ramp, a, b, eta, h_bar, policy.x_bar0, delta, wbar_load)
 
 

@@ -81,7 +81,7 @@ class TimeGrid:
 
 def weighted_mean_load(ks: Sequence[float], sigmas: Sequence[float]) -> np.ndarray:
     """The loading row of (1/N) sum_i sigma_i dW_i on the N+1 drivers."""
-    w = np.array([float(s) for s in sigmas])
+    w = np.asarray(sigmas, dtype=float)
     ks = np.asarray(ks, dtype=float)
     return np.concatenate([[w @ ks], w * np.sqrt(1.0 - ks**2)]) / len(ks)
 
@@ -293,10 +293,10 @@ def integrate_increments(d: np.ndarray, out: np.ndarray | None = None) -> np.nda
     sharing this one convention.  The sums go into ``out`` when it is
     given; ``d`` may be ``out[..., 1:]`` itself, so that increments written
     into a path are summed in place, with no second array.  Otherwise they
-    go into a new array (`pooled_empty`).
+    go into a new array.
     """
     if out is None:
-        out = pooled_empty(d.shape[:-1] + (d.shape[-1] + 1,))
+        out = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
     out[..., 0] = 0.0
     np.cumsum(d, axis=-1, out=out[..., 1:])
     return out
@@ -715,7 +715,7 @@ def left_integral(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     Input (..., M+1) knot values; output (..., M+1) with 0 at t=0 and
     sum_{j < k} values_j * dt at knot k.
     """
-    out = pooled_empty(values.shape)
+    out = np.empty(values.shape)
     np.multiply(values[..., :-1], grid.dt, out=out[..., 1:])
     return integrate_increments(out[..., 1:], out=out)
 

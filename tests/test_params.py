@@ -136,6 +136,25 @@ def test_sigma_sq_matches_direct_covariance_sum(sig_k):
     assert agg.sigma_sq == pytest.approx(direct, rel=1e-10, abs=1e-6)
 
 
+def test_firm_vectors_are_the_firms_fields_in_firm_order_and_read_only():
+    """``MarketParams.vec`` holds one (N,) float array per firm field, in
+    firm order, built once per market; no array can be written."""
+    firms = tuple(
+        FirmParams(mu=1e8 * (i + 1), sigma=3e7 - 1e6 * i, k=0.9 - 0.2 * i, h=20.0 + i, eta=6e8 + i)
+        for i in range(5)
+    )
+    mkt = make_market(firms)
+    assert mkt.vec is mkt.vec
+    for name in ("mu", "sigma", "k", "h", "eta"):
+        column = getattr(mkt.vec, name)
+        assert column.dtype == np.float64 and column.flags.c_contiguous
+        assert column.tolist() == [getattr(f, name) for f in firms]
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+        with pytest.raises(ValueError):
+            column.setflags(write=True)
+
+
 # --- coefficient functions ---------------------------------------------------
 
 def test_g_coeff_scalar_array_parity(base_market):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from permitsim import TimeGrid, generate_noise
 import permitsim.stochastic
+from permitsim.equilibrium import frictionless_price
 from permitsim.errors import UnsupportedInputError
 from permitsim.stochastic import (
     PathEnsemble,
@@ -359,6 +360,23 @@ def test_left_integral_in_a_pool_matches_outside():
     with array_pool():
         np.testing.assert_array_equal(left_integral(values, grid), want)
         np.testing.assert_array_equal(left_integral(values.T.copy().T, grid), want)
+
+
+def test_helpers_without_out_take_no_array_from_the_pool():
+    """Called in an `array_pool` without ``out``, the running sum, the left
+    integral and the frictionless price each return an array of their own:
+    only the chunk loop's draw and kernels take arrays from the pool."""
+    grid = TimeGrid(horizon=2.0, n_steps=6)
+    values = np.random.default_rng(3).standard_normal((3, 7))
+    with array_pool():
+        arrays = [
+            integrate_increments(values[:, 1:]),
+            left_integral(values, grid),
+            frictionless_price(2.0, -np.arange(1.0, 7.0), values[:, 1:]),
+        ]
+        assert permitsim.stochastic._array_pool.get()._bases == []
+    for array in arrays:
+        assert array.shape == (3, 7) and array.flags.owndata
 
 
 def test_path_ensemble_rejects_no_paths():
