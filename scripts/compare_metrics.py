@@ -9,7 +9,10 @@ per side and pair, the base first in odd pairs and the checkout first in
 even ones.  Each side runs its own child with ``PYTHONPATH`` at its own
 ``src`` and numpy's BLAS/OpenMP threads capped at one, as
 ``perfbench/run.py`` caps them.  The two runs of a pair must write files
-of equal sha256.
+of equal sha256, except the files named with ``--moved``: a change that
+moves output bytes on purpose declares them, and such a file may differ
+when the change's run passes perfbench's checks against the parent's
+outputs at the same seed (``perfbench/checks.run_problems``).
 
 Writes ``bench/BENCH_<name>_pairs.json``: every run's metrics and, per
 workload and end-to-end metric of ``BENCHMARK.json``, the change's wins
@@ -18,9 +21,12 @@ the median gap (positive when the change's median is better) and the
 change's median relative to the base's.
 
     python scripts/compare_metrics.py --base HEAD~1 --pairs 10 --seed 7919 --name my_change
+    python scripts/compare_metrics.py --base HEAD~1 --seed 7919 --name my_change \
+        --moved summary.json --moved trajectory_static.csv
 
-Exits 0 once the record is written, and 1 when a run fails or the two runs
-of a pair write different files.
+Exits 0 once the record is written, and 1 when a run fails, or the two runs
+of a pair write different files other than declared ones, or a declared
+file moves and the change's numbers fail the checks.
 """
 
 from __future__ import annotations
@@ -53,15 +59,20 @@ THREAD_VARS = (
 )
 
 
+def _perfbench(name: str):
+    """This checkout's ``perfbench/<name>.py``, loaded once."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, CHECKOUT / "perfbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # where its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[key]
+
+
 def _workloads() -> dict:
     """perfbench's workloads, from this checkout's ``perfbench/workloads.py``."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", CHECKOUT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # where its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return _perfbench("workloads").WORKLOADS
 
 
 def _gain(better: str, parent: float, change: float) -> float:
@@ -114,6 +125,21 @@ def output_digests(record: dict) -> dict[str, str]:
     return {name: file["sha256"] for name, file in record["files"].items()}
 
 
+def pair_problems(parent: dict, change: dict, moved: frozenset[str]) -> tuple[list[str], list[str]]:
+    """The output files whose sha256 differ between a pair's two child
+    records, and what is wrong with the pair: a differing file not in
+    ``moved``, or, when a declared file differs, the change's numbers
+    failing perfbench's same-seed checks against the parent's outputs."""
+    before, after = output_digests(parent), output_digests(change)
+    differ = sorted(name for name in {*before, *after} if before.get(name) != after.get(name))
+    undeclared = [name for name in differ if name not in moved]
+    if undeclared:
+        return differ, [f"the two sides' output files differ: {', '.join(undeclared)}"]
+    if differ:
+        return differ, _perfbench("checks").run_problems(change, parent["outputs"], same_seed=True)
+    return differ, []
+
+
 def _child_run(tree: Path, workload: str, seed: int, out: Path) -> dict:
     """One untraced ``perfbench/child.py`` run of ``tree``'s sources."""
     spec = {"workload": workload, "seed": seed, "out": str(out), "trace": False, "memory": False}
@@ -126,22 +152,32 @@ def _child_run(tree: Path, workload: str, seed: int, out: Path) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _run_pair(trees: dict[str, Path], workload, pair: int, seed: int, tmp: Path) -> list[dict]:
+def _run_pair(
+    trees: dict[str, Path],
+    workload,
+    pair: int,
+    seed: int,
+    tmp: Path,
+    moved: frozenset[str] = frozenset(),
+) -> list[dict]:
     """Pair ``pair``'s two runs of ``workload``, the parent's first in odd pairs;
-    exits when their output files differ."""
+    exits on `pair_problems`.  The change's run lists the files that moved."""
     order = ("parent", "change") if pair % 2 else ("change", "parent")
-    runs, digests = [], {}
+    runs, records = [], {}
     for side in order:
         out = tmp / f"{workload.name}-{pair}-{side}"
-        record = _child_run(trees[side], workload.name, seed, out)
+        records[side] = record = _child_run(trees[side], workload.name, seed, out)
         shutil.rmtree(out)
-        digests[side] = output_digests(record)
         values = {m: record[m] for m in ("wall_s", "peak_rss_mb", "setup_s")}
         values["path_steps_per_s"] = workload.path_steps / record["wall_s"]
         runs.append(dict(workload=workload.name, pair=pair, seed=seed, side=side, metrics=values))
         print(f"{workload.name} pair {pair} {side}: {values}", flush=True)
-    if digests["parent"] != digests["change"]:
-        raise SystemExit(f"{workload.name} pair {pair}: the two sides' output files differ")
+    differ, problems = pair_problems(records["parent"], records["change"], moved)
+    if problems:
+        raise SystemExit(f"{workload.name} pair {pair}: {'; '.join(problems)}")
+    for run in runs:
+        if run["side"] == "change":
+            run["moved"] = differ
     return runs
 
 
@@ -168,6 +204,11 @@ def main(argv: list[str] | None = None) -> int:
         "--workload", action="append", choices=[*workloads], help="a workload (default: all)"
     )
     ap.add_argument("--what", default="", help="what the change does, for the record")
+    ap.add_argument(
+        "--moved", action="append", default=[], metavar="NAME",
+        help="an output file the change moves on purpose (repeatable); it may differ "
+        "within a pair when the change's numbers pass perfbench's same-seed checks",
+    )
     args = ap.parse_args(argv)
     names = args.workload or [*workloads]
     if args.pairs < 2:
@@ -186,7 +227,9 @@ def main(argv: list[str] | None = None) -> int:
             trees = {"parent": worktree, "change": CHECKOUT}
             for name in names:
                 for pair in range(1, args.pairs + 1):
-                    runs += _run_pair(trees, workloads[name], pair, args.seed, tmp)
+                    runs += _run_pair(
+                        trees, workloads[name], pair, args.seed, tmp, frozenset(args.moved)
+                    )
 
     record = {
         "what": args.what,
@@ -200,8 +243,11 @@ def main(argv: list[str] | None = None) -> int:
         "order": (
             f"single child runs alternated one at a time (odd pairs: parent first, even "
             f"pairs: change first); seed {args.seed}; every pair's output files had equal "
-            f"sha256 on both sides"
+            f"sha256 on both sides, but the declared moved files, which may differ when the "
+            f"change's run passes perfbench/checks.run_problems against the parent's outputs "
+            f"at the same seed (each change run lists the files that moved)"
         ),
+        "moved": sorted(args.moved),
         "machine": {
             "cpus": len(os.sched_getaffinity(0)),
             "cpu": _cpu_model(),

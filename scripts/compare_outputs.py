@@ -39,8 +39,9 @@ ETAS = ",".join(repr(10.0 ** (6.0 + 0.25 * i)) for i in range(13))
 #: The config files the cases run on, by file name: the preset; the preset
 #: under a custom martingale policy whose loadings track no firm's shock
 #: (gamma = 5e7 on the common driver and 2e7 on the firm's own), so that its
-#: price, trading and penalty move on every path; and the preset's market on
-#: nine firms of one eta and distinct mu, sigma, k and h.  From eight firms
+#: price and penalty move on every path (its summed trade starts at 0, and so
+#: does its trading part); and the preset's market on nine firms of one eta
+#: and distinct mu, sigma, k and h.  From eight firms
 #: on, numpy sums a firm vector pairwise, so a sum over the firms taken in
 #: another order moves bits there; these values are picked so that the
 #: optimal, static and tax outputs each move when one of their firm sums
@@ -75,8 +76,8 @@ CASES = [
             "simulate",
             "preset.json",
             ["simulate", "--policy", "all"],
-            # 287 = 256 + 31 paths: the tail chunk ends on a one-path row block
-            ((1024, 2000), (20000, 50), (287, 2000), (8, 2000), (9, 1)),
+            # 273 = 256 + 17 paths: the tail chunk ends on a one-path row block
+            ((1024, 2000), (20000, 50), (273, 2000), (8, 2000), (9, 1)),
         ),
         ("custom", "custom.json", ["simulate"], ((3000, 50), (300, 2000))),
         ("compare", "preset.json", ["compare", "--etas", ETAS], ((1000, 300), (257, 2000))),

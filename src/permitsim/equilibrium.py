@@ -12,10 +12,13 @@ The frictionless price formula (`frictionless_price` from its start
 allocation surprises the market, and its step `frictionless_price_step`)
 and its clearing check (`require_frictionless_clearing`) are shared with
 the martingale kernel in `policies`, which computes the same equilibrium
-from firm sums alone, without per-firm best responses or paths; both
-apply one rule.  The check
-reads only what clearing constrains, the firms' summed cumulative trades,
-and measures their residual against the gross market terms.
+from firm sums alone, without per-firm best responses or paths.  The
+per-firm check (`require_frictionless_clearing`) reads only what clearing
+constrains, the firms' summed cumulative trades, and measures their
+residual against the gross market terms; the kernel's summed trades are
+linear in the price driver, so it checks once per run that their start
+and their weight on the driver vanish (`require_frictionless_identity`),
+against the same gross terms.
 """
 
 from __future__ import annotations
@@ -227,17 +230,43 @@ def require_frictionless_clearing(
     over the block.  Every max|x| here comes from a min and a max reduction
     (`abs_max`), so the check allocates no array; a NaN anywhere fails it.
     """
-    # The residual is a cancellation of gross terms of size ~ c(0) P + M +
-    # eta h T summed over the firms, so "relative" must mean relative to
-    # those, not to the (possibly zero) net trades themselves.
+    gross = _gross_terms(mkt, grid, abs_max(price), alloc_sum_abs_max)
+    _require_clearing(trade_sum, gross, "frictionless")
+
+
+def require_frictionless_identity(
+    mkt: MarketParams, grid, p0: float, m0_sum: float, trade0: float, weight: np.ndarray | None
+) -> None:
+    """Raise ClearingError unless a martingale run's summed trades clear by
+    construction, on every path and before any is drawn.
+
+    The kernel's summed trade is sum_i B_i(t_k) = ``trade0`` - sum_{j<k}
+    w_j driver_j, with ``weight`` w_j = sum_i c_i(t_j) step_j + sign N,
+    (M,), or None when nothing surprises the market; it vanishes at every
+    knot exactly when ``trade0`` and every w_j do.  |trade0| is measured
+    against the run's deterministic gross terms c0_sum |P_0| + |sum_i
+    M_i(0)| + sum_i eta_i h_i T, and max_j |w_j| against N, the weight of
+    N dZbar.  Both ratios are unit-free, so neither takes a floor; a NaN
+    fails.
+    """
+    gross = _gross_terms(mkt, grid, abs(p0), abs(m0_sum))
+    weight_max = 0.0 if weight is None else abs_max(weight)
+    if abs(trade0) <= CLEARING_TOL * gross and weight_max <= CLEARING_TOL * mkt.n_firms:
+        return
+    raise ClearingError(
+        f"frictionless equilibrium failed to clear: |sum_i B_i(0)| = {abs(trade0):.3e} "
+        f"against gross terms {gross:.3e}, and max |w| / N = {weight_max / mkt.n_firms:.3e}; "
+        f"tolerance {CLEARING_TOL:g}"
+    )
+
+
+def _gross_terms(mkt: MarketParams, grid, price_abs_max: float, alloc_abs_max: float) -> float:
+    """c0_sum max|P| + max|sum_i M_i| + sum_i eta_i h_i T: the gross terms
+    whose cancellation a clearing residual is.  "Relative" must mean
+    relative to those, not to the (possibly zero) net trades themselves."""
     lam, v = mkt.penalty, mkt.vec
     c0_sum = float(np.sum(1.0 + 2.0 * lam * v.eta * grid.horizon)) / (2.0 * lam)
-    gross = (
-        c0_sum * abs_max(price)
-        + alloc_sum_abs_max
-        + float(np.sum(v.eta * v.h)) * grid.horizon
-    )
-    _require_clearing(trade_sum, gross, "frictionless")
+    return c0_sum * price_abs_max + alloc_abs_max + float(np.sum(v.eta * v.h)) * grid.horizon
 
 
 def abs_max(x: np.ndarray) -> float:

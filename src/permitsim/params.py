@@ -168,6 +168,11 @@ class MarketParams:
         """The firms' fields as read-only (N,) arrays, in firm order."""
         return _firm_vectors(self.firms)
 
+    def __getstate__(self) -> dict:
+        # a pickle or deep copy leaves the cached fields out, so that they are
+        # rebuilt read-only on first use: numpy unpickles arrays writeable
+        return {key: value for key, value in vars(self).items() if key not in ("agg", "vec")}
+
 
 # ---------------------------------------------------------------------------
 # deterministic coefficient functions

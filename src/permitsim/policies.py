@@ -16,7 +16,8 @@ policies can be compared shock-by-shock; `run_ensemble` does so chunk by
 chunk over a whole path ensemble.  The martingale-type policies
 (optimal, custom, static) share one kernel that sums over the firms before
 it integrates anything: the price follows from the firms' average
-allocation surprise, clearing is checked on the summed trades, and each
+allocation surprise, clearing holds by construction (checked once per
+run, on the rows that make the summed trades vanish), and each
 firm's terminal bank is pinned by the price through the grid identity
 X_i(T) = -P_T/(2 lam) - eta_i dt (P_T - P_0), so no per-firm path is
 built.  The MSR's Euler step is affine in the average bank,
@@ -40,6 +41,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .errors import (
+    ClearingError,
     DiagnosticError,
     DomainError,
     InfeasibleObservationError,
@@ -57,12 +59,11 @@ from .params import (
 # equilibrium_frictionless is not called here but stays a module attribute:
 # perfbench/tracing.py wraps it under this name.
 from .equilibrium import (  # noqa: F401
-    abs_max,
     equilibrium_frictionless,
     frictionless_initial_price,
     frictionless_price,
     frictionless_price_step,
-    require_frictionless_clearing,
+    require_frictionless_identity,
 )
 from .firm import AllocationView
 from .stochastic import (
@@ -724,15 +725,17 @@ def _describe(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> RunDescripti
     trends; the static lump sum holds x_bar0 - mu_i t, which is
     m0_i = x_bar0 - mu_i T, gamma = 0 and no trend (`_martingale_rows`).
     A martingale run reads the weighted mean shock's total; its costs read
-    the price driver and, when the price moves, the loading sum, and its
-    trajectories the price driver, the weighted mean shock and the loading
-    sum rows.  The MSR (`_msr_rows`) reads the weighted mean shock as its
-    price driver, as a total and in its trajectories.  The tax reads the
-    firms' shock sum sum_i sigma_i dW_i, its costs as a total and its
-    emissions as a row.  Every list holds each row its reader reads, and a
-    load may repeat across lists: `generate_noise` keeps one row per load's
-    bits.  A policy of another type, or a market run under finite depth
-    (only the tax needs no market), raises `UnsupportedInputError`.
+    the price driver when the price moves, and its trajectories the price
+    driver, the weighted mean shock and the loading sum rows.  The MSR
+    (`_msr_rows`) reads the weighted mean shock as its price driver, as a
+    total and in its trajectories.  The tax reads the firms' shock sum
+    sum_i sigma_i dW_i, its costs as a total and its emissions as a row.
+    Every list holds each row its reader reads, and a load may repeat
+    across lists: `generate_noise` keeps one row per load's bits.  A policy
+    of another type, or a market run under finite depth (only the tax needs
+    no market), raises `UnsupportedInputError`, and a martingale run whose
+    summed trades do not clear by construction `ClearingError`
+    (`require_frictionless_identity`): both before any draw.
     """
     if isinstance(policy, TaxPolicy):
         shock_sum = tracking_gamma(mkt.firms).sum(axis=0)
@@ -750,8 +753,10 @@ def _describe(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> RunDescripti
         msr = _msr_rows(mkt, policy, grid)
         return RunDescription(mkt, policy, msr, [msr.wbar_load], [msr.wbar_load], [msr.wbar_load])
     rows = _martingale_rows(mkt, grid, m0, gamma, tracks_trends)
-    moving = [] if rows.driver_load is None else [rows.driver_load, rows.alloc_load]
-    cost_rows = [load for load in moving if load is not None]
+    # the summed trade's weight on the driver, sum_i c_i(t_k) step_k + sign N
+    weight = None if rows.step is None else rows.coef_sum[:-1] * rows.step + rows.trade_scale
+    require_frictionless_identity(mkt, grid, rows.p0, rows.m0_sum, rows.trade0, weight)
+    cost_rows = [] if rows.driver_load is None else [rows.driver_load]
     paths = [rows.driver_load, rows.wbar_load, rows.alloc_load]
     paths = [load for load in paths if load is not None]
     return RunDescription(mkt, policy, rows, cost_rows, [rows.wbar_load], paths)
@@ -772,8 +777,11 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
     (`frictionless_price`).  Abatement is alpha_i = eta_i (P - h_i).  Firm
     i's cumulative trade starts at B_i(0) = eta_i h_i T - c_i(0) P_0 - M_i(0)
     and moves by dB_i = -(c_i(t) dP + dM_i - sigma_i dW_i), with c_i(t) from
-    the terminal condition X_i(T) = -P_T / (2 lam); clearing is checked on
-    the firm sum sum_i B_i, built from sum_i c_i(t) and N dZbar.  In
+    the terminal condition X_i(T) = -P_T / (2 lam).  The firm sum is
+    sum_i B_i(t_k) = sum_i B_i(0) - sum_{j<k} w_j driver_j with weight
+    w_j = sum_i c_i(t_j) step_j + sign N, and both the start and every w_j
+    are zero up to roundoff: `_describe` checks that identity once per run
+    (`require_frictionless_identity`), so no path builds a summed trade.  In
     X_i(T) = M_i(T) + sum_k alpha_i(t_k) dt + B_i(T) - sigma_i W_i(T) the
     allocation and shock terms cancel against those of B_i(T); summed by
     parts with c_i(t_k) - c_i(t_{k-1}) = -eta_i dt, that is the grid identity
@@ -782,17 +790,19 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
 
     the terminal condition up to one grid term.  The costs are abatement
     sum_i (eta_i/2) sum_k (P_k^2 - h_i^2) dt, trading
-    (sum_k P_k dt) sum_i B_i(T) / T, penalty lam sum_i X_i(T)^2 and a tax
+    (sum_k P_k dt) sum_i B_i(0) / T, penalty lam sum_i X_i(T)^2 and a tax
     of 0; the terminal emissions are T sum_i mu_i minus the abated total
     plus the shock sum N Wbar_T.
 
     ``run`` is described on the block's grid.  When nothing surprises the
     market the price is the constant P_0, and the cost parts, price and
     abatement are one value or row, repeated on every path as read-only
-    views.  The costs do not depend on how the paths are cut into blocks or
-    chunks.  Raises `ClearingError` when the summed trades do not clear (a
-    NaN fails the check), and `DomainError` for a cost or terminal emission
-    that is not finite (`_sample`).
+    views.  A moving price is built in row blocks of SCRATCH_DOUBLES // (2
+    (M+1)) paths (16 at 2000 steps), and the costs do not depend on how the
+    paths are cut into blocks or chunks.  Raises `ClearingError` when the
+    price is not finite at the last knot, where the running sum carries a
+    NaN or inf of the driver, and `DomainError` for a cost or terminal
+    emission that is not finite (`_sample`).
     """
     mkt, rows, kind = run.mkt, run.rows, run.policy.kind
     grid = noise.grid
@@ -801,20 +811,12 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
     shape = (n_paths, m + 1)
     lam, n = mkt.penalty, mkt.n_firms
     wbar_T = noise.row_total(rows.wbar_load)  # sum_i sigma_i W_i(T) = N Wbar_T
-    # three (rows, M+1) blocks in one pooled scratch
-    block_paths = min(n_paths, max(1, SCRATCH_DOUBLES // (3 * (m + 1))))
-    scratch = pooled_empty((3, block_paths * (m + 1)))
+    # two (rows, M+1) blocks in one pooled scratch
+    block_paths = min(n_paths, max(1, SCRATCH_DOUBLES // (2 * (m + 1))))
+    scratch = pooled_empty((2, block_paths * (m + 1)))
 
-    def expected_sum(paths: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        # sum_i M_i(t) = sum_i m0_i + (sum_i gamma_i) Wtilde(t)
-        if rows.alloc_load is None:
-            return np.full((n_paths, 1), rows.m0_sum)
-        total = integrate_increments(noise.row(rows.alloc_load)[paths], out=out)
-        total += rows.m0_sum
-        return total
-
-    # no surprise: dP = 0 and the summed trade stays at its start, on every
-    # path alike, so each sum is taken once, on one row
+    # no surprise: dP = 0, on every path alike, so each sum is taken once,
+    # on one row
     driver = None if rows.driver_load is None else noise.row(rows.driver_load)
     surprise = driver is not None
     n_rows = n_paths if surprise else 1
@@ -824,33 +826,13 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
             return frictionless_price(rows.p0, rows.step, driver[paths], out)
         return np.full((1, m + 1), rows.p0)
 
-    trade_T = np.full(n_rows, rows.trade0)
     price_sum, gap_sum, abated_T = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
     p_T = np.empty((n_rows, 1))
-    reads_alloc = surprise and rows.alloc_load is not None
-    alloc_max = [] if reads_alloc else [abs(rows.m0_sum)]
-    trade_max = [] if surprise else [abs(rows.trade0)]
-    price_max = []
     for paths, b in row_blocks(n_rows, block_paths):
-        price = price_rows(paths, _block(scratch[2], b, m + 1))
-        price_max.append(abs_max(price))
-        if surprise:
-            block = _block(scratch[0], b, m + 1)
-            if reads_alloc:
-                alloc_max.append(abs_max(expected_sum(paths, block)))
-            # sum_i dB_i = -(sum_i c_i(t) dP + N dZbar), written into the
-            # block's summed trade and integrated in place
-            d_trade = block[:, 1:]
-            np.subtract(price[:, 1:], price[:, :-1], out=d_trade)
-            d_trade *= rows.coef_sum[:-1]
-            d_trade += np.multiply(driver[paths], rows.trade_scale, out=_block(scratch[1], b, m))
-            integrate_increments(d_trade, out=block)
-            np.subtract(rows.trade0, block, out=block)
-            trade_max.append(abs_max(block))
-            trade_T[paths] = block[:, -1]
+        price = price_rows(paths, _block(scratch[0], b, m + 1))
         price_sum[paths] = price[:, :-1].sum(axis=-1)
         p_T[paths, 0] = price[:, -1]
-        excess = np.subtract(price, rows.h_eff, out=_block(scratch[0], b, m + 1))
+        excess = np.subtract(price, rows.h_eff, out=price)
         excess_left = excess[:, :-1]
         # (excess + 2 h_eff) excess on the left knots
         gap_sq = np.add(excess_left, 2.0 * rows.h_eff, out=_block(scratch[1], b, m))
@@ -861,13 +843,12 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
         excess *= rows.eta_total
         np.multiply(excess[:, :-1], dt, out=gap_sq)
         abated_T[paths] = np.cumsum(gap_sq, axis=-1, out=gap_sq)[:, -1]
-    # the largest block maxima, NaN if any is (np.max propagates it)
-    require_frictionless_clearing(
-        mkt, grid, np.array(price_max), np.array(trade_max), float(np.max(alloc_max))
-    )
+    # the running sum carries a NaN or inf in the driver to the last knot
+    if not np.isfinite(p_T).all():
+        raise ClearingError("frictionless equilibrium failed to clear: the price is not finite")
 
     abatement = 0.5 * rows.eta_total * gap_sum * dt - rows.abatement_const
-    trading = price_sum * dt * trade_T / horizon
+    trading = price_sum * dt * rows.trade0 / horizon
     bank_T = -p_T / (2.0 * lam) - mkt.vec.eta * dt * (p_T - rows.p0)
     penalty = lam * (bank_T**2).sum(axis=1)
     parts = dict(abatement=abatement, trading=trading, penalty=penalty, tax=0.0)
@@ -880,14 +861,19 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
         abate_total *= rows.eta_total
         abated = left_integral(abate_total, grid)
         shock_sum = n * integrate_increments(noise.row(rows.wbar_load))
-        alloc = expected_sum()
+        # sum_i M_i(t) = sum_i m0_i + (sum_i gamma_i) Wtilde(t)
+        if rows.alloc_load is None:
+            alloc = np.full((n_paths, 1), rows.m0_sum)
+        else:
+            alloc = integrate_increments(noise.row(rows.alloc_load))
+            alloc += rows.m0_sum
         return dict(
             price=np.broadcast_to(price, shape),
             total_bank=(
                 alloc
                 + (rows.mu_total - rows.alloc_flow) * (horizon - t)
                 + abated
-                + (trade_T / horizon)[:, None] * t
+                + rows.trade0 / horizon * t
                 - shock_sum
             ),
             avg_abatement=np.broadcast_to(abate_total / n, shape),

@@ -477,7 +477,7 @@ def _seed_words_type() -> type:
 
 #: Doubles of every pooled scratch: the normals a row draw holds at a time
 #: over all its path slices (a few paths, and never fewer than one per
-#: slice), the static kernel's three row blocks, and the MSR's two rolling
+#: slice), the martingale kernel's two row blocks, and the MSR's two rolling
 #: blocks of knots.  One size, so that at a default chunk they share one base.
 SCRATCH_DOUBLES = 1 << 16
 
@@ -494,9 +494,11 @@ def _path_filler(
     sqrt_dt = math.sqrt(grid.dt)
 
     def fill(block: np.ndarray, first: int) -> None:
+        # PCG64 reads the words once, when it is built: one holder per call
+        words = seed_words(None)
         for p, out in enumerate(block, first):
-            rng = np.random.Generator(np.random.PCG64(seed_words(all_words[p])))
-            rng.standard_normal(out=out)
+            words.words = all_words[p]
+            np.random.Generator(np.random.PCG64(words)).standard_normal(out=out)
         block *= sqrt_dt
 
     return fill

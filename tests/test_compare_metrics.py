@@ -94,3 +94,51 @@ def test_a_pair_alternates_its_first_side_and_needs_equal_outputs(
     digests["change"] = "b"
     with pytest.raises(SystemExit, match="sim pair 3: the two sides' output files differ"):
         compare_metrics._run_pair(trees, workload, 3, 7, tmp_path)
+
+
+def _sweep_record(sha: str, cost_msr: float) -> dict:
+    """A child record of one compare run: one sweep row whose closed forms
+    hold the identity C_static - C_optimal = delta_stat."""
+    row = dict(
+        eta=1e8, cost_optimal=1.0, cost_static=3.0, cost_tax=4.0, delta_stat=2.0,
+        cost_msr=cost_msr, mc_stderr_msr=0.1,
+    )
+    files = {
+        "summary.json": {"sha256": "s", "finite": True},
+        "sweep.csv": {"sha256": sha, "finite": True},
+    }
+    return dict(wall_s=2.0, peak_rss_mb=40.0, setup_s=0.1, files=files, outputs={"rows": [row]})
+
+
+@pytest.mark.parametrize(
+    "moved, cost_msr, problem",
+    [
+        ({"sweep.csv"}, 5.0 * (1 + 1e-12), None),
+        ({"summary.json"}, 5.0 * (1 + 1e-12), "the two sides' output files differ: sweep.csv"),
+        ({"sweep.csv"}, 5.1, "row 0: cost_msr"),
+    ],
+    ids=["declared", "undeclared", "declared-but-off"],
+)
+def test_a_declared_file_may_move_when_its_numbers_pass_the_checks(
+    compare_metrics, monkeypatch, tmp_path, moved, cost_msr, problem
+):
+    """A pair passes with files of different sha256 only when each is declared
+    with ``--moved`` and the change's numbers pass perfbench's same-seed
+    checks against the parent's; the change's run lists what moved."""
+    trees = {"parent": Path("base"), "change": Path("change")}
+    workload = SimpleNamespace(name="sweep", path_steps=100)
+    records = {"base": _sweep_record("a", 5.0), "change": _sweep_record("b", cost_msr)}
+
+    def child_run(tree, name, seed, out):
+        out.mkdir()
+        return records[tree.name]
+
+    monkeypatch.setattr(compare_metrics, "_child_run", child_run)
+    if problem is not None:
+        with pytest.raises(SystemExit, match=f"sweep pair 1: {problem}"):
+            compare_metrics._run_pair(trees, workload, 1, 7, tmp_path, frozenset(moved))
+        return
+    runs = compare_metrics._run_pair(trees, workload, 1, 7, tmp_path, frozenset(moved))
+    assert [(r["side"], r.get("moved")) for r in runs] == [
+        ("parent", None), ("change", ["sweep.csv"])
+    ]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -153,6 +155,22 @@ def test_firm_vectors_are_the_firms_fields_in_firm_order_and_read_only():
             column[0] = 1.0
         with pytest.raises(ValueError):
             column.setflags(write=True)
+
+
+def test_a_pickled_or_copied_market_rebuilds_read_only_vectors(base_market):
+    """A market whose cached fields were read pickles and deep-copies without
+    them, so the copy rebuilds them on first use: read-only, with the same
+    values and aggregates."""
+    mkt = base_market
+    mkt.vec, mkt.agg  # cached on the original
+    for copied in (pickle.loads(pickle.dumps(mkt)), copy.deepcopy(mkt)):
+        assert "vec" not in vars(copied) and "agg" not in vars(copied)
+        assert copied == mkt
+        for name in ("mu", "sigma", "k", "h", "eta"):
+            column = getattr(copied.vec, name)
+            assert not column.flags.writeable
+            assert column.tolist() == getattr(mkt.vec, name).tolist()
+        assert vars(copied.agg) == vars(mkt.agg)
 
 
 # --- coefficient functions ---------------------------------------------------

@@ -696,6 +696,38 @@ def test_martingale_kernel_still_checks_clearing(base_market, kernel_noise, monk
             simulate_policy_paths(policy, base_market, kernel_noise)
 
 
+@pytest.mark.parametrize(
+    "kind, broken",
+    [
+        ("static", lambda rows: {"trade_scale": rows.trade_scale * (1.0 + 1e-6)}),
+        ("optimal_dynamic", lambda rows: {"trade0": rows.trade0 + 1e-6 * abs(rows.m0_sum)}),
+    ],
+    ids=["weight", "start"],
+)
+def test_rows_that_break_the_clearing_identity_raise_before_the_first_draw(
+    base_market, monkeypatch, kind, broken
+):
+    """A martingale run checks once, when it is described, that its summed
+    trades clear by construction: a weight on the driver (the static price
+    moves) or a start (the optimal price does not) off by 1e-6 of its scale
+    raises `ClearingError` before any chunk is drawn."""
+    real = permitsim.policies._martingale_rows
+
+    def breaking(*args):
+        rows = real(*args)
+        return replace(rows, **broken(rows))
+
+    monkeypatch.setattr(permitsim.policies, "_martingale_rows", breaking)
+    mkt = base_market
+    ensemble = PathEnsemble(
+        seed=5, grid=TimeGrid(10.0, 20), firms=mkt.firms, n_paths=10, chunk_size=4
+    )
+    draws = count_calls(monkeypatch, permitsim.stochastic, "generate_noise")
+    with pytest.raises(ClearingError, match="frictionless"):
+        run_ensemble(mkt, [tax_policy(mkt), build_policy(PolicySpec(kind=kind), mkt)], ensemble)
+    assert draws == {"generate_noise": 0}
+
+
 def _all_simulated_policies(mkt):
     """Every policy the market admits: the kernel's plus tax and MSR."""
     policies = dict(_kernel_policies(mkt))
@@ -888,7 +920,7 @@ def test_costs_only_call_keeps_no_trajectory(base_market, kind):
     sample's (P,) scalars and a few (M+1,) rows, and it peaks at two
     scratches of SCRATCH_DOUBLES doubles, the most any kernel's pooled
     scratch holds.  The block is a default chunk of the headline grid, 256
-    paths x 2000 steps (static row blocks of 10 paths, MSR blocks of 127
+    paths x 2000 steps (static row blocks of 16 paths, MSR blocks of 127
     knots), on which numpy's fixed ufunc buffers (~0.15 MB) are small."""
     policy = build_policy(PolicySpec(kind=kind), base_market)
     grid = TimeGrid(base_market.horizon, 2000)
@@ -912,10 +944,9 @@ def test_costs_only_call_keeps_no_trajectory(base_market, kind):
 
 
 def test_a_nan_in_a_later_block_fails_the_clearing_check(base_market):
-    """The static price is built one row block of 10 paths at a time, and the
-    clearing check takes the largest max |x| of the blocks' prices and
-    summed trades; a NaN in the fifth block of the price's driver must
-    fail the check, although Python's max(a, nan) would drop it."""
+    """The static price is built one row block of 16 paths at a time, and the
+    kernel checks that every path's price is finite at its last knot; a NaN
+    in the third block of the price's driver must fail that check."""
     stat = static_policy(base_market)
     grid = TimeGrid(base_market.horizon, 2000)
     loads = permitsim.policies._describe(base_market, stat, grid).cost_rows
@@ -1210,7 +1241,7 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     its (n_paths, N+1, M) drivers d_tilde.  The four standard policies read
     one row, the weighted-mean shock (the static and MSR price driver), its
     total (every run but the tax) and the shock sum's total (the tax); the
-    custom policy its loading sum and surprise loading.  The runs go in run
+    custom policy its surprise loading, its price driver.  The runs go in run
     order, and every run of a chunk sees the rows and totals the chunk was
     drawn with and no other: the weighted-mean row's total is summed in the
     draw, from the kept row, so no reader computes it after the draw."""
@@ -1223,7 +1254,6 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     firms = base_market.firms
     wbar = weighted_mean_load([fp.k for fp in firms], [fp.sigma for fp in firms]).tobytes()
     shock_sum = tracking_gamma(firms).sum(axis=0).tobytes()
-    alloc = custom.gamma.sum(axis=0).tobytes()
     surprise = (custom.gamma - tracking_gamma(firms)).mean(axis=0).tobytes()
     grid = TimeGrid(horizon=10.0, n_steps=20)
     ensemble = PathEnsemble(
@@ -1248,7 +1278,7 @@ def test_standard_runs_draw_only_loading_rows(base_market, monkeypatch):
     run_ensemble(base_market, [*_four_policies(base_market), custom], ensemble)
     kinds = [PolicyKind(k) for k in ("optimal_dynamic", "static", "tax", "msr", "custom_martingale")]
     assert [(kind, drew) for kind, drew, _, _ in seen] == [(kind, False) for kind in kinds] * 3
-    assert kept == [({wbar, alloc, surprise}, {wbar, shock_sum})] * 3
+    assert kept == [({wbar, surprise}, {wbar, shock_sum})] * 3
     runs = len(kinds)
     for chunk, (rows, totals) in enumerate(kept):
         for _, _, run_rows, run_totals in seen[chunk * runs : (chunk + 1) * runs]:
@@ -1301,7 +1331,8 @@ def test_the_draw_scratch_does_not_grow_with_the_cpus(base_market, monkeypatch):
 
 def _ci_custom_policy(mkt):
     """The custom policy of the CI smoke runs: loadings that do not track the
-    shocks, so each chunk keeps three loading rows and the price moves."""
+    shocks, so the price moves and each chunk keeps its price driver's row.
+    Its summed trade starts at 0, so its trading part is 0 on every path."""
     n = mkt.n_firms
     gamma = np.zeros((n, n + 1))
     gamma[:, 0] = 5e7
@@ -1329,7 +1360,7 @@ def _zero_gamma_policy(mkt):
     [
         (_zero_gamma_policy, 1),
         (_permuted_tracking_policy, 0),
-        (_ci_custom_policy, 2),
+        (_ci_custom_policy, 1),
         (optimal_dynamic_policy, 0),
         (static_policy, 1),
         (tax_policy, 0),
@@ -1373,14 +1404,14 @@ def test_a_run_reads_exactly_what_it_declares(base_market, build, n_cost_rows):
 def test_run_ensemble_does_not_depend_on_chunking(base_market):
     """The per-path costs, cost parts and terminal emissions of the four
     standard policies and a custom one have the same bits on every chunking.
-    At 2000 steps the static kernel reduces row blocks of 10 paths: chunks
-    of 31 and 33 paths end on a one-path and a three-path block, and a
+    At 2000 steps the static kernel reduces row blocks of 16 paths: chunks
+    of 17 and 19 paths end on a one-path and a three-path block, and a
     lone-path chunk is the lone-path branch of the MSR's `_time_sum`.  At
     50 steps every chunk is one block."""
     runs = [(base_market, p) for p in [*_four_policies(base_market), _ci_custom_policy(base_market)]]
-    rows = permitsim.stochastic.SCRATCH_DOUBLES // (3 * 2001)
-    assert (rows, 31 % rows, 33 % rows) == (10, 1, 3)
-    for n_steps, n_paths, chunk_sizes in [(2000, 289, (256, 1, 31, 33)), (50, 300, (256, 1, 100))]:
+    rows = permitsim.stochastic.SCRATCH_DOUBLES // (2 * 2001)
+    assert (rows, 17 % rows, 19 % rows) == (16, 1, 3)
+    for n_steps, n_paths, chunk_sizes in [(2000, 289, (256, 1, 17, 19)), (50, 300, (256, 1, 100))]:
         grid = TimeGrid(horizon=10.0, n_steps=n_steps)
         per_size = []
         for chunk_size in chunk_sizes:
@@ -1423,8 +1454,7 @@ def test_run_ensemble_reports_what_the_chunks_samples_report(base_market):
     each chunk's `simulate_policy_paths` sample, with the samples' costs,
     parts and terminal emissions concatenated.  Four chunks at 50 steps, the
     last a short one, on the four standard policies and the CI custom
-    policy, whose allocation moves and whose trading and penalty vary by
-    path."""
+    policy, whose allocation moves and whose penalty varies by path."""
     policies = [*_four_policies(base_market), _ci_custom_policy(base_market)]
     ensemble = PathEnsemble(
         seed=23, grid=TimeGrid(10.0, 50), firms=base_market.firms, n_paths=350, chunk_size=100
@@ -1456,7 +1486,9 @@ def test_constant_cost_parts_are_read_only_stride_0_views(base_market, kernel_no
     stride 0 of one value, so a chunk keeps no (P,) array of it: every part
     of the optimal policy, the tax's abatement, trading and penalty, the
     MSR's trading and tax, and the static and custom policies' tax.  Every
-    other part is a (P,) array of its own values."""
+    other part is a (P,) array of its own values; the CI custom policy's
+    trading part (sum_k P_k dt) sum_i B_i(0) / T is 0 on every path, since
+    its summed trade starts at 0."""
     constant = {
         PolicyKind.OPTIMAL_DYNAMIC: {"abatement", "trading", "penalty", "tax"},
         PolicyKind.STATIC: {"tax"},
@@ -1470,6 +1502,8 @@ def test_constant_cost_parts_are_read_only_stride_0_views(base_market, kernel_no
             assert part.shape == (kernel_noise.n_paths,)
             if key in constant[policy.kind]:
                 assert part.strides == (0,) and not part.flags.writeable, (policy.kind, key)
+            elif (policy.kind, key) == (PolicyKind.CUSTOM_MARTINGALE, "trading"):
+                assert part.strides == (8,) and not part.any()
             else:
                 assert part.strides == (8,) and np.unique(part).size > 1, (policy.kind, key)
 
