@@ -39,10 +39,9 @@ ETAS = ",".join(repr(10.0 ** (6.0 + 0.25 * i)) for i in range(13))
 #: The config files the cases run on, by file name: the preset; the preset
 #: under a custom martingale policy whose loadings track no firm's shock
 #: (gamma = 5e7 on the common driver and 2e7 on the firm's own), so that its
-#: price and penalty move on every path (its summed trade starts at 0, and so
-#: does its trading part); and the preset's market on nine firms of one eta
-#: and distinct mu, sigma, k and h.  From eight firms
-#: on, numpy sums a firm vector pairwise, so a sum over the firms taken in
+#: price, abatement and penalty vary by path; and the preset's market on nine
+#: firms of one eta and distinct mu, sigma, k and h.  From eight firms on,
+#: numpy sums a firm vector pairwise, so a sum over the firms taken in
 #: another order moves bits there; these values are picked so that the
 #: optimal, static and tax outputs each move when one of their firm sums
 #: (sum_i mu_i, sum_i eta_i h_i^2) is reduced in the other order.

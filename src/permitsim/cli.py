@@ -147,11 +147,16 @@ def _reject_unknown(block: dict, allowed: set[str], path: str) -> None:
         )
 
 
+def _is_number(value: object) -> bool:
+    """True for an int or a float that is not a bool: a JSON number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(block: dict, key: str, path: str) -> float:
     if key not in block:
         raise ConfigError(f"{path}.{key}: required value missing")
     value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
     try:
         number = float(value)
@@ -166,10 +171,14 @@ def _array(block: dict, key: str, path: str) -> np.ndarray | None:
     if block.get(key) is None:
         return None
     value = block[key]
+    bad = ConfigError(f"{path}.{key}: expected an array of numbers, got {value!r}")
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}.{key}: expected an array of numbers, got {value!r}") from exc
+        raise bad from exc
+    # float() also takes bools and numeric strings: check each element as given
+    if not all(map(_is_number, np.asarray(value, dtype=object).flat)):
+        raise bad
     if not np.all(np.isfinite(array)):
         raise ConfigError(f"{path}.{key}: expected finite numbers, got {value!r}")
     return array
@@ -218,7 +227,7 @@ def build_scenario(raw: object) -> ScenarioConfig:
     base: dict = {}
     preset_name = raw.get("preset")
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise ConfigError(
                 f"config.preset: unknown preset {preset_name!r}; "
                 f"available: {', '.join(sorted(PRESETS))}"

@@ -10,15 +10,15 @@ a non-clearing "equilibrium" are silently wrong.
 The frictionless price formula (`frictionless_price` from its start
 `frictionless_initial_price`, which is also the whole price when no
 allocation surprises the market, and its step `frictionless_price_step`)
-and its clearing check (`require_frictionless_clearing`) are shared with
-the martingale kernel in `policies`, which computes the same equilibrium
-from firm sums alone, without per-firm best responses or paths.  The
-per-firm check (`require_frictionless_clearing`) reads only what clearing
-constrains, the firms' summed cumulative trades, and measures their
-residual against the gross market terms; the kernel's summed trades are
-linear in the price driver, so it checks once per run that their start
-and their weight on the driver vanish (`require_frictionless_identity`),
-against the same gross terms.
+is shared with the martingale kernel in `policies`, which computes the
+same equilibrium from firm sums alone, without per-firm best responses or
+paths.  The per-firm check (`require_frictionless_clearing`) reads only
+what clearing constrains, the firms' summed cumulative trades, and
+measures their residual against the gross market terms.  The kernel's
+summed trades are linear in the price driver, so it builds none: once per
+run, `require_frictionless_identity` computes their start and their
+weight on the driver and checks that both vanish, against the same gross
+terms.
 """
 
 from __future__ import annotations
@@ -235,27 +235,33 @@ def require_frictionless_clearing(
 
 
 def require_frictionless_identity(
-    mkt: MarketParams, grid, p0: float, m0_sum: float, trade0: float, weight: np.ndarray | None
+    mkt: MarketParams, grid, p0: float, m0_sum: float, step: np.ndarray | None, sign: float
 ) -> None:
     """Raise ClearingError unless a martingale run's summed trades clear by
     construction, on every path and before any is drawn.
 
-    The kernel's summed trade is sum_i B_i(t_k) = ``trade0`` - sum_{j<k}
-    w_j driver_j, with ``weight`` w_j = sum_i c_i(t_j) step_j + sign N,
-    (M,), or None when nothing surprises the market; it vanishes at every
-    knot exactly when ``trade0`` and every w_j do.  |trade0| is measured
-    against the run's deterministic gross terms c0_sum |P_0| + |sum_i
-    M_i(0)| + sum_i eta_i h_i T, and max_j |w_j| against N, the weight of
-    N dZbar.  Both ratios are unit-free, so neither takes a floor; a NaN
-    fails.
+    The run starts at P_0 = ``p0`` with sum_i M_i(0) = ``m0_sum``, and its
+    price steps by ``step``_j, (M,), per unit of a driver whose ``sign``
+    times is dZbar (`frictionless_price_step`), or not at all when ``step``
+    is None.  Its summed trade is sum_i B_i(t_k) = trade0 - sum_{j<k} w_j
+    driver_j, with trade0 = sum_i eta_i h_i T - sum_i c_i(0) P_0 - sum_i
+    M_i(0), c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam), and weight w_j =
+    sum_i c_i(t_j) step_j + sign N; it vanishes at every knot exactly when
+    trade0 and every w_j do.  |trade0| is measured against the run's
+    deterministic gross terms c0_sum |P_0| + |sum_i M_i(0)| + sum_i eta_i
+    h_i T, and max_j |w_j| against N, the weight of N dZbar.  Both ratios
+    are unit-free, so neither takes a floor; a NaN fails.
     """
+    lam, n, horizon, v = mkt.penalty, mkt.n_firms, grid.horizon, mkt.vec
+    coef_sum = (n + 2.0 * lam * float(v.eta.sum()) * (horizon - grid.knots)) / (2.0 * lam)
+    trade0 = float(v.eta @ v.h) * horizon - coef_sum[0] * p0 - m0_sum
+    weight_max = 0.0 if step is None else abs_max(coef_sum[:-1] * step + sign * n)
     gross = _gross_terms(mkt, grid, abs(p0), abs(m0_sum))
-    weight_max = 0.0 if weight is None else abs_max(weight)
-    if abs(trade0) <= CLEARING_TOL * gross and weight_max <= CLEARING_TOL * mkt.n_firms:
+    if abs(trade0) <= CLEARING_TOL * gross and weight_max <= CLEARING_TOL * n:
         return
     raise ClearingError(
         f"frictionless equilibrium failed to clear: |sum_i B_i(0)| = {abs(trade0):.3e} "
-        f"against gross terms {gross:.3e}, and max |w| / N = {weight_max / mkt.n_firms:.3e}; "
+        f"against gross terms {gross:.3e}, and max |w| / N = {weight_max / n:.3e}; "
         f"tolerance {CLEARING_TOL:g}"
     )
 

@@ -649,10 +649,7 @@ class MartingaleRows:
     m0_sum: float                  # sum_i m0_i, tons
     eta_total: float               # sum_i eta_i
     h_eff: float                   # eta-weighted mean cost sum_i eta_i h_i / eta_total, euros/ton
-    trade0: float                  # summed cumulative trade at t = 0, sum_i B_i(0), tons
-    coef_sum: np.ndarray           # sum_i c_i(t_k), c_i(t) = (1 + 2 lam eta_i (T - t)) / (2 lam)
     step: np.ndarray | None        # price step -sign f(t_k) per unit of the driver
-    trade_scale: float             # sign N: the summed trade's step per unit of the driver
     abatement_const: float         # (T/2) sum_i eta_i (h_i - h_eff)^2, euros
     mu_total: float                # sum_i mu_i, tons/year
     alloc_flow: float              # deterministic allocation rate, tons/year
@@ -675,11 +672,11 @@ def _martingale_rows(
     sign times the driver: the driver's load is mean_i (gamma - shocks)_i
     with sign 1, or, when gamma is 0 (the static lump sum), the weighted
     mean shock dWbar with sign -1.  The price steps by -sign f(t_k) times
-    the driver (`frictionless_price_step`), and the summed trade by sign N
-    times it.  With ``tracks_trends`` the allocation also carries the firms'
-    trends, alloc_flow = sum_i mu_i; otherwise alloc_flow is 0.
+    the driver (`frictionless_price_step`).  With ``tracks_trends`` the
+    allocation also carries the firms' trends, alloc_flow = sum_i mu_i;
+    otherwise alloc_flow is 0.  Raises `ClearingError` unless the summed
+    trades clear by construction (`require_frictionless_identity`).
     """
-    lam, n, horizon = mkt.penalty, mkt.n_firms, grid.horizon
     etas, hs = mkt.vec.eta, mkt.vec.h
     shocks = tracking_gamma(mkt.firms)  # sigma_i dW_i = (shocks dWtilde)_i
     wbar_load = weighted_mean_load(mkt.vec.k, mkt.vec.sigma)
@@ -687,18 +684,17 @@ def _martingale_rows(
     m0_sum = float(m0.sum())
     eta_total = float(etas.sum())
     p0 = frictionless_initial_price(mkt, grid, float(m0.mean()))
-    coef_sum = (n + 2.0 * lam * eta_total * (horizon - grid.knots)) / (2.0 * lam)
     # P - h_i = excess + (h_eff - h_i) with the eta-weighted mean cost
     # h_eff; sums of the small excess keep the cancellation out of the costs
     h_eff = float(etas @ hs) / eta_total
     loading = (gamma - shocks).mean(axis=0)
     surprise, moves = loading.any(), gamma.any()
     sign, driver = (1.0, loading) if moves else (-1.0, wbar_load)
+    step = frictionless_price_step(mkt, grid, sign) if surprise else None
+    require_frictionless_identity(mkt, grid, p0, m0_sum, step, sign)
     return MartingaleRows(
-        p0=p0, m0_sum=m0_sum, eta_total=eta_total, h_eff=h_eff,
-        trade0=float(etas @ hs) * horizon - coef_sum[0] * p0 - m0_sum, coef_sum=coef_sum,
-        step=frictionless_price_step(mkt, grid, sign) if surprise else None, trade_scale=sign * n,
-        abatement_const=0.5 * float(etas @ (hs - h_eff) ** 2) * horizon, mu_total=mu_total,
+        p0=p0, m0_sum=m0_sum, eta_total=eta_total, h_eff=h_eff, step=step,
+        abatement_const=0.5 * float(etas @ (hs - h_eff) ** 2) * grid.horizon, mu_total=mu_total,
         alloc_flow=mu_total if tracks_trends else 0.0, wbar_load=wbar_load,
         alloc_load=gamma.sum(axis=0) if moves else None,
         driver_load=driver if surprise else None,
@@ -753,9 +749,6 @@ def _describe(mkt: MarketParams, policy: Policy, grid: TimeGrid) -> RunDescripti
         msr = _msr_rows(mkt, policy, grid)
         return RunDescription(mkt, policy, msr, [msr.wbar_load], [msr.wbar_load], [msr.wbar_load])
     rows = _martingale_rows(mkt, grid, m0, gamma, tracks_trends)
-    # the summed trade's weight on the driver, sum_i c_i(t_k) step_k + sign N
-    weight = None if rows.step is None else rows.coef_sum[:-1] * rows.step + rows.trade_scale
-    require_frictionless_identity(mkt, grid, rows.p0, rows.m0_sum, rows.trade0, weight)
     cost_rows = [] if rows.driver_load is None else [rows.driver_load]
     paths = [rows.driver_load, rows.wbar_load, rows.alloc_load]
     paths = [load for load in paths if load is not None]
@@ -780,8 +773,9 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
     the terminal condition X_i(T) = -P_T / (2 lam).  The firm sum is
     sum_i B_i(t_k) = sum_i B_i(0) - sum_{j<k} w_j driver_j with weight
     w_j = sum_i c_i(t_j) step_j + sign N, and both the start and every w_j
-    are zero up to roundoff: `_describe` checks that identity once per run
-    (`require_frictionless_identity`), so no path builds a summed trade.  In
+    are zero up to roundoff: `_martingale_rows` checks that identity once
+    per run (`require_frictionless_identity`), so no path builds a summed
+    trade, and the trading part, the integral of P sum_i beta_i, is 0.  In
     X_i(T) = M_i(T) + sum_k alpha_i(t_k) dt + B_i(T) - sigma_i W_i(T) the
     allocation and shock terms cancel against those of B_i(T); summed by
     parts with c_i(t_k) - c_i(t_{k-1}) = -eta_i dt, that is the grid identity
@@ -789,17 +783,17 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
         X_i(T) = -P_T / (2 lam) - eta_i dt (P_T - P_0),
 
     the terminal condition up to one grid term.  The costs are abatement
-    sum_i (eta_i/2) sum_k (P_k^2 - h_i^2) dt, trading
-    (sum_k P_k dt) sum_i B_i(0) / T, penalty lam sum_i X_i(T)^2 and a tax
-    of 0; the terminal emissions are T sum_i mu_i minus the abated total
-    plus the shock sum N Wbar_T.
+    sum_i (eta_i/2) sum_k (P_k^2 - h_i^2) dt, penalty lam sum_i X_i(T)^2,
+    and trading and tax of 0; the terminal emissions are T sum_i mu_i minus
+    the abated total plus the shock sum N Wbar_T.
 
-    ``run`` is described on the block's grid.  When nothing surprises the
-    market the price is the constant P_0, and the cost parts, price and
-    abatement are one value or row, repeated on every path as read-only
-    views.  A moving price is built in row blocks of SCRATCH_DOUBLES // (2
-    (M+1)) paths (16 at 2000 steps), and the costs do not depend on how the
-    paths are cut into blocks or chunks.  Raises `ClearingError` when the
+    ``run`` is described on the block's grid.  Trading and tax are one 0.0
+    repeated on every path as read-only views; when nothing surprises the
+    market the price is the constant P_0, and so are every cost part, the
+    price and abatement, one value or row each.  A moving price is built in
+    row blocks of SCRATCH_DOUBLES // (2 (M+1)) paths (16 at 2000 steps),
+    and the costs do not depend on how the paths are cut into blocks or
+    chunks.  Raises `ClearingError` when the
     price is not finite at the last knot, where the running sum carries a
     NaN or inf of the driver, and `DomainError` for a cost or terminal
     emission that is not finite (`_sample`).
@@ -826,11 +820,10 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
             return frictionless_price(rows.p0, rows.step, driver[paths], out)
         return np.full((1, m + 1), rows.p0)
 
-    price_sum, gap_sum, abated_T = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
+    gap_sum, abated_T = np.empty(n_rows), np.empty(n_rows)
     p_T = np.empty((n_rows, 1))
     for paths, b in row_blocks(n_rows, block_paths):
         price = price_rows(paths, _block(scratch[0], b, m + 1))
-        price_sum[paths] = price[:, :-1].sum(axis=-1)
         p_T[paths, 0] = price[:, -1]
         excess = np.subtract(price, rows.h_eff, out=price)
         excess_left = excess[:, :-1]
@@ -848,10 +841,9 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
         raise ClearingError("frictionless equilibrium failed to clear: the price is not finite")
 
     abatement = 0.5 * rows.eta_total * gap_sum * dt - rows.abatement_const
-    trading = price_sum * dt * rows.trade0 / horizon
     bank_T = -p_T / (2.0 * lam) - mkt.vec.eta * dt * (p_T - rows.p0)
     penalty = lam * (bank_T**2).sum(axis=1)
-    parts = dict(abatement=abatement, trading=trading, penalty=penalty, tax=0.0)
+    parts = dict(abatement=abatement, trading=0.0, penalty=penalty, tax=0.0)
     parts = {key: np.broadcast_to(value, shape[:1]) for key, value in parts.items()}
     terminal_emissions = rows.mu_total * t[-1] - abated_T + n * wbar_T
 
@@ -873,7 +865,6 @@ def _simulate_martingale(run: RunDescription, noise: NoisePaths) -> PolicyPathSa
                 alloc
                 + (rows.mu_total - rows.alloc_flow) * (horizon - t)
                 + abated
-                + rows.trade0 / horizon * t
                 - shock_sum
             ),
             avg_abatement=np.broadcast_to(abate_total / n, shape),

@@ -232,7 +232,7 @@ class _ArrayPool:
     the one before reuses its arrays.  A new base is rounded up to whole
     64 KiB, so that requests of nearly one size share a base whichever
     comes first: at 256 x 2000 the noise draw's scratch (65536 doubles),
-    the martingale kernel's three row blocks (60030) and the MSR's two
+    the martingale kernel's two row blocks (64032) and the MSR's two
     rolling blocks (65536), each sized by SCRATCH_DOUBLES, are one base.
     """
 

@@ -214,6 +214,12 @@ def test_invalid_firm_and_unit_scale_and_kind():
                         "simulation": small_sim_block(), "policy": {}})
 
 
+@pytest.mark.parametrize("preset", [[], {}, 1, True, "paper-2021"])
+def test_a_preset_that_names_no_preset_is_a_config_error(preset):
+    with pytest.raises(ConfigError, match=r"config\.preset: unknown preset"):
+        build_scenario({"preset": preset})
+
+
 def test_target_compliance_is_a_json_boolean():
     custom = {"kind": "custom_martingale", "m0": [0.0] * 6, "gamma": [[0.0] * 7] * 6}
     for flag in (True, False):
@@ -252,6 +258,28 @@ def test_non_finite_numbers_are_config_errors():
                     "policy": {"kind": "custom_martingale", "m0": [0.0] * 6, "gamma": bad},
                 }
             )
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("m0", [True, False, 1, 1, 1, 1]),
+        ("m0", ["1", 2, 1, 1, 1, 1]),
+        ("m0", [None] * 6),
+        ("gamma", [[0.0] * 6 + [False]] * 6),
+        ("gamma", [["0"] * 7] * 6),
+    ],
+    ids=["bools", "string", "nulls", "nested-bool", "nested-strings"],
+)
+def test_config_arrays_take_json_numbers_only(tmp_path, capsys, key, bad):
+    """An array element that float() would take but that is no JSON number,
+    a bool or a numeric string, fails the run with exit 2 and the key's
+    path, as it does for a scalar."""
+    policy = {"kind": "custom_martingale", "m0": [0.0] * 6, "gamma": [[0.0] * 7] * 6}
+    cfg = write_config(tmp_path, policy={**policy, key: bad}, simulation=small_sim_block())
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert f"config.policy.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_load_config_errors(tmp_path):

@@ -86,7 +86,7 @@ simulation = block(
     seed=mostly(st.integers(0, 3)),
 )
 config = st.fixed_dictionaries(
-    {"preset": st.sampled_from(["paper-2020-base", "paper-2020-low-h"])},
+    {"preset": mostly(st.sampled_from(["paper-2020-base", "paper-2020-low-h"]))},
     optional={
         "market": market,
         "firms": mostly(st.lists(firm, min_size=1, max_size=N_MAX)),

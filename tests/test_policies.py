@@ -697,27 +697,20 @@ def test_martingale_kernel_still_checks_clearing(base_market, kernel_noise, monk
 
 
 @pytest.mark.parametrize(
-    "kind, broken",
-    [
-        ("static", lambda rows: {"trade_scale": rows.trade_scale * (1.0 + 1e-6)}),
-        ("optimal_dynamic", lambda rows: {"trade0": rows.trade0 + 1e-6 * abs(rows.m0_sum)}),
-    ],
+    "kind, name",
+    [("static", "frictionless_price_step"), ("optimal_dynamic", "frictionless_initial_price")],
     ids=["weight", "start"],
 )
 def test_rows_that_break_the_clearing_identity_raise_before_the_first_draw(
-    base_market, monkeypatch, kind, broken
+    base_market, monkeypatch, kind, name
 ):
     """A martingale run checks once, when it is described, that its summed
-    trades clear by construction: a weight on the driver (the static price
-    moves) or a start (the optimal price does not) off by 1e-6 of its scale
-    raises `ClearingError` before any chunk is drawn."""
-    real = permitsim.policies._martingale_rows
-
-    def breaking(*args):
-        rows = real(*args)
-        return replace(rows, **broken(rows))
-
-    monkeypatch.setattr(permitsim.policies, "_martingale_rows", breaking)
+    trades clear by construction: a price step (the static price moves) or
+    a start P_0 (the optimal price does not) off by 1e-6 of itself breaks
+    the summed trade's weight on the driver or its start, and raises
+    `ClearingError` before any chunk is drawn."""
+    real = getattr(permitsim.policies, name)
+    monkeypatch.setattr(permitsim.policies, name, lambda *args: real(*args) * (1.0 + 1e-6))
     mkt = base_market
     ensemble = PathEnsemble(
         seed=5, grid=TimeGrid(10.0, 20), firms=mkt.firms, n_paths=10, chunk_size=4
@@ -1331,8 +1324,7 @@ def test_the_draw_scratch_does_not_grow_with_the_cpus(base_market, monkeypatch):
 
 def _ci_custom_policy(mkt):
     """The custom policy of the CI smoke runs: loadings that do not track the
-    shocks, so the price moves and each chunk keeps its price driver's row.
-    Its summed trade starts at 0, so its trading part is 0 on every path."""
+    shocks, so the price moves and each chunk keeps its price driver's row."""
     n = mkt.n_firms
     gamma = np.zeros((n, n + 1))
     gamma[:, 0] = 5e7
@@ -1484,17 +1476,16 @@ def test_run_ensemble_reports_what_the_chunks_samples_report(base_market):
 def test_constant_cost_parts_are_read_only_stride_0_views(base_market, kernel_noise):
     """A cost part that is the same on every path is a read-only view with
     stride 0 of one value, so a chunk keeps no (P,) array of it: every part
-    of the optimal policy, the tax's abatement, trading and penalty, the
-    MSR's trading and tax, and the static and custom policies' tax.  Every
-    other part is a (P,) array of its own values; the CI custom policy's
-    trading part (sum_k P_k dt) sum_i B_i(0) / T is 0 on every path, since
-    its summed trade starts at 0."""
+    of the optimal policy, the tax's abatement, trading and penalty, and
+    every other policy's trading and tax.  Clearing makes every policy's
+    trading part exactly 0.  Every other part is a (P,) array of its own
+    values."""
     constant = {
         PolicyKind.OPTIMAL_DYNAMIC: {"abatement", "trading", "penalty", "tax"},
-        PolicyKind.STATIC: {"tax"},
+        PolicyKind.STATIC: {"trading", "tax"},
         PolicyKind.TAX: {"abatement", "trading", "penalty"},
         PolicyKind.MSR: {"trading", "tax"},
-        PolicyKind.CUSTOM_MARTINGALE: {"tax"},
+        PolicyKind.CUSTOM_MARTINGALE: {"trading", "tax"},
     }
     for policy in [*_four_policies(base_market), _ci_custom_policy(base_market)]:
         sample = simulate_policy_paths(policy, base_market, kernel_noise)
@@ -1502,10 +1493,9 @@ def test_constant_cost_parts_are_read_only_stride_0_views(base_market, kernel_no
             assert part.shape == (kernel_noise.n_paths,)
             if key in constant[policy.kind]:
                 assert part.strides == (0,) and not part.flags.writeable, (policy.kind, key)
-            elif (policy.kind, key) == (PolicyKind.CUSTOM_MARTINGALE, "trading"):
-                assert part.strides == (8,) and not part.any()
             else:
                 assert part.strides == (8,) and np.unique(part).size > 1, (policy.kind, key)
+        assert (sample.parts["trading"] == 0.0).all(), policy.kind
 
 
 def test_custom_martingale_matches_optimal_cost(base_market, medium_noise):
